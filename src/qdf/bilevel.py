@@ -5,24 +5,33 @@ over the inner split.  The outer step differentiates the outer-split loss
 with respect to the weighting parameters *through the unrolled inner
 trajectory only*: the weighting's direct appearance in the outer quadratic
 form is held constant.  Everything here is exact reverse-mode differentiation
-of the unrolled updates; because the model is linear and the loss quadratic,
-the Hessian-vector products have closed forms and no autodiff is needed.
+of the unrolled updates, with no autodiff.
+
+The model is linear and the loss quadratic, so with Z = [X, 1] and
+Theta = [W, b] the inner data enter only through G = Z^T Z and C = Y^T Z,
+cached once per split pair.  With A = Sigma^-1 formed once per update, an
+inner step is Theta <- Theta + (2 lr / B) A (C - Theta G), and the reverse
+pass needs only the residual moments M_k = C - Theta_k G of each step, so
+both cost O(T^2 H + T H^2) whatever the number of inner windows.  The outer
+adjoint is seeded from the real outer residuals, so a perfect outer fit
+gives an exactly zero hypergradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .data import WindowSet
 from .errors import InvalidDimensionError, InvalidSplitError, NumericError
-from .model import LinearForecaster
+from .model import LinearForecaster, forecast_batch
 from .timing import PhaseTimer, phase
 from .weighting import (
     WeightingParams,
     chain_sigma_grad_to_raw,
+    inverse_from_factor,
     materialize,
     normalize_scale,
 )
@@ -45,6 +54,18 @@ class SplitPair:
             raise InvalidDimensionError("inner/outer window shapes disagree")
         if _coverage_overlaps(self.inner, self.outer):
             raise InvalidSplitError("inner and outer windows share source rows")
+
+    @cached_property
+    def inner_moments(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(G, C, B) of the inner samples: Z^T Z, Y^T Z and the row count."""
+        X, Y = self.inner.as_samples()
+        Z = np.column_stack([X, np.ones(X.shape[0])])
+        return Z.T @ Z, Y.T @ Z, X.shape[0]
+
+    @cached_property
+    def outer_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """(X, Y) sample rows of the outer split, read once per pair."""
+        return self.outer.as_samples()
 
 
 def _covered_mask(ws: WindowSet, hi: int) -> np.ndarray:
@@ -101,68 +122,62 @@ class AtomicConfig:
             raise InvalidDimensionError("eta must be nonnegative")
 
 
-def _inner_trajectory(
+def _unroll(
     theta0: LinearForecaster,
-    L: np.ndarray,
-    X: np.ndarray,
-    Y: np.ndarray,
+    w: WeightingParams,
+    split: SplitPair,
     cfg: AtomicConfig,
     timer: PhaseTimer | None,
 ):
-    """Run N full-batch GD steps; returns per-step (W, b) including theta_N."""
-    B = X.shape[0]
-    A_cols = solve_triangular(L, np.eye(L.shape[0]), lower=True)
-    A = A_cols.T @ A_cols  # Sigma^-1, formed from the factor
-    W, b = theta0.weights.copy(), theta0.bias.copy()
-    traj = [(W.copy(), b.copy())]
+    """Shared forward pass: N full-batch GD steps from the inner statistics.
+
+    Returns Sigma^-1, the model after the last step, and the residual moments
+    M_k = C - Theta_k G of every step, which the reverse pass consumes.
+    """
+    if theta0.horizon != w.horizon or split.inner.horizon != w.horizon:
+        raise InvalidDimensionError("model/weighting/split horizons disagree")
+    G, C, B = split.inner_moments
+    A = inverse_from_factor(materialize(w)[0])
+    scale = 2.0 * cfg.inner_lr / B
+    theta = np.column_stack([theta0.weights, theta0.bias])
+    moments = []
     for _ in range(cfg.inner_steps):
         with phase(timer, "inner_fwd"):
-            E = Y - (X @ W.T + b)
-            z = solve_triangular(L, E.T, lower=True)
-            loss = float(np.sum(z * z) / B)
-        if not np.isfinite(loss):
-            raise NumericError("inner loop diverged; reduce inner_lr")
+            M = C - theta @ G
         with phase(timer, "inner_bwd"):
-            AE = A @ E.T
-            W = W + (2.0 * cfg.inner_lr / B) * (AE @ X)
-            b = b + (2.0 * cfg.inner_lr / B) * AE.sum(axis=1)
-        traj.append((W.copy(), b.copy()))
-    return A, traj
+            theta = theta + scale * (A @ M)
+            finite = bool(np.all(np.isfinite(theta)))
+        if not finite:
+            raise NumericError("inner loop diverged; reduce inner_lr")
+        moments.append(M)
+    model_n = LinearForecaster(theta[:, :-1], theta[:, -1], theta0.history, theta0.horizon)
+    return A, model_n, moments
 
 
-def _backward_hypergrad(
-    A: np.ndarray,
-    traj,
-    X: np.ndarray,
-    Y: np.ndarray,
-    Xo: np.ndarray,
-    Yo: np.ndarray,
-    cfg: AtomicConfig,
-) -> np.ndarray:
-    """Reverse-mode pass over the unrolled trajectory.
+def _outer_reverse(A, model_n, moments, w, split, cfg, timer) -> np.ndarray:
+    """Outer loss adjoint at theta_N, carried back through the unrolled steps.
 
-    Propagates the outer-loss adjoint through each GD step (its Jacobian is
-    I - lr * Hessian, constant in theta for a quadratic loss) and accumulates
-    the mixed derivative of each step with respect to Sigma.
+    Each step's Jacobian is I - (2 lr / B) A (.) G, constant in theta for a
+    quadratic loss; the mixed derivative of step k with respect to Sigma is
+    -(2 lr / B) A M_k lambda^T A, accumulated before the two A factors apply.
     """
-    B = X.shape[0]
+    Xo, Yo = split.outer_samples
     Bo = Xo.shape[0]
-    Wn, bn = traj[-1]
-    R = Yo - (Xo @ Wn.T + bn)
-    AR = A @ R.T
-    lam_W = -(2.0 / Bo) * (AR @ Xo)
-    lam_b = -(2.0 / Bo) * AR.sum(axis=1)
-    grad_sigma = np.zeros_like(A)
-    scale = 2.0 * cfg.inner_lr / B
-    for k in range(len(traj) - 2, -1, -1):
-        Wk, bk = traj[k]
-        U = lam_W @ X.T + lam_b[:, None]  # T x B sensitivity rows
-        Ek = (Y - (X @ Wk.T + bk)).T  # T x B residual columns
-        grad_sigma -= scale * (A @ Ek @ U.T @ A)
-        AU = A @ U
-        lam_W = lam_W - scale * (AU @ X)
-        lam_b = lam_b - scale * AU.sum(axis=1)
-    return grad_sigma
+    with phase(timer, "outer_fwd"):
+        R = Yo - forecast_batch(model_n, Xo)  # exactly 0 where Yo was forecast by model_n
+        V = R @ A  # rows are Sigma^-1 r_i
+        outer_loss = float(np.sum(V * R) / Bo)
+    if not np.isfinite(outer_loss):
+        raise NumericError("outer loss diverged; reduce inner_lr")
+    with phase(timer, "outer_bwd"):
+        G, _, B = split.inner_moments
+        scale = 2.0 * cfg.inner_lr / B
+        lam = -(2.0 / Bo) * np.column_stack([V.T @ Xo, V.sum(axis=0)])
+        P = np.zeros_like(A)
+        for M in reversed(moments):
+            P += M @ lam.T
+            lam = lam - scale * (A @ lam @ G)
+        return chain_sigma_grad_to_raw(w, -scale * (A @ P @ A))
 
 
 def hypergradient(
@@ -174,29 +189,7 @@ def hypergradient(
 ) -> np.ndarray:
     """Gradient of the outer loss w.r.t. raw weighting entries, through the
     inner trajectory only (direct outer occurrence of Sigma held fixed)."""
-    grad, _ = _hypergrad_and_model(theta0, w, split, cfg, timer)
-    return grad
-
-
-def _hypergrad_and_model(theta0, w, split, cfg, timer):
-    if theta0.horizon != w.horizon or split.inner.horizon != w.horizon:
-        raise InvalidDimensionError("model/weighting/split horizons disagree")
-    L, _ = materialize(w)
-    X, Y = split.inner.as_samples()
-    Xo, Yo = split.outer.as_samples()
-    A, traj = _inner_trajectory(theta0, L, X, Y, cfg, timer)
-    with phase(timer, "outer_fwd"):
-        Wn, bn = traj[-1]
-        Ro = Yo - (Xo @ Wn.T + bn)
-        zo = solve_triangular(L, Ro.T, lower=True)
-        outer_loss = float(np.sum(zo * zo) / Xo.shape[0])
-    if not np.isfinite(outer_loss):
-        raise NumericError("outer loss diverged; reduce inner_lr")
-    with phase(timer, "outer_bwd"):
-        grad_sigma = _backward_hypergrad(A, traj, X, Y, Xo, Yo, cfg)
-        grad_raw = chain_sigma_grad_to_raw(w, grad_sigma)
-    model_n = LinearForecaster(traj[-1][0], traj[-1][1], theta0.history, theta0.horizon)
-    return grad_raw, model_n
+    return _outer_reverse(*_unroll(theta0, w, split, cfg, timer), w, split, cfg, timer)
 
 
 def atomic_update(
@@ -208,15 +201,10 @@ def atomic_update(
 ) -> tuple[WeightingParams, LinearForecaster]:
     """N inner GD steps on the model, then one hypergradient step on the
     weighting.  With eta = 0 the weighting is returned untouched."""
+    A, model_n, moments = _unroll(model, w, split, cfg, timer)
     if cfg.eta == 0.0:
-        L, _ = materialize(w)
-        X, Y = split.inner.as_samples()
-        _, traj = _inner_trajectory(model, L, X, Y, cfg, timer)
-        model_n = LinearForecaster(
-            traj[-1][0], traj[-1][1], model.history, model.horizon
-        )
         return w, model_n
-    grad_raw, model_n = _hypergrad_and_model(model, w, split, cfg, timer)
+    grad_raw = _outer_reverse(A, model_n, moments, w, split, cfg, timer)
     new_w = w.with_raw(w.raw - cfg.eta * grad_raw)
     if cfg.normalize:
         new_w = normalize_scale(new_w)

@@ -53,8 +53,6 @@ DATA_ERRORS = (
 )
 NUMERIC_ERRORS = (ConditioningError, NumericError, UndefinedCorrelationError)
 
-_VARIANT_FLAGS = {"df": "df", "qdf": "qdf", "qdf-diag": "qdf-diag", "qdf-offdiag": "qdf-offdiag"}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -86,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", type=int, default=96)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), default="qdf")
+    p.add_argument("--variant", choices=VARIANTS, default="qdf")
     p.add_argument("--k-splits", type=int, default=3)
     p.add_argument("--inner-steps", type=int, default=1)
     p.add_argument("--outer-rounds", type=int, default=10)
@@ -224,9 +222,11 @@ def cmd_bench(args) -> int:
     presets = [s.strip() for s in args.presets.split(",") if s.strip()]
     variants = [s.strip() for s in args.variants.split(",") if s.strip()]
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    for v in variants:
-        if v not in VARIANTS:
-            raise InvalidSplitError(f"unknown variant {v!r}")
+    for kind, names, known in (("preset", presets, benchlib.PRESETS),
+                               ("variant", variants, VARIANTS)):
+        for name in names:
+            if name not in known:
+                raise InvalidSplitError(f"unknown {kind} {name!r}")
     reports = benchlib.run_matrix(presets, variants, seeds, n_windows=args.n_windows)
     rows = benchlib.aggregate(reports)
     out = Path(args.out_dir)

@@ -217,8 +217,10 @@ def make_windows(
     only starts at offset, offset+stride, ... (used to phase-align windows
     against a periodic innovation schedule).
     """
-    if history < 1 or horizon < 1:
-        raise InvalidDimensionError("history and horizon must be >= 1")
+    if history < 1 or horizon < 1 or stride < 1:
+        raise InvalidDimensionError("history, horizon and stride must be >= 1")
+    if offset < 0:
+        raise InvalidDimensionError("offset must be >= 0")
     span = history + horizon
     if frame.length < span:
         raise InsufficientDataError(

@@ -25,6 +25,10 @@ class NumericError(QdfError, ArithmeticError):
     """Non-finite values where finite ones are required."""
 
 
+class InvalidConfigError(QdfError, ValueError):
+    """A configuration value is out of range or unknown."""
+
+
 class InvalidSplitError(QdfError, ValueError):
     """A data split is empty, overlapping, or otherwise unusable."""
 

@@ -23,10 +23,6 @@ class PhaseTimer:
         self.cpu_ms[phase] += cpu_s * 1e3
         self.steps[phase] += steps
 
-    def per_step_ms(self, phase: str) -> float:
-        n = self.steps.get(phase, 0)
-        return self.totals_ms.get(phase, 0.0) / n if n else 0.0
-
 
 class phase:
     """Context manager feeding one timed block into a PhaseTimer."""

@@ -107,6 +107,12 @@ def materialize(params: WeightingParams) -> tuple[np.ndarray, np.ndarray]:
     return L, L @ L.T
 
 
+def inverse_from_factor(L: np.ndarray) -> np.ndarray:
+    """Sigma^-1 = L^-T L^-1, formed from the lower-triangular factor L."""
+    Linv = solve_triangular(L, np.eye(L.shape[0]), lower=True)
+    return Linv.T @ Linv
+
+
 def params_from_matrix(
     sigma: np.ndarray, mode: WeightingMode = WeightingMode.FULL
 ) -> WeightingParams:
@@ -124,11 +130,10 @@ def params_from_matrix(
 
 
 def _inverse_trace(L: np.ndarray) -> float:
-    """trace(Sigma^-1) computed from the factor as ||L^-1||_F^2."""
+    """trace(Sigma^-1) computed from the factor."""
     if np.any(np.diagonal(L) <= SOFTPLUS_FLOOR * (1 - 1e-12)):
         raise ConditioningError("weighting factor diagonal at or below floor")
-    Linv = solve_triangular(L, np.eye(L.shape[0]), lower=True)
-    val = float(np.sum(Linv * Linv))
+    val = float(np.trace(inverse_from_factor(L)))
     if not np.isfinite(val):
         raise ConditioningError("trace of inverse weighting is not finite")
     return val

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bilevel import AtomicConfig, atomic_update, make_split_pair
 from .data import WindowSet, chrono_split
-from .errors import InvalidSplitError, NumericError
+from .errors import InvalidConfigError, InvalidSplitError, NumericError
 from .model import (
     AdamState,
     LinearForecaster,
@@ -30,13 +30,14 @@ from .model import (
     init_forecaster,
     sgd_step,
 )
-from .objective import ResidualBatch, grad_wrt_residual, quadratic_loss
+from .objective import ResidualBatch, quadratic_loss
 from .timing import PhaseTimer, phase
 from .weighting import (
     WeightingMode,
     WeightingParams,
     frobenius_distance,
     identity_params,
+    inverse_from_factor,
     materialize,
 )
 
@@ -70,8 +71,10 @@ class QdfConfig:
     def __post_init__(self):
         if self.k_splits < 1 or self.outer_rounds < 1 or self.inner_steps < 1:
             raise InvalidSplitError("k_splits, outer_rounds, inner_steps must be >= 1")
+        if self.batch_size < 1:
+            raise InvalidConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.final_optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.final_optimizer!r}")
+            raise InvalidConfigError(f"unknown optimizer {self.final_optimizer!r}")
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -143,6 +146,7 @@ def train_final(
         train, valid = chrono_split(train, [0.8, 0.2])
     X, Y = train.as_samples()
     Xv, Yv = valid.as_samples()
+    A = inverse_from_factor(materialize(w)[0])  # Sigma is frozen: form Sigma^-1 once
     model = model_init
     opt = AdamState(model, lr=cfg.final_lr) if cfg.final_optimizer == "adam" else None
     best_model = model
@@ -151,8 +155,8 @@ def train_final(
     with phase(timer, "final_train"):
         for _ in range(cfg.epochs):
             for idx in _epoch_batches(X.shape[0], cfg.batch_size, rng):
-                resid = ResidualBatch(Y[idx] - forecast_batch(model, X[idx]))
-                upstream = -grad_wrt_residual(resid, w)
+                resid = Y[idx] - forecast_batch(model, X[idx])
+                upstream = -(2.0 / idx.size) * (resid @ A)
                 grads = grad_params_batch(model, X[idx], upstream)
                 if opt is not None:
                     model = opt.step(model, grads)

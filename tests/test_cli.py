@@ -159,6 +159,26 @@ def test_bench_unknown_variant_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bench_unknown_preset_exits_3(tmp_path, capsys):
+    code = main(["bench", "--presets", "nope", "--variants", "df", "--seeds", "0",
+                 "--out-dir", str(tmp_path / "b")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "InvalidSplitError"
+    assert "nope" in err["error"]["message"]
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("flag, field", [("batch", "batch_size"), ("stride", "stride")])
+def test_train_nonpositive_size_exits_3(synth_csv, tmp_path, capsys, flag, field):
+    code = main(train_args(synth_csv, tmp_path) + [f"--{flag}", "0"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error"}
+    assert field in err["error"]["message"]
+    assert not (tmp_path / "report_qdf.json").exists()
+
+
 def test_train_default_flags_complete_quickly(tmp_path):
     # default flags (history 96, k-splits 3, epochs 50, sgd) on a synthetic
     # series finish well within the interactive budget

@@ -19,6 +19,7 @@ from qdf.data import (
 from qdf.errors import (
     CsvParseError,
     InsufficientDataError,
+    InvalidDimensionError,
     InvalidSplitError,
     UnstableSpecError,
 )
@@ -126,6 +127,12 @@ def test_window_count_formula_random(rng):
 def test_windows_insufficient_data():
     with pytest.raises(InsufficientDataError):
         make_windows(frame_of([1.0, 2.0]), 2, 1)
+
+
+@pytest.mark.parametrize("kwargs", [dict(stride=0), dict(stride=-2), dict(offset=-1)])
+def test_windows_reject_bad_stride_or_offset(kwargs):
+    with pytest.raises(InvalidDimensionError):
+        make_windows(frame_of(np.arange(30.0)), 2, 2, **kwargs)
 
 
 def test_strided_windows_alignment():

@@ -5,10 +5,11 @@ import pytest
 
 from qdf.bilevel import AtomicConfig, atomic_update, make_split_pair
 from qdf.data import ArSpec, ar_conditional_cov, gen_ar, make_windows, ramp_noise_schedule
-from qdf.errors import InvalidSplitError
-from qdf.model import forecast_batch, init_forecaster, sgd_step
-from qdf.objective import ResidualBatch, quadratic_loss
+from qdf.errors import InvalidConfigError, InvalidSplitError
+from qdf.model import forecast_batch, grad_params_batch, init_forecaster, sgd_step
+from qdf.objective import ResidualBatch, grad_wrt_residual, quadratic_loss
 from qdf.weighting import (
+    WeightingParams,
     frobenius_distance,
     identity_params,
     materialize,
@@ -27,6 +28,12 @@ from qdf.workflow import (
 def ar_windows(seed=0, length=800, H=8, T=4, phi=0.6):
     frame = gen_ar(ArSpec((phi,), 1.0, length, seed))
     return make_windows(frame, H, T)
+
+
+@pytest.mark.parametrize("bad", [dict(batch_size=0), dict(final_optimizer="rmsprop")])
+def test_config_rejects_bad_values(bad):
+    with pytest.raises(InvalidConfigError):
+        QdfConfig(**bad)
 
 
 # -------------------------------------------------------- learn_weighting
@@ -90,6 +97,19 @@ def test_learn_weighting_reads_only_training_split(rng):
     assert test.reads == 0
 
 
+def test_learn_weighting_reads_do_not_grow_with_rounds(rng):
+    # each split pair reads its windows once; later rounds reuse the cache
+    model = init_forecaster(8, 4, rng)
+    reads = []
+    for rounds in (2, 6):
+        train = ar_windows(seed=7)
+        cfg = QdfConfig(k_splits=2, outer_rounds=rounds, eta=0.05, tol=0.0, seed=7)
+        _, trace = learn_weighting(train, model, cfg)
+        assert len(trace) == rounds
+        reads.append(train.reads)
+    assert reads[0] == reads[1] > 0
+
+
 # ------------------------------------------------------------ train_final
 
 def reference_mse_training(train, valid, model, cfg, rng):
@@ -126,6 +146,45 @@ def test_train_final_identity_matches_mse_training_bitwise():
     want = reference_mse_training(train, valid, model0, cfg, np.random.default_rng(99))
     assert np.array_equal(got.weights, want.weights)
     assert np.array_equal(got.bias, want.bias)
+
+
+def reference_weighted_training(train, valid, w, model, cfg, rng):
+    """Minibatch training under w built from the grad_wrt_residual oracle."""
+    X, Y = train.as_samples()
+    Xv, Yv = valid.as_samples()
+    best, best_val, stale = model, np.inf, 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(X.shape[0])
+        for lo in range(0, X.shape[0], cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            resid = ResidualBatch(Y[idx] - forecast_batch(model, X[idx]))
+            upstream = -grad_wrt_residual(resid, w)
+            model = sgd_step(model, grad_params_batch(model, X[idx], upstream), cfg.final_lr)
+        val = quadratic_loss(ResidualBatch(Yv - forecast_batch(model, Xv)), w)
+        if val < best_val:
+            best, best_val, stale = model, val, 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
+    return best
+
+
+def test_train_final_nondiagonal_sigma_matches_oracle_training():
+    ws = ar_windows(seed=12, length=600)
+    train, valid = ws.slice(0, 400), ws.slice(420, 500)
+    rng = np.random.default_rng(12)
+    w = WeightingParams(rng.uniform(-0.5, 0.5, (ws.horizon, ws.horizon)), ws.horizon)
+    assert np.count_nonzero(np.tril(materialize(w)[0], k=-1)) > 0
+    cfg = QdfConfig(epochs=8, batch_size=32, final_lr=0.01, seed=12)
+    model0 = init_forecaster(ws.history, ws.horizon, rng)
+
+    got = train_final(train, w, model0, cfg, valid=valid, rng=np.random.default_rng(98))
+    want = reference_weighted_training(train, valid, w, model0, cfg,
+                                       np.random.default_rng(98))
+    assert not np.array_equal(got.weights, model0.weights)
+    assert np.max(np.abs(got.weights - want.weights)) <= 1e-12
+    assert np.max(np.abs(got.bias - want.bias)) <= 1e-12
 
 
 def test_train_final_fits_noiseless_linear_process(rng):
