@@ -33,9 +33,7 @@ from .diagnostics import (
 from .model import (
     AdamState,
     LinearForecaster,
-    forecast,
     forecast_batch,
-    grad_params,
     grad_params_batch,
     init_forecaster,
     load_checkpoint,
@@ -88,13 +86,11 @@ __all__ = [
     "chrono_split",
     "cov_to_corr",
     "evaluate",
-    "forecast",
     "forecast_batch",
     "fraction_above",
     "frobenius_distance",
     "gen_ar",
     "gen_ar_frame",
-    "grad_params",
     "grad_params_batch",
     "grad_wrt_residual",
     "grad_wrt_weighting",

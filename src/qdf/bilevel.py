@@ -9,7 +9,7 @@ of the unrolled updates, with no autodiff.
 
 The model is linear and the loss quadratic, so with Z = [X, 1] and
 Theta = [W, b] the inner data enter only through G = Z^T Z and C = Y^T Z,
-cached once per split pair.  With A = Sigma^-1 formed once per update, an
+cached once per split pair.  With A = Sigma^-1 (cached on the weighting), an
 inner step is Theta <- Theta + (2 lr / B) A (C - Theta G), and the reverse
 pass needs only the residual moments M_k = C - Theta_k G of each step, so
 both cost O(T^2 H + T H^2) whatever the number of inner windows.  The outer
@@ -28,13 +28,7 @@ from .data import WindowSet
 from .errors import InvalidDimensionError, InvalidSplitError, NumericError
 from .model import LinearForecaster, forecast_batch
 from .timing import PhaseTimer, phase
-from .weighting import (
-    WeightingParams,
-    chain_sigma_grad_to_raw,
-    inverse_from_factor,
-    materialize,
-    normalize_scale,
-)
+from .weighting import WeightingParams, chain_sigma_grad_to_raw, normalize_scale
 
 
 @dataclass(frozen=True)
@@ -137,7 +131,7 @@ def _unroll(
     if theta0.horizon != w.horizon or split.inner.horizon != w.horizon:
         raise InvalidDimensionError("model/weighting/split horizons disagree")
     G, C, B = split.inner_moments
-    A = inverse_from_factor(materialize(w)[0])
+    A = w.inverse
     scale = 2.0 * cfg.inner_lr / B
     theta = np.column_stack([theta0.weights, theta0.bias])
     moments = []

@@ -26,32 +26,10 @@ from .data import (
     write_csv,
 )
 from .diagnostics import fraction_above, partial_corr_matrix
-from .errors import (
-    ConditioningError,
-    CsvParseError,
-    EmptyInputError,
-    InsufficientDataError,
-    InvalidDimensionError,
-    InvalidSplitError,
-    NumericError,
-    QdfError,
-    UndefinedCorrelationError,
-    UnstableSpecError,
-)
+from .errors import InvalidSplitError, QdfError
 from .model import save_checkpoint
 from .weighting import write_matrix_csv
 from .workflow import VARIANTS, QdfConfig, run_variant
-
-DATA_ERRORS = (
-    CsvParseError,
-    InsufficientDataError,
-    InvalidSplitError,
-    EmptyInputError,
-    UnstableSpecError,
-    InvalidDimensionError,
-    OSError,
-)
-NUMERIC_ERRORS = (ConditioningError, NumericError, UndefinedCorrelationError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,7 +125,9 @@ def cmd_synth(args) -> int:
         "horizon": args.horizon,
         "conditional_covariance": oracle.tolist(),
     }
-    Path(sidecar).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(sidecar).write_text(
+        json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8"
+    )
     print(f"wrote {args.out} and {sidecar}")
     return 0
 
@@ -233,7 +213,8 @@ def cmd_bench(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "bench.json").write_text(
         json.dumps({"schema": 1, "rows": rows,
-                    "runs": [json.loads(r.to_json()) for r in reports]}, indent=2) + "\n",
+                    "runs": [json.loads(r.to_json()) for r in reports]},
+                   indent=2, allow_nan=False) + "\n",
         encoding="utf-8",
     )
     header = "preset,variant,seeds,mse_mean,mse_std,mae_mean,mae_std,nll_mean,nll_std"
@@ -278,7 +259,9 @@ def cmd_diagnose(args) -> int:
         "flags": report.flags,
     }
     summary_path = Path(f"{prefix}_summary.json")
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    summary_path.write_text(
+        json.dumps(summary, indent=2, allow_nan=False) + "\n", encoding="utf-8"
+    )
     print(f"wrote {matrix_path} and {summary_path}")
     return 0
 
@@ -294,20 +277,17 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except NUMERIC_ERRORS as exc:
-        _emit_error(exc)
-        return 4
-    except DATA_ERRORS as exc:
-        _emit_error(exc)
-        return 3
     except QdfError as exc:
+        _emit_error(exc)
+        return exc.exit_code
+    except OSError as exc:
         _emit_error(exc)
         return 3
 
 
 def _emit_error(exc: BaseException) -> None:
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    print(json.dumps(payload), file=sys.stderr)
+    print(json.dumps(payload, allow_nan=False), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -119,8 +119,9 @@ class WindowSet:
 def load_csv(path, skip_first_column: bool = False, has_header: bool = True) -> SeriesFrame:
     """Read a comma-separated, '.'-decimal, UTF-8 file into a SeriesFrame.
 
-    Rows containing non-finite values after parsing are rejected with a
-    parse error carrying the 1-based row and column.
+    Rows containing non-finite values after parsing, or a cell count other
+    than the first row's, are rejected with a parse error carrying the
+    1-based row (and, for a bad cell, the column).
     """
     path = Path(path)
     try:
@@ -131,13 +132,20 @@ def load_csv(path, skip_first_column: bool = False, has_header: bool = True) -> 
         reader = csv.reader(fh)
         rows = []
         names = None
+        width = None
         for i, row in enumerate(reader):
             if not row:
                 continue
-            if i == 0 and has_header:
-                names = row[1:] if skip_first_column else row
-                continue
             cells = row[1:] if skip_first_column else row
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                raise CsvParseError(
+                    f"row {i + 1} has {len(cells)} cells, expected {width}", row=i + 1
+                )
+            if i == 0 and has_header:
+                names = cells
+                continue
             parsed = []
             for j, cell in enumerate(cells):
                 try:

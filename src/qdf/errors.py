@@ -1,12 +1,16 @@
 """Exception hierarchy shared across the package.
 
 Every error the library raises deliberately derives from QdfError so callers
-(and the CLI exit-code mapping) can distinguish our failures from genuine bugs.
+can distinguish our failures from genuine bugs.  Each class carries the CLI
+exit code it maps to: 3 for bad data or configuration, 4 for numeric or
+conditioning failures.
 """
 
 
 class QdfError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 3
 
 
 class InvalidDimensionError(QdfError, ValueError):
@@ -20,9 +24,13 @@ class EmptyInputError(QdfError, ValueError):
 class ConditioningError(QdfError, ArithmeticError):
     """A weighting matrix is singular or too ill-conditioned to use."""
 
+    exit_code = 4
+
 
 class NumericError(QdfError, ArithmeticError):
     """Non-finite values where finite ones are required."""
+
+    exit_code = 4
 
 
 class InvalidConfigError(QdfError, ValueError):
@@ -52,3 +60,5 @@ class CsvParseError(QdfError, ValueError):
 
 class UndefinedCorrelationError(QdfError, ArithmeticError):
     """Residual variance too small for a meaningful correlation."""
+
+    exit_code = 4

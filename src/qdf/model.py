@@ -46,18 +46,6 @@ def init_forecaster(history: int, horizon: int, rng: np.random.Generator) -> Lin
     return LinearForecaster(w, np.zeros(horizon), history, horizon)
 
 
-def forecast(m: LinearForecaster, x: np.ndarray) -> np.ndarray:
-    """Predict a T x D block from an H x D history block."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.shape[0] != m.history:
-        raise InvalidDimensionError(
-            f"input has {x.shape[0]} history steps, model expects {m.history}"
-        )
-    return m.weights @ x + m.bias[:, None]
-
-
 def forecast_batch(m: LinearForecaster, xs: np.ndarray) -> np.ndarray:
     """Predict B x T from B x H sample rows (variables already flattened)."""
     xs = np.asarray(xs, dtype=float)
@@ -68,32 +56,15 @@ def forecast_batch(m: LinearForecaster, xs: np.ndarray) -> np.ndarray:
     return xs @ m.weights.T + m.bias
 
 
-def grad_params(
-    m: LinearForecaster, x: np.ndarray, upstream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chain-rule gradients (dW, db) given d(loss)/d(forecast) for one window.
-
-    ``upstream`` carries all loss reduction factors; this just applies the
-    linear map's Jacobian, summing over variables.
-    """
-    x = np.asarray(x, dtype=float)
-    upstream = np.asarray(upstream, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if upstream.ndim == 1:
-        upstream = upstream[:, None]
-    if x.shape != (m.history, upstream.shape[1]) or upstream.shape[0] != m.horizon:
-        raise InvalidDimensionError(
-            f"shapes {x.shape} / {upstream.shape} inconsistent with model "
-            f"({m.history} -> {m.horizon})"
-        )
-    return upstream @ x.T, upstream.sum(axis=1)
-
-
 def grad_params_batch(
     m: LinearForecaster, xs: np.ndarray, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched version of grad_params over B x H inputs and B x T upstreams."""
+    """Chain-rule gradients (dW, db) from B x H inputs and B x T upstreams.
+
+    ``upstream`` is d(loss)/d(forecast) row by row and carries all loss
+    reduction factors; this applies the linear map's Jacobian, summing over
+    rows.
+    """
     if xs.shape[0] != upstream.shape[0]:
         raise InvalidDimensionError("batch sizes differ")
     return upstream.T @ xs, upstream.sum(axis=0)
@@ -155,7 +126,7 @@ def save_checkpoint(m: LinearForecaster, prefix, meta: dict | None = None) -> No
     header = {"history": m.history, "horizon": m.horizon}
     header.update(meta or {})
     with open(f"{prefix}_header.json", "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2)
+        json.dump(header, fh, indent=2, allow_nan=False)
 
 
 def load_checkpoint(prefix) -> tuple[LinearForecaster, dict]:

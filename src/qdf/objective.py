@@ -12,18 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import (
-    ConditioningError,
-    EmptyInputError,
-    InvalidDimensionError,
-    NumericError,
-)
-from .weighting import (
-    SOFTPLUS_FLOOR,
-    WeightingParams,
-    chain_sigma_grad_to_raw,
-    materialize,
-)
+from .errors import EmptyInputError, InvalidDimensionError, NumericError
+from .weighting import WeightingParams, chain_sigma_grad_to_raw
 
 
 @dataclass(frozen=True)
@@ -57,10 +47,7 @@ def _checked_factor(batch: ResidualBatch, w: WeightingParams) -> np.ndarray:
         raise InvalidDimensionError(
             f"batch horizon {batch.horizon} != weighting horizon {w.horizon}"
         )
-    L, _ = materialize(w)
-    if np.any(np.diagonal(L) < SOFTPLUS_FLOOR * (1 - 1e-12)):
-        raise ConditioningError("weighting factor diagonal below floor")
-    return L
+    return w.factor
 
 
 def quadratic_loss(batch: ResidualBatch, w: WeightingParams) -> float:

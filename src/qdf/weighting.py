@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -58,7 +59,9 @@ class WeightingParams:
     """Immutable parameterization of the weighting matrix.
 
     ``raw`` is a dense T x T array whose upper triangle is ignored.  Updates
-    produce new instances; the stored array is marked read-only.
+    produce new instances; the stored array is marked read-only, and so are
+    ``factor`` (L), ``sigma`` and ``inverse`` (Sigma^-1), each derived once
+    on first use and then shared by every caller.
     """
 
     raw: np.ndarray
@@ -81,6 +84,35 @@ class WeightingParams:
     def with_raw(self, raw: np.ndarray) -> "WeightingParams":
         return WeightingParams(raw, self.horizon, self.mode)
 
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """L, lower triangular with positive diagonal, mode masks applied."""
+        T = self.horizon
+        L = np.tril(self.raw, k=-1)
+        diag = np.maximum(softplus(np.diagonal(self.raw)), SOFTPLUS_FLOOR)
+        if self.mode is WeightingMode.DIAG_ONLY:
+            L[:] = 0.0
+        elif self.mode is WeightingMode.OFFDIAG_ONLY:
+            diag = np.ones(T)
+        L[np.diag_indices(T)] = diag
+        return _frozen(L)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """Sigma = L L^T."""
+        return _frozen(self.factor @ self.factor.T)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Sigma^-1 = L^-T L^-1, formed from the factor."""
+        Linv = solve_triangular(self.factor, np.eye(self.horizon), lower=True)
+        return _frozen(Linv.T @ Linv)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
 
 def identity_params(horizon: int, mode: WeightingMode = WeightingMode.FULL) -> WeightingParams:
     """Parameters materializing to the identity matrix (the MSE baseline)."""
@@ -94,23 +126,10 @@ def identity_params(horizon: int, mode: WeightingMode = WeightingMode.FULL) -> W
 def materialize(params: WeightingParams) -> tuple[np.ndarray, np.ndarray]:
     """Return (L, Sigma) with mode masks applied.
 
-    L is lower triangular with positive diagonal; Sigma = L @ L.T.
+    L is lower triangular with positive diagonal; Sigma = L @ L.T.  Both are
+    the read-only arrays cached on ``params``.
     """
-    T = params.horizon
-    L = np.tril(params.raw, k=-1)
-    diag = np.maximum(softplus(np.diagonal(params.raw)), SOFTPLUS_FLOOR)
-    if params.mode is WeightingMode.DIAG_ONLY:
-        L[:] = 0.0
-    elif params.mode is WeightingMode.OFFDIAG_ONLY:
-        diag = np.ones(T)
-    L[np.diag_indices(T)] = diag
-    return L, L @ L.T
-
-
-def inverse_from_factor(L: np.ndarray) -> np.ndarray:
-    """Sigma^-1 = L^-T L^-1, formed from the lower-triangular factor L."""
-    Linv = solve_triangular(L, np.eye(L.shape[0]), lower=True)
-    return Linv.T @ Linv
+    return params.factor, params.sigma
 
 
 def params_from_matrix(
@@ -129,16 +148,6 @@ def params_from_matrix(
     return WeightingParams(raw, sigma.shape[0], mode)
 
 
-def _inverse_trace(L: np.ndarray) -> float:
-    """trace(Sigma^-1) computed from the factor."""
-    if np.any(np.diagonal(L) <= SOFTPLUS_FLOOR * (1 - 1e-12)):
-        raise ConditioningError("weighting factor diagonal at or below floor")
-    val = float(np.trace(inverse_from_factor(L)))
-    if not np.isfinite(val):
-        raise ConditioningError("trace of inverse weighting is not finite")
-    return val
-
-
 def normalize_scale(params: WeightingParams) -> WeightingParams:
     """Rescale so that trace(Sigma^-1) = T, removing the scale degeneracy.
 
@@ -149,9 +158,11 @@ def normalize_scale(params: WeightingParams) -> WeightingParams:
     """
     if params.mode is WeightingMode.OFFDIAG_ONLY:
         return params
-    L, _ = materialize(params)
-    c = _inverse_trace(L) / params.horizon
-    root = np.sqrt(c)
+    trace = float(np.trace(params.inverse))
+    if not np.isfinite(trace):
+        raise ConditioningError("trace of inverse weighting is not finite")
+    L = params.factor
+    root = np.sqrt(trace / params.horizon)
     raw = np.tril(L * root, k=-1)
     raw[np.diag_indices_from(raw)] = softplus_inv(
         np.maximum(np.diagonal(L) * root, SOFTPLUS_FLOOR)
@@ -165,9 +176,7 @@ def frobenius_distance(a: WeightingParams, b: WeightingParams) -> float:
         raise InvalidDimensionError(
             f"horizon mismatch: {a.horizon} vs {b.horizon}"
         )
-    _, sa = materialize(a)
-    _, sb = materialize(b)
-    return float(np.linalg.norm(sa - sb, "fro"))
+    return float(np.linalg.norm(a.sigma - b.sigma, "fro"))
 
 
 def grad_mask(params: WeightingParams) -> np.ndarray:
@@ -187,8 +196,7 @@ def chain_sigma_grad_to_raw(params: WeightingParams, grad_sigma: np.ndarray) -> 
     Chains through Sigma = L L^T, then through the softplus on the diagonal;
     entries frozen by the mode mask (and by the floor clamp) get zero.
     """
-    L, _ = materialize(params)
-    grad_L = (grad_sigma + grad_sigma.T) @ L
+    grad_L = (grad_sigma + grad_sigma.T) @ params.factor
     grad_raw = np.tril(grad_L, k=-1)
     diag_raw = np.diagonal(params.raw)
     sp = softplus(diag_raw)

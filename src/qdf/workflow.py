@@ -37,8 +37,7 @@ from .weighting import (
     WeightingParams,
     frobenius_distance,
     identity_params,
-    inverse_from_factor,
-    materialize,
+    write_matrix_csv,
 )
 
 VARIANTS = ("df", "qdf", "qdf-diag", "qdf-offdiag")
@@ -65,14 +64,19 @@ class QdfConfig:
     patience: int = 3
     mode: WeightingMode = WeightingMode.FULL
     normalize: bool = True
-    reset_theta: bool = False
     seed: int = 0
 
     def __post_init__(self):
         if self.k_splits < 1 or self.outer_rounds < 1 or self.inner_steps < 1:
             raise InvalidSplitError("k_splits, outer_rounds, inner_steps must be >= 1")
-        if self.batch_size < 1:
-            raise InvalidConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("batch_size", "epochs", "patience", "inner_lr", "final_lr"):
+            value = getattr(self, name)
+            if not value > 0:  # also rejects NaN
+                raise InvalidConfigError(f"{name} must be positive, got {value!r}")
+        for name in ("eta", "tol"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise InvalidConfigError(f"{name} must be nonnegative, got {value!r}")
         if self.final_optimizer not in ("sgd", "adam"):
             raise InvalidConfigError(f"unknown optimizer {self.final_optimizer!r}")
 
@@ -91,7 +95,8 @@ def learn_weighting(
     """Phase 1-2: identity start, K-way refinement, Frobenius stopping rule.
 
     Returns the learned parameters and the per-round delta trace.  The model
-    state persists across atomic updates unless ``reset_theta`` is set.
+    state persists across atomic updates.  A non-finite delta means Sigma
+    diverged and raises NumericError.
     """
     if len(train) < 2 * cfg.k_splits:
         raise InvalidSplitError(
@@ -106,10 +111,10 @@ def learn_weighting(
     for _ in range(cfg.outer_rounds):
         w_prev = w
         for pair in pairs:
-            if cfg.reset_theta:
-                theta = model_init
             w, theta = atomic_update(theta, w, pair, acfg, timer)
         delta = frobenius_distance(w, w_prev)
+        if not np.isfinite(delta):
+            raise NumericError("weighting diverged (Frobenius delta not finite); reduce eta")
         trace.append(delta)
         if delta < cfg.tol:
             break
@@ -146,7 +151,7 @@ def train_final(
         train, valid = chrono_split(train, [0.8, 0.2])
     X, Y = train.as_samples()
     Xv, Yv = valid.as_samples()
-    A = inverse_from_factor(materialize(w)[0])  # Sigma is frozen: form Sigma^-1 once
+    A = w.inverse
     model = model_init
     opt = AdamState(model, lr=cfg.final_lr) if cfg.final_optimizer == "adam" else None
     best_model = model
@@ -203,7 +208,7 @@ class RunReport:
     schema: int = 1
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
     def save(self, path) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -243,10 +248,7 @@ def run_variant(
     )
     metrics = evaluate(model, test, w)
     if sigma_path is not None:
-        from .weighting import write_matrix_csv
-
-        _, sigma = materialize(w)
-        write_matrix_csv(sigma_path, sigma)
+        write_matrix_csv(sigma_path, w.sigma)
     report = RunReport(
         variant=variant,
         seed=cfg.seed,

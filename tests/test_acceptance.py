@@ -10,9 +10,12 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qdf
 
 from conftest import central_diff, rel_err
 from qdf.bench import HISTORY, HORIZON, bench_config, benchmark_data
@@ -26,7 +29,7 @@ from qdf.data import (
     write_csv,
 )
 from qdf.diagnostics import fraction_above, partial_corr_matrix, partial_correlation
-from qdf.model import LinearForecaster, forecast, init_forecaster
+from qdf.model import LinearForecaster, forecast_batch, grad_params_batch, init_forecaster
 from qdf.objective import (
     ResidualBatch,
     grad_wrt_residual,
@@ -79,11 +82,11 @@ def test_criterion_1_gradient_correctness():
 
         def loss_of_weights(weights):
             mm = LinearForecaster(weights, m.bias, H, T)
-            return quadratic_loss(ResidualBatch((y - forecast(mm, x)).T), w)
+            return quadratic_loss(ResidualBatch(y.T - forecast_batch(mm, x.T)), w)
 
         fd_p = central_diff(loss_of_weights, m.weights)
-        upstream = -grad_wrt_residual(ResidualBatch((y - forecast(m, x)).T), w)
-        analytic_p = upstream.T @ x.T  # single window, D=1
+        upstream = -grad_wrt_residual(ResidualBatch(y.T - forecast_batch(m, x.T)), w)
+        analytic_p, _ = grad_params_batch(m, x.T, upstream)  # single window, D=1
         worst["params"] = max(worst["params"], rel_err(analytic_p, fd_p))
 
     elapsed = time.time() - t0
@@ -302,8 +305,10 @@ def test_criterion_9_timing_report(tmp_path):
     t0 = time.time()
     series = tmp_path / "timing.csv"
     write_csv(gen_ar(ArSpec((0.6,), 1.0, 120000, seed=909)), series)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    src = str(Path(qdf.__file__).resolve().parents[1])  # the child imports this qdf
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
     def one_run(tag):
         # sized so every timed block spans several CPU-clock ticks: the

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qdf import cli, errors
 from qdf.cli import main
 from qdf.data import ArSpec, gen_ar, write_csv
 
@@ -169,7 +170,10 @@ def test_bench_unknown_preset_exits_3(tmp_path, capsys):
     assert not (tmp_path / "b").exists()
 
 
-@pytest.mark.parametrize("flag, field", [("batch", "batch_size"), ("stride", "stride")])
+@pytest.mark.parametrize("flag, field", [
+    ("batch", "batch_size"), ("stride", "stride"), ("epochs", "epochs"),
+    ("lr", "final_lr"), ("inner-lr", "inner_lr"),
+])
 def test_train_nonpositive_size_exits_3(synth_csv, tmp_path, capsys, flag, field):
     code = main(train_args(synth_csv, tmp_path) + [f"--{flag}", "0"])
     assert code == 3
@@ -177,6 +181,51 @@ def test_train_nonpositive_size_exits_3(synth_csv, tmp_path, capsys, flag, field
     assert set(err) == {"error"}
     assert field in err["error"]["message"]
     assert not (tmp_path / "report_qdf.json").exists()
+
+
+def test_train_diverged_weighting_exits_4(synth_csv, tmp_path, capsys):
+    code = main(train_args(synth_csv, tmp_path, history=16, horizon=16, eta="1e6"))
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error"}
+    assert err["error"]["type"] == "NumericError"
+    assert not (tmp_path / "report_qdf.json").exists()
+
+
+# Every library error, and OSError, with the exit code it maps to.
+EXIT_CODES = {
+    "QdfError": 3,
+    "InvalidDimensionError": 3,
+    "EmptyInputError": 3,
+    "InvalidConfigError": 3,
+    "InvalidSplitError": 3,
+    "InsufficientDataError": 3,
+    "UnstableSpecError": 3,
+    "CsvParseError": 3,
+    "OSError": 3,
+    "ConditioningError": 4,
+    "NumericError": 4,
+    "UndefinedCorrelationError": 4,
+}
+
+
+def test_exit_code_table_covers_every_library_error():
+    library = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.QdfError)}
+    assert library | {"OSError"} == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_error_exits_with_its_code(name, monkeypatch, tmp_path, capsys):
+    exc_type = getattr(errors, name, OSError)
+
+    def fail(args):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(cli, "cmd_diagnose", fail)
+    code = main(["diagnose", "--data", "x.csv", "--out-prefix", str(tmp_path / "d")])
+    assert code == EXIT_CODES[name]
+    assert json.loads(capsys.readouterr().err) == {"error": {"type": name, "message": "boom"}}
 
 
 def test_train_default_flags_complete_quickly(tmp_path):
@@ -229,3 +278,14 @@ def test_diagnose_ett_style_shape(tmp_path):
     assert code == 0
     matrix = np.loadtxt(f"{prefix}_matrix.csv", delimiter=",")
     assert matrix.shape == (6, 6)
+
+
+def test_diagnose_ragged_csv_exits_3(tmp_path, capsys):
+    path = tmp_path / "ragged.csv"
+    path.write_text("a,b\n1,2\n3\n4,5\n", encoding="utf-8")
+    code = main(["diagnose", "--data", str(path), "--out-prefix", str(tmp_path / "d")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error"}
+    assert err["error"]["type"] == "CsvParseError"
+    assert "row 3" in err["error"]["message"]

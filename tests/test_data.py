@@ -58,6 +58,14 @@ def test_load_csv_parse_error_carries_position(tmp_path):
     assert exc.value.row == 3 and exc.value.column == 2
 
 
+def test_load_csv_ragged_row_carries_position(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("a,b\n1,2\n3\n4,5\n", encoding="utf-8")
+    with pytest.raises(CsvParseError) as exc:
+        load_csv(path)
+    assert exc.value.row == 3
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(CsvParseError):
         load_csv(tmp_path / "nope.csv")

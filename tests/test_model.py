@@ -6,9 +6,7 @@ from qdf.errors import InvalidDimensionError, NumericError
 from qdf.model import (
     AdamState,
     LinearForecaster,
-    forecast,
     forecast_batch,
-    grad_params,
     grad_params_batch,
     init_forecaster,
     load_checkpoint,
@@ -21,43 +19,43 @@ from qdf.weighting import WeightingParams, identity_params
 
 def test_zero_weights_forecast_is_bias():
     m = LinearForecaster(np.zeros((3, 2)), np.array([1.0, 2.0, 3.0]), 2, 3)
-    out = forecast(m, np.ones((2, 4)))
-    assert np.allclose(out, np.array([1.0, 2.0, 3.0])[:, None] * np.ones((1, 4)))
+    out = forecast_batch(m, np.ones((4, 2)))
+    assert np.allclose(out, np.ones((4, 1)) * np.array([1.0, 2.0, 3.0]))
 
 
 def test_identity_weights_persistence_forecast(rng):
     m = LinearForecaster(np.eye(4), np.zeros(4), 4, 4)
     x = rng.standard_normal((4, 3))
-    assert np.allclose(forecast(m, x), x)
+    assert np.allclose(forecast_batch(m, x.T), x.T)
 
 
 def test_hand_arithmetic_forecast():
     m = LinearForecaster(np.array([[0.5, 0.5]]), np.array([1.0]), 2, 1)
-    assert forecast(m, np.array([[2.0], [4.0]])) == pytest.approx(np.array([[4.0]]))
+    assert forecast_batch(m, np.array([[2.0, 4.0]])) == pytest.approx(np.array([[4.0]]))
 
 
 def test_forecast_shape_mismatch():
     m = LinearForecaster(np.zeros((2, 3)), np.zeros(2), 3, 2)
     with pytest.raises(InvalidDimensionError):
-        forecast(m, np.zeros((4, 1)))
+        forecast_batch(m, np.zeros((1, 4)))
 
 
 def test_channel_independence(rng):
     m = init_forecaster(5, 3, rng)
     x = rng.standard_normal((5, 4))
     perm = np.array([2, 0, 3, 1])
-    assert np.allclose(forecast(m, x[:, perm]), forecast(m, x)[:, perm])
+    assert np.allclose(forecast_batch(m, x.T[perm]), forecast_batch(m, x.T)[perm])
 
 
 def test_grad_params_zero_upstream():
     m = LinearForecaster(np.ones((2, 3)), np.zeros(2), 3, 2)
-    dw, db = grad_params(m, np.ones((3, 2)), np.zeros((2, 2)))
+    dw, db = grad_params_batch(m, np.ones((2, 3)), np.zeros((2, 2)))
     assert np.all(dw == 0) and np.all(db == 0)
 
 
 def test_grad_params_scalar_case():
     m = LinearForecaster(np.array([[1.0]]), np.array([0.0]), 1, 1)
-    dw, db = grad_params(m, np.array([[3.0]]), np.array([[2.0]]))
+    dw, db = grad_params_batch(m, np.array([[3.0]]), np.array([[2.0]]))
     assert dw == pytest.approx(np.array([[6.0]]))
     assert db == pytest.approx(np.array([2.0]))
 
@@ -70,15 +68,15 @@ def test_grad_params_matches_finite_differences_of_mse(rng):
 
     def loss_at(weights, bias):
         mm = LinearForecaster(weights, bias, H, T)
-        e = (y - forecast(mm, x)).T  # rows per variable
+        e = y.T - forecast_batch(mm, x.T)  # rows per variable
         return mse_loss(ResidualBatch(e))
 
     fd_w = central_diff(lambda w: loss_at(w, m.bias), m.weights)
     fd_b = central_diff(lambda b: loss_at(m.weights, b), m.bias)
 
-    resid = ResidualBatch((y - forecast(m, x)).T)
-    upstream = -grad_wrt_residual(resid, identity_params(T)).T  # sign flip, T x D
-    dw, db = grad_params(m, x, upstream)
+    resid = ResidualBatch(y.T - forecast_batch(m, x.T))
+    upstream = -grad_wrt_residual(resid, identity_params(T))  # sign flip, D x T
+    dw, db = grad_params_batch(m, x.T, upstream)
     assert np.max(np.abs(dw - fd_w)) <= 1e-6
     assert np.max(np.abs(db - fd_b)) <= 1e-6
 
@@ -92,11 +90,11 @@ def test_grad_params_matches_finite_differences_of_quadratic(rng):
 
     def loss_at(weights):
         mm = LinearForecaster(weights, m.bias, H, T)
-        return quadratic_loss(ResidualBatch((y - forecast(mm, x)).T), w)
+        return quadratic_loss(ResidualBatch(y.T - forecast_batch(mm, x.T)), w)
 
     fd_w = central_diff(loss_at, m.weights)
-    upstream = -grad_wrt_residual(ResidualBatch((y - forecast(m, x)).T), w).T
-    dw, _ = grad_params(m, x, upstream)
+    upstream = -grad_wrt_residual(ResidualBatch(y.T - forecast_batch(m, x.T)), w)
+    dw, _ = grad_params_batch(m, x.T, upstream)
     assert rel_err(dw, fd_w) <= 1e-5
 
 
@@ -109,7 +107,7 @@ def test_grad_params_batch_agrees_with_per_window(rng):
     dw_s = np.zeros((T, H))
     db_s = np.zeros(T)
     for i in range(6):
-        dw, db = grad_params(m, xs[i][:, None], up[i][:, None])
+        dw, db = grad_params_batch(m, xs[i : i + 1], up[i : i + 1])
         dw_s += dw
         db_s += db
     assert np.allclose(dw_b, dw_s, atol=1e-12)

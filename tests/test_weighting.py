@@ -43,6 +43,18 @@ def test_materialize_known_factor():
     assert np.allclose(sigma, [[4.0, 2.0], [2.0, 5.0]], atol=1e-12)
 
 
+def test_materialize_returns_the_same_read_only_arrays(rng):
+    w = WeightingParams(rng.uniform(-1, 1, size=(4, 4)), 4)
+    L, sigma = materialize(w)
+    again = materialize(w)
+    assert again[0] is L and again[1] is sigma
+    assert L is w.factor and sigma is w.sigma
+    assert np.allclose(w.inverse @ sigma, np.eye(4), atol=1e-10)
+    for derived in (L, sigma, w.inverse):
+        with pytest.raises(ValueError):
+            derived[0, 0] = 5.0
+
+
 def test_materialize_zero_raw_diagonal_gives_log_two():
     L, _ = materialize(WeightingParams(np.zeros((3, 3)), 3))
     assert np.allclose(np.diagonal(L), np.log(2.0), atol=1e-12)

@@ -30,7 +30,11 @@ def ar_windows(seed=0, length=800, H=8, T=4, phi=0.6):
     return make_windows(frame, H, T)
 
 
-@pytest.mark.parametrize("bad", [dict(batch_size=0), dict(final_optimizer="rmsprop")])
+@pytest.mark.parametrize("bad", [
+    dict(batch_size=0), dict(final_optimizer="rmsprop"), dict(epochs=0), dict(patience=0),
+    dict(final_lr=0.0), dict(final_lr=float("nan")), dict(inner_lr=-0.1), dict(eta=-1e-3),
+    dict(tol=-1.0),
+])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(InvalidConfigError):
         QdfConfig(**bad)
