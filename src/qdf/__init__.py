@@ -8,7 +8,7 @@ the unrolled inner updates) moves the weighting toward better holdout
 performance.
 """
 
-from .bilevel import AtomicConfig, SplitPair, atomic_update, hypergradient, make_split_pair
+from .bilevel import SplitPair, atomic_update, hypergradient, make_split_pair
 from .data import (
     ArSpec,
     SeriesFrame,
@@ -70,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState",
     "ArSpec",
-    "AtomicConfig",
     "LinearForecaster",
     "PartialCorrReport",
     "QdfConfig",

@@ -98,21 +98,9 @@ def benchmark_data(preset: str, seed: int, n_windows: int = 600) -> BenchmarkDat
 
 
 def bench_config(seed: int, preset: str | None = None, **overrides) -> QdfConfig:
-    """Benchmark training configuration (shared across variants)."""
-    base = dict(
-        k_splits=3,
-        outer_rounds=8,
-        inner_steps=1,
-        inner_lr=0.05,
-        eta=0.1,
-        tol=1e-4,
-        epochs=60,
-        batch_size=64,
-        final_lr=0.02,
-        final_optimizer="sgd",
-        patience=3,
-        seed=seed,
-    )
+    """Benchmark training configuration (shared across variants): the
+    values that differ from the ``QdfConfig`` defaults."""
+    base = dict(outer_rounds=8, inner_lr=0.05, eta=0.1, epochs=60, final_lr=0.02, seed=seed)
     if preset is not None:
         base.update(PRESET_CONFIG.get(preset, {}))
     base.update(overrides)

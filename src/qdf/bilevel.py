@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,6 +30,9 @@ from .errors import InvalidDimensionError, InvalidSplitError, NumericError
 from .model import LinearForecaster, forecast_batch
 from .timing import PhaseTimer, phase
 from .weighting import WeightingParams, chain_sigma_grad_to_raw, normalize_scale
+
+if TYPE_CHECKING:  # workflow imports this module
+    from .workflow import QdfConfig
 
 
 @dataclass(frozen=True)
@@ -100,27 +104,11 @@ def make_split_pair(windows: WindowSet, inner_fraction: float = 0.5) -> SplitPai
     return SplitPair(inner.slice(0, last), outer)
 
 
-@dataclass(frozen=True)
-class AtomicConfig:
-    inner_steps: int = 1
-    inner_lr: float = 0.05
-    eta: float = 0.05
-    normalize: bool = True
-
-    def __post_init__(self):
-        if self.inner_steps < 1:
-            raise InvalidDimensionError("inner_steps must be >= 1")
-        if self.inner_lr <= 0:
-            raise InvalidDimensionError("inner_lr must be positive")
-        if self.eta < 0:
-            raise InvalidDimensionError("eta must be nonnegative")
-
-
 def _unroll(
     theta0: LinearForecaster,
     w: WeightingParams,
     split: SplitPair,
-    cfg: AtomicConfig,
+    cfg: QdfConfig,
     timer: PhaseTimer | None,
 ):
     """Shared forward pass: N full-batch GD steps from the inner statistics.
@@ -178,7 +166,7 @@ def hypergradient(
     theta0: LinearForecaster,
     w: WeightingParams,
     split: SplitPair,
-    cfg: AtomicConfig,
+    cfg: QdfConfig,
     timer: PhaseTimer | None = None,
 ) -> np.ndarray:
     """Gradient of the outer loss w.r.t. raw weighting entries, through the
@@ -190,16 +178,14 @@ def atomic_update(
     model: LinearForecaster,
     w: WeightingParams,
     split: SplitPair,
-    cfg: AtomicConfig,
+    cfg: QdfConfig,
     timer: PhaseTimer | None = None,
 ) -> tuple[WeightingParams, LinearForecaster]:
     """N inner GD steps on the model, then one hypergradient step on the
-    weighting.  With eta = 0 the weighting is returned untouched."""
+    weighting, rescaled by ``normalize_scale``.  With eta = 0 the weighting
+    is returned untouched."""
     A, model_n, moments = _unroll(model, w, split, cfg, timer)
     if cfg.eta == 0.0:
         return w, model_n
     grad_raw = _outer_reverse(A, model_n, moments, w, split, cfg, timer)
-    new_w = w.with_raw(w.raw - cfg.eta * grad_raw)
-    if cfg.normalize:
-        new_w = normalize_scale(new_w)
-    return new_w, model_n
+    return normalize_scale(w.with_raw(w.raw - cfg.eta * grad_raw)), model_n

@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from .diagnostics import fraction_above, partial_corr_matrix
 from .errors import InvalidSplitError, QdfError
 from .model import save_checkpoint
 from .weighting import write_matrix_csv
-from .workflow import VARIANTS, QdfConfig, run_variant
+from .workflow import OPTIMIZERS, VARIANTS, QdfConfig, run_variant
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,17 +65,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--variant", choices=VARIANTS, default="qdf")
-    p.add_argument("--k-splits", type=int, default=3)
-    p.add_argument("--inner-steps", type=int, default=1)
-    p.add_argument("--outer-rounds", type=int, default=10)
-    p.add_argument("--eta", type=float, default=0.05)
-    p.add_argument("--inner-lr", type=float, default=0.02)
-    p.add_argument("--lr", type=float, default=0.01, help="final-training learning rate")
-    p.add_argument("--optimizer", choices=["sgd", "adam"], default="sgd")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-4)
+    # Tuning flags: each dest is a QdfConfig field, and its default is that field's.
+    p.add_argument("--k-splits", type=int, default=QdfConfig.k_splits)
+    p.add_argument("--inner-steps", type=int, default=QdfConfig.inner_steps)
+    p.add_argument("--outer-rounds", type=int, default=QdfConfig.outer_rounds)
+    p.add_argument("--eta", type=float, default=QdfConfig.eta)
+    p.add_argument("--inner-lr", type=float, default=QdfConfig.inner_lr)
+    p.add_argument("--lr", dest="final_lr", metavar="LR", type=float,
+                   default=QdfConfig.final_lr, help="final-training learning rate")
+    p.add_argument("--optimizer", dest="final_optimizer", choices=OPTIMIZERS,
+                   default=QdfConfig.final_optimizer)
+    p.add_argument("--epochs", type=int, default=QdfConfig.epochs)
+    p.add_argument("--batch", dest="batch_size", metavar="BATCH", type=int,
+                   default=QdfConfig.batch_size)
+    p.add_argument("--seed", type=int, default=QdfConfig.seed)
+    p.add_argument("--tol", type=float, default=QdfConfig.tol)
     p.add_argument("--dump-sigma", type=Path, default=None)
     p.add_argument("--report", type=Path, default=None, help="report JSON path (default: stdout)")
     p.add_argument("--save-model", type=Path, default=None, help="checkpoint prefix")
@@ -156,19 +162,9 @@ def _load_windows(args):
 
 def cmd_train(args) -> int:
     train, valid, test, stats = _load_windows(args)
-    cfg = QdfConfig(
-        k_splits=args.k_splits,
-        outer_rounds=args.outer_rounds,
-        inner_steps=args.inner_steps,
-        inner_lr=args.inner_lr,
-        eta=args.eta,
-        tol=args.tol,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        final_lr=args.lr,
-        final_optimizer=args.optimizer,
-        seed=args.seed,
-    )
+    cfg = QdfConfig(**{
+        f.name: getattr(args, f.name) for f in fields(QdfConfig) if hasattr(args, f.name)
+    })
     report, model, w = run_variant(
         train, valid, test, args.variant, cfg, sigma_path=args.dump_sigma
     )
@@ -275,19 +271,26 @@ def main(argv=None) -> int:
         "bench": cmd_bench,
         "diagnose": cmd_diagnose,
     }
-    try:
-        return handlers[args.command](args)
-    except QdfError as exc:
-        _emit_error(exc)
-        return exc.exit_code
-    except OSError as exc:
-        _emit_error(exc)
-        return 3
+    # Warnings are held back so that a failing run's stderr is one JSON object.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = handlers[args.command](args)
+        except QdfError as exc:
+            _emit_error(exc, caught)
+            return exc.exit_code
+        except OSError as exc:
+            _emit_error(exc, caught)
+            return 3
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return code
 
 
-def _emit_error(exc: BaseException) -> None:
-    payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    print(json.dumps(payload, allow_nan=False), file=sys.stderr)
+def _emit_error(exc: BaseException, caught) -> None:
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    if caught:
+        error["warnings"] = [str(w.message) for w in caught]
+    print(json.dumps({"error": error}, allow_nan=False), file=sys.stderr)
 
 
 if __name__ == "__main__":

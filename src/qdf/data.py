@@ -306,9 +306,6 @@ class ArSpec:
     def order(self) -> int:
         return len(self.coeffs)
 
-    def std_at(self, t: int) -> float:
-        return float(self.noise_std[t % self.noise_std.shape[0]])
-
 
 def _companion_eigs(coeffs) -> np.ndarray:
     p = len(coeffs)

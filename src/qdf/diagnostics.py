@@ -39,16 +39,15 @@ class PartialCorrReport:
 def _design_and_labels(windows: WindowSet, variable: int | None):
     """Intercept-plus-history design and label matrix, optionally pooled
     across variables (each variable regressed on its own history)."""
-    X, Y = windows.arrays()
-    n, H, D = X.shape
-    if variable is not None:
+    if variable is None:
+        hist, labels = windows.as_samples()
+    else:
+        D = windows.n_vars
         if not 0 <= variable < D:
             raise InvalidDimensionError(f"variable {variable} out of range (D={D})")
+        X, Y = windows.arrays()
         hist = X[:, :, variable]
         labels = Y[:, :, variable]
-    else:
-        hist = X.transpose(0, 2, 1).reshape(n * D, H)
-        labels = Y.transpose(0, 2, 1).reshape(n * D, Y.shape[1])
     design = np.column_stack([np.ones(hist.shape[0]), hist])
     return design, labels
 

@@ -14,12 +14,12 @@ evaluation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .bilevel import AtomicConfig, atomic_update, make_split_pair
+from .bilevel import atomic_update, make_split_pair
 from .data import WindowSet, chrono_split
 from .errors import InvalidConfigError, InvalidSplitError, NumericError
 from .model import (
@@ -41,6 +41,7 @@ from .weighting import (
 )
 
 VARIANTS = ("df", "qdf", "qdf-diag", "qdf-offdiag")
+OPTIMIZERS = ("sgd", "adam")
 
 _VARIANT_MODE = {
     "qdf": WeightingMode.FULL,
@@ -48,9 +49,16 @@ _VARIANT_MODE = {
     "qdf-offdiag": WeightingMode.OFFDIAG_ONLY,
 }
 
+# A Sigma beyond this condition number has diverged, even while finite.
+# Every passing benchmark cell stays below 15.
+MAX_SIGMA_COND = 1e6
+
 
 @dataclass(frozen=True)
 class QdfConfig:
+    """Every training setting, its default and its validation; the CLI's
+    ``train`` flags take their defaults from here."""
+
     k_splits: int = 3
     outer_rounds: int = 10
     inner_steps: int = 1
@@ -60,16 +68,13 @@ class QdfConfig:
     epochs: int = 50
     batch_size: int = 64
     final_lr: float = 0.01
-    final_optimizer: str = "sgd"  # or "adam"
+    final_optimizer: str = "sgd"
     patience: int = 3
-    mode: WeightingMode = WeightingMode.FULL
-    normalize: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_splits < 1 or self.outer_rounds < 1 or self.inner_steps < 1:
-            raise InvalidSplitError("k_splits, outer_rounds, inner_steps must be >= 1")
-        for name in ("batch_size", "epochs", "patience", "inner_lr", "final_lr"):
+        for name in ("k_splits", "outer_rounds", "inner_steps", "batch_size", "epochs",
+                     "patience", "inner_lr", "final_lr"):
             value = getattr(self, name)
             if not value > 0:  # also rejects NaN
                 raise InvalidConfigError(f"{name} must be positive, got {value!r}")
@@ -77,26 +82,26 @@ class QdfConfig:
             value = getattr(self, name)
             if not value >= 0:
                 raise InvalidConfigError(f"{name} must be nonnegative, got {value!r}")
-        if self.final_optimizer not in ("sgd", "adam"):
+        if self.final_optimizer not in OPTIMIZERS:
             raise InvalidConfigError(f"unknown optimizer {self.final_optimizer!r}")
 
     def as_dict(self) -> dict:
-        d = asdict(self)
-        d["mode"] = self.mode.value
-        return d
+        return asdict(self)
 
 
 def learn_weighting(
     train: WindowSet,
     model_init: LinearForecaster,
     cfg: QdfConfig,
+    mode: WeightingMode = WeightingMode.FULL,
     timer: PhaseTimer | None = None,
 ) -> tuple[WeightingParams, list[float]]:
     """Phase 1-2: identity start, K-way refinement, Frobenius stopping rule.
 
     Returns the learned parameters and the per-round delta trace.  The model
-    state persists across atomic updates.  A non-finite delta means Sigma
-    diverged and raises NumericError.
+    state persists across atomic updates.  A non-finite delta, or a Sigma
+    whose condition number exceeds ``MAX_SIGMA_COND``, means Sigma diverged
+    and raises NumericError.
     """
     if len(train) < 2 * cfg.k_splits:
         raise InvalidSplitError(
@@ -104,17 +109,22 @@ def learn_weighting(
         )
     subsets = chrono_split(train, [1.0 / cfg.k_splits] * cfg.k_splits)
     pairs = [make_split_pair(s) for s in subsets]
-    w = identity_params(train.horizon, cfg.mode)
-    acfg = AtomicConfig(cfg.inner_steps, cfg.inner_lr, cfg.eta, cfg.normalize)
+    w = identity_params(train.horizon, mode)
     theta = model_init
     trace: list[float] = []
     for _ in range(cfg.outer_rounds):
         w_prev = w
         for pair in pairs:
-            w, theta = atomic_update(theta, w, pair, acfg, timer)
+            w, theta = atomic_update(theta, w, pair, cfg, timer)
         delta = frobenius_distance(w, w_prev)
         if not np.isfinite(delta):
             raise NumericError("weighting diverged (Frobenius delta not finite); reduce eta")
+        cond = np.linalg.cond(w.sigma)
+        if not cond <= MAX_SIGMA_COND:
+            raise NumericError(
+                f"weighting diverged (cond(Sigma) = {cond:.3g} > {MAX_SIGMA_COND:g}); "
+                "reduce eta or inner_lr"
+            )
         trace.append(delta)
         if delta < cfg.tol:
             break
@@ -240,8 +250,7 @@ def run_variant(
     if variant == "df":
         w = identity_params(train.horizon)
     else:
-        mode_cfg = replace(cfg, mode=_VARIANT_MODE[variant])
-        w, trace = learn_weighting(train, model_init, mode_cfg, timer)
+        w, trace = learn_weighting(train, model_init, cfg, _VARIANT_MODE[variant], timer)
     model = train_final(
         train, w, model_init, cfg,
         valid=valid, rng=np.random.default_rng(batch_ss), timer=timer,

@@ -19,7 +19,7 @@ import qdf
 
 from conftest import central_diff, rel_err
 from qdf.bench import HISTORY, HORIZON, bench_config, benchmark_data
-from qdf.bilevel import AtomicConfig, make_split_pair
+from qdf.bilevel import make_split_pair
 from qdf.data import (
     ArSpec,
     SeriesFrame,
@@ -111,7 +111,7 @@ def test_criterion_2_hypergradient_correctness():
             pair = make_split_pair(make_windows(frame, H, T))
             theta0 = init_forecaster(H, T, rng)
             w = WeightingParams(rng.uniform(-0.6, 0.6, (T, T)), T)
-            cfg = AtomicConfig(inner_steps=n_steps, inner_lr=0.02, eta=0.1)
+            cfg = QdfConfig(inner_steps=n_steps, inner_lr=0.02, eta=0.1)
             from qdf.bilevel import hypergradient
 
             analytic = hypergradient(theta0, w, pair, cfg)

@@ -1,18 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qdf.bilevel import (
-    AtomicConfig,
-    SplitPair,
-    atomic_update,
-    hypergradient,
-    make_split_pair,
-)
+from qdf.bilevel import SplitPair, atomic_update, hypergradient, make_split_pair
 from qdf.data import SeriesFrame, WindowSet, make_windows
 from qdf.errors import InvalidSplitError
 from qdf.model import forecast_batch, grad_params_batch, init_forecaster, sgd_step
 from qdf.objective import ResidualBatch, grad_wrt_residual, quadratic_loss
-from qdf.weighting import WeightingMode, WeightingParams, identity_params, materialize
+from qdf.weighting import (
+    WeightingMode,
+    WeightingParams,
+    identity_params,
+    materialize,
+    normalize_scale,
+)
+from qdf.workflow import QdfConfig
 
 
 def build_pair(rng, H, T, n_rows=80):
@@ -103,7 +106,7 @@ def test_hypergradient_matches_finite_differences(rng, inner_steps):
         theta0 = init_forecaster(H, T, rng)
         raw = rng.uniform(-0.6, 0.6, size=(T, T))
         w = WeightingParams(raw, T)
-        cfg = AtomicConfig(inner_steps=inner_steps, inner_lr=0.02, eta=0.1)
+        cfg = QdfConfig(inner_steps=inner_steps, inner_lr=0.02, eta=0.1)
         analytic = hypergradient(theta0, w, pair, cfg)
         fd = fd_hypergradient(theta0, w, pair, cfg)
         assert_close_hypergrad(analytic, fd)
@@ -113,7 +116,7 @@ def test_hypergradient_spec_example_n1_t2(rng):
     pair = build_pair(rng, 2, 2, 70)
     theta0 = init_forecaster(2, 2, rng)
     w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
-    cfg = AtomicConfig(inner_steps=1, inner_lr=0.05, eta=0.1)
+    cfg = QdfConfig(inner_steps=1, inner_lr=0.05, eta=0.1)
     analytic = hypergradient(theta0, w, pair, cfg)
     fd = fd_hypergradient(theta0, w, pair, cfg)
     assert_close_hypergrad(analytic, fd)
@@ -123,15 +126,15 @@ def test_hypergradient_vanishes_with_inner_lr(rng):
     pair = build_pair(rng, 3, 3, 70)
     theta0 = init_forecaster(3, 3, rng)
     w = identity_params(3)
-    big = hypergradient(theta0, w, pair, AtomicConfig(1, 1e-2, 0.1))
-    small = hypergradient(theta0, w, pair, AtomicConfig(1, 1e-8, 0.1))
+    big = hypergradient(theta0, w, pair, QdfConfig(inner_steps=1, inner_lr=1e-2, eta=0.1))
+    small = hypergradient(theta0, w, pair, QdfConfig(inner_steps=1, inner_lr=1e-8, eta=0.1))
     assert np.max(np.abs(small)) < 1e-5 * max(np.max(np.abs(big)), 1e-12) + 1e-12
 
 
 def test_hypergradient_mode_masks(rng):
     pair = build_pair(rng, 3, 4, 80)
     theta0 = init_forecaster(3, 4, rng)
-    cfg = AtomicConfig(2, 0.02, 0.1)
+    cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
     g_diag = hypergradient(
         theta0, WeightingParams(rng.uniform(-0.5, 0.5, (4, 4)), 4, WeightingMode.DIAG_ONLY), pair, cfg
     )
@@ -151,10 +154,10 @@ def test_stop_gradient_zero_outer_residuals(rng):
     pair = make_split_pair(ws)
     theta0 = init_forecaster(H, T, rng)
     w = WeightingParams(rng.uniform(-0.5, 0.5, (T, T)), T)
-    cfg = AtomicConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
+    cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
 
     # theta after the inner loop, computed by the module's own path
-    _, theta_n = atomic_update(theta0, w, pair, AtomicConfig(cfg.inner_steps, cfg.inner_lr, 0.0))
+    _, theta_n = atomic_update(theta0, w, pair, replace(cfg, eta=0.0))
     Xo, _ = pair.outer.as_samples()
     perfect_Y = forecast_batch(theta_n, Xo)[:, :, None]
     Xo3, _ = pair.outer.arrays()
@@ -172,7 +175,7 @@ def test_hypergradient_deterministic(rng):
     pair = build_pair(rng, 4, 3, 80)
     theta0 = init_forecaster(4, 3, rng)
     w = WeightingParams(rng.uniform(-0.5, 0.5, (3, 3)), 3)
-    cfg = AtomicConfig(2, 0.02, 0.1)
+    cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
     g1 = hypergradient(theta0, w, pair, cfg)
     g2 = hypergradient(theta0, w, pair, cfg)
     assert np.array_equal(g1, g2)
@@ -184,7 +187,7 @@ def test_atomic_update_eta_zero_returns_w_unchanged(rng):
     pair = build_pair(rng, 3, 2, 60)
     theta0 = init_forecaster(3, 2, rng)
     w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
-    cfg = AtomicConfig(inner_steps=3, inner_lr=0.02, eta=0.0)
+    cfg = QdfConfig(inner_steps=3, inner_lr=0.02, eta=0.0)
     w2, theta_n = atomic_update(theta0, w, pair, cfg)
     assert w2 is w
     X, Y = pair.inner.as_samples()
@@ -197,17 +200,17 @@ def test_atomic_update_applies_hypergradient_step(rng):
     pair = build_pair(rng, 3, 2, 60)
     theta0 = init_forecaster(3, 2, rng)
     w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
-    cfg = AtomicConfig(inner_steps=1, inner_lr=0.02, eta=0.3, normalize=False)
+    cfg = QdfConfig(inner_steps=1, inner_lr=0.02, eta=0.3)
     g = hypergradient(theta0, w, pair, cfg)
     w2, _ = atomic_update(theta0, w, pair, cfg)
-    assert np.allclose(w2.raw, w.raw - 0.3 * g, atol=1e-15)
+    assert np.array_equal(w2.raw, normalize_scale(w.with_raw(w.raw - 0.3 * g)).raw)
 
 
 def test_atomic_update_normalizes_scale(rng):
     pair = build_pair(rng, 3, 2, 60)
     theta0 = init_forecaster(3, 2, rng)
     w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
-    cfg = AtomicConfig(inner_steps=1, inner_lr=0.02, eta=0.3, normalize=True)
+    cfg = QdfConfig(inner_steps=1, inner_lr=0.02, eta=0.3)
     w2, _ = atomic_update(theta0, w, pair, cfg)
     L, sigma = materialize(w2)
     assert np.trace(np.linalg.inv(sigma)) == pytest.approx(2.0, rel=1e-9)

@@ -1,11 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdf
 from qdf import cli, errors
 from qdf.cli import main
 from qdf.data import ArSpec, gen_ar, write_csv
+from qdf.workflow import QdfConfig
 
 
 @pytest.fixture
@@ -192,6 +200,62 @@ def test_train_diverged_weighting_exits_4(synth_csv, tmp_path, capsys):
     assert not (tmp_path / "report_qdf.json").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("eta", "1e6"), ("inner-lr", "5")])
+def test_train_ill_conditioned_weighting_exits_4(synth_csv, tmp_path, capsys, flag, value):
+    # Sigma stays finite here; its condition number is what diverges
+    code = main(train_args(synth_csv, tmp_path) + [f"--{flag}", value])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "NumericError"
+    assert "cond(Sigma)" in err["error"]["message"]
+    assert not (tmp_path / "report_qdf.json").exists()
+
+
+def test_failing_run_stderr_is_one_json_object(synth_csv):
+    # a subprocess, because pytest records warnings in-process
+    src = str(Path(qdf.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdf.cli", "train", "--data", str(synth_csv),
+         "--history", "16", "--horizon", "16", "--eta", "1e6"],
+        env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, text=True,
+    )
+    assert proc.returncode == 4
+    err = json.loads(proc.stderr)
+    assert set(err) == {"error"}
+    assert err["error"]["type"] == "NumericError"
+    assert err["error"]["warnings"]
+
+
+def test_warnings_shown_on_success_and_folded_into_error(monkeypatch, tmp_path, capsys):
+    argv = ["diagnose", "--data", "x.csv", "--out-prefix", str(tmp_path / "d")]
+
+    def warn_then(result):
+        def handler(args):
+            warnings.warn("careful", RuntimeWarning)
+            if isinstance(result, Exception):
+                raise result
+            return result
+        return handler
+
+    monkeypatch.setattr(cli, "cmd_diagnose", warn_then(0))
+    with pytest.warns(RuntimeWarning, match="careful"):
+        assert main(argv) == 0
+    monkeypatch.setattr(cli, "cmd_diagnose", warn_then(errors.NumericError("boom")))
+    assert main(argv) == 4
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "type": "NumericError", "message": "boom", "warnings": ["careful"],
+    }}
+
+
+def test_train_tuning_defaults_come_from_config():
+    args = cli.build_parser().parse_args(["train", "--data", "x.csv", "--horizon", "4"])
+    tuned = [f for f in fields(QdfConfig) if hasattr(args, f.name)]
+    assert {f.name for f in tuned} == {f.name for f in fields(QdfConfig)} - {"patience"}
+    for f in tuned:
+        assert getattr(args, f.name) == f.default, f.name
+
+
 # Every library error, and OSError, with the exit code it maps to.
 EXIT_CODES = {
     "QdfError": 3,
@@ -243,6 +307,7 @@ def test_train_default_flags_complete_quickly(tmp_path):
     assert elapsed < 60
     report = json.loads((tmp_path / "rep.json").read_text())
     assert report["config"]["k_splits"] == 3
+    assert report["config"] == {**QdfConfig().as_dict(), "data": report["config"]["data"]}
     assert report["config"]["data"]["history"] == 96
     assert np.isfinite(report["metrics"]["mse"])
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qdf.bilevel import AtomicConfig, atomic_update, make_split_pair
+from qdf.bilevel import atomic_update, make_split_pair
 from qdf.data import ArSpec, ar_conditional_cov, gen_ar, make_windows, ramp_noise_schedule
 from qdf.errors import InvalidConfigError, InvalidSplitError
 from qdf.model import forecast_batch, grad_params_batch, init_forecaster, sgd_step
@@ -33,7 +33,7 @@ def ar_windows(seed=0, length=800, H=8, T=4, phi=0.6):
 @pytest.mark.parametrize("bad", [
     dict(batch_size=0), dict(final_optimizer="rmsprop"), dict(epochs=0), dict(patience=0),
     dict(final_lr=0.0), dict(final_lr=float("nan")), dict(inner_lr=-0.1), dict(eta=-1e-3),
-    dict(tol=-1.0),
+    dict(tol=-1.0), dict(k_splits=0), dict(outer_rounds=0), dict(inner_steps=0),
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(InvalidConfigError):
@@ -60,7 +60,7 @@ def test_learn_weighting_k1_single_atomic_update(rng):
     pair = make_split_pair(ws)
     expect, _ = atomic_update(
         model, identity_params(ws.horizon), pair,
-        AtomicConfig(1, 0.02, 0.1, True),
+        QdfConfig(inner_steps=1, inner_lr=0.02, eta=0.1),
     )
     assert np.array_equal(w.raw, expect.raw)
     assert len(trace) == 1
