@@ -13,7 +13,6 @@ from qdf import (
     WeightingParams,
     frobenius_distance,
     identity_params,
-    materialize,
     normalize_scale,
     params_from_matrix,
 )
@@ -23,19 +22,19 @@ np.set_printoptions(precision=4, suppress=True)
 
 # --- identity start: this is what the plain-MSE baseline implicitly uses
 w = identity_params(4)
-L, sigma = materialize(w)
+sigma = w.sigma
 print("identity parameterization materializes to:")
 print(sigma)
 
 # --- any raw values stay PSD
 raw = rng.uniform(-2, 2, size=(4, 4))
-_, sigma = materialize(WeightingParams(raw, 4))
+sigma = WeightingParams(raw, 4).sigma
 eigs = np.linalg.eigvalsh(sigma)
 print("\nrandom raw block -> eigenvalues all nonnegative:", eigs)
 
 # --- ablation modes freeze part of the factor
-L_diag, _ = materialize(WeightingParams(raw, 4, WeightingMode.DIAG_ONLY))
-L_off, _ = materialize(WeightingParams(raw, 4, WeightingMode.OFFDIAG_ONLY))
+L_diag = WeightingParams(raw, 4, WeightingMode.DIAG_ONLY).factor
+L_off = WeightingParams(raw, 4, WeightingMode.OFFDIAG_ONLY).factor
 print("\ndiag-only factor (off-diagonals pinned to zero):")
 print(L_diag)
 print("offdiag-only factor (diagonal pinned to one):")
@@ -45,7 +44,7 @@ print(L_off)
 #     pin trace(Sigma^-1) = T after every update
 sigma0 = np.array([[4.0, 2.0], [2.0, 5.0]])
 normalized = normalize_scale(params_from_matrix(sigma0))
-_, sigma1 = materialize(normalized)
+sigma1 = normalized.sigma
 print("\nbefore normalization:")
 print(sigma0)
 print("after (trace of inverse equals 2):")

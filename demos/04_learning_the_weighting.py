@@ -9,7 +9,7 @@ trains the final model under the frozen learned objective.
 
 import numpy as np
 
-from qdf import cov_to_corr, init_forecaster, materialize
+from qdf import cov_to_corr, init_forecaster
 from qdf.bench import PRESET_CONFIG, bench_config, benchmark_data, HISTORY, HORIZON
 from qdf.workflow import learn_weighting, run_variant
 
@@ -25,7 +25,7 @@ print("oracle conditional covariance diag:", np.diagonal(data.oracle_cov))
 cfg = bench_config(seed, preset="hetero-corr")
 model0 = init_forecaster(HISTORY, HORIZON, np.random.default_rng(seed))
 w, trace = learn_weighting(data.train, model0, cfg)
-_, sigma = materialize(w)
+sigma = w.sigma
 print("\nper-round Frobenius deltas:", np.round(trace, 4))
 print("learned Sigma diagonal:", np.diagonal(sigma))
 print("learned correlation, first row:", cov_to_corr(sigma)[0])

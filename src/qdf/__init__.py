@@ -52,7 +52,6 @@ from .weighting import (
     WeightingParams,
     frobenius_distance,
     identity_params,
-    materialize,
     normalize_scale,
     params_from_matrix,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "load_csv",
     "make_split_pair",
     "make_windows",
-    "materialize",
     "mse_loss",
     "normalize_scale",
     "params_from_matrix",

@@ -80,17 +80,17 @@ def _coverage_overlaps(a: WindowSet, b: WindowSet) -> bool:
     return bool(np.any(_covered_mask(a, hi) & _covered_mask(b, hi)))
 
 
-def make_split_pair(windows: WindowSet, inner_fraction: float = 0.5) -> SplitPair:
+def make_split_pair(windows: WindowSet) -> SplitPair:
     """Chronological inner/outer split of one window set.
 
-    The window list is cut at the given fraction; inner windows whose
-    coverage runs past the first outer window's start are dropped so the two
-    sides share no source rows (an embargo at the boundary).
+    The window list is cut in half; inner windows whose coverage runs past
+    the first outer window's start are dropped so the two sides share no
+    source rows (an embargo at the boundary).
     """
     n = len(windows)
-    cut = int(np.floor(n * inner_fraction))
-    if cut < 1 or cut >= n:
-        raise InvalidSplitError(f"cannot split {n} windows at fraction {inner_fraction}")
+    cut = n // 2
+    if cut < 1:
+        raise InvalidSplitError(f"cannot split {n} windows in half")
     inner = windows.slice(0, cut)
     outer = windows.slice(cut, n)
     span = windows.history + windows.horizon

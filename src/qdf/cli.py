@@ -18,6 +18,7 @@ import numpy as np
 from . import bench as benchlib
 from .data import (
     ArSpec,
+    SeriesFrame,
     ar_conditional_cov,
     chrono_split,
     gen_ar,
@@ -28,7 +29,7 @@ from .data import (
     write_csv,
 )
 from .diagnostics import fraction_above, partial_corr_matrix
-from .errors import InvalidSplitError, QdfError
+from .errors import InvalidConfigError, InvalidSplitError, QdfError
 from .model import save_checkpoint
 from .weighting import write_matrix_csv
 from .workflow import OPTIMIZERS, VARIANTS, QdfConfig, run_variant
@@ -140,8 +141,6 @@ def cmd_synth(args) -> int:
 
 def _load_windows(args):
     """Chronological train/valid/test windows, standardized by train stats."""
-    from .data import SeriesFrame
-
     frame = load_csv(args.data, skip_first_column=args.date_column)
     if args.valid_data is not None:
         valid_frame = load_csv(args.valid_data, skip_first_column=args.date_column)
@@ -152,7 +151,7 @@ def _load_windows(args):
     _, stats = standardize(parts[0])
     windows = [
         make_windows(
-            SeriesFrame(stats.apply(p.values), list(p.names), p.source),
+            SeriesFrame(stats.apply(p.values), list(p.names)),
             args.history, args.horizon, stride=args.stride,
         )
         for p in parts
@@ -197,7 +196,12 @@ def cmd_train(args) -> int:
 def cmd_bench(args) -> int:
     presets = [s.strip() for s in args.presets.split(",") if s.strip()]
     variants = [s.strip() for s in args.variants.split(",") if s.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        raise InvalidConfigError(
+            f"--seeds must be a comma list of integers, got {args.seeds!r}"
+        ) from None
     for kind, names, known in (("preset", presets, benchlib.PRESETS),
                                ("variant", variants, VARIANTS)):
         for name in names:

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     CsvParseError,
     InsufficientDataError,
+    InvalidConfigError,
     InvalidDimensionError,
     InvalidSplitError,
     NumericError,
@@ -30,11 +30,10 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SeriesFrame:
-    """Time-major N x D value matrix with column names and provenance."""
+    """Time-major N x D value matrix with column names."""
 
     values: np.ndarray
     names: list[str]
-    source: str = ""
 
     def __post_init__(self):
         v = np.atleast_2d(np.asarray(self.values, dtype=float))
@@ -101,8 +100,10 @@ class WindowSet:
         X, Y = self.arrays()
         n, H, D = X.shape
         T = Y.shape[1]
-        Xs = X.transpose(0, 2, 1).reshape(n * D, H)
-        Ys = Y.transpose(0, 2, 1).reshape(n * D, T)
+        # Contiguous copies: window views overlap in memory, and matmul over
+        # overlapping rows can round differently from the same rows copied.
+        Xs = np.ascontiguousarray(X.transpose(0, 2, 1).reshape(n * D, H))
+        Ys = np.ascontiguousarray(Y.transpose(0, 2, 1).reshape(n * D, T))
         return Xs, Ys
 
     def slice(self, lo: int, hi: int) -> "WindowSet":
@@ -116,60 +117,68 @@ class WindowSet:
         return int(self.starts.min()), int(self.starts.max()) + span
 
 
-def load_csv(path, skip_first_column: bool = False, has_header: bool = True) -> SeriesFrame:
+def load_csv(path, skip_first_column: bool = False) -> SeriesFrame:
     """Read a comma-separated, '.'-decimal, UTF-8 file into a SeriesFrame.
 
-    Rows containing non-finite values after parsing, or a cell count other
-    than the first row's, are rejected with a parse error carrying the
-    1-based row (and, for a bad cell, the column).
+    The first non-empty row holds the column names.  A row whose cell count
+    differs from the header's, or a cell that is not a finite number, is
+    rejected with a parse error carrying the 1-based row (and, for a bad
+    cell, the column) of the first fault in reading order.
     """
     path = Path(path)
     try:
         fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise CsvParseError(f"cannot read {path}: {exc}") from exc
+    names = None
+    rows, row_numbers = [], []
+    ragged = None
     with fh:
-        reader = csv.reader(fh)
-        rows = []
-        names = None
-        width = None
-        for i, row in enumerate(reader):
+        for i, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
             cells = row[1:] if skip_first_column else row
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise CsvParseError(
-                    f"row {i + 1} has {len(cells)} cells, expected {width}", row=i + 1
-                )
-            if i == 0 and has_header:
+            if names is None:
                 names = cells
-                continue
-            parsed = []
-            for j, cell in enumerate(cells):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise CsvParseError(
-                        f"non-numeric cell {cell!r} at row {i + 1}, column {j + 1}",
-                        row=i + 1,
-                        column=j + 1,
-                    ) from None
-                if not np.isfinite(v):
-                    raise CsvParseError(
-                        f"non-finite cell at row {i + 1}, column {j + 1}",
-                        row=i + 1,
-                        column=j + 1,
-                    )
-                parsed.append(v)
-            rows.append(parsed)
+            elif len(cells) != len(names):
+                ragged = CsvParseError(
+                    f"row {i} has {len(cells)} cells, expected {len(names)}", row=i
+                )
+                break
+            else:
+                rows.append(cells)
+                row_numbers.append(i)
+    try:
+        values = np.array(rows, dtype=float)
+    except ValueError:
+        values = None
+    if values is None or not np.all(np.isfinite(values)):
+        values = _parse_cells(rows, row_numbers)
+    if ragged is not None:
+        raise ragged
     if not rows:
         raise CsvParseError(f"{path} contains no data rows")
-    values = np.asarray(rows, dtype=float)
-    if names is None:
-        names = [f"v{j}" for j in range(values.shape[1])]
-    return SeriesFrame(values, list(names), source=str(path))
+    return SeriesFrame(values, names)
+
+
+def _parse_cells(rows, row_numbers) -> np.ndarray:
+    """Cell-by-cell conversion; raises at the first cell that is not a finite number."""
+    parsed = []
+    for i, cells in zip(row_numbers, rows):
+        parsed.append([])
+        for j, cell in enumerate(cells, start=1):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise CsvParseError(
+                    f"non-numeric cell {cell!r} at row {i}, column {j}", row=i, column=j
+                ) from None
+            if not np.isfinite(v):
+                raise CsvParseError(
+                    f"non-finite cell at row {i}, column {j}", row=i, column=j
+                )
+            parsed[-1].append(v)
+    return np.array(parsed, dtype=float)
 
 
 def write_csv(frame: SeriesFrame, path) -> None:
@@ -212,33 +221,32 @@ def standardize(frame: SeriesFrame, stats_rows: tuple[int, int] | None = None):
         log.warning("std floor applied to columns %s", floored)
     std = np.maximum(std, 1e-8)
     stats = Standardizer(mean, std, floored)
-    out = SeriesFrame(stats.apply(frame.values), list(frame.names), frame.source)
+    out = SeriesFrame(stats.apply(frame.values), list(frame.names))
     return out, stats
 
 
 def make_windows(
-    frame: SeriesFrame, history: int, horizon: int, stride: int = 1, offset: int = 0
+    frame: SeriesFrame, history: int, horizon: int, stride: int = 1
 ) -> WindowSet:
     """Extract (X, Y) pairs; X ends exactly where Y begins.
 
     With stride=1 the window count is N - H - T + 1.  A larger stride keeps
-    only starts at offset, offset+stride, ... (used to phase-align windows
-    against a periodic innovation schedule).
+    only starts 0, stride, 2*stride, ... (used to phase-align windows
+    against a periodic innovation schedule).  X and Y are read-only views
+    of the frame's values; no window is copied.
     """
     if history < 1 or horizon < 1 or stride < 1:
         raise InvalidDimensionError("history, horizon and stride must be >= 1")
-    if offset < 0:
-        raise InvalidDimensionError("offset must be >= 0")
     span = history + horizon
     if frame.length < span:
         raise InsufficientDataError(
             f"need at least {span} rows, have {frame.length}"
         )
-    starts = np.arange(offset, frame.length - span + 1, stride)
-    if starts.size == 0:
-        raise InsufficientDataError("stride/offset leave no complete window")
-    X = np.stack([frame.values[s : s + history] for s in starts])
-    Y = np.stack([frame.values[s + history : s + span] for s in starts])
+    starts = np.arange(0, frame.length - span + 1, stride)
+    # (n, D, span): the window axis comes last.
+    spans = np.lib.stride_tricks.sliding_window_view(frame.values, span, axis=0)[::stride]
+    X = spans[:, :, :history].transpose(0, 2, 1)
+    Y = spans[:, :, history:].transpose(0, 2, 1)
     return WindowSet(X, Y, starts)
 
 
@@ -267,7 +275,7 @@ def chrono_split(data, fractions):
     """
     if isinstance(data, SeriesFrame):
         return [
-            SeriesFrame(data.values[lo:hi], list(data.names), data.source)
+            SeriesFrame(data.values[lo:hi], list(data.names))
             for lo, hi in _part_bounds(data.length, fractions)
         ]
     if isinstance(data, WindowSet):
@@ -297,6 +305,8 @@ class ArSpec:
         object.__setattr__(self, "noise_std", sched)
         if self.length < 1:
             raise InvalidDimensionError("length must be >= 1")
+        if not self.seed >= 0:
+            raise InvalidConfigError(f"seed must be nonnegative, got {self.seed!r}")
         if coeffs and np.max(np.abs(_companion_eigs(coeffs))) >= 1.0 - 1e-9:
             raise UnstableSpecError(
                 f"AR coefficients {coeffs} are not stable"
@@ -355,12 +365,12 @@ def gen_ar(spec: ArSpec) -> SeriesFrame:
     period = spec.noise_std.shape[0]
     stds = spec.noise_std[(np.arange(total) - burn) % period]
     eps = rng.standard_normal(total) * stds
+    # Imported here: scipy.signal takes about a second to import, and only
+    # synthetic data needs it.
+    from scipy.signal import lfilter
+
     y = lfilter([1.0], np.r_[1.0, -np.asarray(spec.coeffs)], eps)
-    return SeriesFrame(
-        y[burn:, None],
-        ["y"],
-        source=f"ar(p={p}, seed={spec.seed})",
-    )
+    return SeriesFrame(y[burn:, None], ["y"])
 
 
 def gen_ar_frame(spec: ArSpec, n_vars: int) -> SeriesFrame:
@@ -373,29 +383,22 @@ def gen_ar_frame(spec: ArSpec, n_vars: int) -> SeriesFrame:
             ArSpec(spec.coeffs, spec.noise_std, spec.length, child_seed)
         )
         cols.append(frame.values[:, 0])
-    return SeriesFrame(
-        np.column_stack(cols),
-        [f"y{d}" for d in range(n_vars)],
-        source=f"ar(p={spec.order}, seed={spec.seed}, vars={n_vars})",
-    )
+    return SeriesFrame(np.column_stack(cols), [f"y{d}" for d in range(n_vars)])
 
 
-def ar_conditional_cov(spec: ArSpec, horizon: int, label_offset: int | None = None) -> np.ndarray:
+def ar_conditional_cov(spec: ArSpec, horizon: int) -> np.ndarray:
     """Exact covariance of the next ``horizon`` steps given the full past.
 
     Only innovations entering after the conditioning time contribute:
     Cov[i, j] = sum_k psi_{i-k} psi_{j-k} sigma_k^2 over label steps k.
-    ``label_offset`` is the schedule position of the first label step; it
-    defaults to the schedule period minus the horizon, matching windows
-    whose starts are aligned to the schedule period.
+    The first label step sits at schedule position period - horizon, as in
+    windows whose starts are aligned to the schedule period.
     """
     if horizon < 1:
         raise InvalidDimensionError("horizon must be >= 1")
     psi = ma_weights(spec.coeffs, horizon)
     period = spec.noise_std.shape[0]
-    if label_offset is None:
-        label_offset = (period - horizon) % period
-    stds = spec.noise_std[(label_offset + np.arange(horizon)) % period]
+    stds = spec.noise_std[(period - horizon + np.arange(horizon)) % period]
     cov = np.zeros((horizon, horizon))
     for k in range(horizon):  # innovation entering at label step k (0-based)
         contrib = np.zeros(horizon)

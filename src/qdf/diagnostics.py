@@ -16,6 +16,7 @@ import numpy as np
 from .data import SeriesFrame, WindowSet, make_windows
 from .errors import (
     InsufficientDataError,
+    InvalidConfigError,
     InvalidDimensionError,
     UndefinedCorrelationError,
 )
@@ -102,6 +103,10 @@ def partial_corr_matrix(
     ``subsample`` are available.  ``variable=None`` pools samples across
     variables into a single estimate.
     """
+    if not subsample >= 1:
+        raise InvalidConfigError(f"subsample must be >= 1, got {subsample!r}")
+    if not seed >= 0:
+        raise InvalidConfigError(f"seed must be nonnegative, got {seed!r}")
     windows = make_windows(frame, history, horizon)
     n = len(windows)
     if subsample < n:

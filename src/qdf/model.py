@@ -85,11 +85,8 @@ def sgd_step(
 class AdamState:
     """Adam accumulator over the (weights, bias) pair."""
 
-    def __init__(self, m: LinearForecaster, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, m: LinearForecaster, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m_w = np.zeros_like(m.weights)
         self.v_w = np.zeros_like(m.weights)
@@ -103,15 +100,15 @@ class AdamState:
         if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
             raise NumericError("non-finite gradients")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         self.m_w = b1 * self.m_w + (1 - b1) * dw
         self.v_w = b2 * self.v_w + (1 - b2) * dw * dw
         self.m_b = b1 * self.m_b + (1 - b1) * db
         self.v_b = b2 * self.v_b + (1 - b2) * db * db
         c1 = 1 - b1**self.t
         c2 = 1 - b2**self.t
-        step_w = self.lr * (self.m_w / c1) / (np.sqrt(self.v_w / c2) + self.eps)
-        step_b = self.lr * (self.m_b / c1) / (np.sqrt(self.v_b / c2) + self.eps)
+        step_w = self.lr * (self.m_w / c1) / (np.sqrt(self.v_w / c2) + 1e-8)
+        step_b = self.lr * (self.m_b / c1) / (np.sqrt(self.v_b / c2) + 1e-8)
         return LinearForecaster(
             m.weights - step_w, m.bias - step_b, m.history, m.horizon
         )

@@ -123,15 +123,6 @@ def identity_params(horizon: int, mode: WeightingMode = WeightingMode.FULL) -> W
     return WeightingParams(raw, horizon, mode)
 
 
-def materialize(params: WeightingParams) -> tuple[np.ndarray, np.ndarray]:
-    """Return (L, Sigma) with mode masks applied.
-
-    L is lower triangular with positive diagonal; Sigma = L @ L.T.  Both are
-    the read-only arrays cached on ``params``.
-    """
-    return params.factor, params.sigma
-
-
 def params_from_matrix(
     sigma: np.ndarray, mode: WeightingMode = WeightingMode.FULL
 ) -> WeightingParams:

@@ -78,7 +78,7 @@ class QdfConfig:
             value = getattr(self, name)
             if not value > 0:  # also rejects NaN
                 raise InvalidConfigError(f"{name} must be positive, got {value!r}")
-        for name in ("eta", "tol"):
+        for name in ("eta", "tol", "seed"):
             value = getattr(self, name)
             if not value >= 0:
                 raise InvalidConfigError(f"{name} must be nonnegative, got {value!r}")
@@ -142,23 +142,17 @@ def train_final(
     w: WeightingParams,
     model_init: LinearForecaster,
     cfg: QdfConfig,
-    valid: WindowSet | None = None,
-    rng: np.random.Generator | None = None,
+    valid: WindowSet,
+    rng: np.random.Generator,
     timer: PhaseTimer | None = None,
 ) -> LinearForecaster:
     """Phase 3: minibatch training under the frozen weighting.
 
     Early-stops when the validation loss (under the same weighting) has not
     improved for ``patience`` consecutive epochs; returns the best snapshot.
-    Without an explicit validation set, the chronologically last 20% of the
-    training windows are held out for it.
     """
     if train.horizon != w.horizon:
         raise InvalidSplitError("weighting horizon does not match windows")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    if valid is None:
-        train, valid = chrono_split(train, [0.8, 0.2])
     X, Y = train.as_samples()
     Xv, Yv = valid.as_samples()
     A = w.inverse

@@ -40,7 +40,6 @@ from qdf.objective import (
 from qdf.weighting import (
     WeightingParams,
     identity_params,
-    materialize,
     normalize_scale,
     params_from_matrix,
 )
@@ -131,7 +130,7 @@ def test_criterion_3_psd_invariance():
     worst = np.inf
     for _ in range(1000):
         T = int(rng.integers(1, 9))
-        _, sigma = materialize(WeightingParams(rng.uniform(-3, 3, (T, T)), T))
+        sigma = WeightingParams(rng.uniform(-3, 3, (T, T)), T).sigma
         v = rng.standard_normal((100, T))
         worst = min(worst, float(np.min(np.einsum("ij,jk,ik->i", v, sigma, v))))
     elapsed = time.time() - t0
@@ -178,7 +177,7 @@ def test_criterion_5_halting_rule():
     cfg0 = QdfConfig(k_splits=3, outer_rounds=7, eta=0.0, tol=1e-4, seed=505)
     w, trace = learn_weighting(ws, model, cfg0)
     assert trace == [0.0]
-    assert np.array_equal(materialize(w)[1], np.eye(4))
+    assert np.array_equal(w.sigma, np.eye(4))
 
     # active updates: loop runs but never exceeds the budget
     cfg1 = QdfConfig(k_splits=3, outer_rounds=4, eta=0.05, inner_lr=0.02,

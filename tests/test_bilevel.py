@@ -12,7 +12,6 @@ from qdf.weighting import (
     WeightingMode,
     WeightingParams,
     identity_params,
-    materialize,
     normalize_scale,
 )
 from qdf.workflow import QdfConfig
@@ -212,5 +211,5 @@ def test_atomic_update_normalizes_scale(rng):
     w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
     cfg = QdfConfig(inner_steps=1, inner_lr=0.02, eta=0.3)
     w2, _ = atomic_update(theta0, w, pair, cfg)
-    L, sigma = materialize(w2)
+    L, sigma = w2.factor, w2.sigma
     assert np.trace(np.linalg.inv(sigma)) == pytest.approx(2.0, rel=1e-9)

@@ -211,15 +211,46 @@ def test_train_ill_conditioned_weighting_exits_4(synth_csv, tmp_path, capsys, fl
     assert not (tmp_path / "report_qdf.json").exists()
 
 
-def test_failing_run_stderr_is_one_json_object(synth_csv):
-    # a subprocess, because pytest records warnings in-process
+@pytest.mark.parametrize("argv", [
+    ["bench", "--seeds", "x"],
+    ["bench", "--seeds", "-1", "--variants", "df"],
+    ["train", "--seed", "-1"],
+    ["synth", "--seed", "-1"],
+    ["diagnose", "--subsample", "-1"],
+    ["diagnose", "--subsample", "10", "--seed", "-1"],
+], ids=" ".join)
+def test_out_of_range_input_exits_3(argv, synth_csv, tmp_path, capsys):
+    required = {
+        "bench": ["--out-dir", str(tmp_path / "b")],
+        "train": ["--data", str(synth_csv), "--history", "8", "--horizon", "4"],
+        "synth": ["--n", "100", "--horizon", "2", "--out", str(tmp_path / "s.csv")],
+        "diagnose": ["--data", str(synth_csv), "--horizon", "4",
+                     "--out-prefix", str(tmp_path / "d")],
+    }[argv[0]]
+    assert main(argv + required) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error"}
+    assert err["error"]["type"] == "InvalidConfigError"
+
+
+def run_module(*args):
+    """``python <args>`` with this checkout's qdf importable."""
     src = str(Path(qdf.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "qdf.cli", "train", "--data", str(synth_csv),
-         "--history", "16", "--horizon", "16", "--eta", "1e6"],
-        env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, text=True,
-    )
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=pythonpath),
+                          capture_output=True, text=True)
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    proc = run_module("-c", "import sys, qdf.cli; print('scipy.signal' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_failing_run_stderr_is_one_json_object(synth_csv):
+    # a subprocess, because pytest records warnings in-process
+    proc = run_module("-m", "qdf.cli", "train", "--data", str(synth_csv),
+                      "--history", "16", "--horizon", "16", "--eta", "1e6")
     assert proc.returncode == 4
     err = json.loads(proc.stderr)
     assert set(err) == {"error"}

@@ -1,5 +1,12 @@
+import csv
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdf.data import (
     ArSpec,
@@ -71,6 +78,86 @@ def test_load_csv_missing_file(tmp_path):
         load_csv(tmp_path / "nope.csv")
 
 
+def reference_load_csv(path, skip_first_column):
+    """Cell-by-cell reference: float() on each cell, checked in reading order."""
+    names, rows = None, []
+    with open(path, encoding="utf-8", newline="") as fh:
+        for i, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            cells = row[1:] if skip_first_column else row
+            if names is None:
+                names = cells
+                continue
+            if len(cells) != len(names):
+                raise CsvParseError(
+                    f"row {i} has {len(cells)} cells, expected {len(names)}", row=i
+                )
+            parsed = []
+            for j, cell in enumerate(cells, start=1):
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise CsvParseError(
+                        f"non-numeric cell {cell!r} at row {i}, column {j}", row=i, column=j
+                    ) from None
+                if not math.isfinite(v):
+                    raise CsvParseError(
+                        f"non-finite cell at row {i}, column {j}", row=i, column=j
+                    )
+                parsed.append(v)
+            rows.append(parsed)
+    if not rows:
+        raise CsvParseError(f"{path} contains no data rows")
+    return names, np.array(rows, dtype=float)
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1_000", "-0", " 7 ", ".5", "5.", "1e-400", "\u0661", "\u0663.\u0665"]),
+)
+ANY_CELLS = st.one_of(
+    NUMBER_CELLS,
+    st.sampled_from(["", "nan", "inF", "-Infinity", "1e400", "0x1p3", "1__0", "+-1", "oops"]),
+    st.text(alphabet="0123456789.eE+-_ infaINFA\u0661", max_size=6),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """A header row, then rows that are numeric, or mixed with bad and ragged cells."""
+    width = draw(st.integers(1, 4))
+    clean = draw(st.booleans())
+    lines = [",".join(f"c{j}" for j in range(width))]
+    for _ in range(draw(st.integers(0, 6))):
+        n = width if clean or draw(st.integers(0, 3)) else draw(st.integers(0, width + 1))
+        lines.append(",".join(draw(st.lists(
+            NUMBER_CELLS if clean else ANY_CELLS, min_size=n, max_size=n))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=csv_texts(), skip_first_column=st.booleans())
+def test_load_csv_matches_cell_by_cell_reference(text, skip_first_column):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            want = reference_load_csv(path, skip_first_column)
+        except CsvParseError as exc:
+            with pytest.raises(CsvParseError) as got:
+                load_csv(path, skip_first_column=skip_first_column)
+            assert (str(got.value), got.value.row, got.value.column) == (
+                str(exc), exc.row, exc.column)
+            return
+        frame = load_csv(path, skip_first_column=skip_first_column)
+    names, values = want
+    assert frame.names == names
+    assert frame.values.tobytes() == values.tobytes()
+    assert frame.values.shape == values.shape
+
+
 def test_ett_style_truncation_window_count(tmp_path):
     rng = np.random.default_rng(0)
     rows = ["date," + ",".join(f"c{j}" for j in range(7))]
@@ -137,10 +224,25 @@ def test_windows_insufficient_data():
         make_windows(frame_of([1.0, 2.0]), 2, 1)
 
 
-@pytest.mark.parametrize("kwargs", [dict(stride=0), dict(stride=-2), dict(offset=-1)])
+@pytest.mark.parametrize("kwargs", [dict(stride=0), dict(stride=-2)])
 def test_windows_reject_bad_stride_or_offset(kwargs):
     with pytest.raises(InvalidDimensionError):
         make_windows(frame_of(np.arange(30.0)), 2, 2, **kwargs)
+
+
+def test_windows_are_read_only_views_of_the_frame(rng):
+    frame = frame_of(rng.standard_normal((40, 3)))
+    ws = make_windows(frame, 4, 2, stride=3)
+    X, Y = ws.arrays()
+    for k, s in enumerate(ws.starts):
+        assert np.array_equal(X[k], frame.values[s : s + 4])
+        assert np.array_equal(Y[k], frame.values[s + 4 : s + 6])
+    for a in (X, Y):
+        assert np.shares_memory(a, frame.values)
+        assert not a.flags.writeable
+    # sample rows are copies, also where a reshape alone would give overlapping rows
+    uni = make_windows(frame_of(rng.standard_normal(40)), 4, 2)
+    assert all(a.flags.c_contiguous for a in (*ws.as_samples(), *uni.as_samples()))
 
 
 def test_strided_windows_alignment():

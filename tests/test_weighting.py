@@ -8,7 +8,6 @@ from qdf.weighting import (
     WeightingParams,
     frobenius_distance,
     identity_params,
-    materialize,
     normalize_scale,
     params_from_matrix,
     read_matrix_csv,
@@ -26,7 +25,8 @@ def test_identity_raw_diagonal_is_inverse_softplus_of_one():
 
 @pytest.mark.parametrize("horizon", [1, 2, 3, 8, 96])
 def test_identity_materializes_to_identity(horizon):
-    L, sigma = materialize(identity_params(horizon))
+    w = identity_params(horizon)
+    L, sigma = w.factor, w.sigma
     assert np.allclose(L, np.eye(horizon), atol=1e-12)
     assert np.allclose(sigma, np.eye(horizon), atol=1e-12)
 
@@ -38,41 +38,41 @@ def test_identity_rejects_zero_horizon():
 
 def test_materialize_known_factor():
     raw = np.array([[softplus_inv(2.0), 0.0], [1.0, softplus_inv(2.0)]])
-    L, sigma = materialize(WeightingParams(raw, 2))
+    w = WeightingParams(raw, 2)
+    L, sigma = w.factor, w.sigma
     assert np.allclose(L, [[2.0, 0.0], [1.0, 2.0]], atol=1e-12)
     assert np.allclose(sigma, [[4.0, 2.0], [2.0, 5.0]], atol=1e-12)
 
 
 def test_materialize_returns_the_same_read_only_arrays(rng):
     w = WeightingParams(rng.uniform(-1, 1, size=(4, 4)), 4)
-    L, sigma = materialize(w)
-    again = materialize(w)
-    assert again[0] is L and again[1] is sigma
-    assert L is w.factor and sigma is w.sigma
-    assert np.allclose(w.inverse @ sigma, np.eye(4), atol=1e-10)
-    for derived in (L, sigma, w.inverse):
+    L, sigma, inverse = w.factor, w.sigma, w.inverse
+    assert w.factor is L and w.sigma is sigma and w.inverse is inverse
+    assert np.allclose(inverse @ sigma, np.eye(4), atol=1e-10)
+    for derived in (L, sigma, inverse):
         with pytest.raises(ValueError):
             derived[0, 0] = 5.0
 
 
 def test_materialize_zero_raw_diagonal_gives_log_two():
-    L, _ = materialize(WeightingParams(np.zeros((3, 3)), 3))
+    L = WeightingParams(np.zeros((3, 3)), 3).factor
     assert np.allclose(np.diagonal(L), np.log(2.0), atol=1e-12)
 
 
 def test_materialize_ignores_upper_triangle():
     raw = np.zeros((2, 2))
     raw[0, 1] = 123.0
-    L, sigma = materialize(WeightingParams(raw, 2))
+    w = WeightingParams(raw, 2)
+    L, sigma = w.factor, w.sigma
     assert L[0, 1] == 0.0
     assert sigma[0, 1] == sigma[1, 0]
 
 
 def test_mode_masks_are_exact(rng):
     raw = rng.uniform(-3, 3, size=(5, 5))
-    L_diag, _ = materialize(WeightingParams(raw, 5, WeightingMode.DIAG_ONLY))
+    L_diag = WeightingParams(raw, 5, WeightingMode.DIAG_ONLY).factor
     assert np.all(np.tril(L_diag, k=-1) == 0.0)
-    L_off, _ = materialize(WeightingParams(raw, 5, WeightingMode.OFFDIAG_ONLY))
+    L_off = WeightingParams(raw, 5, WeightingMode.OFFDIAG_ONLY).factor
     assert np.all(np.diagonal(L_off) == 1.0)
 
 
@@ -82,7 +82,7 @@ def test_random_params_are_psd(rng):
     for _ in range(1000):
         T = int(rng.integers(1, 7))
         raw = rng.uniform(-3, 3, size=(T, T))
-        _, sigma = materialize(WeightingParams(raw, T))
+        sigma = WeightingParams(raw, T).sigma
         v = rng.standard_normal((100, T))
         worst = min(worst, float(np.min(np.einsum("ij,jk,ik->i", v, sigma, v))))
     assert worst >= -1e-10
@@ -90,15 +90,15 @@ def test_random_params_are_psd(rng):
 
 def test_normalize_scale_examples():
     p = params_from_matrix(4.0 * np.eye(2))
-    _, sigma = materialize(normalize_scale(p))
+    sigma = normalize_scale(p).sigma
     assert np.allclose(sigma, np.eye(2), atol=1e-10)
 
     p = identity_params(5)
-    _, sigma = materialize(normalize_scale(p))
+    sigma = normalize_scale(p).sigma
     assert np.allclose(sigma, np.eye(5), atol=1e-10)
 
     p = params_from_matrix(np.array([[4.0, 2.0], [2.0, 5.0]]))
-    _, sigma = materialize(normalize_scale(p))
+    sigma = normalize_scale(p).sigma
     assert np.allclose(sigma, (9.0 / 32.0) * np.array([[4.0, 2.0], [2.0, 5.0]]), atol=1e-10)
     assert np.trace(np.linalg.inv(sigma)) == pytest.approx(2.0, abs=1e-10)
 
@@ -134,13 +134,13 @@ def test_frobenius_distance_dimension_mismatch():
 def test_params_from_matrix_round_trip(rng):
     base = rng.standard_normal((4, 4))
     sigma = base @ base.T + 4 * np.eye(4)
-    _, rebuilt = materialize(params_from_matrix(sigma))
+    rebuilt = params_from_matrix(sigma).sigma
     assert np.allclose(rebuilt, sigma, atol=1e-10)
 
 
 def test_softplus_floor_clamps_tiny_diagonals():
     raw = np.full((2, 2), -50.0)
-    L, _ = materialize(WeightingParams(raw, 2))
+    L = WeightingParams(raw, 2).factor
     assert np.all(np.diagonal(L) == SOFTPLUS_FLOOR)
 
 

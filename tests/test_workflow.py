@@ -12,7 +12,6 @@ from qdf.weighting import (
     WeightingParams,
     frobenius_distance,
     identity_params,
-    materialize,
     params_from_matrix,
 )
 from qdf.workflow import (
@@ -179,7 +178,7 @@ def test_train_final_nondiagonal_sigma_matches_oracle_training():
     train, valid = ws.slice(0, 400), ws.slice(420, 500)
     rng = np.random.default_rng(12)
     w = WeightingParams(rng.uniform(-0.5, 0.5, (ws.horizon, ws.horizon)), ws.horizon)
-    assert np.count_nonzero(np.tril(materialize(w)[0], k=-1)) > 0
+    assert np.count_nonzero(np.tril(w.factor, k=-1)) > 0
     cfg = QdfConfig(epochs=8, batch_size=32, final_lr=0.01, seed=12)
     model0 = init_forecaster(ws.history, ws.horizon, rng)
 
@@ -247,10 +246,10 @@ def test_run_variant_modes():
     cfg = QdfConfig(epochs=4, batch_size=32, final_lr=0.01, eta=0.05,
                     outer_rounds=2, seed=19)
     _, _, w_diag = run_variant(train, valid, test, "qdf-diag", cfg)
-    L, _ = materialize(w_diag)
+    L = w_diag.factor
     assert np.all(np.tril(L, k=-1) == 0.0)
     _, _, w_off = run_variant(train, valid, test, "qdf-offdiag", cfg)
-    L, _ = materialize(w_off)
+    L = w_off.factor
     assert np.all(np.diagonal(L) == 1.0)
 
 
