@@ -144,6 +144,11 @@ def _load_windows(args):
     frame = load_csv(args.data, skip_first_column=args.date_column)
     if args.valid_data is not None:
         valid_frame = load_csv(args.valid_data, skip_first_column=args.date_column)
+        if valid_frame.names != frame.names:
+            raise InvalidSplitError(
+                f"--valid-data columns {valid_frame.names} differ from "
+                f"--data columns {frame.names}"
+            )
         train_part, test_part = chrono_split(frame, [0.8, 0.2])
         parts = [train_part, valid_frame, test_part]
     else:

@@ -200,9 +200,6 @@ class Standardizer:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
 
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
-
 
 def standardize(frame: SeriesFrame, stats_rows: tuple[int, int] | None = None):
     """Zero-mean/unit-variance columns using stats from the given row range.

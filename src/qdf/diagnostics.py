@@ -61,7 +61,8 @@ def _fit_residuals(design: np.ndarray, labels: np.ndarray, flags: list[str]) -> 
                     rank, design.shape[1])
         gram = design.T @ design + RIDGE_LAMBDA * np.eye(design.shape[1])
         coef = np.linalg.solve(gram, design.T @ labels)
-    return labels - design @ coef
+    pred = design @ coef
+    return np.subtract(labels, pred, out=pred)
 
 
 def partial_correlation(
@@ -114,17 +115,22 @@ def partial_corr_matrix(
         keep = np.sort(rng.choice(n, size=subsample, replace=False))
         windows = _select_windows(windows, keep)
     design, labels = _design_and_labels(windows, variable)
-    if design.shape[0] < history + 3:
+    n_windows, samples = len(windows), design.shape[0]
+    # The n*D x T arrays dominate memory: each is released as soon as the next
+    # one exists, and centering and scaling reuse the residual buffer.
+    del windows
+    if samples < history + 3:
         raise InsufficientDataError(
             f"need at least H+3={history + 3} samples after subsampling"
         )
     flags: list[str] = []
-    resid = _fit_residuals(design, labels, flags)
-    cond_var = resid.var(axis=0)
+    z = _fit_residuals(design, labels, flags)
+    del design, labels
+    cond_var = z.var(axis=0)
     dead = cond_var < VAR_EPS
-    centered = resid - resid.mean(axis=0)
-    norms = np.sqrt(np.sum(centered**2, axis=0))
-    z = centered / np.maximum(norms, np.sqrt(VAR_EPS * centered.shape[0]))
+    np.subtract(z, z.mean(axis=0), out=z)
+    norms = np.sqrt(np.sum(z**2, axis=0))
+    np.divide(z, np.maximum(norms, np.sqrt(VAR_EPS * samples)), out=z)
     corr = z.T @ z
     corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
@@ -137,8 +143,8 @@ def partial_corr_matrix(
     meta = {
         "history": history,
         "horizon": horizon,
-        "samples": int(design.shape[0]),
-        "windows": len(windows),
+        "samples": samples,
+        "windows": n_windows,
         "variable": variable if variable is not None else "pooled",
         "subsample": subsample,
     }

@@ -1,8 +1,9 @@
 """Quadratic-form training loss, the MSE baseline, and analytic gradients.
 
 The quadratic loss of a residual row e is e^T Sigma^-1 e, averaged over the
-batch.  It is always evaluated through the triangular factor (solve L z = e,
-then ||z||^2) rather than by inverting Sigma.
+batch.  It is evaluated with ``w.inverse``, the same Sigma^-1 that final
+training uses.  The gradient oracles solve against Sigma itself, so they share
+no Sigma^-1 arithmetic with the code they check.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import EmptyInputError, InvalidDimensionError, NumericError
 from .weighting import WeightingParams, chain_sigma_grad_to_raw
@@ -40,21 +40,20 @@ class ResidualBatch:
         return self.residuals.shape[1]
 
 
-def _checked_factor(batch: ResidualBatch, w: WeightingParams) -> np.ndarray:
+def _check_shapes(batch: ResidualBatch, w: WeightingParams) -> None:
     if batch.size == 0:
         raise EmptyInputError("empty residual batch")
     if batch.horizon != w.horizon:
         raise InvalidDimensionError(
             f"batch horizon {batch.horizon} != weighting horizon {w.horizon}"
         )
-    return w.factor
 
 
 def quadratic_loss(batch: ResidualBatch, w: WeightingParams) -> float:
-    """Mean over rows of e^T Sigma^-1 e, via triangular solve."""
-    L = _checked_factor(batch, w)
-    z = solve_triangular(L, batch.residuals.T, lower=True)
-    return float(np.sum(z * z) / batch.size)
+    """Mean over rows of e^T Sigma^-1 e."""
+    _check_shapes(batch, w)
+    r = batch.residuals
+    return float(np.sum((r @ w.inverse) * r) / batch.size)
 
 
 def mse_loss(batch: ResidualBatch) -> float:
@@ -65,16 +64,15 @@ def mse_loss(batch: ResidualBatch) -> float:
     return float(np.sum(r * r) / batch.size)
 
 
-def _inv_sigma_apply(L: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _inv_sigma_apply(w: WeightingParams, rows: np.ndarray) -> np.ndarray:
     """Sigma^-1 applied to each row of ``rows`` (returns same layout)."""
-    z = solve_triangular(L, rows.T, lower=True)
-    return solve_triangular(L.T, z, lower=False).T
+    return np.linalg.solve(w.sigma, rows.T).T
 
 
 def grad_wrt_residual(batch: ResidualBatch, w: WeightingParams) -> np.ndarray:
     """d(mean quadratic loss)/d(residuals): row i is (2/B) Sigma^-1 e_i."""
-    L = _checked_factor(batch, w)
-    return (2.0 / batch.size) * _inv_sigma_apply(L, batch.residuals)
+    _check_shapes(batch, w)
+    return (2.0 / batch.size) * _inv_sigma_apply(w, batch.residuals)
 
 
 def grad_wrt_weighting(batch: ResidualBatch, w: WeightingParams) -> np.ndarray:
@@ -84,7 +82,7 @@ def grad_wrt_weighting(batch: ResidualBatch, w: WeightingParams) -> np.ndarray:
     through the factorization and the softplus diagonal.  Mode-masked entries
     are exactly zero.
     """
-    L = _checked_factor(batch, w)
-    u = _inv_sigma_apply(L, batch.residuals)  # rows are Sigma^-1 e_i
+    _check_shapes(batch, w)
+    u = _inv_sigma_apply(w, batch.residuals)  # rows are Sigma^-1 e_i
     grad_sigma = -(u.T @ u) / batch.size
     return chain_sigma_grad_to_raw(w, grad_sigma)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConditioningError, InvalidDimensionError
 
@@ -105,6 +104,10 @@ class WeightingParams:
     @cached_property
     def inverse(self) -> np.ndarray:
         """Sigma^-1 = L^-T L^-1, formed from the factor."""
+        # Imported here: scipy.linalg takes longer to import than numpy itself,
+        # and commands that never form Sigma^-1 (diagnose) do not need it.
+        from scipy.linalg import solve_triangular
+
         Linv = solve_triangular(self.factor, np.eye(self.horizon), lower=True)
         return _frozen(Linv.T @ Linv)
 
@@ -201,7 +204,3 @@ def chain_sigma_grad_to_raw(params: WeightingParams, grad_sigma: np.ndarray) -> 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
     """Dump a matrix as plain CSV with 17 significant digits."""
     np.savetxt(path, np.atleast_2d(matrix), delimiter=",", fmt="%.17g")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))

@@ -12,7 +12,7 @@ import pytest
 import qdf
 from qdf import cli, errors
 from qdf.cli import main
-from qdf.data import ArSpec, gen_ar, write_csv
+from qdf.data import ArSpec, SeriesFrame, gen_ar, write_csv
 from qdf.workflow import QdfConfig
 
 
@@ -138,6 +138,19 @@ def test_train_explicit_validation_file(synth_csv, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("columns", [["y", "y2"], ["x"]], ids=["count", "name"])
+def test_train_validation_file_with_other_columns_exits_3(synth_csv, tmp_path, capsys,
+                                                          columns):
+    values = gen_ar(ArSpec((0.6,), 1.0, 300, seed=77)).values
+    vpath = tmp_path / "valid.csv"
+    write_csv(SeriesFrame(np.repeat(values, len(columns), axis=1), columns), vpath)
+    code = main(train_args(synth_csv, tmp_path) + ["--valid-data", str(vpath)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "InvalidSplitError"
+    assert not (tmp_path / "report_qdf.json").exists()
+
+
 def test_bench_matrix_and_table(tmp_path):
     out_dir = tmp_path / "bench"
     code = main([
@@ -242,9 +255,13 @@ def run_module(*args):
 
 
 def test_cli_import_does_not_load_scipy_signal():
-    proc = run_module("-c", "import sys, qdf.cli; print('scipy.signal' in sys.modules)")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    # scipy is imported where it is used: scipy.signal by gen_ar and
+    # scipy.linalg by WeightingParams.inverse
+    for module in ("qdf.cli", "qdf.bench"):
+        proc = run_module("-c", f"import sys, {module}; "
+                          "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module
 
 
 def test_failing_run_stderr_is_one_json_object(synth_csv):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,21 @@ def test_pooled_multivariate_estimate():
     assert single.meta["samples"] == single.meta["windows"]
     implied = 0.5 / np.sqrt(1.25)
     assert pooled.matrix[0, 1] == pytest.approx(implied, abs=0.05)
+
+
+def test_pooled_matrix_keeps_one_live_label_block():
+    # the subsampled labels (n*D x T float64) are about 6 MB here; the copies
+    # made on the way to the correlations must not stack up beyond 3 of them
+    n, D, T = 2000, 8, 48
+    frame = gen_ar_frame(ArSpec((0.5,), 1.0, 4000, seed=11), D)
+    tracemalloc.start()
+    try:
+        report = partial_corr_matrix(frame, 8, T, subsample=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.meta["samples"] == n * D
+    assert peak <= 3 * n * D * T * 8
 
 
 def test_rank_deficient_design_ridge_fallback():
