@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import WindowSet
 from .errors import InvalidDimensionError, InvalidSplitError, NumericError
-from .model import LinearForecaster, forecast_batch
+from .model import LinearForecaster, forecast_batch, grad_params_batch
 from .timing import PhaseTimer, phase
 from .weighting import WeightingParams, chain_sigma_grad_to_raw, normalize_scale
 
@@ -121,7 +121,7 @@ def _unroll(
     G, C, B = split.inner_moments
     A = w.inverse
     scale = 2.0 * cfg.inner_lr / B
-    theta = np.column_stack([theta0.weights, theta0.bias])
+    theta = theta0.theta
     moments = []
     for _ in range(cfg.inner_steps):
         with phase(timer, "inner_fwd"):
@@ -132,8 +132,7 @@ def _unroll(
         if not finite:
             raise NumericError("inner loop diverged; reduce inner_lr")
         moments.append(M)
-    model_n = LinearForecaster(theta[:, :-1], theta[:, -1], theta0.history, theta0.horizon)
-    return A, model_n, moments
+    return A, LinearForecaster(theta), moments
 
 
 def _outer_reverse(A, model_n, moments, w, split, cfg, timer) -> np.ndarray:
@@ -154,7 +153,7 @@ def _outer_reverse(A, model_n, moments, w, split, cfg, timer) -> np.ndarray:
     with phase(timer, "outer_bwd"):
         G, _, B = split.inner_moments
         scale = 2.0 * cfg.inner_lr / B
-        lam = -(2.0 / Bo) * np.column_stack([V.T @ Xo, V.sum(axis=0)])
+        lam = -(2.0 / Bo) * grad_params_batch(model_n, Xo, V)
         P = np.zeros_like(A)
         for M in reversed(moments):
             P += M @ lam.T

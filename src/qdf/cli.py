@@ -153,7 +153,7 @@ def _load_windows(args):
         parts = [train_part, valid_frame, test_part]
     else:
         parts = chrono_split(frame, [0.7, 0.1, 0.2])
-    _, stats = standardize(parts[0])
+    stats = standardize(parts[0])
     windows = [
         make_windows(
             SeriesFrame(stats.apply(p.values), list(p.names)),

@@ -201,25 +201,20 @@ class Standardizer:
         return (values - self.mean) / self.std
 
 
-def standardize(frame: SeriesFrame, stats_rows: tuple[int, int] | None = None):
-    """Zero-mean/unit-variance columns using stats from the given row range.
+def standardize(frame: SeriesFrame) -> Standardizer:
+    """Fit zero-mean/unit-variance column statistics to the frame.
 
-    ``stats_rows`` defaults to the whole frame; pass the training region to
-    avoid leaking future statistics.  Constant columns get a 1e-8 std floor.
+    Pass the training region only, to avoid leaking future statistics.
+    Constant columns get a 1e-8 std floor.
     """
-    lo, hi = stats_rows if stats_rows is not None else (0, frame.length)
-    block = frame.values[lo:hi]
-    if block.shape[0] == 0:
-        raise InvalidSplitError("statistics range is empty")
-    mean = block.mean(axis=0)
-    std = block.std(axis=0)
+    if frame.length == 0:
+        raise InvalidSplitError("cannot fit statistics to a frame with no rows")
+    mean = frame.values.mean(axis=0)
+    std = frame.values.std(axis=0)
     floored = [int(j) for j in np.nonzero(std < 1e-8)[0]]
     if floored:
         log.warning("std floor applied to columns %s", floored)
-    std = np.maximum(std, 1e-8)
-    stats = Standardizer(mean, std, floored)
-    out = SeriesFrame(stats.apply(frame.values), list(frame.names))
-    return out, stats
+    return Standardizer(mean, np.maximum(std, 1e-8), floored)
 
 
 def make_windows(
@@ -234,6 +229,8 @@ def make_windows(
     """
     if history < 1 or horizon < 1 or stride < 1:
         raise InvalidDimensionError("history, horizon and stride must be >= 1")
+    if frame.n_vars == 0:
+        raise InvalidDimensionError("the series has no data columns")
     span = history + horizon
     if frame.length < span:
         raise InsufficientDataError(

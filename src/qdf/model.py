@@ -2,6 +2,8 @@
 
 The model maps H history steps to T future steps with one weight matrix and
 bias shared across the D variables: output[:, d] = weights @ x[:, d] + bias.
+Its parameters are one T x (H+1) block Theta = [W | b]; gradients, SGD and
+Adam all work on that block, and ``weights`` and ``bias`` are views of it.
 """
 
 from __future__ import annotations
@@ -17,33 +19,40 @@ from .errors import InvalidDimensionError, NumericError
 
 @dataclass(frozen=True)
 class LinearForecaster:
-    weights: np.ndarray  # T x H
-    bias: np.ndarray  # length T
-    history: int
-    horizon: int
+    theta: np.ndarray  # T x (H+1): weights, then the bias column
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        b = np.array(self.bias, dtype=float)
-        if w.shape != (self.horizon, self.history):
-            raise InvalidDimensionError(
-                f"weights must be {self.horizon}x{self.history}, got {w.shape}"
-            )
-        if b.shape != (self.horizon,):
-            raise InvalidDimensionError(f"bias must have length {self.horizon}")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        # A copy: the constructor freezes what it stores, not the caller's array.
+        th = np.array(self.theta, dtype=float)
+        if th.ndim != 2 or th.shape[0] < 1 or th.shape[1] < 2:
+            raise InvalidDimensionError(f"theta must be T x (H+1) with H, T >= 1, got {th.shape}")
+        if not np.all(np.isfinite(th)):
             raise NumericError("model parameters must be finite")
-        w.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
+        th.setflags(write=False)
+        object.__setattr__(self, "theta", th)
+
+    @property
+    def weights(self) -> np.ndarray:  # T x H
+        return self.theta[:, :-1]
+
+    @property
+    def bias(self) -> np.ndarray:  # length T
+        return self.theta[:, -1]
+
+    @property
+    def history(self) -> int:
+        return self.theta.shape[1] - 1
+
+    @property
+    def horizon(self) -> int:
+        return self.theta.shape[0]
 
 
 def init_forecaster(history: int, horizon: int, rng: np.random.Generator) -> LinearForecaster:
     """Uniform[-1/sqrt(H), 1/sqrt(H)] weights, zero bias."""
     bound = 1.0 / np.sqrt(history)
     w = rng.uniform(-bound, bound, size=(horizon, history))
-    return LinearForecaster(w, np.zeros(horizon), history, horizon)
+    return LinearForecaster(np.column_stack([w, np.zeros(horizon)]))
 
 
 def forecast_batch(m: LinearForecaster, xs: np.ndarray) -> np.ndarray:
@@ -56,10 +65,8 @@ def forecast_batch(m: LinearForecaster, xs: np.ndarray) -> np.ndarray:
     return xs @ m.weights.T + m.bias
 
 
-def grad_params_batch(
-    m: LinearForecaster, xs: np.ndarray, upstream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chain-rule gradients (dW, db) from B x H inputs and B x T upstreams.
+def grad_params_batch(m: LinearForecaster, xs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Chain-rule gradient [dW | db], T x (H+1), from B x H inputs and B x T upstreams.
 
     ``upstream`` is d(loss)/d(forecast) row by row and carries all loss
     reduction factors; this applies the linear map's Jacobian, summing over
@@ -67,51 +74,34 @@ def grad_params_batch(
     """
     if xs.shape[0] != upstream.shape[0]:
         raise InvalidDimensionError("batch sizes differ")
-    return upstream.T @ xs, upstream.sum(axis=0)
+    return np.column_stack([upstream.T @ xs, upstream.sum(axis=0)])
 
 
-def sgd_step(
-    m: LinearForecaster, grads: tuple[np.ndarray, np.ndarray], lr: float
-) -> LinearForecaster:
-    """Plain gradient-descent update; returns a new model."""
-    dw, db = grads
-    if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-        raise NumericError("non-finite gradients")
-    return LinearForecaster(
-        m.weights - lr * dw, m.bias - lr * db, m.history, m.horizon
-    )
+def sgd_step(m: LinearForecaster, grad: np.ndarray, lr: float) -> LinearForecaster:
+    """Plain gradient-descent update; returns a new model.  A non-finite
+    gradient makes the new parameters non-finite, which the model rejects."""
+    return LinearForecaster(m.theta - lr * grad)
 
 
 class AdamState:
-    """Adam accumulator over the (weights, bias) pair."""
+    """Adam accumulator: first and second moments of the parameter block."""
 
     def __init__(self, m: LinearForecaster, lr=1e-3):
         self.lr = lr
         self.t = 0
-        self.m_w = np.zeros_like(m.weights)
-        self.v_w = np.zeros_like(m.weights)
-        self.m_b = np.zeros_like(m.bias)
-        self.v_b = np.zeros_like(m.bias)
+        self.m1 = np.zeros_like(m.theta)
+        self.m2 = np.zeros_like(m.theta)
 
-    def step(
-        self, m: LinearForecaster, grads: tuple[np.ndarray, np.ndarray]
-    ) -> LinearForecaster:
-        dw, db = grads
-        if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-            raise NumericError("non-finite gradients")
-        self.t += 1
+    def step(self, m: LinearForecaster, grad: np.ndarray) -> LinearForecaster:
+        """One update; the state advances only if the new model is finite."""
+        t = self.t + 1
         b1, b2 = 0.9, 0.999
-        self.m_w = b1 * self.m_w + (1 - b1) * dw
-        self.v_w = b2 * self.v_w + (1 - b2) * dw * dw
-        self.m_b = b1 * self.m_b + (1 - b1) * db
-        self.v_b = b2 * self.v_b + (1 - b2) * db * db
-        c1 = 1 - b1**self.t
-        c2 = 1 - b2**self.t
-        step_w = self.lr * (self.m_w / c1) / (np.sqrt(self.v_w / c2) + 1e-8)
-        step_b = self.lr * (self.m_b / c1) / (np.sqrt(self.v_b / c2) + 1e-8)
-        return LinearForecaster(
-            m.weights - step_w, m.bias - step_b, m.history, m.horizon
-        )
+        m1 = b1 * self.m1 + (1 - b1) * grad
+        m2 = b2 * self.m2 + (1 - b2) * grad * grad
+        step = self.lr * (m1 / (1 - b1**t)) / (np.sqrt(m2 / (1 - b2**t)) + 1e-8)
+        out = LinearForecaster(m.theta - step)
+        self.t, self.m1, self.m2 = t, m1, m2
+        return out
 
 
 def save_checkpoint(m: LinearForecaster, prefix, meta: dict | None = None) -> None:
@@ -129,7 +119,12 @@ def save_checkpoint(m: LinearForecaster, prefix, meta: dict | None = None) -> No
 def load_checkpoint(prefix) -> tuple[LinearForecaster, dict]:
     with open(f"{prefix}_header.json", encoding="utf-8") as fh:
         header = json.load(fh)
-    w = np.atleast_2d(np.loadtxt(f"{prefix}_weights.csv", delimiter=","))
-    b = np.atleast_1d(np.loadtxt(f"{prefix}_bias.csv", delimiter=","))
-    m = LinearForecaster(w, b, header["history"], header["horizon"])
-    return m, header
+    w = np.loadtxt(f"{prefix}_weights.csv", delimiter=",", ndmin=2)
+    b = np.loadtxt(f"{prefix}_bias.csv", delimiter=",", ndmin=1)
+    H, T = header["history"], header["horizon"]
+    if w.shape != (T, H) or b.shape != (T,):
+        raise InvalidDimensionError(
+            f"checkpoint weights {w.shape} and bias {b.shape} do not match "
+            f"history {H}, horizon {T}"
+        )
+    return LinearForecaster(np.column_stack([w, b])), header

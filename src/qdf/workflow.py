@@ -76,12 +76,12 @@ class QdfConfig:
         for name in ("k_splits", "outer_rounds", "inner_steps", "batch_size", "epochs",
                      "patience", "inner_lr", "final_lr"):
             value = getattr(self, name)
-            if not value > 0:  # also rejects NaN
-                raise InvalidConfigError(f"{name} must be positive, got {value!r}")
+            if not 0 < value < np.inf:  # also rejects NaN
+                raise InvalidConfigError(f"{name} must be positive and finite, got {value!r}")
         for name in ("eta", "tol", "seed"):
             value = getattr(self, name)
-            if not value >= 0:
-                raise InvalidConfigError(f"{name} must be nonnegative, got {value!r}")
+            if not 0 <= value < np.inf:
+                raise InvalidConfigError(f"{name} must be nonnegative and finite, got {value!r}")
         if self.final_optimizer not in OPTIMIZERS:
             raise InvalidConfigError(f"unknown optimizer {self.final_optimizer!r}")
 
@@ -166,11 +166,11 @@ def train_final(
             for idx in _epoch_batches(X.shape[0], cfg.batch_size, rng):
                 resid = Y[idx] - forecast_batch(model, X[idx])
                 upstream = -(2.0 / idx.size) * (resid @ A)
-                grads = grad_params_batch(model, X[idx], upstream)
+                grad = grad_params_batch(model, X[idx], upstream)
                 if opt is not None:
-                    model = opt.step(model, grads)
+                    model = opt.step(model, grad)
                 else:
-                    model = sgd_step(model, grads, cfg.final_lr)
+                    model = sgd_step(model, grad, cfg.final_lr)
             val = quadratic_loss(
                 ResidualBatch(Yv - forecast_batch(model, Xv)), w
             )

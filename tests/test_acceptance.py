@@ -80,12 +80,12 @@ def test_criterion_1_gradient_correctness():
         y = rng.standard_normal((T, 1))
 
         def loss_of_weights(weights):
-            mm = LinearForecaster(weights, m.bias, H, T)
+            mm = LinearForecaster(np.column_stack([weights, m.bias]))
             return quadratic_loss(ResidualBatch(y.T - forecast_batch(mm, x.T)), w)
 
         fd_p = central_diff(loss_of_weights, m.weights)
         upstream = -grad_wrt_residual(ResidualBatch(y.T - forecast_batch(m, x.T)), w)
-        analytic_p, _ = grad_params_batch(m, x.T, upstream)  # single window, D=1
+        analytic_p = grad_params_batch(m, x.T, upstream)[:, :-1]  # single window, D=1
         worst["params"] = max(worst["params"], rel_err(analytic_p, fd_p))
 
     elapsed = time.time() - t0

@@ -231,6 +231,8 @@ def test_train_ill_conditioned_weighting_exits_4(synth_csv, tmp_path, capsys, fl
     ["synth", "--seed", "-1"],
     ["diagnose", "--subsample", "-1"],
     ["diagnose", "--subsample", "10", "--seed", "-1"],
+    ["train", "--tol", "inf"],
+    ["train", "--eta", "inf"],
 ], ids=" ".join)
 def test_out_of_range_input_exits_3(argv, synth_csv, tmp_path, capsys):
     required = {
@@ -391,6 +393,22 @@ def test_diagnose_ett_style_shape(tmp_path):
     assert code == 0
     matrix = np.loadtxt(f"{prefix}_matrix.csv", delimiter=",")
     assert matrix.shape == (6, 6)
+
+
+@pytest.mark.parametrize("command", ["train", "diagnose"])
+def test_csv_without_data_columns_exits_3(command, tmp_path, capsys):
+    path = tmp_path / "dates.csv"
+    path.write_text("date\n" + "".join(f"2020-01-{d:02d}\n" for d in range(1, 29)),
+                    encoding="utf-8")
+    argv = {
+        "train": train_args(path, tmp_path),
+        "diagnose": ["diagnose", "--data", str(path), "--reg-history", "2", "--horizon", "2",
+                     "--out-prefix", str(tmp_path / "d")],
+    }[command]
+    assert main(argv + ["--date-column"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error"}
+    assert err["error"]["type"] == "InvalidDimensionError"
 
 
 def test_diagnose_ragged_csv_exits_3(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,24 +20,24 @@ from qdf.weighting import WeightingParams, identity_params
 
 
 def test_zero_weights_forecast_is_bias():
-    m = LinearForecaster(np.zeros((3, 2)), np.array([1.0, 2.0, 3.0]), 2, 3)
+    m = LinearForecaster(np.column_stack([np.zeros((3, 2)), [1.0, 2.0, 3.0]]))
     out = forecast_batch(m, np.ones((4, 2)))
     assert np.allclose(out, np.ones((4, 1)) * np.array([1.0, 2.0, 3.0]))
 
 
 def test_identity_weights_persistence_forecast(rng):
-    m = LinearForecaster(np.eye(4), np.zeros(4), 4, 4)
+    m = LinearForecaster(np.column_stack([np.eye(4), np.zeros(4)]))
     x = rng.standard_normal((4, 3))
     assert np.allclose(forecast_batch(m, x.T), x.T)
 
 
 def test_hand_arithmetic_forecast():
-    m = LinearForecaster(np.array([[0.5, 0.5]]), np.array([1.0]), 2, 1)
+    m = LinearForecaster(np.array([[0.5, 0.5, 1.0]]))
     assert forecast_batch(m, np.array([[2.0, 4.0]])) == pytest.approx(np.array([[4.0]]))
 
 
 def test_forecast_shape_mismatch():
-    m = LinearForecaster(np.zeros((2, 3)), np.zeros(2), 3, 2)
+    m = LinearForecaster(np.zeros((2, 4)))
     with pytest.raises(InvalidDimensionError):
         forecast_batch(m, np.zeros((1, 4)))
 
@@ -48,16 +50,15 @@ def test_channel_independence(rng):
 
 
 def test_grad_params_zero_upstream():
-    m = LinearForecaster(np.ones((2, 3)), np.zeros(2), 3, 2)
-    dw, db = grad_params_batch(m, np.ones((2, 3)), np.zeros((2, 2)))
-    assert np.all(dw == 0) and np.all(db == 0)
+    m = LinearForecaster(np.column_stack([np.ones((2, 3)), np.zeros(2)]))
+    grad = grad_params_batch(m, np.ones((2, 3)), np.zeros((2, 2)))
+    assert grad.shape == (2, 4) and np.all(grad == 0)
 
 
 def test_grad_params_scalar_case():
-    m = LinearForecaster(np.array([[1.0]]), np.array([0.0]), 1, 1)
-    dw, db = grad_params_batch(m, np.array([[3.0]]), np.array([[2.0]]))
-    assert dw == pytest.approx(np.array([[6.0]]))
-    assert db == pytest.approx(np.array([2.0]))
+    m = LinearForecaster(np.array([[1.0, 0.0]]))
+    grad = grad_params_batch(m, np.array([[3.0]]), np.array([[2.0]]))
+    assert grad == pytest.approx(np.array([[6.0, 2.0]]))
 
 
 def test_grad_params_matches_finite_differences_of_mse(rng):
@@ -66,19 +67,17 @@ def test_grad_params_matches_finite_differences_of_mse(rng):
     x = rng.standard_normal((H, D))
     y = rng.standard_normal((T, D))
 
-    def loss_at(weights, bias):
-        mm = LinearForecaster(weights, bias, H, T)
-        e = y.T - forecast_batch(mm, x.T)  # rows per variable
+    def loss_at(theta):
+        e = y.T - forecast_batch(LinearForecaster(theta), x.T)  # rows per variable
         return mse_loss(ResidualBatch(e))
 
-    fd_w = central_diff(lambda w: loss_at(w, m.bias), m.weights)
-    fd_b = central_diff(lambda b: loss_at(m.weights, b), m.bias)
+    fd = central_diff(loss_at, m.theta)  # [dW | db]
 
     resid = ResidualBatch(y.T - forecast_batch(m, x.T))
     upstream = -grad_wrt_residual(resid, identity_params(T))  # sign flip, D x T
-    dw, db = grad_params_batch(m, x.T, upstream)
-    assert np.max(np.abs(dw - fd_w)) <= 1e-6
-    assert np.max(np.abs(db - fd_b)) <= 1e-6
+    grad = grad_params_batch(m, x.T, upstream)
+    assert np.max(np.abs(grad[:, :-1] - fd[:, :-1])) <= 1e-6
+    assert np.max(np.abs(grad[:, -1] - fd[:, -1])) <= 1e-6
 
 
 def test_grad_params_matches_finite_differences_of_quadratic(rng):
@@ -89,12 +88,12 @@ def test_grad_params_matches_finite_differences_of_quadratic(rng):
     w = WeightingParams(rng.uniform(-1, 1, (T, T)), T)
 
     def loss_at(weights):
-        mm = LinearForecaster(weights, m.bias, H, T)
+        mm = LinearForecaster(np.column_stack([weights, m.bias]))
         return quadratic_loss(ResidualBatch(y.T - forecast_batch(mm, x.T)), w)
 
     fd_w = central_diff(loss_at, m.weights)
     upstream = -grad_wrt_residual(ResidualBatch(y.T - forecast_batch(m, x.T)), w)
-    dw, _ = grad_params_batch(m, x.T, upstream)
+    dw = grad_params_batch(m, x.T, upstream)[:, :-1]
     assert rel_err(dw, fd_w) <= 1e-5
 
 
@@ -103,25 +102,21 @@ def test_grad_params_batch_agrees_with_per_window(rng):
     m = init_forecaster(H, T, rng)
     xs = rng.standard_normal((6, H))
     up = rng.standard_normal((6, T))
-    dw_b, db_b = grad_params_batch(m, xs, up)
-    dw_s = np.zeros((T, H))
-    db_s = np.zeros(T)
+    batch = grad_params_batch(m, xs, up)
+    summed = np.zeros((T, H + 1))
     for i in range(6):
-        dw, db = grad_params_batch(m, xs[i : i + 1], up[i : i + 1])
-        dw_s += dw
-        db_s += db
-    assert np.allclose(dw_b, dw_s, atol=1e-12)
-    assert np.allclose(db_b, db_s, atol=1e-12)
+        summed += grad_params_batch(m, xs[i : i + 1], up[i : i + 1])
+    assert np.allclose(batch, summed, atol=1e-12)
 
 
 def test_sgd_step_basics():
-    m = LinearForecaster(np.array([[1.0]]), np.array([0.0]), 1, 1)
-    same = sgd_step(m, (np.zeros((1, 1)), np.zeros(1)), 0.1)
+    m = LinearForecaster(np.array([[1.0, 0.0]]))
+    same = sgd_step(m, np.zeros((1, 2)), 0.1)
     assert np.all(same.weights == m.weights)
-    stepped = sgd_step(m, (np.array([[0.5]]), np.zeros(1)), 0.1)
+    stepped = sgd_step(m, np.array([[0.5, 0.0]]), 0.1)
     assert stepped.weights[0, 0] == pytest.approx(0.95)
     # two steps with constant grad equal one step at doubled lr
-    g = (np.array([[0.3]]), np.array([0.2]))
+    g = np.array([[0.3, 0.2]])
     twice = sgd_step(sgd_step(m, g, 0.1), g, 0.1)
     once = sgd_step(m, g, 0.2)
     assert np.allclose(twice.weights, once.weights)
@@ -129,9 +124,9 @@ def test_sgd_step_basics():
 
 
 def test_sgd_step_rejects_nonfinite():
-    m = LinearForecaster(np.array([[1.0]]), np.array([0.0]), 1, 1)
+    m = LinearForecaster(np.array([[1.0, 0.0]]))
     with pytest.raises(NumericError):
-        sgd_step(m, (np.array([[np.inf]]), np.zeros(1)), 0.1)
+        sgd_step(m, np.array([[np.inf, 0.0]]), 0.1)
 
 
 def test_gd_fits_noiseless_linear_process(rng):
@@ -167,6 +162,15 @@ def test_adam_descends(rng):
     assert mse_loss(ResidualBatch(ys - forecast_batch(m, xs))) < first * 0.05
 
 
+def test_adam_rejects_nonfinite_without_advancing():
+    m = LinearForecaster(np.array([[1.0, 0.0]]))
+    opt = AdamState(m, lr=0.1)
+    with pytest.raises(NumericError):
+        opt.step(m, np.array([[np.nan, 0.0]]))
+    assert opt.t == 0 and not np.any(opt.m1) and not np.any(opt.m2)
+    assert opt.step(m, np.array([[1.0, 0.0]])).weights[0, 0] == pytest.approx(0.9)
+
+
 def test_checkpoint_round_trip(tmp_path, rng):
     m = init_forecaster(5, 3, rng)
     prefix = tmp_path / "ckpt" / "model"
@@ -176,3 +180,48 @@ def test_checkpoint_round_trip(tmp_path, rng):
     assert np.array_equal(loaded.bias, m.bias)
     assert header["history"] == 5 and header["horizon"] == 3
     assert header["n_vars"] == 2
+
+
+def test_weights_and_bias_are_read_only_views_of_theta(rng):
+    theta = rng.standard_normal((3, 5))
+    m = LinearForecaster(theta)
+    assert (m.history, m.horizon) == (4, 3)
+    assert np.array_equal(m.weights, theta[:, :-1]) and np.array_equal(m.bias, theta[:, -1])
+    assert np.shares_memory(m.weights, m.theta) and np.shares_memory(m.bias, m.theta)
+    assert not np.shares_memory(m.theta, theta)  # the caller's array stays writable
+    for view in (m.theta, m.weights, m.bias):
+        with pytest.raises(ValueError):
+            view[0] = 1.0
+
+
+@pytest.mark.parametrize("theta, error", [
+    (np.array([[1.0, np.nan]]), NumericError),
+    (np.array([[np.inf, 0.0]]), NumericError),
+    (np.zeros(3), InvalidDimensionError),
+    (np.zeros((2, 3, 1)), InvalidDimensionError),
+    (np.zeros((2, 1)), InvalidDimensionError),  # no history column
+    (np.zeros((0, 3)), InvalidDimensionError),  # no horizon row
+], ids=["nan", "inf", "1-D", "3-D", "H=0", "T=0"])
+def test_forecaster_rejects_bad_theta(theta, error):
+    with pytest.raises(error):
+        LinearForecaster(theta)
+
+
+@pytest.mark.parametrize("history, horizon", [(1, 3), (3, 1), (1, 1)])
+def test_checkpoint_round_trip_single_row_or_column(tmp_path, rng, history, horizon):
+    m = init_forecaster(history, horizon, rng)
+    save_checkpoint(m, tmp_path / "model")
+    loaded, _ = load_checkpoint(tmp_path / "model")
+    assert np.array_equal(loaded.theta, m.theta)
+
+
+@pytest.mark.parametrize("key, value", [("history", 4), ("horizon", 2)])
+def test_load_checkpoint_rejects_header_that_disagrees_with_csv(tmp_path, rng, key, value):
+    prefix = tmp_path / "model"
+    save_checkpoint(init_forecaster(5, 3, rng), prefix)
+    header_path = tmp_path / "model_header.json"
+    header = json.loads(header_path.read_text())
+    header[key] = value
+    header_path.write_text(json.dumps(header))
+    with pytest.raises(InvalidDimensionError):
+        load_checkpoint(prefix)

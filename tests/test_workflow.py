@@ -33,6 +33,8 @@ def ar_windows(seed=0, length=800, H=8, T=4, phi=0.6):
     dict(batch_size=0), dict(final_optimizer="rmsprop"), dict(epochs=0), dict(patience=0),
     dict(final_lr=0.0), dict(final_lr=float("nan")), dict(inner_lr=-0.1), dict(eta=-1e-3),
     dict(tol=-1.0), dict(k_splits=0), dict(outer_rounds=0), dict(inner_steps=0),
+    dict(inner_lr=float("inf")), dict(final_lr=float("inf")), dict(eta=float("inf")),
+    dict(tol=float("inf")),
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(InvalidConfigError):
@@ -126,8 +128,8 @@ def reference_mse_training(train, valid, model, cfg, rng):
             idx = order[lo : lo + cfg.batch_size]
             resid = Y[idx] - forecast_batch(model, X[idx])
             upstream = -(2.0 / idx.size) * resid
-            grads = (upstream.T @ X[idx], upstream.sum(axis=0))
-            model = sgd_step(model, grads, cfg.final_lr)
+            grad = np.column_stack([upstream.T @ X[idx], upstream.sum(axis=0)])
+            model = sgd_step(model, grad, cfg.final_lr)
         val = float(np.sum((Yv - forecast_batch(model, Xv)) ** 2) / Xv.shape[0])
         if val < best_val:
             best, best_val, stale = model, val, 0
@@ -219,6 +221,57 @@ def test_train_final_adam_option_runs():
     model = train_final(train, identity_params(ws.horizon), model0, cfg,
                         valid=valid, rng=np.random.default_rng(13))
     assert np.all(np.isfinite(model.weights))
+
+
+def reference_adam_training(train, valid, w, W, b, cfg, rng):
+    """Adam minibatch training on separate raw W and b, each with its own
+    first and second moments."""
+    X, Y = train.as_samples()
+    Xv, Yv = valid.as_samples()
+    A = w.inverse
+    b1, b2 = 0.9, 0.999
+    m_w, v_w, m_b, v_b = (np.zeros_like(W), np.zeros_like(W),
+                          np.zeros_like(b), np.zeros_like(b))
+    best, best_val, stale, t = (W, b), np.inf, 0, 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(X.shape[0])
+        for lo in range(0, X.shape[0], cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            resid = Y[idx] - (X[idx] @ W.T + b)
+            upstream = -(2.0 / idx.size) * (resid @ A)
+            dw, db = upstream.T @ X[idx], upstream.sum(axis=0)
+            t += 1
+            m_w = b1 * m_w + (1 - b1) * dw
+            v_w = b2 * v_w + (1 - b2) * dw * dw
+            m_b = b1 * m_b + (1 - b1) * db
+            v_b = b2 * v_b + (1 - b2) * db * db
+            c1, c2 = 1 - b1**t, 1 - b2**t
+            W = W - cfg.final_lr * (m_w / c1) / (np.sqrt(v_w / c2) + 1e-8)
+            b = b - cfg.final_lr * (m_b / c1) / (np.sqrt(v_b / c2) + 1e-8)
+        val = quadratic_loss(ResidualBatch(Yv - (Xv @ W.T + b)), w)
+        if val < best_val:
+            best, best_val, stale = (W, b), val, 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
+    return best
+
+
+def test_train_final_adam_matches_separate_moment_reference_bitwise():
+    ws = ar_windows(seed=14, length=600)
+    train, valid = ws.slice(0, 400), ws.slice(420, 500)
+    rng = np.random.default_rng(14)
+    w = WeightingParams(rng.uniform(-0.5, 0.5, (ws.horizon, ws.horizon)), ws.horizon)
+    cfg = QdfConfig(epochs=8, batch_size=32, final_lr=0.01, final_optimizer="adam", seed=14)
+    model0 = init_forecaster(ws.history, ws.horizon, rng)
+
+    got = train_final(train, w, model0, cfg, valid=valid, rng=np.random.default_rng(97))
+    W, b = reference_adam_training(train, valid, w, np.array(model0.weights),
+                                   np.array(model0.bias), cfg, np.random.default_rng(97))
+    assert not np.array_equal(got.weights, model0.weights)
+    assert np.array_equal(got.weights, W)
+    assert np.array_equal(got.bias, b)
 
 
 # ------------------------------------------------------------ run_variant
