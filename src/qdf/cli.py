@@ -120,9 +120,9 @@ def cmd_synth(args) -> int:
     else:
         noise = args.noise
     spec = ArSpec(coeffs, noise, args.n, args.seed)
-    frame = gen_ar(spec)
-    write_csv(frame, args.out)
+    # The oracle first: a horizon it rejects must leave no file behind.
     oracle = ar_conditional_cov(spec, args.horizon)
+    write_csv(gen_ar(spec), args.out)
     sidecar = args.oracle_json or args.out.with_suffix(args.out.suffix + ".oracle.json")
     payload = {
         "schema": 1,
@@ -212,6 +212,10 @@ def cmd_bench(args) -> int:
         for name in names:
             if name not in known:
                 raise InvalidSplitError(f"unknown {kind} {name!r}")
+    for flag, values in (("--presets", presets), ("--variants", variants),
+                         ("--seeds", seeds)):
+        if not values:
+            raise InvalidConfigError(f"{flag} lists no entries")
     reports = benchlib.run_matrix(presets, variants, seeds, n_windows=args.n_windows)
     rows = benchlib.aggregate(reports)
     out = Path(args.out_dir)

@@ -325,6 +325,8 @@ def ramp_noise_schedule(
 ) -> np.ndarray:
     """Periodic std schedule: flat at sqrt(var_start) over the history slots,
     then variance ramping var_start -> var_end across the horizon slots."""
+    if history < 0 or horizon < 1:
+        raise InvalidDimensionError("history must be >= 0 and horizon >= 1")
     head = np.full(history, np.sqrt(var_start))
     tail = np.sqrt(np.linspace(var_start, var_end, horizon))
     return np.concatenate([head, tail])
@@ -351,6 +353,8 @@ def gen_ar(spec: ArSpec) -> SeriesFrame:
 
     The innovation schedule is anchored so position 0 falls on the first
     retained sample (burn-in uses negative positions, wrapped periodically).
+    The recursion y[n] = eps[n] + sum_k phi_k y[n-k] is one banded solve
+    A y = eps, with A unit lower triangular and A[n, n-k] = -phi_k.
     """
     rng = np.random.default_rng(spec.seed)
     p = spec.order
@@ -359,12 +363,15 @@ def gen_ar(spec: ArSpec) -> SeriesFrame:
     period = spec.noise_std.shape[0]
     stds = spec.noise_std[(np.arange(total) - burn) % period]
     eps = rng.standard_normal(total) * stds
-    # Imported here: scipy.signal takes about a second to import, and only
-    # synthetic data needs it.
-    from scipy.signal import lfilter
+    # Imported here: scipy.linalg takes longer to import than numpy itself.
+    from scipy.linalg.lapack import dtbtrs
 
-    y = lfilter([1.0], np.r_[1.0, -np.asarray(spec.coeffs)], eps)
-    return SeriesFrame(y[burn:, None], ["y"])
+    # LAPACK lower band storage: row k holds the k-th subdiagonal; row 0, the
+    # unit diagonal, is not read.  Fortran order, or the wrapper copies it.
+    band = np.zeros((p + 1, total), order="F")
+    band[1:] = -np.asarray(spec.coeffs)[:, None]
+    y, _ = dtbtrs(band, eps[:, None], uplo="L", diag="U")
+    return SeriesFrame(y[burn:], ["y"])
 
 
 def gen_ar_frame(spec: ArSpec, n_vars: int) -> SeriesFrame:

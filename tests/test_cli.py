@@ -55,6 +55,19 @@ def test_synth_unstable_spec_exits_3(tmp_path, capsys):
     assert err["error"]["type"] == "UnstableSpecError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--horizon", "0"],
+    ["--horizon", "0", "--ramp-from", "1.0", "--ramp-to", "3.0"],
+    ["--history", "-5", "--horizon", "2", "--ramp-from", "1.0", "--ramp-to", "3.0"],
+], ids=" ".join)
+def test_synth_rejected_shape_writes_no_file(argv, tmp_path, capsys):
+    code = main(["synth", "--n", "100", "--out", str(tmp_path / "a.csv"), *argv])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "InvalidDimensionError"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_ramp_schedule(tmp_path):
     out = tmp_path / "ramp.csv"
     code = main([
@@ -227,6 +240,9 @@ def test_train_ill_conditioned_weighting_exits_4(synth_csv, tmp_path, capsys, fl
 @pytest.mark.parametrize("argv", [
     ["bench", "--seeds", "x"],
     ["bench", "--seeds", "-1", "--variants", "df"],
+    ["bench", "--seeds", ""],
+    ["bench", "--presets", ","],
+    ["bench", "--variants", ","],
     ["train", "--seed", "-1"],
     ["synth", "--seed", "-1"],
     ["diagnose", "--subsample", "-1"],
@@ -257,13 +273,31 @@ def run_module(*args):
 
 
 def test_cli_import_does_not_load_scipy_signal():
-    # scipy is imported where it is used: scipy.signal by gen_ar and
-    # scipy.linalg by WeightingParams.inverse
+    # scipy is imported where it is used: scipy.linalg by gen_ar and by
+    # WeightingParams.inverse
     for module in ("qdf.cli", "qdf.bench"):
         proc = run_module("-c", f"import sys, {module}; "
                           "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", module
+
+
+def imported_modules(*args):
+    """Every module that ``python -X importtime <args>`` imports, in order."""
+    proc = run_module("-X", "importtime", *args)
+    assert proc.returncode == 0, proc.stderr
+    return [line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")][1:]
+
+
+def test_synthetic_data_does_not_load_scipy_signal(tmp_path):
+    # gen_ar runs the AR recursion as one scipy.linalg banded solve
+    for args in (["-c", "import qdf.bench; qdf.bench.benchmark_data('hetero-corr', 0)"],
+                 ["-m", "qdf.cli", "synth", "--n", "500", "--phi", "0.6", "--horizon", "4",
+                  "--out", str(tmp_path / "s.csv")]):
+        loaded = imported_modules(*args)
+        assert "scipy.linalg" in loaded, args
+        assert not [m for m in loaded if m.startswith("scipy.signal")], args
 
 
 def test_failing_run_stderr_is_one_json_object(synth_csv):

@@ -326,6 +326,43 @@ def test_gen_ar_lag1_autocorrelation():
     assert rho == pytest.approx(0.5, abs=0.05)
 
 
+def ar_recursion(spec):
+    """y[n] = eps[n] + sum_k phi_k y[n-k], one sample at a time, with the
+    same draws, schedule positions and burn-in as gen_ar."""
+    rng = np.random.default_rng(spec.seed)
+    burn = 10 * spec.order
+    total = spec.length + burn
+    period = spec.noise_std.shape[0]
+    draws = rng.standard_normal(total)
+    y = np.zeros(total)
+    for n in range(total):
+        acc = draws[n] * spec.noise_std[(n - burn) % period]
+        for k, phi in enumerate(spec.coeffs, start=1):
+            if n >= k:
+                acc += phi * y[n - k]
+        y[n] = acc
+    return y[burn:]
+
+
+@pytest.mark.parametrize("coeffs,noise_std", [
+    ((), 0.7),
+    ((0.6,), ramp_noise_schedule(4, 3, 1.0, 3.0)),
+    ((0.0,) * 15 + (0.6,), ramp_noise_schedule(16, 8, 1.0, 3.0)),
+    ((0.7, -0.2), 1.0),
+    ((1.5, -0.6), 1.0),  # stable with |phi_1| > 1
+], ids=["white", "ar1-ramp", "seasonal16-ramp", "ar2", "ar2-large-phi1"])
+def test_gen_ar_matches_ar_recursion(coeffs, noise_std):
+    spec = ArSpec(coeffs, noise_std, length=1500, seed=9)
+    y = gen_ar(spec).values[:, 0]
+    expected = ar_recursion(spec)
+    if not coeffs:
+        assert np.array_equal(y, expected)
+    # Relative to the series scale as well: near a zero crossing an entry's
+    # own relative error reflects only the order of the additions.
+    np.testing.assert_allclose(y, expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max())
+
+
 def test_unstable_spec_rejected():
     with pytest.raises(UnstableSpecError):
         ArSpec(coeffs=(1.1,), noise_std=1.0, length=100, seed=0)
