@@ -7,6 +7,7 @@ conditioning error.  Failures print a machine-readable JSON object to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings
@@ -120,9 +121,9 @@ def cmd_synth(args) -> int:
     else:
         noise = args.noise
     spec = ArSpec(coeffs, noise, args.n, args.seed)
-    # The oracle first: a horizon it rejects must leave no file behind.
+    # Everything that can be rejected comes first, so a rejection writes nothing.
     oracle = ar_conditional_cov(spec, args.horizon)
-    write_csv(gen_ar(spec), args.out)
+    series = gen_ar(spec)
     sidecar = args.oracle_json or args.out.with_suffix(args.out.suffix + ".oracle.json")
     payload = {
         "schema": 1,
@@ -132,9 +133,16 @@ def cmd_synth(args) -> int:
         "horizon": args.horizon,
         "conditional_covariance": oracle.tolist(),
     }
-    Path(sidecar).write_text(
-        json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    try:
+        write_csv(series, args.out)
+        sidecar.write_text(text, encoding="utf-8")
+    except BaseException:
+        # Both files or neither: a failed write takes the other one with it.
+        for path in (args.out, sidecar):
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
     print(f"wrote {args.out} and {sidecar}")
     return 0
 
@@ -216,6 +224,9 @@ def cmd_bench(args) -> int:
                          ("--seeds", seeds)):
         if not values:
             raise InvalidConfigError(f"{flag} lists no entries")
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise InvalidConfigError(f"{flag} repeats {repeated}; each entry runs once")
     reports = benchlib.run_matrix(presets, variants, seeds, n_windows=args.n_windows)
     rows = benchlib.aggregate(reports)
     out = Path(args.out_dir)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,18 +39,30 @@ def softplus_inv(y):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| never overflows; each branch is the textbook stable form
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class WeightingMode(enum.Enum):
     FULL = "full"
     DIAG_ONLY = "diag"
     OFFDIAG_ONLY = "offdiag"
+
+
+@lru_cache(maxsize=None)
+def _masks(T: int, mode: WeightingMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only masks of one (horizon, mode): the raw entries read (lower),
+    the off-diagonal entries L keeps (strict), the raw entries that move (free, 0/1)."""
+    lower = np.tri(T, dtype=bool)
+    strict = np.tri(T, k=-1, dtype=bool)
+    free = lower.astype(float)
+    if mode is WeightingMode.DIAG_ONLY:
+        strict[:] = False
+        free = np.eye(T)
+    elif mode is WeightingMode.OFFDIAG_ONLY:
+        free = strict.astype(float)
+    return _frozen(lower), _frozen(strict), _frozen(free)
 
 
 @dataclass(frozen=True)
@@ -60,7 +72,7 @@ class WeightingParams:
     ``raw`` is a dense T x T array whose upper triangle is ignored.  Updates
     produce new instances; the stored array is marked read-only, and so are
     ``factor`` (L), ``sigma`` and ``inverse`` (Sigma^-1), each derived once
-    on first use and then shared by every caller.
+    on first use and then shared by every caller.  Masks are built once per (horizon, mode).
     """
 
     raw: np.ndarray
@@ -75,7 +87,7 @@ class WeightingParams:
             raise InvalidDimensionError(
                 f"raw must be {self.horizon}x{self.horizon}, got {raw.shape}"
             )
-        if not np.all(np.isfinite(np.tril(raw))):
+        if not np.all(np.isfinite(np.where(_masks(self.horizon, self.mode)[0], raw, 0.0))):
             raise InvalidDimensionError("raw lower triangle must be finite")
         raw.setflags(write=False)
         object.__setattr__(self, "raw", raw)
@@ -86,14 +98,11 @@ class WeightingParams:
     @cached_property
     def factor(self) -> np.ndarray:
         """L, lower triangular with positive diagonal, mode masks applied."""
-        T = self.horizon
-        L = np.tril(self.raw, k=-1)
-        diag = np.maximum(softplus(np.diagonal(self.raw)), SOFTPLUS_FLOOR)
-        if self.mode is WeightingMode.DIAG_ONLY:
-            L[:] = 0.0
-        elif self.mode is WeightingMode.OFFDIAG_ONLY:
-            diag = np.ones(T)
-        L[np.diag_indices(T)] = diag
+        L = np.where(_masks(self.horizon, self.mode)[1], self.raw, 0.0)
+        if self.mode is WeightingMode.OFFDIAG_ONLY:
+            np.fill_diagonal(L, 1.0)
+        else:
+            np.fill_diagonal(L, np.maximum(softplus(np.diagonal(self.raw)), SOFTPLUS_FLOOR))
         return _frozen(L)
 
     @cached_property
@@ -105,10 +114,14 @@ class WeightingParams:
     def inverse(self) -> np.ndarray:
         """Sigma^-1 = L^-T L^-1, formed from the factor."""
         # Imported here: scipy.linalg takes longer to import than numpy itself,
-        # and commands that never form Sigma^-1 (diagnose) do not need it.
-        from scipy.linalg import solve_triangular
+        # and commands that never form Sigma^-1 (diagnose) do not need it.  This
+        # is the LAPACK call solve_triangular makes for a C-ordered L, without
+        # the wrapper's checks, which at small T cost more than the solve.
+        from scipy.linalg.lapack import dtrtrs
 
-        Linv = solve_triangular(self.factor, np.eye(self.horizon), lower=True)
+        Linv, info = dtrtrs(self.factor.T, np.eye(self.horizon), lower=0, trans=1)
+        if info != 0:
+            raise ConditioningError(f"triangular factor is singular (LAPACK info {info})")
         return _frozen(Linv.T @ Linv)
 
 
@@ -157,10 +170,8 @@ def normalize_scale(params: WeightingParams) -> WeightingParams:
         raise ConditioningError("trace of inverse weighting is not finite")
     L = params.factor
     root = np.sqrt(trace / params.horizon)
-    raw = np.tril(L * root, k=-1)
-    raw[np.diag_indices_from(raw)] = softplus_inv(
-        np.maximum(np.diagonal(L) * root, SOFTPLUS_FLOOR)
-    )
+    raw = np.where(_masks(params.horizon, params.mode)[1], L * root, 0.0)
+    np.fill_diagonal(raw, softplus_inv(np.maximum(np.diagonal(L) * root, SOFTPLUS_FLOOR)))
     return params.with_raw(raw)
 
 
@@ -173,32 +184,20 @@ def frobenius_distance(a: WeightingParams, b: WeightingParams) -> float:
     return float(np.linalg.norm(a.sigma - b.sigma, "fro"))
 
 
-def grad_mask(params: WeightingParams) -> np.ndarray:
-    """0/1 mask over raw entries that are free to move in this mode."""
-    T = params.horizon
-    mask = np.tril(np.ones((T, T)))
-    if params.mode is WeightingMode.DIAG_ONLY:
-        mask = np.eye(T)
-    elif params.mode is WeightingMode.OFFDIAG_ONLY:
-        mask = np.tril(np.ones((T, T)), k=-1)
-    return mask
-
-
 def chain_sigma_grad_to_raw(params: WeightingParams, grad_sigma: np.ndarray) -> np.ndarray:
     """Pull a gradient w.r.t. Sigma back to the raw parameter block.
 
     Chains through Sigma = L L^T, then through the softplus on the diagonal;
     entries frozen by the mode mask (and by the floor clamp) get zero.
     """
+    lower, _, free = _masks(params.horizon, params.mode)
     grad_L = (grad_sigma + grad_sigma.T) @ params.factor
-    grad_raw = np.tril(grad_L, k=-1)
+    grad_raw = np.where(lower, grad_L, 0.0)
     diag_raw = np.diagonal(params.raw)
-    sp = softplus(diag_raw)
-    active = sp > SOFTPLUS_FLOOR
-    grad_raw[np.diag_indices_from(grad_raw)] = (
-        np.diagonal(grad_L) * _sigmoid(diag_raw) * active
-    )
-    return grad_raw * grad_mask(params)
+    active = softplus(diag_raw) > SOFTPLUS_FLOOR
+    np.fill_diagonal(grad_raw, np.diagonal(grad_L) * _sigmoid(diag_raw) * active)
+    grad_raw *= free
+    return grad_raw
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:

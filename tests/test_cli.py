@@ -68,6 +68,15 @@ def test_synth_rejected_shape_writes_no_file(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_synth_failed_sidecar_write_leaves_no_file(tmp_path, capsys):
+    code = main(["synth", "--n", "200", "--horizon", "4", "--out", str(tmp_path / "a.csv"),
+                 "--oracle-json", str(tmp_path / "missing_dir" / "x.json")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "FileNotFoundError"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_ramp_schedule(tmp_path):
     out = tmp_path / "ramp.csv"
     code = main([
@@ -243,6 +252,9 @@ def test_train_ill_conditioned_weighting_exits_4(synth_csv, tmp_path, capsys, fl
     ["bench", "--seeds", ""],
     ["bench", "--presets", ","],
     ["bench", "--variants", ","],
+    ["bench", "--presets", "white,white", "--variants", "df"],
+    ["bench", "--variants", "df,qdf,df"],
+    ["bench", "--seeds", "0,0", "--variants", "df"],
     ["train", "--seed", "-1"],
     ["synth", "--seed", "-1"],
     ["diagnose", "--subsample", "-1"],

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
-from qdf.errors import InvalidDimensionError
+from qdf.errors import ConditioningError, InvalidDimensionError
 from qdf.weighting import (
     SOFTPLUS_FLOOR,
     WeightingMode,
     WeightingParams,
+    _masks,
+    chain_sigma_grad_to_raw,
     frobenius_distance,
     identity_params,
     normalize_scale,
@@ -51,6 +54,14 @@ def test_materialize_returns_the_same_read_only_arrays(rng):
     for derived in (L, sigma, inverse):
         with pytest.raises(ValueError):
             derived[0, 0] = 5.0
+
+
+def test_inverse_of_singular_factor_raises_conditioning_error():
+    # the softplus floor keeps a real factor invertible, so plant a singular one
+    w = identity_params(3)
+    w.__dict__["factor"] = np.diag([1.0, 0.0, 1.0])
+    with pytest.raises(ConditioningError, match="singular"):
+        w.inverse
 
 
 def test_materialize_zero_raw_diagonal_gives_log_two():
@@ -154,3 +165,106 @@ def test_matrix_csv_round_trip(tmp_path):
     path = tmp_path / "sigma.csv"
     write_matrix_csv(path, sigma)
     assert np.array_equal(np.loadtxt(path, delimiter=","), sigma)
+
+
+# Reference formulas: the weighting layer as first written, with np.tril,
+# diag_indices, a boolean-indexed sigmoid and the solve_triangular wrapper.
+def ref_sigmoid(x):
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_factor(raw, mode):
+    T = raw.shape[0]
+    L = np.tril(raw, k=-1)
+    diag = np.maximum(softplus(np.diagonal(raw)), SOFTPLUS_FLOOR)
+    if mode is WeightingMode.DIAG_ONLY:
+        L[:] = 0.0
+    elif mode is WeightingMode.OFFDIAG_ONLY:
+        diag = np.ones(T)
+    L[np.diag_indices(T)] = diag
+    return L
+
+
+def ref_inverse(L):
+    Linv = solve_triangular(L, np.eye(L.shape[0]), lower=True)
+    return Linv.T @ Linv
+
+
+def ref_normalized_raw(raw, mode):
+    if mode is WeightingMode.OFFDIAG_ONLY:
+        return raw
+    L = ref_factor(raw, mode)
+    root = np.sqrt(float(np.trace(ref_inverse(L))) / raw.shape[0])
+    out = np.tril(L * root, k=-1)
+    out[np.diag_indices_from(out)] = softplus_inv(
+        np.maximum(np.diagonal(L) * root, SOFTPLUS_FLOOR)
+    )
+    return out
+
+
+def ref_chain(raw, mode, grad_sigma):
+    T = raw.shape[0]
+    grad_L = (grad_sigma + grad_sigma.T) @ ref_factor(raw, mode)
+    grad_raw = np.tril(grad_L, k=-1)
+    diag_raw = np.diagonal(raw)
+    active = softplus(diag_raw) > SOFTPLUS_FLOOR
+    grad_raw[np.diag_indices_from(grad_raw)] = (
+        np.diagonal(grad_L) * ref_sigmoid(diag_raw) * active
+    )
+    mask = np.tril(np.ones((T, T)))
+    if mode is WeightingMode.DIAG_ONLY:
+        mask = np.eye(T)
+    elif mode is WeightingMode.OFFDIAG_ONLY:
+        mask = np.tril(np.ones((T, T)), k=-1)
+    return grad_raw * mask
+
+
+def assert_bitwise(a, b):
+    # tobytes also tells -0.0 from 0.0, which np.array_equal does not
+    assert np.array_equal(a, b, equal_nan=True)
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode", list(WeightingMode), ids=lambda m: m.value)
+def test_weighting_layer_matches_reference_formulas_bitwise(mode, rng):
+    diagonals = []
+    for T in (1, 2, 8, 33):
+        for draw in range(4):
+            raw = rng.uniform(-1, 1, size=(T, T))
+            np.fill_diagonal(raw, rng.uniform(-40, 40, size=T))
+            if draw % 2:  # an upper triangle that must be ignored
+                upper = np.triu_indices(T, k=1)
+                raw[upper] = np.resize([np.nan, np.inf, -np.inf], len(upper[0]))
+            diagonals.append(np.diagonal(raw).copy())
+            grad_sigma = rng.standard_normal((T, T))
+            w = WeightingParams(raw, T, mode)
+            L = ref_factor(raw, mode)
+            assert_bitwise(w.factor, L)
+            assert_bitwise(w.sigma, L @ L.T)
+            assert_bitwise(w.inverse, ref_inverse(L))
+            assert_bitwise(normalize_scale(w).raw, ref_normalized_raw(raw, mode))
+            assert_bitwise(chain_sigma_grad_to_raw(w, grad_sigma), ref_chain(raw, mode, grad_sigma))
+    diagonals = np.concatenate(diagonals)
+    # both sigmoid branches, and diagonals on both sides of the floor clamp
+    assert np.any(diagonals >= 0) and np.any(diagonals < 0)
+    assert np.any(softplus(diagonals) < SOFTPLUS_FLOOR)
+    assert np.any((diagonals < 0) & (softplus(diagonals) > SOFTPLUS_FLOOR))
+
+
+@pytest.mark.parametrize("mode", list(WeightingMode), ids=lambda m: m.value)
+def test_masks_are_cached_read_only_and_gradients_are_fresh(mode, rng):
+    masks = _masks(5, mode)
+    assert _masks(5, mode) is masks
+    for mask in masks:
+        with pytest.raises(ValueError):
+            mask[0, 0] = mask[0, 0]
+    w = WeightingParams(rng.uniform(-2, 2, size=(5, 5)), 5, mode)
+    grad_sigma = rng.standard_normal((5, 5))
+    first = chain_sigma_grad_to_raw(w, grad_sigma)
+    first[:] = 123.0
+    assert_bitwise(chain_sigma_grad_to_raw(w, grad_sigma), ref_chain(w.raw, mode, grad_sigma))
