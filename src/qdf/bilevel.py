@@ -138,6 +138,7 @@ def _unroll(
 def _outer_reverse(A, model_n, moments, w, split, cfg, timer) -> np.ndarray:
     """Outer loss adjoint at theta_N, carried back through the unrolled steps.
 
+    The seed -(2 / Bo) A [R^T X, R^T 1] sums the outer residuals over rows first.
     Each step's Jacobian is I - (2 lr / B) A (.) G, constant in theta for a
     quadratic loss; the mixed derivative of step k with respect to Sigma is
     -(2 lr / B) A M_k lambda^T A, accumulated before the two A factors apply.
@@ -146,14 +147,12 @@ def _outer_reverse(A, model_n, moments, w, split, cfg, timer) -> np.ndarray:
     Bo = Xo.shape[0]
     with phase(timer, "outer_fwd"):
         R = Yo - forecast_batch(model_n, Xo)  # exactly 0 where Yo was forecast by model_n
-        V = R @ A  # rows are Sigma^-1 r_i
-        outer_loss = float(np.sum(V * R) / Bo)
-    if not np.isfinite(outer_loss):
-        raise NumericError("outer loss diverged; reduce inner_lr")
+        lam = -(2.0 / Bo) * (A @ grad_params_batch(model_n, Xo, R))
+    if not np.all(np.isfinite(lam)):
+        raise NumericError("outer adjoint diverged; reduce inner_lr")
     with phase(timer, "outer_bwd"):
         G, _, B = split.inner_moments
         scale = 2.0 * cfg.inner_lr / B
-        lam = -(2.0 / Bo) * grad_params_batch(model_n, Xo, V)
         P = np.zeros_like(A)
         for M in reversed(moments):
             P += M @ lam.T

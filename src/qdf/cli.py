@@ -30,7 +30,7 @@ from .data import (
     write_csv,
 )
 from .diagnostics import fraction_above, partial_corr_matrix
-from .errors import InvalidConfigError, InvalidSplitError, QdfError
+from .errors import InvalidConfigError, InvalidSplitError, NumericError, QdfError
 from .model import save_checkpoint
 from .weighting import write_matrix_csv
 from .workflow import OPTIMIZERS, VARIANTS, QdfConfig, run_variant
@@ -136,6 +136,7 @@ def cmd_synth(args) -> int:
     text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     try:
         write_csv(series, args.out)
+        sidecar.parent.mkdir(parents=True, exist_ok=True)
         sidecar.write_text(text, encoding="utf-8")
     except BaseException:
         # Both files or neither: a failed write takes the other one with it.
@@ -227,13 +228,26 @@ def cmd_bench(args) -> int:
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             raise InvalidConfigError(f"{flag} repeats {repeated}; each entry runs once")
-    reports = benchlib.run_matrix(presets, variants, seeds, n_windows=args.n_windows)
+    # One run_matrix call per cell: a diverged cell (exit 4) is recorded and the
+    # matrix goes on; any other error aborts it.
+    reports, failed = [], []
+    for preset in presets:
+        for seed in seeds:
+            for variant in variants:
+                try:
+                    reports += benchlib.run_matrix([preset], [variant], [seed],
+                                                   n_windows=args.n_windows)
+                except QdfError as exc:
+                    if exc.exit_code != 4:
+                        raise
+                    failed.append({"preset": preset, "variant": variant, "seed": seed,
+                                   "error": {"type": type(exc).__name__, "message": str(exc)}})
     rows = benchlib.aggregate(reports)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "bench.json").write_text(
         json.dumps({"schema": 1, "rows": rows,
-                    "runs": [json.loads(r.to_json()) for r in reports]},
+                    "runs": [json.loads(r.to_json()) for r in reports], "failed": failed},
                    indent=2, allow_nan=False) + "\n",
         encoding="utf-8",
     )
@@ -254,6 +268,9 @@ def cmd_bench(args) -> int:
             f"mae {r['mae_mean']:.4f}±{r['mae_std']:.4f}"
         )
     print(f"wrote {out/'bench.csv'} and {out/'bench.json'}")
+    if failed:
+        cells = ", ".join(f"{c['preset']}/{c['variant']}/{c['seed']}" for c in failed)
+        raise NumericError(f"{len(failed)} bench cell(s) failed: {cells}; see {out / 'bench.json'}")
     return 0
 
 

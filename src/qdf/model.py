@@ -66,11 +66,12 @@ def forecast_batch(m: LinearForecaster, xs: np.ndarray) -> np.ndarray:
 
 
 def grad_params_batch(m: LinearForecaster, xs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Chain-rule gradient [dW | db], T x (H+1), from B x H inputs and B x T upstreams.
+    """Row sum [U^T X | U^T 1], T x (H+1), from B x H inputs X and B x T rows U.
 
-    ``upstream`` is d(loss)/d(forecast) row by row and carries all loss
-    reduction factors; this applies the linear map's Jacobian, summing over
-    rows.
+    With ``upstream`` = d(loss)/d(forecast) this is the parameter gradient.
+    A left factor on the T axis, such as the weighted loss's -(2/B) Sigma^-1,
+    commutes with the sum over rows, so callers pass the raw residuals and
+    apply that factor to the T x (H+1) result.
     """
     if xs.shape[0] != upstream.shape[0]:
         raise InvalidDimensionError("batch sizes differ")

@@ -165,8 +165,7 @@ def train_final(
         for _ in range(cfg.epochs):
             for idx in _epoch_batches(X.shape[0], cfg.batch_size, rng):
                 resid = Y[idx] - forecast_batch(model, X[idx])
-                upstream = -(2.0 / idx.size) * (resid @ A)
-                grad = grad_params_batch(model, X[idx], upstream)
+                grad = -(2.0 / idx.size) * (A @ grad_params_batch(model, X[idx], resid))
                 if opt is not None:
                     model = opt.step(model, grad)
                 else:

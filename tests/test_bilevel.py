@@ -5,7 +5,7 @@ import pytest
 
 from qdf.bilevel import SplitPair, atomic_update, hypergradient, make_split_pair
 from qdf.data import SeriesFrame, WindowSet, make_windows
-from qdf.errors import InvalidSplitError
+from qdf.errors import InvalidSplitError, NumericError
 from qdf.model import forecast_batch, grad_params_batch, init_forecaster, sgd_step
 from qdf.objective import ResidualBatch, grad_wrt_residual, quadratic_loss
 from qdf.weighting import (
@@ -168,6 +168,17 @@ def test_stop_gradient_zero_outer_residuals(rng):
     # sanity: inner residuals themselves are not zero
     X, Y = pair.inner.as_samples()
     assert np.max(np.abs(Y - forecast_batch(theta_n, X))) > 1e-3
+
+
+def test_overflowing_outer_split_raises_numeric_error(rng):
+    pair = build_pair(rng, 3, 2, 60)
+    theta0 = init_forecaster(3, 2, rng)
+    w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
+    cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
+    Xo, Yo = pair.outer.arrays()
+    huge = SplitPair(pair.inner, WindowSet(Xo * 1e300, Yo, pair.outer.starts))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="diverged"):
+        hypergradient(theta0, w, huge, cfg)
 
 
 def test_hypergradient_deterministic(rng):

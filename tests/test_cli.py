@@ -69,12 +69,23 @@ def test_synth_rejected_shape_writes_no_file(argv, tmp_path, capsys):
 
 
 def test_synth_failed_sidecar_write_leaves_no_file(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file, not a directory\n")
     code = main(["synth", "--n", "200", "--horizon", "4", "--out", str(tmp_path / "a.csv"),
-                 "--oracle-json", str(tmp_path / "missing_dir" / "x.json")])
+                 "--oracle-json", str(blocker / "x.json")])
     assert code == 3
     err = json.loads(capsys.readouterr().err)
-    assert err["error"]["type"] == "FileNotFoundError"
-    assert list(tmp_path.iterdir()) == []
+    assert set(err) == {"error"}
+    assert list(tmp_path.iterdir()) == [blocker]  # the CSV is gone
+
+
+def test_synth_sidecar_into_new_directory(tmp_path):
+    sidecar = tmp_path / "new2" / "x.json"
+    code = main(["synth", "--n", "200", "--horizon", "4", "--out", str(tmp_path / "b.csv"),
+                 "--oracle-json", str(sidecar)])
+    assert code == 0
+    assert (tmp_path / "b.csv").exists()
+    assert json.loads(sidecar.read_text())["horizon"] == 4
 
 
 def test_synth_ramp_schedule(tmp_path):
@@ -186,6 +197,23 @@ def test_bench_matrix_and_table(tmp_path):
     table = (out_dir / "bench.csv").read_text().strip().splitlines()
     assert table[0].startswith("preset,variant,seeds,mse_mean")
     assert len(table) == 3
+
+
+def test_bench_diverging_cell_is_recorded_and_exits_4(tmp_path, capsys):
+    out_dir = tmp_path / "h"
+    code = main(["bench", "--seeds", "3", "--out-dir", str(out_dir)])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "NumericError"
+    assert "hetero-corr/qdf-offdiag/3" in err["error"]["message"]
+    payload = json.loads((out_dir / "bench.json").read_text())
+    assert [(c["preset"], c["variant"], c["seed"], c["error"]["type"])
+            for c in payload["failed"]] == [("hetero-corr", "qdf-offdiag", 3, "NumericError")]
+    assert len(payload["runs"]) == 3
+    table = (out_dir / "bench.csv").read_text().strip().splitlines()
+    assert [line.split(",")[:3] for line in table[1:]] == [
+        ["hetero-corr", v, "1"] for v in ("df", "qdf", "qdf-diag")
+    ]
 
 
 def test_bench_deterministic(tmp_path):

@@ -238,8 +238,8 @@ def reference_adam_training(train, valid, w, W, b, cfg, rng):
         for lo in range(0, X.shape[0], cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             resid = Y[idx] - (X[idx] @ W.T + b)
-            upstream = -(2.0 / idx.size) * (resid @ A)
-            dw, db = upstream.T @ X[idx], upstream.sum(axis=0)
+            grad = -(2.0 / idx.size) * (A @ np.column_stack([resid.T @ X[idx], resid.sum(axis=0)]))
+            dw, db = grad[:, :-1], grad[:, -1]
             t += 1
             m_w = b1 * m_w + (1 - b1) * dw
             v_w = b2 * v_w + (1 - b2) * dw * dw
