@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import logging
 import sys
 import warnings
 from dataclasses import fields
@@ -312,25 +313,44 @@ def main(argv=None) -> int:
         "bench": cmd_bench,
         "diagnose": cmd_diagnose,
     }
-    # Warnings are held back so that a failing run's stderr is one JSON object.
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            code = handlers[args.command](args)
-        except QdfError as exc:
-            _emit_error(exc, caught)
-            return exc.exit_code
-        except OSError as exc:
-            _emit_error(exc, caught)
-            return 3
+    # Warnings and qdf's log records are held back so that a failing run's
+    # stderr is one JSON object.
+    held = _HeldLog()
+    logger = logging.getLogger("qdf")
+    logger.addHandler(held)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                code = handlers[args.command](args)
+            except QdfError as exc:
+                _emit_error(exc, caught, held.messages)
+                return exc.exit_code
+            except OSError as exc:
+                _emit_error(exc, caught, held.messages)
+                return 3
+    finally:
+        logger.removeHandler(held)
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    for message in held.messages:
+        print(message, file=sys.stderr)
     return code
 
 
-def _emit_error(exc: BaseException, caught) -> None:
+class _HeldLog(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages: list[str] = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _emit_error(exc: BaseException, caught, messages) -> None:
     error = {"type": type(exc).__name__, "message": str(exc)}
-    if caught:
-        error["warnings"] = [str(w.message) for w in caught]
+    messages = [str(w.message) for w in caught] + messages
+    if messages:
+        error["warnings"] = messages
     print(json.dumps({"error": error}, allow_nan=False), file=sys.stderr)
 
 

@@ -24,6 +24,7 @@ from .errors import (
     NumericError,
     UnstableSpecError,
 )
+from .weighting import lapack
 
 log = logging.getLogger(__name__)
 
@@ -205,12 +206,15 @@ def standardize(frame: SeriesFrame) -> Standardizer:
     """Fit zero-mean/unit-variance column statistics to the frame.
 
     Pass the training region only, to avoid leaking future statistics.
-    Constant columns get a 1e-8 std floor.
+    Constant columns get a 1e-8 std floor.  A mean or std that overflows
+    raises NumericError: it would map every value to zero.
     """
     if frame.length == 0:
         raise InvalidSplitError("cannot fit statistics to a frame with no rows")
     mean = frame.values.mean(axis=0)
     std = frame.values.std(axis=0)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+        raise NumericError("column mean or std is not finite; values too large to standardize")
     floored = [int(j) for j in np.nonzero(std < 1e-8)[0]]
     if floored:
         log.warning("std floor applied to columns %s", floored)
@@ -301,6 +305,8 @@ class ArSpec:
             raise InvalidDimensionError("length must be >= 1")
         if not self.seed >= 0:
             raise InvalidConfigError(f"seed must be nonnegative, got {self.seed!r}")
+        if not np.all(np.isfinite(coeffs)):
+            raise UnstableSpecError(f"AR coefficients {coeffs} must be finite")
         if coeffs and np.max(np.abs(_companion_eigs(coeffs))) >= 1.0 - 1e-9:
             raise UnstableSpecError(
                 f"AR coefficients {coeffs} are not stable"
@@ -363,14 +369,11 @@ def gen_ar(spec: ArSpec) -> SeriesFrame:
     period = spec.noise_std.shape[0]
     stds = spec.noise_std[(np.arange(total) - burn) % period]
     eps = rng.standard_normal(total) * stds
-    # Imported here: scipy.linalg takes longer to import than numpy itself.
-    from scipy.linalg.lapack import dtbtrs
-
     # LAPACK lower band storage: row k holds the k-th subdiagonal; row 0, the
     # unit diagonal, is not read.  Fortran order, or the wrapper copies it.
     band = np.zeros((p + 1, total), order="F")
     band[1:] = -np.asarray(spec.coeffs)[:, None]
-    y, _ = dtbtrs(band, eps[:, None], uplo="L", diag="U")
+    y, _ = lapack().dtbtrs(band, eps[:, None], uplo="L", diag="U")
     return SeriesFrame(y[burn:], ["y"])
 
 

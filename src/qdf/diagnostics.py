@@ -18,6 +18,7 @@ from .errors import (
     InsufficientDataError,
     InvalidConfigError,
     InvalidDimensionError,
+    NumericError,
     UndefinedCorrelationError,
 )
 
@@ -133,6 +134,8 @@ def partial_corr_matrix(
     np.divide(z, np.maximum(norms, np.sqrt(VAR_EPS * samples)), out=z)
     corr = z.T @ z
     corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
+    if not (np.all(np.isfinite(cond_var)) and np.all(np.isfinite(corr))):
+        raise NumericError("residual variances or partial correlations are not finite")
     np.fill_diagonal(corr, 1.0)
     if np.any(dead):
         for t in np.nonzero(dead)[0]:

@@ -15,8 +15,12 @@ diagonal of L to one.  Masked entries also receive zero gradient.
 from __future__ import annotations
 
 import enum
+import importlib.util
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
 
@@ -113,16 +117,43 @@ class WeightingParams:
     @cached_property
     def inverse(self) -> np.ndarray:
         """Sigma^-1 = L^-T L^-1, formed from the factor."""
-        # Imported here: scipy.linalg takes longer to import than numpy itself,
-        # and commands that never form Sigma^-1 (diagnose) do not need it.  This
-        # is the LAPACK call solve_triangular makes for a C-ordered L, without
-        # the wrapper's checks, which at small T cost more than the solve.
-        from scipy.linalg.lapack import dtrtrs
-
-        Linv, info = dtrtrs(self.factor.T, np.eye(self.horizon), lower=0, trans=1)
+        # The LAPACK call solve_triangular makes for a C-ordered L, without the
+        # wrapper's checks, which at small T cost more than the solve.
+        Linv, info = lapack().dtrtrs(self.factor.T, np.eye(self.horizon), lower=0, trans=1)
         if info != 0:
             raise ConditioningError(f"triangular factor is singular (LAPACK info {info})")
         return _frozen(Linv.T @ Linv)
+
+
+@lru_cache(maxsize=None)
+def lapack():
+    """scipy's compiled LAPACK wrappers, the module scipy.linalg.lapack re-exports.
+
+    Loaded on first use, straight from its file: the scipy.linalg package init
+    takes longer than importing numpy itself, and qdf needs only two routines
+    (``dtrtrs`` here, ``dtbtrs`` in ``gen_ar``).  If the file cannot be found
+    or loaded, ``scipy.linalg.lapack`` gives the same compiled routines.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:  # scipy.linalg has loaded it
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    folders = scipy.submodule_search_locations if scipy else None
+    paths = [Path(f, "linalg", "_flapack" + s) for f in folders or () for s in EXTENSION_SUFFIXES]
+    for path in filter(Path.is_file, paths):
+        spec = importlib.util.spec_from_file_location(name, path)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:
+            break
+        # a later scipy.linalg import reuses it (a multi-phase extension
+        # would not register itself)
+        sys.modules[name] = module
+        return module
+    from scipy.linalg import lapack as module
+
+    return module
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

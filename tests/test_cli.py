@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -312,32 +313,33 @@ def run_module(*args):
                           capture_output=True, text=True)
 
 
+def scipy_modules(code):
+    """The scipy modules loaded after running ``code`` in a fresh process."""
+    proc = run_module("-c", f"import json, sys\n{code}\n"
+                      "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_cli_import_does_not_load_scipy_signal():
-    # scipy is imported where it is used: scipy.linalg by gen_ar and by
+    # scipy is loaded where it is used: LAPACK by gen_ar and by
     # WeightingParams.inverse
     for module in ("qdf.cli", "qdf.bench"):
-        proc = run_module("-c", f"import sys, {module}; "
-                          "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]", module
-
-
-def imported_modules(*args):
-    """Every module that ``python -X importtime <args>`` imports, in order."""
-    proc = run_module("-X", "importtime", *args)
-    assert proc.returncode == 0, proc.stderr
-    return [line.split("|")[-1].strip() for line in proc.stderr.splitlines()
-            if line.startswith("import time:")][1:]
+        assert scipy_modules(f"import {module}") == [], module
 
 
 def test_synthetic_data_does_not_load_scipy_signal(tmp_path):
-    # gen_ar runs the AR recursion as one scipy.linalg banded solve
-    for args in (["-c", "import qdf.bench; qdf.bench.benchmark_data('hetero-corr', 0)"],
-                 ["-m", "qdf.cli", "synth", "--n", "500", "--phi", "0.6", "--horizon", "4",
-                  "--out", str(tmp_path / "s.csv")]):
-        loaded = imported_modules(*args)
-        assert "scipy.linalg" in loaded, args
-        assert not [m for m in loaded if m.startswith("scipy.signal")], args
+    # gen_ar's banded solve and the weighting's triangular solve load scipy's
+    # compiled LAPACK wrappers alone: not the scipy.linalg package, nor scipy.signal
+    out = str(tmp_path / "s.csv")
+    for code in ("import qdf.bench; qdf.bench.benchmark_data('hetero-corr', 0)",
+                 "from qdf.cli import main; "
+                 f"main(['synth', '--n', '500', '--phi', '0.6', '--horizon', '4', '--out', {out!r}])",
+                 "from qdf.weighting import identity_params; identity_params(4).inverse"):
+        loaded = scipy_modules(code)
+        assert "scipy.linalg._flapack" in loaded, code
+        assert "scipy.linalg" not in loaded, code
+        assert not [m for m in loaded if m.startswith("scipy.signal")], code
 
 
 def test_failing_run_stderr_is_one_json_object(synth_csv):
@@ -370,6 +372,53 @@ def test_warnings_shown_on_success_and_folded_into_error(monkeypatch, tmp_path, 
     assert json.loads(capsys.readouterr().err) == {"error": {
         "type": "NumericError", "message": "boom", "warnings": ["careful"],
     }}
+
+
+def test_log_records_held_back_like_warnings(monkeypatch, tmp_path, capsys):
+    argv = ["diagnose", "--data", "x.csv", "--out-prefix", str(tmp_path / "d")]
+
+    def log_then(result):
+        def handler(args):
+            logging.getLogger("qdf.diagnostics").warning("ridge fallback")
+            if isinstance(result, Exception):
+                raise result
+            return result
+        return handler
+
+    monkeypatch.setattr(cli, "cmd_diagnose", log_then(0))
+    assert main(argv) == 0
+    assert capsys.readouterr().err == "ridge fallback\n"
+    monkeypatch.setattr(cli, "cmd_diagnose", log_then(errors.NumericError("boom")))
+    assert main(argv) == 4
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "type": "NumericError", "message": "boom", "warnings": ["ridge fallback"],
+    }}
+
+
+@pytest.mark.parametrize("phi", ["nan", "inf"])
+def test_synth_non_finite_phi_exits_3_and_writes_nothing(tmp_path, capsys, phi):
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--phi", "0.5", "--phi", phi, "--out", str(out), "--horizon", "2"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "UnstableSpecError"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "diagnose"])
+def test_overflowing_csv_exits_4_with_one_json_object(tmp_path, command):
+    # 1e200-scale values: the column std overflows to inf.  train used to
+    # standardize every value to 0 and exit 0 with mse = 0; diagnose met a nan
+    # residual variance in its JSON summary.
+    data = tmp_path / "big.csv"
+    write_csv(SeriesFrame(1e200 * np.random.default_rng(0).standard_normal((3000, 2)),
+                          ["a", "b"]), data)
+    extra = ["--history", "8"] if command == "train" else ["--out-prefix", str(tmp_path / "d")]
+    proc = run_module("-m", "qdf.cli", command, "--data", str(data), "--horizon", "4", *extra)
+    assert proc.returncode == 4, proc.stderr
+    err = json.loads(proc.stderr)
+    assert set(err) == {"error"}
+    assert err["error"]["type"] == "NumericError"
+    assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
 
 
 def test_train_tuning_defaults_come_from_config():

@@ -28,6 +28,7 @@ from qdf.errors import (
     InsufficientDataError,
     InvalidDimensionError,
     InvalidSplitError,
+    NumericError,
     UnstableSpecError,
 )
 
@@ -188,6 +189,13 @@ def test_standardize_round_trip(rng):
     assert np.allclose(out[:30].mean(axis=0), 0.0, atol=1e-10)
     assert np.allclose(out[:30].std(axis=0), 1.0, atol=1e-10)
     assert np.allclose(out * stats.std + stats.mean, frame.values, atol=1e-10)
+
+
+def test_standardize_rejects_overflowing_std():
+    # the std of 1e200-scale values overflows; a std of inf maps every value to 0
+    frame = frame_of(1e200 * np.array([[1.0, 1.0], [-1.0, 2.0], [3.0, -2.0]]))
+    with pytest.raises(NumericError, match="not finite"), np.errstate(over="ignore"):
+        standardize(frame)
 
 
 def test_standardize_constant_column_floored():
@@ -368,6 +376,10 @@ def test_unstable_spec_rejected():
         ArSpec(coeffs=(1.1,), noise_std=1.0, length=100, seed=0)
     with pytest.raises(UnstableSpecError):
         ArSpec(coeffs=(0.9, 0.2), noise_std=1.0, length=100, seed=0)
+    # rejected before the eigenvalue check, whose eigvals raises LinAlgError
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(UnstableSpecError, match="finite"):
+            ArSpec(coeffs=(0.5, bad), noise_std=1.0, length=100, seed=0)
 
 
 def test_gen_ar_frame_independent_columns():

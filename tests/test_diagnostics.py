@@ -5,6 +5,7 @@ import pytest
 
 from qdf.data import (
     ArSpec,
+    SeriesFrame,
     ar_conditional_cov,
     cov_to_corr,
     gen_ar,
@@ -20,6 +21,7 @@ from qdf.diagnostics import (
 from qdf.errors import (
     InsufficientDataError,
     InvalidDimensionError,
+    NumericError,
     UndefinedCorrelationError,
 )
 
@@ -190,6 +192,14 @@ def test_rank_deficient_design_ridge_fallback():
     ws = WindowSet(X[:, :, None], Y[:, :, None], np.arange(n) * (H + T))
     rho = partial_correlation(ws, 0, 1)
     assert -1.0 <= rho <= 1.0
+
+
+def test_overflowing_residuals_raise_numeric_error():
+    # at 1e200 scale the residual variances overflow: the JSON summary would
+    # meet inf or nan
+    values = 1e200 * np.random.default_rng(0).standard_normal((400, 1))
+    with pytest.raises(NumericError, match="not finite"), np.errstate(all="ignore"):
+        partial_corr_matrix(SeriesFrame(values, ["y"]), history=8, horizon=4)
 
 
 def test_fraction_above_examples():

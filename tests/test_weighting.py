@@ -1,7 +1,17 @@
+import importlib.util
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.linalg import solve_triangular
 
+import qdf
+from qdf import weighting
 from qdf.errors import ConditioningError, InvalidDimensionError
 from qdf.weighting import (
     SOFTPLUS_FLOOR,
@@ -11,6 +21,7 @@ from qdf.weighting import (
     chain_sigma_grad_to_raw,
     frobenius_distance,
     identity_params,
+    lapack,
     normalize_scale,
     params_from_matrix,
     softplus,
@@ -268,3 +279,79 @@ def test_masks_are_cached_read_only_and_gradients_are_fresh(mode, rng):
     first = chain_sigma_grad_to_raw(w, grad_sigma)
     first[:] = 123.0
     assert_bitwise(chain_sigma_grad_to_raw(w, grad_sigma), ref_chain(w.raw, mode, grad_sigma))
+
+
+def lapack_outputs(module):
+    """dtrtrs as WeightingParams.inverse calls it and dtbtrs as gen_ar does,
+    on seeded random inputs: each solution and its info code."""
+    rng = np.random.default_rng(5)
+    out = []
+    for T in (1, 8, 96):
+        L = np.tril(rng.standard_normal((T, T)), -1) + np.diag(rng.uniform(0.5, 2.0, T))
+        out += module.dtrtrs(L.T, np.eye(T), lower=0, trans=1)
+    for p in (1, 2, 3):
+        band = np.zeros((p + 1, 500), order="F")
+        band[1:] = rng.uniform(-0.3, 0.3, (p, 1))
+        out += module.dtbtrs(band, rng.standard_normal((500, 1)), uplo="L", diag="U")
+    return [np.asarray(a) for a in out]
+
+
+@pytest.fixture(scope="module")
+def direct_outputs(tmp_path_factory):
+    """lapack_outputs in a fresh process, where lapack() loads _flapack from its file."""
+    path = tmp_path_factory.mktemp("lapack") / "direct.npz"
+    script = "\n".join([
+        "import sys", "import numpy as np", "from qdf.weighting import lapack",
+        inspect.getsource(lapack_outputs),
+        f"np.savez({str(path)!r}, *lapack_outputs(lapack()))",
+        "assert 'scipy.linalg' not in sys.modules, 'package init ran'",
+        "assert 'scipy.linalg._flapack' in sys.modules",
+    ])
+    src = str(Path(qdf.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0, proc.stderr
+    with np.load(path) as data:
+        return [data[f"arr_{i}"] for i in range(len(data.files))]
+
+
+def assert_all_bitwise(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_bitwise(a, b)
+
+
+@pytest.fixture
+def unloaded_flapack(monkeypatch):
+    """lapack() as in a process that has not loaded scipy's _flapack yet."""
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    lapack.cache_clear()
+    yield monkeypatch
+    lapack.cache_clear()
+
+
+def test_direct_lapack_load_is_bitwise_equal_to_scipy_linalg_lapack(direct_outputs):
+    assert_all_bitwise(direct_outputs, lapack_outputs(scipy.linalg.lapack))
+    assert all(a == 0 for a in direct_outputs[1::2])
+
+
+def test_lapack_loads_flapack_from_its_file(unloaded_flapack, direct_outputs):
+    module = lapack()
+    assert module is sys.modules["scipy.linalg._flapack"] and lapack() is module
+    assert Path(module.__file__).name.startswith("_flapack")
+    assert_all_bitwise(lapack_outputs(module), direct_outputs)
+
+
+def _fail_to_load(spec):
+    raise ImportError("cannot load")
+
+
+@pytest.mark.parametrize("broken", [(weighting, "EXTENSION_SUFFIXES", [".missing"]),
+                                    (importlib.util, "module_from_spec", _fail_to_load)],
+                         ids=["no-file", "load-fails"])
+def test_lapack_falls_back_to_scipy_linalg_lapack(unloaded_flapack, direct_outputs, broken):
+    unloaded_flapack.setattr(*broken)
+    assert lapack() is scipy.linalg.lapack
+    assert "scipy.linalg._flapack" not in sys.modules
+    assert_all_bitwise(lapack_outputs(lapack()), direct_outputs)
