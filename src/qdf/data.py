@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,30 +126,61 @@ def load_csv(path, skip_first_column: bool = False) -> SeriesFrame:
     differs from the header's, or a cell that is not a finite number, is
     rejected with a parse error carrying the 1-based row (and, for a bad
     cell, the column) of the first fault in reading order.
+
+    Without a date column, numpy's C reader parses the body first; whenever
+    it cannot vouch for its result, the file is read again cell by cell,
+    which finds the fault.  A file with a date column is read cell by cell.
     """
     path = Path(path)
     try:
         fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise CsvParseError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        frame = None if skip_first_column else _load_fast(fh)
+        if frame is None:
+            fh.seek(0)
+            frame = _load_checked(fh, path, skip_first_column)
+    return frame
+
+
+def _load_fast(fh) -> SeriesFrame | None:
+    """The file through np.loadtxt, or None if the result might differ from
+    the cell-by-cell reading (which then also finds any fault)."""
+    header = next((row for row in csv.reader(fh) if row), None)
+    if header is None:
+        return None
+    try:
+        # a header-only file makes loadtxt warn rather than raise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    except (ValueError, Warning):
+        return None
+    if values.shape[1] != len(header) or not np.all(np.isfinite(values)):
+        return None
+    return SeriesFrame(values, header)
+
+
+def _load_checked(fh, path, skip_first_column: bool) -> SeriesFrame:
+    """csv.reader row by row; raises at the first fault, with its position."""
     names = None
     rows, row_numbers = [], []
     ragged = None
-    with fh:
-        for i, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            cells = row[1:] if skip_first_column else row
-            if names is None:
-                names = cells
-            elif len(cells) != len(names):
-                ragged = CsvParseError(
-                    f"row {i} has {len(cells)} cells, expected {len(names)}", row=i
-                )
-                break
-            else:
-                rows.append(cells)
-                row_numbers.append(i)
+    for i, row in enumerate(csv.reader(fh), start=1):
+        if not row:
+            continue
+        cells = row[1:] if skip_first_column else row
+        if names is None:
+            names = cells
+        elif len(cells) != len(names):
+            ragged = CsvParseError(
+                f"row {i} has {len(cells)} cells, expected {len(names)}", row=i
+            )
+            break
+        else:
+            rows.append(cells)
+            row_numbers.append(i)
     try:
         values = np.array(rows, dtype=float)
     except ValueError:
@@ -206,8 +238,10 @@ def standardize(frame: SeriesFrame) -> Standardizer:
     """Fit zero-mean/unit-variance column statistics to the frame.
 
     Pass the training region only, to avoid leaking future statistics.
-    Constant columns get a 1e-8 std floor.  A mean or std that overflows
-    raises NumericError: it would map every value to zero.
+    Constant columns get a 1e-8 std floor.  NumericError is raised for a
+    mean or std that overflows, which would map every value to zero, and for
+    a column of tiny values that truly vary but that the floor would squash
+    to zero.
     """
     if frame.length == 0:
         raise InvalidSplitError("cannot fit statistics to a frame with no rows")
@@ -216,6 +250,20 @@ def standardize(frame: SeriesFrame) -> Standardizer:
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
         raise NumericError("column mean or std is not finite; values too large to standardize")
     floored = [int(j) for j in np.nonzero(std < 1e-8)[0]]
+    # The floor scales a column's spread by std / 1e-8; below sqrt(eps) that
+    # spread is lost.  Such a column is refused unless its values agree to
+    # about half the digits, i.e. it is constant up to rounding.
+    tol = np.sqrt(np.finfo(float).eps)
+    squashed = []
+    for j in floored:
+        column = frame.values[:, j]
+        if std[j] < 1e-8 * tol and np.ptp(column) > tol * np.abs(column).max():
+            squashed.append(j)
+    if squashed:
+        raise NumericError(
+            f"columns {squashed} vary at a scale the 1e-8 std floor squashes to zero; "
+            "values too small to standardize"
+        )
     if floored:
         log.warning("std floor applied to columns %s", floored)
     return Standardizer(mean, np.maximum(std, 1e-8), floored)

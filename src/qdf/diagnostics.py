@@ -55,14 +55,26 @@ def _design_and_labels(windows: WindowSet, variable: int | None):
 
 
 def _fit_residuals(design: np.ndarray, labels: np.ndarray, flags: list[str]) -> np.ndarray:
-    coef, _, rank, _ = np.linalg.lstsq(design, labels, rcond=None)
-    if rank < design.shape[1]:
-        flags.append("ridge_fallback")
-        log.warning("rank-deficient design (rank %d < %d); ridge fallback",
-                    rank, design.shape[1])
-        gram = design.T @ design + RIDGE_LAMBDA * np.eye(design.shape[1])
-        coef = np.linalg.solve(gram, design.T @ labels)
-    pred = design @ coef
+    """Least-squares residuals of every label column on the design.
+
+    Full rank: the residual is the label minus its projection onto the
+    design's column space, U (U^T labels) from one thin SVD.  The rank rule
+    is np.linalg.lstsq's with rcond=None: singular values above
+    eps * max(M, N) * s_max count.
+    """
+    try:
+        U, s, _ = np.linalg.svd(design, full_matrices=False)
+        rank = np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0])
+        if rank < design.shape[1]:
+            flags.append("ridge_fallback")
+            log.warning("rank-deficient design (rank %d < %d); ridge fallback",
+                        rank, design.shape[1])
+            gram = design.T @ design + RIDGE_LAMBDA * np.eye(design.shape[1])
+            pred = design @ np.linalg.solve(gram, design.T @ labels)
+        else:
+            pred = U @ (U.T @ labels)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"least-squares fit failed: {exc}") from None
     return np.subtract(labels, pred, out=pred)
 
 
@@ -127,10 +139,11 @@ def partial_corr_matrix(
     flags: list[str] = []
     z = _fit_residuals(design, labels, flags)
     del design, labels
-    cond_var = z.var(axis=0)
-    dead = cond_var < VAR_EPS
     np.subtract(z, z.mean(axis=0), out=z)
-    norms = np.sqrt(np.sum(z**2, axis=0))
+    sumsq = np.einsum("ij,ij->j", z, z)
+    cond_var = sumsq / samples
+    dead = cond_var < VAR_EPS
+    norms = np.sqrt(sumsq)
     np.divide(z, np.maximum(norms, np.sqrt(VAR_EPS * samples)), out=z)
     corr = z.T @ z
     corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)

@@ -421,6 +421,33 @@ def test_overflowing_csv_exits_4_with_one_json_object(tmp_path, command):
     assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
 
 
+def test_underflowing_csv_train_exits_4_with_one_json_object(tmp_path):
+    # 1e-300-scale values: each column's std is below the 1e-8 floor, which
+    # used to squash every standardized value to about 1e-292 and exit 0 with
+    # mse = nll = 0
+    data = tmp_path / "tiny.csv"
+    write_csv(SeriesFrame(1e-300 * np.random.default_rng(0).standard_normal((3000, 2)),
+                          ["a", "b"]), data)
+    proc = run_module("-m", "qdf.cli", "train", "--data", str(data),
+                      "--history", "8", "--horizon", "4")
+    assert proc.returncode == 4, proc.stderr
+    err = json.loads(proc.stderr)
+    assert set(err) == {"error"}
+    assert err["error"]["type"] == "NumericError"
+    assert "too small to standardize" in err["error"]["message"]
+
+
+def test_header_only_csv_error_carries_no_numpy_warning(tmp_path, capsys):
+    # numpy's reader warns on a body with no data; load_csv falls back silently
+    data = tmp_path / "header.csv"
+    data.write_text("a,b\n\n", encoding="utf-8")
+    code = main(["diagnose", "--data", str(data), "--out-prefix", str(tmp_path / "d")])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "type": "CsvParseError", "message": f"{data} contains no data rows",
+    }}
+
+
 def test_train_tuning_defaults_come_from_config():
     args = cli.build_parser().parse_args(["train", "--data", "x.csv", "--horizon", "4"])
     tuned = [f for f in fields(QdfConfig) if hasattr(args, f.name)]

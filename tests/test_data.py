@@ -1,6 +1,7 @@
 import csv
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdf import data
 from qdf.data import (
     ArSpec,
     SeriesFrame,
@@ -113,9 +115,12 @@ def reference_load_csv(path, skip_first_column):
     return names, np.array(rows, dtype=float)
 
 
-NUMBER_CELLS = st.one_of(
+PLAIN_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**20, 10**20).map(str),
+)
+NUMBER_CELLS = st.one_of(
+    PLAIN_CELLS,
     st.sampled_from(["1_000", "-0", " 7 ", ".5", "5.", "1e-400", "\u0661", "\u0663.\u0665"]),
 )
 ANY_CELLS = st.one_of(
@@ -127,15 +132,44 @@ ANY_CELLS = st.one_of(
 
 @st.composite
 def csv_texts(draw):
-    """A header row, then rows that are numeric, or mixed with bad and ragged cells."""
+    """A header row, then rows that are numeric, or mixed with bad and ragged
+    cells.  Around them: blank lines, whitespace-only and '#' lines (in mixed
+    files), quoted cells, LF, CRLF or CR line ends, a BOM and no final newline.
+    With no rows, the file is header-only."""
     width = draw(st.integers(1, 4))
     clean = draw(st.booleans())
+    cells = draw(st.sampled_from([PLAIN_CELLS, NUMBER_CELLS])) if clean else ANY_CELLS
+    if draw(st.integers(0, 3)) == 0:
+        cells = st.one_of(cells, cells.map(lambda c: f'"{c}"'))
+    fillers = st.sampled_from([""] if clean else ["", " ", "\t", "# note", "#1,2"])
     lines = [",".join(f"c{j}" for j in range(width))]
+    if draw(st.integers(0, 4)) == 0:
+        lines.insert(0, draw(fillers))
     for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(fillers))
+            continue
         n = width if clean or draw(st.integers(0, 3)) else draw(st.integers(0, width + 1))
-        lines.append(",".join(draw(st.lists(
-            NUMBER_CELLS if clean else ANY_CELLS, min_size=n, max_size=n))))
-    return "\n".join(lines) + "\n"
+        lines.append(",".join(draw(st.lists(cells, min_size=n, max_size=n))))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = draw(st.sampled_from(["", "\ufeff"])) + end.join(lines)
+    return text + end if draw(st.booleans()) else text
+
+
+def assert_matches_reference(path, skip_first_column):
+    try:
+        want = reference_load_csv(path, skip_first_column)
+    except CsvParseError as exc:
+        with pytest.raises(CsvParseError) as got:
+            load_csv(path, skip_first_column=skip_first_column)
+        assert (str(got.value), got.value.row, got.value.column) == (
+            str(exc), exc.row, exc.column)
+        return
+    frame = load_csv(path, skip_first_column=skip_first_column)
+    names, values = want
+    assert frame.names == names
+    assert frame.values.tobytes() == values.tobytes()
+    assert frame.values.shape == values.shape
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -143,20 +177,77 @@ def csv_texts(draw):
 def test_load_csv_matches_cell_by_cell_reference(text, skip_first_column):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.csv"
-        path.write_text(text, encoding="utf-8")
-        try:
-            want = reference_load_csv(path, skip_first_column)
-        except CsvParseError as exc:
-            with pytest.raises(CsvParseError) as got:
-                load_csv(path, skip_first_column=skip_first_column)
-            assert (str(got.value), got.value.row, got.value.column) == (
-                str(exc), exc.row, exc.column)
-            return
-        frame = load_csv(path, skip_first_column=skip_first_column)
-    names, values = want
+        path.write_bytes(text.encode("utf-8"))
+        assert_matches_reference(path, skip_first_column)
+
+
+CLEAN_FILES = {
+    "lf": "a,b\n1,2\n3.5,-4e-3\n",
+    "crlf": "a,b\r\n1,2\r\n3,4\r\n",
+    "cr": "a,b\r1,2\r3,4\r",
+    "blank-lines": "\n\na,b\n\n1,2\n\n\n3,4\n\n",
+    "bom": "\ufeffa,b\n1,2\n",
+    "no-final-newline": "a,b\n1,2\n3,4",
+    "spaces-around-numbers": "a,b\n 1 , 2\n3,4\n",
+    "quoted-header": '"a,1",b\n1,2\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLEAN_FILES))
+def test_clean_csv_never_reaches_the_fallback(name, tmp_path, monkeypatch):
+    path = tmp_path / "clean.csv"
+    path.write_bytes(CLEAN_FILES[name].encode("utf-8"))
+    names, values = reference_load_csv(path, False)
+
+    def fallback(*args):
+        raise AssertionError("fell back to the cell-by-cell reader")
+
+    monkeypatch.setattr(data, "_load_checked", fallback)
+    frame = load_csv(path)
     assert frame.names == names
     assert frame.values.tobytes() == values.tobytes()
-    assert frame.values.shape == values.shape
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\n1\n2\n",  # every row one cell short: loadtxt reads one column
+    "a,b\n1,2\n3,4,5\n",  # a long row
+    'a,b\n"1",2\n',  # a quoted cell
+], ids=["short-rows", "long-row", "quoted-cell"])
+def test_rows_loadtxt_cannot_vouch_for_fall_back(text, tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_matches_reference(path, False)
+
+
+@pytest.mark.parametrize("text", [
+    "date,a,b\n2020-01-01 00:00,1,2\n2020-01-01 01:00,3,4\n",
+    "date,a,b\nd,1,2\nd,3,4,5\n",  # a long row
+    'date,a,b\n"2020-01-01, 00:00",1,2\n',  # a quoted comma
+    'date,a\n"d,1\n2",3\n',  # a quoted newline
+], ids=["clean", "long-row", "quoted-comma", "quoted-newline"])
+def test_date_column_csv_is_read_cell_by_cell(text, tmp_path, monkeypatch):
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def fast(*args):
+        raise AssertionError("tried numpy's reader")
+
+    monkeypatch.setattr(data, "_load_fast", fast)
+    assert_matches_reference(path, True)
+
+
+@pytest.mark.parametrize("text", ["a,b\n", "a,b", "a,b\r\n\r\n\r\n", "\n\na\n\n"])
+def test_header_only_csv_raises_like_the_reference(text, tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(CsvParseError, match="contains no data rows") as exc:
+        reference_load_csv(path, False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CsvParseError) as got:
+            load_csv(path)
+    assert (str(got.value), got.value.row, got.value.column) == (
+        str(exc.value), exc.value.row, exc.value.column)
 
 
 def test_ett_style_truncation_window_count(tmp_path):
@@ -196,6 +287,27 @@ def test_standardize_rejects_overflowing_std():
     frame = frame_of(1e200 * np.array([[1.0, 1.0], [-1.0, 2.0], [3.0, -2.0]]))
     with pytest.raises(NumericError, match="not finite"), np.errstate(over="ignore"):
         standardize(frame)
+
+
+def test_standardize_rejects_varying_column_below_floor():
+    # the 1e-8 floor would squash these columns to about 1e-292 and 1e-152;
+    # at 1e-300 the variance underflows to exactly zero
+    rng = np.random.default_rng(0)
+    values = np.column_stack([np.ones(100), rng.standard_normal(100)])
+    for tiny in (1e-300, 1e-160):
+        with pytest.raises(NumericError, match=r"columns \[1\] vary"):
+            standardize(frame_of(values * [1.0, tiny]))
+
+
+def test_standardize_floors_small_scale_and_rounding_noise_columns():
+    small = 1e-10 * np.arange(10.0)  # std 2.9e-10: floored to a usable +-0.045
+    noisy = np.array([0.3, 0.1 + 0.2] * 5)  # constant but for one ulp
+    frame = frame_of(np.column_stack([small, noisy]))
+    stats = standardize(frame)
+    assert stats.floored == [0, 1]
+    z = stats.apply(frame.values)
+    np.testing.assert_allclose(np.abs(z[:, 0]).max(), 0.045)
+    assert np.abs(z[:, 1]).max() < 1e-8
 
 
 def test_standardize_constant_column_floored():

@@ -1,3 +1,5 @@
+import json
+import logging
 import tracemalloc
 
 import numpy as np
@@ -10,14 +12,18 @@ from qdf.data import (
     cov_to_corr,
     gen_ar,
     gen_ar_frame,
+    load_csv,
     make_windows,
+    write_csv,
 )
 from qdf.diagnostics import (
     PartialCorrReport,
+    _fit_residuals,
     fraction_above,
     partial_corr_matrix,
     partial_correlation,
 )
+from qdf.cli import main
 from qdf.errors import (
     InsufficientDataError,
     InvalidDimensionError,
@@ -192,6 +198,78 @@ def test_rank_deficient_design_ridge_fallback():
     ws = WindowSet(X[:, :, None], Y[:, :, None], np.arange(n) * (H + T))
     rho = partial_correlation(ws, 0, 1)
     assert -1.0 <= rho <= 1.0
+
+
+def lstsq_residuals(design, labels):
+    coef, _, rank, _ = np.linalg.lstsq(design, labels, rcond=None)
+    return labels - design @ coef, rank
+
+
+@pytest.mark.parametrize("rows,cols,labels", [
+    (20, 1, 1), (50, 5, 96), (400, 9, 96), (1000, 17, 40),
+])
+def test_fit_residuals_match_lstsq_on_full_rank_designs(rows, cols, labels):
+    rng = np.random.default_rng(rows + cols)
+    for scale in (1e-3, 1.0, 1e4):
+        design = np.column_stack([np.ones(rows), scale * rng.standard_normal((rows, cols - 1))])
+        Y = rng.standard_normal((rows, labels)) + design @ rng.standard_normal((cols, labels))
+        want, rank = lstsq_residuals(design, Y)
+        assert rank == cols
+        flags = []
+        got = _fit_residuals(design, Y, flags)
+        assert flags == []
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(Y).max())
+
+
+def test_fit_residuals_find_lstsq_rank_on_collinear_designs(caplog):
+    rng = np.random.default_rng(4)
+    base = np.column_stack([np.ones(300), rng.standard_normal((300, 6))])
+    designs = [
+        np.column_stack([base, base[:, 1]]),  # a repeated column
+        np.column_stack([base, 2 * base[:, 2] - 3 * base[:, 5] + 1]),  # a combination
+        np.column_stack([base[:, :3], base[:, 1:3], base[:, 1:3]]),  # rank 3 of 7
+        np.column_stack([np.ones(300), np.ones((300, 4))]),  # constant history
+    ]
+    Y = rng.standard_normal((300, 5))
+    for design in designs:
+        _, rank = lstsq_residuals(design, Y)
+        assert rank < design.shape[1]
+        flags = []
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="qdf.diagnostics"):
+            _fit_residuals(design, Y, flags)
+        assert flags == ["ridge_fallback"]
+        assert f"(rank {rank} < {design.shape[1]})" in caplog.text
+
+
+@pytest.mark.parametrize("series", [
+    np.full(300, 2.0),  # every history column repeats the intercept
+    0.5 * np.arange(300.0) - 7,  # every history column is the first plus a constant
+], ids=["constant", "linear"])
+def test_collinear_history_matrix_flags_ridge_fallback(series):
+    # the labels are exact functions of the history too, so every step is dead
+    H, T = 4, 3
+    report = partial_corr_matrix(SeriesFrame(series[:, None], ["y"]), H, T)
+    assert report.flags == ["ridge_fallback"] + [f"zero_variance_step_{t}" for t in range(T)]
+    assert np.array_equal(report.matrix, np.eye(T))
+
+
+def test_svd_that_does_not_converge_exits_4(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    write_csv(gen_ar(ArSpec((0.5,), 1.0, 300, seed=3)), path)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(NumericError, match="did not converge"):
+        partial_corr_matrix(load_csv(path), 4, 3)
+    code = main(["diagnose", "--data", str(path), "--reg-history", "4", "--horizon", "3",
+                 "--out-prefix", str(tmp_path / "d")])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error"} and err["error"]["type"] == "NumericError"
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
 
 
 def test_overflowing_residuals_raise_numeric_error():
