@@ -41,7 +41,6 @@ from .model import (
     sgd_step,
 )
 from .objective import (
-    ResidualBatch,
     grad_wrt_residual,
     grad_wrt_weighting,
     mse_loss,
@@ -72,7 +71,6 @@ __all__ = [
     "LinearForecaster",
     "PartialCorrReport",
     "QdfConfig",
-    "ResidualBatch",
     "RunReport",
     "SeriesFrame",
     "SplitPair",

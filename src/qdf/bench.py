@@ -97,19 +97,13 @@ def benchmark_data(preset: str, seed: int, n_windows: int = 600) -> BenchmarkDat
     return BenchmarkData(train, valid, test, spec)
 
 
-def bench_config(seed: int, preset: str | None = None, **overrides) -> QdfConfig:
+def bench_config(seed: int, preset: str) -> QdfConfig:
     """Benchmark training configuration (shared across variants): the
     values that differ from the ``QdfConfig`` defaults."""
-    base = dict(outer_rounds=8, inner_lr=0.05, eta=0.1, epochs=60, final_lr=0.02, seed=seed)
-    if preset is not None:
-        base.update(PRESET_CONFIG.get(preset, {}))
-    base.update(overrides)
-    return QdfConfig(**base)
+    return QdfConfig(inner_lr=0.05, final_lr=0.02, seed=seed, **PRESET_CONFIG[preset])
 
 
-def run_matrix(
-    presets, variants, seeds, n_windows: int = 600, **config_overrides
-) -> list[RunReport]:
+def run_matrix(presets, variants, seeds, n_windows: int = 600) -> list[RunReport]:
     """Run every (preset, variant, seed) cell; one report per run.
 
     Runs with the same (preset, seed) share the data realization, so
@@ -120,9 +114,8 @@ def run_matrix(
         for seed in seeds:
             data = benchmark_data(preset, seed, n_windows)
             for variant in variants:
-                cfg = bench_config(seed, preset=preset, **config_overrides)
                 report, _, _ = run_variant(
-                    data.train, data.valid, data.test, variant, cfg
+                    data.train, data.valid, data.test, variant, bench_config(seed, preset)
                 )
                 report.config["preset"] = preset
                 reports.append(report)

@@ -185,5 +185,7 @@ def atomic_update(
     A, model_n, moments = _unroll(model, w, split, cfg, timer)
     if cfg.eta == 0.0:
         return w, model_n
-    grad_raw = _outer_reverse(A, model_n, moments, w, split, cfg, timer)
-    return normalize_scale(w.with_raw(w.raw - cfg.eta * grad_raw)), model_n
+    raw = w.raw - cfg.eta * _outer_reverse(A, model_n, moments, w, split, cfg, timer)
+    if not np.all(np.isfinite(raw)):
+        raise NumericError("outer step diverged; reduce eta or inner_lr")
+    return normalize_scale(w.with_raw(raw)), model_n

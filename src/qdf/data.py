@@ -137,10 +137,13 @@ def load_csv(path, skip_first_column: bool = False) -> SeriesFrame:
     except OSError as exc:
         raise CsvParseError(f"cannot read {path}: {exc}") from exc
     with fh:
-        frame = None if skip_first_column else _load_fast(fh)
-        if frame is None:
-            fh.seek(0)
-            frame = _load_checked(fh, path, skip_first_column)
+        try:
+            frame = None if skip_first_column else _load_fast(fh)
+            if frame is None:
+                fh.seek(0)
+                frame = _load_checked(fh, path, skip_first_column)
+        except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8; an oversized cell
+            raise CsvParseError(f"cannot parse {path}: {exc}") from exc
     return frame
 
 

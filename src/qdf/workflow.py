@@ -30,7 +30,7 @@ from .model import (
     init_forecaster,
     sgd_step,
 )
-from .objective import ResidualBatch, quadratic_loss
+from .objective import quadratic_loss
 from .timing import PhaseTimer, phase
 from .weighting import (
     WeightingMode,
@@ -170,9 +170,7 @@ def train_final(
                     model = opt.step(model, grad)
                 else:
                     model = sgd_step(model, grad, cfg.final_lr)
-            val = quadratic_loss(
-                ResidualBatch(Yv - forecast_batch(model, Xv)), w
-            )
+            val = quadratic_loss(Yv - forecast_batch(model, Xv), w)
             if not np.isfinite(val):
                 raise NumericError("validation loss diverged; reduce final_lr")
             if val < best_val:
@@ -193,7 +191,7 @@ def evaluate(model: LinearForecaster, windows: WindowSet, w: WeightingParams) ->
     return {
         "mse": float(np.mean(resid**2)),
         "mae": float(np.mean(np.abs(resid))),
-        "nll": quadratic_loss(ResidualBatch(resid), w),
+        "nll": quadratic_loss(resid, w),
     }
 
 

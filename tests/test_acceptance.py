@@ -31,7 +31,6 @@ from qdf.data import (
 from qdf.diagnostics import fraction_above, partial_corr_matrix, partial_correlation
 from qdf.model import LinearForecaster, forecast_batch, grad_params_batch, init_forecaster
 from qdf.objective import (
-    ResidualBatch,
     grad_wrt_residual,
     grad_wrt_weighting,
     mse_loss,
@@ -65,14 +64,13 @@ def test_criterion_1_gradient_correctness():
         raw = rng.uniform(-1.2, 1.2, size=(T, T))
         w = WeightingParams(raw, T)
         resid = rng.standard_normal((B, T))
-        batch = ResidualBatch(resid)
 
-        fd_r = central_diff(lambda r: quadratic_loss(ResidualBatch(r), w), resid)
-        worst["residual"] = max(worst["residual"], rel_err(grad_wrt_residual(batch, w), fd_r))
+        fd_r = central_diff(lambda r: quadratic_loss(r, w), resid)
+        worst["residual"] = max(worst["residual"], rel_err(grad_wrt_residual(resid, w), fd_r))
 
-        fd_w = central_diff(lambda rw: quadratic_loss(batch, WeightingParams(rw, T)), raw)
+        fd_w = central_diff(lambda rw: quadratic_loss(resid, WeightingParams(rw, T)), raw)
         worst["weighting"] = max(
-            worst["weighting"], rel_err(np.tril(grad_wrt_weighting(batch, w)), np.tril(fd_w))
+            worst["weighting"], rel_err(np.tril(grad_wrt_weighting(resid, w)), np.tril(fd_w))
         )
 
         m = init_forecaster(H, T, rng)
@@ -81,10 +79,10 @@ def test_criterion_1_gradient_correctness():
 
         def loss_of_weights(weights):
             mm = LinearForecaster(np.column_stack([weights, m.bias]))
-            return quadratic_loss(ResidualBatch(y.T - forecast_batch(mm, x.T)), w)
+            return quadratic_loss(y.T - forecast_batch(mm, x.T), w)
 
         fd_p = central_diff(loss_of_weights, m.weights)
-        upstream = -grad_wrt_residual(ResidualBatch(y.T - forecast_batch(m, x.T)), w)
+        upstream = -grad_wrt_residual(y.T - forecast_batch(m, x.T), w)
         analytic_p = grad_params_batch(m, x.T, upstream)[:, :-1]  # single window, D=1
         worst["params"] = max(worst["params"], rel_err(analytic_p, fd_p))
 
@@ -146,7 +144,7 @@ def test_criterion_4_mse_reduction_identity():
     for _ in range(200):
         T = int(rng.integers(1, 17))
         B = int(rng.integers(1, 6))
-        batch = ResidualBatch(rng.standard_normal((B, T)) * 3)
+        batch = rng.standard_normal((B, T)) * 3
         q = quadratic_loss(batch, identity_params(T))
         m = mse_loss(batch)
         assert abs(q - m) <= 1e-12 * max(abs(m), 1e-300)

@@ -59,8 +59,7 @@ def test_variants_share_data_realization_per_seed():
 
 
 def test_run_matrix_cardinality_and_aggregate():
-    reports = run_matrix(["white"], ["df", "qdf"], seeds=[0, 1], n_windows=100,
-                         epochs=2, outer_rounds=2)
+    reports = run_matrix(["white"], ["df", "qdf"], seeds=[0, 1], n_windows=100)
     assert len(reports) == 4
     rows = aggregate(reports)
     assert len(rows) == 2
@@ -73,5 +72,3 @@ def test_bench_config_applies_preset_overrides():
     cfg = bench_config(3, preset="ramp-only")
     assert cfg.epochs == PRESET_CONFIG["ramp-only"]["epochs"]
     assert cfg.seed == 3
-    cfg2 = bench_config(3, preset="ramp-only", epochs=99)
-    assert cfg2.epochs == 99

@@ -7,7 +7,7 @@ from qdf.bilevel import SplitPair, atomic_update, hypergradient, make_split_pair
 from qdf.data import SeriesFrame, WindowSet, make_windows
 from qdf.errors import InvalidSplitError, NumericError
 from qdf.model import forecast_batch, grad_params_batch, init_forecaster, sgd_step
-from qdf.objective import ResidualBatch, grad_wrt_residual, quadratic_loss
+from qdf.objective import grad_wrt_residual, quadratic_loss
 from qdf.weighting import (
     WeightingMode,
     WeightingParams,
@@ -27,7 +27,7 @@ def reference_inner_run(theta0, params, X, Y, steps, lr):
     m = theta0
     for _ in range(steps):
         resid = Y - forecast_batch(m, X)
-        upstream = -grad_wrt_residual(ResidualBatch(resid), params)
+        upstream = -grad_wrt_residual(resid, params)
         m = sgd_step(m, grad_params_batch(m, X, upstream), lr)
     return m
 
@@ -42,7 +42,7 @@ def fd_hypergradient(theta0, w, split, cfg, step=1e-4):
         perturbed = WeightingParams(raw, w.horizon, w.mode)
         theta_n = reference_inner_run(theta0, perturbed, X, Y, cfg.inner_steps, cfg.inner_lr)
         resid = Yo - forecast_batch(theta_n, Xo)
-        return quadratic_loss(ResidualBatch(resid), w)  # direct slot fixed at w
+        return quadratic_loss(resid, w)  # direct slot fixed at w
 
     grad = np.zeros_like(w.raw)
     for i in range(w.horizon):

@@ -264,6 +264,18 @@ def test_train_diverged_weighting_exits_4(synth_csv, tmp_path, capsys):
     assert not (tmp_path / "report_qdf.json").exists()
 
 
+def test_train_diverged_outer_step_exits_4(synth_csv, tmp_path, capsys):
+    # the overflowing hypergradient step used to reach the WeightingParams
+    # constructor and exit 3 with InvalidDimensionError
+    code = main(train_args(synth_csv, tmp_path, variant="qdf-diag", inner_lr="1e30"))
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error"}
+    assert err["error"]["type"] == "NumericError"
+    assert "outer step diverged" in err["error"]["message"]
+    assert not (tmp_path / "report_qdf-diag.json").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("eta", "1e6"), ("inner-lr", "5")])
 def test_train_ill_conditioned_weighting_exits_4(synth_csv, tmp_path, capsys, flag, value):
     # Sigma stays finite here; its condition number is what diverges
@@ -446,6 +458,25 @@ def test_header_only_csv_error_carries_no_numpy_warning(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err) == {"error": {
         "type": "CsvParseError", "message": f"{data} contains no data rows",
     }}
+
+
+@pytest.mark.parametrize("body, reason", [
+    (b"a,b\n1,2\n3,\xe9\n", "can't decode byte 0xe9"),
+    (b"a,b\n1,2\n3," + b"9" * 140_000 + b"\n4,5\n", "field larger than field limit"),
+], ids=["latin-1", "oversized-cell"])
+@pytest.mark.parametrize("date_column", [[], ["--date-column"]], ids=["fast", "cell-by-cell"])
+def test_unreadable_csv_exits_3_with_one_json_object(tmp_path, body, reason, date_column):
+    # both used to end in a traceback (UnicodeDecodeError, _csv.Error), exit 1
+    data = tmp_path / "bad.csv"
+    data.write_bytes(body)
+    proc = run_module("-m", "qdf.cli", "diagnose", "--data", str(data), "--horizon", "2",
+                      "--reg-history", "1", "--out-prefix", str(tmp_path / "d"), *date_column)
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads(proc.stderr)
+    assert set(err) == {"error"}
+    assert err["error"]["type"] == "CsvParseError"
+    assert reason in err["error"]["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
 
 
 def test_train_tuning_defaults_come_from_config():

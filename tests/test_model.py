@@ -15,7 +15,7 @@ from qdf.model import (
     save_checkpoint,
     sgd_step,
 )
-from qdf.objective import ResidualBatch, grad_wrt_residual, mse_loss, quadratic_loss
+from qdf.objective import grad_wrt_residual, mse_loss, quadratic_loss
 from qdf.weighting import WeightingParams, identity_params
 
 
@@ -69,11 +69,11 @@ def test_grad_params_matches_finite_differences_of_mse(rng):
 
     def loss_at(theta):
         e = y.T - forecast_batch(LinearForecaster(theta), x.T)  # rows per variable
-        return mse_loss(ResidualBatch(e))
+        return mse_loss(e)
 
     fd = central_diff(loss_at, m.theta)  # [dW | db]
 
-    resid = ResidualBatch(y.T - forecast_batch(m, x.T))
+    resid = y.T - forecast_batch(m, x.T)
     upstream = -grad_wrt_residual(resid, identity_params(T))  # sign flip, D x T
     grad = grad_params_batch(m, x.T, upstream)
     assert np.max(np.abs(grad[:, :-1] - fd[:, :-1])) <= 1e-6
@@ -89,10 +89,10 @@ def test_grad_params_matches_finite_differences_of_quadratic(rng):
 
     def loss_at(weights):
         mm = LinearForecaster(np.column_stack([weights, m.bias]))
-        return quadratic_loss(ResidualBatch(y.T - forecast_batch(mm, x.T)), w)
+        return quadratic_loss(y.T - forecast_batch(mm, x.T), w)
 
     fd_w = central_diff(loss_at, m.weights)
-    upstream = -grad_wrt_residual(ResidualBatch(y.T - forecast_batch(m, x.T)), w)
+    upstream = -grad_wrt_residual(y.T - forecast_batch(m, x.T), w)
     dw = grad_params_batch(m, x.T, upstream)[:, :-1]
     assert rel_err(dw, fd_w) <= 1e-5
 
@@ -138,13 +138,13 @@ def test_gd_fits_noiseless_linear_process(rng):
     for _ in range(5000):
         pred = forecast_batch(m, xs)
         resid = ys - pred
-        loss = mse_loss(ResidualBatch(resid))
+        loss = mse_loss(resid)
         if loss < 1e-6:
             break
-        upstream = -grad_wrt_residual(ResidualBatch(resid), identity_params(T))
+        upstream = -grad_wrt_residual(resid, identity_params(T))
         grads = grad_params_batch(m, xs, upstream)
         m = sgd_step(m, grads, 0.1)
-    assert mse_loss(ResidualBatch(ys - forecast_batch(m, xs))) < 1e-6
+    assert mse_loss(ys - forecast_batch(m, xs)) < 1e-6
 
 
 def test_adam_descends(rng):
@@ -154,12 +154,12 @@ def test_adam_descends(rng):
     ys = xs @ A.T
     m = init_forecaster(H, T, rng)
     opt = AdamState(m, lr=0.05)
-    first = mse_loss(ResidualBatch(ys - forecast_batch(m, xs)))
+    first = mse_loss(ys - forecast_batch(m, xs))
     for _ in range(200):
         resid = ys - forecast_batch(m, xs)
-        upstream = -grad_wrt_residual(ResidualBatch(resid), identity_params(T))
+        upstream = -grad_wrt_residual(resid, identity_params(T))
         m = opt.step(m, grad_params_batch(m, xs, upstream))
-    assert mse_loss(ResidualBatch(ys - forecast_batch(m, xs))) < first * 0.05
+    assert mse_loss(ys - forecast_batch(m, xs)) < first * 0.05
 
 
 def test_adam_rejects_nonfinite_without_advancing():

@@ -7,7 +7,7 @@ from qdf.bilevel import atomic_update, make_split_pair
 from qdf.data import ArSpec, ar_conditional_cov, gen_ar, make_windows, ramp_noise_schedule
 from qdf.errors import InvalidConfigError, InvalidSplitError
 from qdf.model import forecast_batch, grad_params_batch, init_forecaster, sgd_step
-from qdf.objective import ResidualBatch, grad_wrt_residual, quadratic_loss
+from qdf.objective import grad_wrt_residual, quadratic_loss
 from qdf.weighting import (
     WeightingParams,
     frobenius_distance,
@@ -162,10 +162,10 @@ def reference_weighted_training(train, valid, w, model, cfg, rng):
         order = rng.permutation(X.shape[0])
         for lo in range(0, X.shape[0], cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            resid = ResidualBatch(Y[idx] - forecast_batch(model, X[idx]))
+            resid = Y[idx] - forecast_batch(model, X[idx])
             upstream = -grad_wrt_residual(resid, w)
             model = sgd_step(model, grad_params_batch(model, X[idx], upstream), cfg.final_lr)
-        val = quadratic_loss(ResidualBatch(Yv - forecast_batch(model, Xv)), w)
+        val = quadratic_loss(Yv - forecast_batch(model, Xv), w)
         if val < best_val:
             best, best_val, stale = model, val, 0
         else:
@@ -209,7 +209,7 @@ def test_train_final_fits_noiseless_linear_process(rng):
     model0 = init_forecaster(H, T, rng)
     model = train_final(train, w, model0, cfg, valid=valid, rng=rng)
     X, Y = train.as_samples()
-    final = quadratic_loss(ResidualBatch(Y - forecast_batch(model, X)), w)
+    final = quadratic_loss(Y - forecast_batch(model, X), w)
     assert final < 1e-6
 
 
@@ -248,7 +248,7 @@ def reference_adam_training(train, valid, w, W, b, cfg, rng):
             c1, c2 = 1 - b1**t, 1 - b2**t
             W = W - cfg.final_lr * (m_w / c1) / (np.sqrt(v_w / c2) + 1e-8)
             b = b - cfg.final_lr * (m_b / c1) / (np.sqrt(v_b / c2) + 1e-8)
-        val = quadratic_loss(ResidualBatch(Yv - (Xv @ W.T + b)), w)
+        val = quadratic_loss(Yv - (Xv @ W.T + b), w)
         if val < best_val:
             best, best_val, stale = (W, b), val, 0
         else:
