@@ -30,7 +30,7 @@ from .data import (
     standardize,
     write_csv,
 )
-from .diagnostics import fraction_above, partial_corr_matrix
+from .diagnostics import check_threshold, fraction_above, partial_corr_matrix
 from .errors import InvalidConfigError, InvalidSplitError, NumericError, QdfError
 from .model import save_checkpoint
 from .weighting import write_matrix_csv
@@ -276,6 +276,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    check_threshold(args.threshold)
     frame = load_csv(args.data, skip_first_column=args.date_column)
     report = partial_corr_matrix(
         frame,

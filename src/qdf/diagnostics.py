@@ -2,8 +2,11 @@
 
 Partial correlation between two label steps, controlling for the shared
 history: regress each step on the history by OLS, then take the Pearson
-correlation of the two residual series.  The matrix form regresses every
-step once and reuses the residuals, so it costs O(T) regressions.
+correlation of the two residual series.  The matrix form fits every step
+against one thin SVD of the history design, then streams the labels in
+blocks of windows through two passes: the first accumulates the fit and
+the residual mean, the second the centred residuals' T x T Gram.  No
+samples x T array of labels or residuals is ever formed.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ log = logging.getLogger(__name__)
 
 RIDGE_LAMBDA = 1e-8
 VAR_EPS = 1e-12
+# Windows per label block in partial_corr_matrix's two passes over the labels.
+BLOCK_WINDOWS = 128
 
 
 @dataclass
@@ -38,20 +43,27 @@ class PartialCorrReport:
     flags: list[str] = field(default_factory=list)
 
 
-def _design_and_labels(windows: WindowSet, variable: int | None):
-    """Intercept-plus-history design and label matrix, optionally pooled
-    across variables (each variable regressed on its own history)."""
-    if variable is None:
-        hist, labels = windows.as_samples()
-    else:
-        D = windows.n_vars
-        if not 0 <= variable < D:
-            raise InvalidDimensionError(f"variable {variable} out of range (D={D})")
-        X, Y = windows.arrays()
-        hist = X[:, :, variable]
-        labels = Y[:, :, variable]
+def _check_variable(variable: int, n_vars: int) -> None:
+    if not 0 <= variable < n_vars:
+        raise InvalidDimensionError(f"variable {variable} out of range (D={n_vars})")
+
+
+def _design_and_labels(windows: WindowSet, variable: int):
+    """Intercept-plus-history design and label matrix of one variable."""
+    _check_variable(variable, windows.n_vars)
+    X, Y = windows.arrays()
+    hist = X[:, :, variable]
+    labels = Y[:, :, variable]
     design = np.column_stack([np.ones(hist.shape[0]), hist])
     return design, labels
+
+
+def _samples(stack: np.ndarray, rows: np.ndarray, variable: int | None) -> np.ndarray:
+    """Windows ``rows`` of an (n, width, D) stack as a new (samples, width)
+    array; pooled rows are window-major, variable-minor, as in as_samples."""
+    if variable is not None:
+        return stack[rows, :, variable]
+    return stack[rows].transpose(0, 2, 1).reshape(-1, stack.shape[1])
 
 
 def _fit_residuals(design: np.ndarray, labels: np.ndarray, flags: list[str]) -> np.ndarray:
@@ -115,7 +127,7 @@ def partial_corr_matrix(
 
     Windows are subsampled (seeded, without replacement) when more than
     ``subsample`` are available.  ``variable=None`` pools samples across
-    variables into a single estimate.
+    variables into a single estimate.  Memory is O(samples * H + block + T^2).
     """
     if not subsample >= 1:
         raise InvalidConfigError(f"subsample must be >= 1, got {subsample!r}")
@@ -125,27 +137,58 @@ def partial_corr_matrix(
     n = len(windows)
     if subsample < n:
         rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(n, size=subsample, replace=False))
-        windows = _select_windows(windows, keep)
-    design, labels = _design_and_labels(windows, variable)
-    n_windows, samples = len(windows), design.shape[0]
-    # The n*D x T arrays dominate memory: each is released as soon as the next
-    # one exists, and centering and scaling reuse the residual buffer.
-    del windows
+        rows = np.sort(rng.choice(n, size=subsample, replace=False))
+    else:
+        rows = np.arange(n)
+    per_window = windows.n_vars
+    if variable is not None:
+        _check_variable(variable, per_window)
+        per_window = 1
+    samples = len(rows) * per_window
     if samples < history + 3:
         raise InsufficientDataError(
             f"need at least H+3={history + 3} samples after subsampling"
         )
+    X, Y = windows.arrays()
+    design = np.column_stack([np.ones(samples), _samples(X, rows, variable)])
+    blocks = [(lo * per_window, rows[lo:lo + BLOCK_WINDOWS])
+              for lo in range(0, len(rows), BLOCK_WINDOWS)]
     flags: list[str] = []
-    z = _fit_residuals(design, labels, flags)
-    del design, labels
-    np.subtract(z, z.mean(axis=0), out=z)
-    sumsq = np.einsum("ij,ij->j", z, z)
+    try:
+        # The rank rule and ridge fallback of _fit_residuals: the residual is
+        # the labels minus basis @ coef, with coef = U^T labels at full rank.
+        U, s, _ = np.linalg.svd(design, full_matrices=False)
+        rank = np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0])
+        ridge = rank < design.shape[1]
+        basis = design if ridge else U
+        coef = np.zeros((design.shape[1], horizon))
+        label_sum = np.zeros(horizon)
+        for k, block in blocks:
+            labels = _samples(Y, block, variable)
+            coef += basis[k:k + len(labels)].T @ labels
+            label_sum += labels.sum(axis=0)
+        if ridge:
+            flags.append("ridge_fallback")
+            log.warning("rank-deficient design (rank %d < %d); ridge fallback",
+                        rank, design.shape[1])
+            ridge_gram = design.T @ design + RIDGE_LAMBDA * np.eye(design.shape[1])
+            coef = np.linalg.solve(ridge_gram, coef)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"least-squares fit failed: {exc}") from None
+    # Pass 2 subtracts the exact residual mean from each block before its
+    # Gram is taken, so no raw second moment is ever differenced.
+    mean = (label_sum - basis.sum(axis=0) @ coef) / samples
+    gram = np.zeros((horizon, horizon))
+    for k, block in blocks:
+        resid = _samples(Y, block, variable)
+        resid -= basis[k:k + len(resid)] @ coef
+        resid -= mean
+        gram += resid.T @ resid
+    sumsq = np.diagonal(gram)
     cond_var = sumsq / samples
     dead = cond_var < VAR_EPS
-    norms = np.sqrt(sumsq)
-    np.divide(z, np.maximum(norms, np.sqrt(VAR_EPS * samples)), out=z)
-    corr = z.T @ z
+    scale = np.sqrt(np.maximum(sumsq, VAR_EPS * samples))
+    corr = gram / np.outer(scale, scale)
     corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
     if not (np.all(np.isfinite(cond_var)) and np.all(np.isfinite(corr))):
         raise NumericError("residual variances or partial correlations are not finite")
@@ -160,21 +203,22 @@ def partial_corr_matrix(
         "history": history,
         "horizon": horizon,
         "samples": samples,
-        "windows": n_windows,
+        "windows": len(rows),
         "variable": variable if variable is not None else "pooled",
         "subsample": subsample,
     }
     return PartialCorrReport(corr, cond_var, meta, flags)
 
 
-def _select_windows(windows: WindowSet, idx: np.ndarray) -> WindowSet:
-    X, Y = windows.arrays()
-    picked = WindowSet(X[idx], Y[idx], windows.starts[idx])
-    return picked
+def check_threshold(threshold: float) -> None:
+    """InvalidConfigError unless 0 <= threshold <= 1 (so nan is refused)."""
+    if not 0.0 <= threshold <= 1.0:
+        raise InvalidConfigError(f"threshold must be in [0, 1], got {threshold!r}")
 
 
 def fraction_above(report: PartialCorrReport, threshold: float) -> float:
     """Share of off-diagonal coefficients with magnitude above threshold."""
+    check_threshold(threshold)
     T = report.matrix.shape[0]
     if T < 2:
         return 0.0

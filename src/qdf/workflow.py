@@ -118,7 +118,9 @@ def learn_weighting(
             w, theta = atomic_update(theta, w, pair, cfg, timer)
         delta = frobenius_distance(w, w_prev)
         if not np.isfinite(delta):
-            raise NumericError("weighting diverged (Frobenius delta not finite); reduce eta")
+            raise NumericError(
+                "weighting diverged (Frobenius delta not finite); reduce eta or inner_lr"
+            )
         cond = np.linalg.cond(w.sigma)
         if not cond <= MAX_SIGMA_COND:
             raise NumericError(

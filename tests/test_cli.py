@@ -276,6 +276,19 @@ def test_train_diverged_outer_step_exits_4(synth_csv, tmp_path, capsys):
     assert not (tmp_path / "report_qdf-diag.json").exists()
 
 
+def test_train_diverged_inner_step_names_inner_lr(synth_csv, tmp_path, capsys):
+    # Sigma of the normalized step overflows while the proposal stays finite:
+    # the Frobenius delta is what diverges, and the inner step size caused it
+    code = main(train_args(synth_csv, tmp_path, inner_lr="1e30"))
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error"}
+    assert err["error"]["type"] == "NumericError"
+    assert "Frobenius delta not finite" in err["error"]["message"]
+    assert "inner_lr" in err["error"]["message"]
+    assert not (tmp_path / "report_qdf.json").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("eta", "1e6"), ("inner-lr", "5")])
 def test_train_ill_conditioned_weighting_exits_4(synth_csv, tmp_path, capsys, flag, value):
     # Sigma stays finite here; its condition number is what diverges
@@ -557,6 +570,18 @@ def test_diagnose_emits_matrix_and_summary(synth_csv, tmp_path):
     assert "fraction_above_0.1" in summary
     assert len(summary["cond_var"]) == 5
     assert summary["meta"]["samples"] <= 800
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1", "1.5", "inf"])
+def test_diagnose_threshold_outside_unit_interval_exits_3(threshold, synth_csv, tmp_path, capsys):
+    code = main(["diagnose", "--data", str(synth_csv), "--horizon", "4",
+                 "--threshold", threshold, "--out-prefix", str(tmp_path / "out" / "d")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error"}
+    assert err["error"]["type"] == "InvalidConfigError"
+    assert "threshold" in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_diagnose_ett_style_shape(tmp_path):

@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qdf import diagnostics
 from qdf.data import (
     ArSpec,
     SeriesFrame,
+    WindowSet,
     ar_conditional_cov,
     cov_to_corr,
     gen_ar,
@@ -17,6 +19,7 @@ from qdf.data import (
     write_csv,
 )
 from qdf.diagnostics import (
+    VAR_EPS,
     PartialCorrReport,
     _fit_residuals,
     fraction_above,
@@ -26,6 +29,7 @@ from qdf.diagnostics import (
 from qdf.cli import main
 from qdf.errors import (
     InsufficientDataError,
+    InvalidConfigError,
     InvalidDimensionError,
     NumericError,
     UndefinedCorrelationError,
@@ -291,3 +295,122 @@ def test_fraction_above_examples():
         m[i, j] = m[j, i] = 0.3
     mixed = PartialCorrReport(m, np.ones(4), {})
     assert fraction_above(mixed, 0.1) == 0.5
+
+
+def test_fraction_above_rejects_thresholds_outside_unit_interval():
+    report = PartialCorrReport(np.eye(3), np.ones(3), {})
+    for threshold in (float("nan"), -1.0, -1e-9, 1.0 + 1e-9, float("inf")):
+        with pytest.raises(InvalidConfigError, match="threshold"):
+            fraction_above(report, threshold)
+    assert fraction_above(report, 0.0) == 0.0
+    assert fraction_above(report, 1.0) == 0.0
+
+
+def full_buffer_partial_corr(frame, history, horizon, subsample, variable=None, seed=0):
+    """The matrix from whole samples x T label and residual arrays: the
+    residual labels - U (U^T labels), centred and normalised, then z^T z."""
+    windows = make_windows(frame, history, horizon)
+    n = len(windows)
+    X, Y = windows.arrays()
+    if subsample < n:
+        keep = np.sort(np.random.default_rng(seed).choice(n, size=subsample, replace=False))
+        X, Y = X[keep], Y[keep]
+    if variable is None:
+        hist, labels = WindowSet(X, Y, np.arange(len(X))).as_samples()
+    else:
+        hist, labels = X[:, :, variable], Y[:, :, variable]
+    samples = len(labels)
+    flags = []
+    z = _fit_residuals(np.column_stack([np.ones(samples), hist]), labels, flags)
+    z -= z.mean(axis=0)
+    sumsq = np.einsum("ij,ij->j", z, z)
+    z /= np.maximum(np.sqrt(sumsq), np.sqrt(VAR_EPS * samples))
+    corr = z.T @ z
+    corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
+    dead = sumsq / samples < VAR_EPS
+    flags += [f"zero_variance_step_{t}" for t in np.nonzero(dead)[0]]
+    corr[dead, :] = 0.0
+    corr[:, dead] = 0.0
+    np.fill_diagonal(corr, 1.0)
+    meta = {"history": history, "horizon": horizon, "samples": samples, "windows": len(X),
+            "variable": "pooled" if variable is None else variable, "subsample": subsample}
+    return corr, sumsq / samples, flags, meta
+
+
+def ridge_series():
+    # every history is constant, so the design has rank 1 or 2: the last T
+    # rows are noise, which reaches every label step of the last windows
+    values = np.tile([2.0, -1.0], (40, 1))
+    values[-5:] = np.random.default_rng(43).standard_normal((5, 2))
+    return SeriesFrame(values, ["a", "b"])
+
+
+def assert_matches_full_buffer(frame, history, horizon, subsample, variable):
+    report = partial_corr_matrix(frame, history, horizon, subsample=subsample,
+                                 variable=variable, seed=3)
+    corr, cond_var, flags, meta = full_buffer_partial_corr(
+        frame, history, horizon, subsample, variable, seed=3)
+    np.testing.assert_allclose(report.matrix, corr, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.cond_var, cond_var, rtol=1e-12)
+    assert report.flags == flags
+    assert report.meta == meta
+    return report
+
+
+@pytest.mark.parametrize("variable", [None, 1])
+@pytest.mark.parametrize("windows", [5, 7, 22, None], ids=["under-one-block", "one-block",
+                                                              "three-blocks-plus-one", "all-29"])
+def test_blocked_passes_match_full_buffer_formula(monkeypatch, windows, variable):
+    # blocks of 7 windows; the frame has 29 = 4 * 7 + 1 windows in all
+    monkeypatch.setattr(diagnostics, "BLOCK_WINDOWS", 7)
+    H, T = 2, 4
+    frame = gen_ar_frame(ArSpec((0.6,), 1.0, 29 + H + T - 1, seed=41), 3)
+    report = assert_matches_full_buffer(frame, H, T, windows or 10**9, variable)
+    assert report.meta["windows"] == (windows or 29)
+
+
+@pytest.mark.parametrize("variable", [None, 2])
+@pytest.mark.parametrize("subsample", [600, 10**9], ids=["subsampled", "all-windows"])
+def test_default_blocks_match_full_buffer_formula(subsample, variable):
+    frame = gen_ar_frame(ArSpec((0.5,), 1.0, 1000, seed=47), 3)
+    report = assert_matches_full_buffer(frame, 8, 24, subsample, variable)
+    assert report.meta["windows"] > diagnostics.BLOCK_WINDOWS
+
+
+@pytest.mark.parametrize("variable", [None, 0])
+@pytest.mark.parametrize("block", [4, 256])
+def test_ridge_fallback_matches_full_buffer_formula(monkeypatch, block, variable):
+    monkeypatch.setattr(diagnostics, "BLOCK_WINDOWS", block)
+    report = assert_matches_full_buffer(ridge_series(), 4, 5, 10**9, variable)
+    assert report.flags == ["ridge_fallback"]
+    assert np.all(report.cond_var > 0.05)
+
+
+def test_pooled_matrix_holds_no_samples_by_horizon_array():
+    # every window, pooled: the labels or residuals as one samples x T float64
+    # array would take more than the whole traced peak
+    H, T, D = 8, 96, 4
+    frame = gen_ar_frame(ArSpec((0.5,), 1.0, 3000, seed=53), D)
+    tracemalloc.start()
+    try:
+        report = partial_corr_matrix(frame, H, T, subsample=10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    samples = (3000 - H - T + 1) * D
+    assert report.meta["samples"] == samples
+    assert peak < samples * T * 8
+
+
+@pytest.mark.parametrize("series", [
+    np.full(300, 2.0),
+    0.5 * np.arange(300.0) - 7,
+], ids=["constant", "linear"])
+@pytest.mark.parametrize("block", [16, 256])
+def test_dead_step_variances_are_never_negative(monkeypatch, series, block):
+    # the residuals are rounding noise: the centred blocks' sums of squares
+    # keep every variance at or above zero
+    monkeypatch.setattr(diagnostics, "BLOCK_WINDOWS", block)
+    report = partial_corr_matrix(SeriesFrame(series[:, None], ["y"]), 4, 3)
+    assert np.all(report.cond_var >= 0.0)
+    assert np.all(report.cond_var < VAR_EPS)
