@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import (
     ArSpec,
+    SeriesFrame,
     WindowSet,
     ar_conditional_cov,
     chrono_split,
@@ -84,14 +85,29 @@ class BenchmarkData:
         return ar_conditional_cov(self.spec, HORIZON)
 
 
+# The realizations of the (preset, n_windows) pair asked for last, by seed.
+_held: dict[tuple[str, int], dict[int, tuple[ArSpec, SeriesFrame]]] = {}
+
+
 def benchmark_data(preset: str, seed: int, n_windows: int = 600) -> BenchmarkData:
     """Aligned windows of one preset realization, split 35/15/50.
 
     The small training share keeps estimation error on the table (where the
     weighting can act); the large test share keeps comparisons low-noise.
+
+    A realization is drawn once per (preset, seed, n_windows) and held while
+    its preset runs: a call for another preset or ``n_windows`` drops the
+    held ones.  The series is read-only, and every call returns fresh
+    ``WindowSet``s with their own read counters.
     """
-    spec = preset_spec(preset, seed, n_windows)
-    frame = gen_ar(spec)
+    by_seed = _held.get((preset, n_windows))
+    if by_seed is None:
+        _held.clear()
+        by_seed = _held[preset, n_windows] = {}
+    if seed not in by_seed:
+        spec = preset_spec(preset, seed, n_windows)
+        by_seed[seed] = spec, gen_ar(spec)
+    spec, frame = by_seed[seed]
     windows = make_windows(frame, HISTORY, HORIZON, stride=HISTORY + HORIZON)
     train, valid, test = chrono_split(windows, [0.35, 0.15, 0.5])
     return BenchmarkData(train, valid, test, spec)
@@ -107,7 +123,9 @@ def run_matrix(presets, variants, seeds, n_windows: int = 600) -> list[RunReport
     """Run every (preset, variant, seed) cell; one report per run.
 
     Runs with the same (preset, seed) share the data realization, so
-    cross-variant comparisons are paired.
+    cross-variant comparisons are paired.  ``benchmark_data`` holds the
+    realizations of the current preset, so calling this once per cell, in
+    any order within a preset, draws each series once as well.
     """
     reports = []
     for preset in presets:

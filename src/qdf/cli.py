@@ -292,6 +292,7 @@ def cmd_diagnose(args) -> int:
     write_matrix_csv(matrix_path, report.matrix)
     summary = {
         "schema": 1,
+        "threshold": args.threshold,
         f"fraction_above_{args.threshold:g}": fraction_above(report, args.threshold),
         "cond_var": report.cond_var.tolist(),
         "meta": report.meta,

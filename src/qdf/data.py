@@ -337,7 +337,8 @@ class ArSpec:
     """Stable AR(p) process spec with a per-step innovation-scale schedule.
 
     ``noise_std`` is either a scalar or a 1-D array treated as periodic with
-    its own length, anchored at the first retained sample.
+    its own length, anchored at the first retained sample.  The spec keeps a
+    read-only copy of it.
     """
 
     coeffs: tuple[float, ...]
@@ -348,9 +349,10 @@ class ArSpec:
     def __post_init__(self):
         coeffs = tuple(float(c) for c in np.asarray(self.coeffs, dtype=float).ravel())
         object.__setattr__(self, "coeffs", coeffs)
-        sched = np.atleast_1d(np.asarray(self.noise_std, dtype=float))
+        sched = np.atleast_1d(np.array(self.noise_std, dtype=float))
         if np.any(sched <= 0) or not np.all(np.isfinite(sched)):
             raise UnstableSpecError("noise_std entries must be positive and finite")
+        sched.setflags(write=False)
         object.__setattr__(self, "noise_std", sched)
         if self.length < 1:
             raise InvalidDimensionError("length must be >= 1")

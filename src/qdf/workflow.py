@@ -166,8 +166,9 @@ def train_final(
     with phase(timer, "final_train"):
         for _ in range(cfg.epochs):
             for idx in _epoch_batches(X.shape[0], cfg.batch_size, rng):
-                resid = Y[idx] - forecast_batch(model, X[idx])
-                grad = -(2.0 / idx.size) * (A @ grad_params_batch(model, X[idx], resid))
+                xb = X[idx]
+                resid = Y[idx] - forecast_batch(model, xb)
+                grad = -(2.0 / idx.size) * (A @ grad_params_batch(model, xb, resid))
                 if opt is not None:
                     model = opt.step(model, grad)
                 else:

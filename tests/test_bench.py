@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+import qdf.bench
 from qdf.bench import (
     HISTORY,
     HORIZON,
@@ -12,6 +14,29 @@ from qdf.bench import (
     run_matrix,
 )
 from qdf.data import ar_conditional_cov
+from qdf.workflow import VARIANTS
+
+
+@pytest.fixture(autouse=True)
+def no_held_realizations():
+    """Each test starts and ends with no realization held, whatever ran before."""
+    qdf.bench._held.clear()
+    yield
+    qdf.bench._held.clear()
+
+
+@pytest.fixture
+def gen_ar_calls(monkeypatch):
+    """Specs passed to gen_ar, in call order."""
+    calls = []
+    real = qdf.bench.gen_ar
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(qdf.bench, "gen_ar", counted)
+    return calls
 
 
 def test_presets_all_configured():
@@ -50,12 +75,17 @@ def test_benchmark_windows_aligned_and_disjoint():
     assert data.valid.coverage()[1] <= data.test.coverage()[0]
 
 
-def test_variants_share_data_realization_per_seed():
+def test_variants_share_data_realization_per_seed(gen_ar_calls):
     a = benchmark_data("white", seed=2, n_windows=100)
     b = benchmark_data("white", seed=2, n_windows=100)
     Xa, Ya = a.train.arrays()
     Xb, Yb = b.train.arrays()
     assert np.array_equal(Xa, Xb) and np.array_equal(Ya, Yb)
+    # drawn once, but each call gets its own windows and read counters
+    assert len(gen_ar_calls) == 1
+    assert a.train is not b.train and a.train.reads == b.train.reads == 1
+    a.test.arrays()
+    assert a.test.reads == 1 and b.test.reads == 0
 
 
 def test_run_matrix_cardinality_and_aggregate():
@@ -72,3 +102,58 @@ def test_bench_config_applies_preset_overrides():
     cfg = bench_config(3, preset="ramp-only")
     assert cfg.epochs == PRESET_CONFIG["ramp-only"]["epochs"]
     assert cfg.seed == 3
+
+
+@pytest.mark.parametrize("order", ["preset-seed-variant", "preset-variant-seed"])
+def test_per_cell_run_matrix_draws_each_realization_once(order, gen_ar_calls):
+    presets, seeds = ["white", "ramp-only"], [0, 1]
+    for preset in presets:
+        if order == "preset-seed-variant":
+            cells = [(seed, variant) for seed in seeds for variant in VARIANTS]
+        else:
+            cells = [(seed, variant) for variant in VARIANTS for seed in seeds]
+        for seed, variant in cells:
+            (report,) = run_matrix([preset], [variant], [seed], n_windows=60)
+            assert report.config["preset"] == preset and report.config["seed"] == seed
+    assert [(s.seed, s.length) for s in gen_ar_calls] == [(0, 1464), (1, 1464)] * 2
+    assert [s.order for s in gen_ar_calls] == [0, 0, HISTORY, HISTORY]
+
+
+def test_per_cell_run_matrix_matches_one_all_variant_call():
+    seeds = [0, 1]
+    whole = run_matrix(["ramp-only"], list(VARIANTS), seeds, n_windows=80)
+    qdf.bench._held.clear()
+    cells = [
+        report
+        for seed in seeds
+        for variant in reversed(VARIANTS)
+        for report in run_matrix(["ramp-only"], [variant], [seed], n_windows=80)
+    ]
+
+    def key(r):
+        return r.config["seed"], r.variant
+
+    assert sorted(map(key, whole)) == sorted(map(key, cells))
+    by_cell = {key(r): r for r in cells}
+    for r in whole:
+        other = by_cell[key(r)]
+        assert {k: float.hex(v) for k, v in r.metrics.items()} == {
+            k: float.hex(v) for k, v in other.metrics.items()
+        }
+
+
+def test_switching_preset_or_length_drops_held_realizations(gen_ar_calls):
+    benchmark_data("white", seed=0, n_windows=50)
+    benchmark_data("white", seed=1, n_windows=50)
+    benchmark_data("white", seed=0, n_windows=50)
+    assert len(gen_ar_calls) == 2
+    benchmark_data("ramp-only", seed=0, n_windows=50)
+    benchmark_data("white", seed=0, n_windows=50)
+    assert len(gen_ar_calls) == 4
+    benchmark_data("white", seed=0, n_windows=60)
+    benchmark_data("white", seed=0, n_windows=50)
+    assert len(gen_ar_calls) == 6
+    assert [(s.seed, s.length) for s in gen_ar_calls[2:]] == [
+        (0, 1224), (0, 1224), (0, 1464), (0, 1224)
+    ]
+    assert len(qdf.bench._held) == 1

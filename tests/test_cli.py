@@ -572,6 +572,18 @@ def test_diagnose_emits_matrix_and_summary(synth_csv, tmp_path):
     assert summary["meta"]["samples"] <= 800
 
 
+def test_diagnose_summary_records_the_threshold(synth_csv, tmp_path):
+    # both thresholds print as 0.1 in the summary key; the threshold field tells them apart
+    for i, threshold in enumerate(["0.1000001", "0.10000001"]):
+        prefix = tmp_path / f"d{i}"
+        code = main(["diagnose", "--data", str(synth_csv), "--horizon", "4",
+                     "--threshold", threshold, "--out-prefix", str(prefix)])
+        assert code == 0
+        summary = json.loads(Path(f"{prefix}_summary.json").read_text())
+        assert summary["threshold"] == float(threshold)
+        assert "fraction_above_0.1" in summary
+
+
 @pytest.mark.parametrize("threshold", ["nan", "-1", "1.5", "inf"])
 def test_diagnose_threshold_outside_unit_interval_exits_3(threshold, synth_csv, tmp_path, capsys):
     code = main(["diagnose", "--data", str(synth_csv), "--horizon", "4",

@@ -494,6 +494,17 @@ def test_unstable_spec_rejected():
             ArSpec(coeffs=(0.5, bad), noise_std=1.0, length=100, seed=0)
 
 
+def test_ar_spec_keeps_a_read_only_copy_of_the_schedule():
+    sched = np.ones(4)
+    spec = ArSpec((0.5,), sched, 100, 0)
+    before = gen_ar(spec).values.copy()
+    sched[0] = -1.0
+    assert spec.noise_std[0] == 1.0
+    with pytest.raises(ValueError):
+        spec.noise_std[0] = -1.0
+    assert np.array_equal(gen_ar(spec).values, before)
+
+
 def test_gen_ar_frame_independent_columns():
     spec = ArSpec(coeffs=(0.5,), noise_std=1.0, length=4000, seed=5)
     frame = gen_ar_frame(spec, 2)
