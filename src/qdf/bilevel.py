@@ -15,6 +15,14 @@ pass needs only the residual moments M_k = C - Theta_k G of each step, so
 both cost O(T^2 H + T H^2) whatever the number of inner windows.  The outer
 adjoint is seeded from the real outer residuals, so a perfect outer fit
 gives an exactly zero hypergradient.
+
+At desk scale every array here is small, so the cost is per numpy call, not
+per flop.  The unrolled loop therefore runs on the plain T x (H+1)
+parameter block, checked finite after each step, and a model object is built
+once per update, for the caller.  The outer seed is the gradient kernel that
+final training uses (``model.weighted_grad``), and the adjoint is carried
+back N - 1 times, since the last carry would never be read.  A split pair's
+disjointness is checked on the sorted window starts, with no row masks.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import numpy as np
 
 from .data import WindowSet
 from .errors import InvalidDimensionError, InvalidSplitError, NumericError
-from .model import LinearForecaster, forecast_batch, grad_params_batch
+from .model import LinearForecaster, weighted_grad
 from .timing import PhaseTimer, phase
 from .weighting import WeightingParams, chain_sigma_grad_to_raw, normalize_scale
 
@@ -66,18 +74,19 @@ class SplitPair:
         return self.outer.as_samples()
 
 
-def _covered_mask(ws: WindowSet, hi: int) -> np.ndarray:
-    """Boolean mask over source rows [0, hi) touched by any window."""
-    span = ws.history + ws.horizon
-    diff = np.zeros(hi + 1, dtype=int)
-    np.add.at(diff, ws.starts, 1)
-    np.add.at(diff, ws.starts + span, -1)
-    return np.cumsum(diff)[:hi] > 0
-
-
 def _coverage_overlaps(a: WindowSet, b: WindowSet) -> bool:
-    hi = max(a.coverage()[1], b.coverage()[1])
-    return bool(np.any(_covered_mask(a, hi) & _covered_mask(b, hi)))
+    """Whether a window of ``a`` shares a source row with one of ``b``.
+
+    Windows of one span overlap iff their starts differ by less than the
+    span, so each start of ``a`` is checked against its nearest starts of
+    ``b`` on either side.
+    """
+    span = a.history + a.horizon
+    sb = np.sort(b.starts)
+    i = np.searchsorted(sb, a.starts)
+    above = sb[np.minimum(i, sb.size - 1)]
+    below = sb[np.maximum(i - 1, 0)]
+    return bool((np.minimum(np.abs(above - a.starts), np.abs(a.starts - below)) < span).any())
 
 
 def make_split_pair(windows: WindowSet) -> SplitPair:
@@ -113,8 +122,9 @@ def _unroll(
 ):
     """Shared forward pass: N full-batch GD steps from the inner statistics.
 
-    Returns Sigma^-1, the model after the last step, and the residual moments
-    M_k = C - Theta_k G of every step, which the reverse pass consumes.
+    Returns Sigma^-1, the parameter block after the last step, and the
+    residual moments M_k = C - Theta_k G of every step, which the reverse
+    pass consumes.
     """
     if theta0.horizon != w.horizon or split.inner.horizon != w.horizon:
         raise InvalidDimensionError("model/weighting/split horizons disagree")
@@ -128,35 +138,36 @@ def _unroll(
             M = C - theta @ G
         with phase(timer, "inner_bwd"):
             theta = theta + scale * (A @ M)
-            finite = bool(np.all(np.isfinite(theta)))
+            finite = np.isfinite(theta).all()
         if not finite:
             raise NumericError("inner loop diverged; reduce inner_lr")
         moments.append(M)
-    return A, LinearForecaster(theta), moments
+    return A, theta, moments
 
 
-def _outer_reverse(A, model_n, moments, w, split, cfg, timer) -> np.ndarray:
+def _outer_reverse(A, theta_n, moments, w, split, cfg, timer) -> np.ndarray:
     """Outer loss adjoint at theta_N, carried back through the unrolled steps.
 
     The seed -(2 / Bo) A [R^T X, R^T 1] sums the outer residuals over rows first.
     Each step's Jacobian is I - (2 lr / B) A (.) G, constant in theta for a
     quadratic loss; the mixed derivative of step k with respect to Sigma is
     -(2 lr / B) A M_k lambda^T A, accumulated before the two A factors apply.
+    The adjoint is carried back N - 1 times: past the first step it is never read.
     """
     Xo, Yo = split.outer_samples
-    Bo = Xo.shape[0]
     with phase(timer, "outer_fwd"):
-        R = Yo - forecast_batch(model_n, Xo)  # exactly 0 where Yo was forecast by model_n
-        lam = -(2.0 / Bo) * (A @ grad_params_batch(model_n, Xo, R))
-    if not np.all(np.isfinite(lam)):
+        # R is exactly 0 where Yo was forecast by theta_n
+        lam = weighted_grad(theta_n, Xo, Yo, A, np.empty_like(theta_n))
+    if not np.isfinite(lam).all():
         raise NumericError("outer adjoint diverged; reduce inner_lr")
     with phase(timer, "outer_bwd"):
         G, _, B = split.inner_moments
         scale = 2.0 * cfg.inner_lr / B
         P = np.zeros_like(A)
-        for M in reversed(moments):
+        for k, M in enumerate(reversed(moments)):
+            if k:
+                lam = lam - scale * (A @ lam @ G)
             P += M @ lam.T
-            lam = lam - scale * (A @ lam @ G)
         return chain_sigma_grad_to_raw(w, -scale * (A @ P @ A))
 
 
@@ -182,10 +193,10 @@ def atomic_update(
     """N inner GD steps on the model, then one hypergradient step on the
     weighting, rescaled by ``normalize_scale``.  With eta = 0 the weighting
     is returned untouched."""
-    A, model_n, moments = _unroll(model, w, split, cfg, timer)
+    A, theta_n, moments = _unroll(model, w, split, cfg, timer)
     if cfg.eta == 0.0:
-        return w, model_n
-    raw = w.raw - cfg.eta * _outer_reverse(A, model_n, moments, w, split, cfg, timer)
-    if not np.all(np.isfinite(raw)):
+        return w, LinearForecaster(theta_n)
+    raw = w.raw - cfg.eta * _outer_reverse(A, theta_n, moments, w, split, cfg, timer)
+    if not np.isfinite(raw).all():
         raise NumericError("outer step diverged; reduce eta or inner_lr")
-    return normalize_scale(w.with_raw(raw)), model_n
+    return normalize_scale(w.with_raw(raw)), LinearForecaster(theta_n)

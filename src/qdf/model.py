@@ -4,6 +4,12 @@ The model maps H history steps to T future steps with one weight matrix and
 bias shared across the D variables: output[:, d] = weights @ x[:, d] + bias.
 Its parameters are one T x (H+1) block Theta = [W | b]; gradients, SGD and
 Adam all work on that block, and ``weights`` and ``bias`` are views of it.
+
+The formulas live once, in an array-level kernel on plain blocks: the
+forecast, the gradient block [U^T X | U^T 1] written into a caller's scratch
+block, and the SGD and Adam updates, each checked finite.  The training
+loops call the kernel directly; ``forecast_batch``, ``grad_params_batch``,
+``sgd_step`` and ``AdamState.step`` are its validated, model-level wrappers.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ class LinearForecaster:
         th = np.array(self.theta, dtype=float)
         if th.ndim != 2 or th.shape[0] < 1 or th.shape[1] < 2:
             raise InvalidDimensionError(f"theta must be T x (H+1) with H, T >= 1, got {th.shape}")
-        if not np.all(np.isfinite(th)):
+        if not np.isfinite(th).all():
             raise NumericError("model parameters must be finite")
         th.setflags(write=False)
         object.__setattr__(self, "theta", th)
@@ -62,7 +68,7 @@ def forecast_batch(m: LinearForecaster, xs: np.ndarray) -> np.ndarray:
         raise InvalidDimensionError(
             f"samples must be B x {m.history}, got {xs.shape}"
         )
-    return xs @ m.weights.T + m.bias
+    return _forecast(m.theta, xs)
 
 
 def grad_params_batch(m: LinearForecaster, xs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -75,13 +81,45 @@ def grad_params_batch(m: LinearForecaster, xs: np.ndarray, upstream: np.ndarray)
     """
     if xs.shape[0] != upstream.shape[0]:
         raise InvalidDimensionError("batch sizes differ")
-    return np.column_stack([upstream.T @ xs, upstream.sum(axis=0)])
+    return _grad_block(xs, upstream, np.empty((upstream.shape[1], xs.shape[1] + 1)))
 
 
 def sgd_step(m: LinearForecaster, grad: np.ndarray, lr: float) -> LinearForecaster:
     """Plain gradient-descent update; returns a new model.  A non-finite
-    gradient makes the new parameters non-finite, which the model rejects."""
-    return LinearForecaster(m.theta - lr * grad)
+    gradient makes the new parameters non-finite, which raises NumericError."""
+    return LinearForecaster(sgd_update(m.theta, grad, lr))
+
+
+# The array-level kernel: plain T x (H+1) blocks, no checks but the
+# finiteness of an update.
+
+
+def _forecast(theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    return xs @ theta[:, :-1].T + theta[:, -1]
+
+
+def _grad_block(xs: np.ndarray, upstream: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.matmul(upstream.T, xs, out=out[:, :-1])
+    upstream.sum(axis=0, out=out[:, -1])
+    return out
+
+
+def weighted_grad(theta, xs, ys, A, out) -> np.ndarray:
+    """-(2/B) A [R^T X | R^T 1] with R = ys - forecast: the parameter gradient
+    of the mean of e^T A e over B rows.  ``out`` is a T x (H+1) scratch block."""
+    resid = ys - _forecast(theta, xs)
+    return -(2.0 / xs.shape[0]) * (A @ _grad_block(xs, resid, out))
+
+
+def _finite(theta: np.ndarray) -> np.ndarray:
+    if not np.isfinite(theta).all():
+        raise NumericError("model parameters must be finite")
+    return theta
+
+
+def sgd_update(theta, grad, lr, out=None) -> np.ndarray:
+    """theta - lr * grad, into ``out`` if given; NumericError if not finite."""
+    return _finite(np.subtract(theta, lr * grad, out=out))
 
 
 class AdamState:
@@ -94,15 +132,21 @@ class AdamState:
         self.m2 = np.zeros_like(m.theta)
 
     def step(self, m: LinearForecaster, grad: np.ndarray) -> LinearForecaster:
-        """One update; the state advances only if the new model is finite."""
+        """One update; returns a new model."""
+        return LinearForecaster(self.update(m.theta, grad))
+
+    def update(self, theta, grad, out=None) -> np.ndarray:
+        """One update of the parameter block, into ``out`` if given.  A
+        non-finite result raises NumericError, and the state advances only
+        on a finite one."""
         t = self.t + 1
         b1, b2 = 0.9, 0.999
         m1 = b1 * self.m1 + (1 - b1) * grad
         m2 = b2 * self.m2 + (1 - b2) * grad * grad
         step = self.lr * (m1 / (1 - b1**t)) / (np.sqrt(m2 / (1 - b2**t)) + 1e-8)
-        out = LinearForecaster(m.theta - step)
+        new = _finite(np.subtract(theta, step, out=out))
         self.t, self.m1, self.m2 = t, m1, m2
-        return out
+        return new
 
 
 def save_checkpoint(m: LinearForecaster, prefix, meta: dict | None = None) -> None:

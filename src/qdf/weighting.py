@@ -45,7 +45,7 @@ def softplus_inv(y):
 def _sigmoid(x):
     # exp of -|x| never overflows; each branch is the textbook stable form
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class WeightingMode(enum.Enum):
@@ -91,7 +91,7 @@ class WeightingParams:
             raise InvalidDimensionError(
                 f"raw must be {self.horizon}x{self.horizon}, got {raw.shape}"
             )
-        if not np.all(np.isfinite(np.where(_masks(self.horizon, self.mode)[0], raw, 0.0))):
+        if not np.isfinite(np.where(_masks(self.horizon, self.mode)[0], raw, 0.0)).all():
             raise InvalidDimensionError("raw lower triangle must be finite")
         raw.setflags(write=False)
         object.__setattr__(self, "raw", raw)

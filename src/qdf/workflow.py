@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,9 @@ from .model import (
     AdamState,
     LinearForecaster,
     forecast_batch,
-    grad_params_batch,
     init_forecaster,
-    sgd_step,
+    sgd_update,
+    weighted_grad,
 )
 from .objective import quadratic_loss
 from .timing import PhaseTimer, phase
@@ -133,12 +134,6 @@ def learn_weighting(
     return w, trace
 
 
-def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for lo in range(0, n, batch_size):
-        yield order[lo : lo + batch_size]
-
-
 def train_final(
     train: WindowSet,
     w: WeightingParams,
@@ -152,27 +147,33 @@ def train_final(
 
     Early-stops when the validation loss (under the same weighting) has not
     improved for ``patience`` consecutive epochs; returns the best snapshot.
+    A non-finite parameter update raises NumericError at once.
     """
     if train.horizon != w.horizon:
         raise InvalidSplitError("weighting horizon does not match windows")
     X, Y = train.as_samples()
     Xv, Yv = valid.as_samples()
     A = w.inverse
-    model = model_init
-    opt = AdamState(model, lr=cfg.final_lr) if cfg.final_optimizer == "adam" else None
-    best_model = model
+    # The minibatch loop runs on one writable parameter block; every update is
+    # checked finite, and each epoch ends in one validated model.
+    theta = np.array(model_init.theta)
+    block = np.empty_like(theta)
+    if cfg.final_optimizer == "adam":
+        update = AdamState(model_init, lr=cfg.final_lr).update
+    else:
+        update = partial(sgd_update, lr=cfg.final_lr)
+    n, size = X.shape[0], cfg.batch_size
+    best_model = model_init
     best_val = np.inf
     stale = 0
     with phase(timer, "final_train"):
         for _ in range(cfg.epochs):
-            for idx in _epoch_batches(X.shape[0], cfg.batch_size, rng):
-                xb = X[idx]
-                resid = Y[idx] - forecast_batch(model, xb)
-                grad = -(2.0 / idx.size) * (A @ grad_params_batch(model, xb, resid))
-                if opt is not None:
-                    model = opt.step(model, grad)
-                else:
-                    model = sgd_step(model, grad, cfg.final_lr)
+            order = rng.permutation(n)
+            Xe, Ye = X[order], Y[order]
+            for lo in range(0, n, size):
+                grad = weighted_grad(theta, Xe[lo : lo + size], Ye[lo : lo + size], A, block)
+                update(theta, grad, out=theta)
+            model = LinearForecaster(theta)
             val = quadratic_loss(Yv - forecast_batch(model, Xv), w)
             if not np.isfinite(val):
                 raise NumericError("validation loss diverged; reduce final_lr")

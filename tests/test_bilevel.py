@@ -2,8 +2,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdf.bilevel import SplitPair, atomic_update, hypergradient, make_split_pair
+from qdf.bilevel import (
+    SplitPair,
+    _coverage_overlaps,
+    atomic_update,
+    hypergradient,
+    make_split_pair,
+)
 from qdf.data import SeriesFrame, WindowSet, make_windows
 from qdf.errors import InvalidSplitError, NumericError
 from qdf.model import forecast_batch, grad_params_batch, init_forecaster, sgd_step
@@ -224,3 +232,42 @@ def test_atomic_update_normalizes_scale(rng):
     w2, _ = atomic_update(theta0, w, pair, cfg)
     L, sigma = w2.factor, w2.sigma
     assert np.trace(np.linalg.inv(sigma)) == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("where, message", [
+    ("inner", "inner loop diverged"),
+    ("outer", "outer adjoint diverged"),
+])
+def test_unrolled_loop_guards_fire(rng, where, message):
+    pair = build_pair(rng, 3, 2, 60)
+    theta0 = init_forecaster(3, 2, rng)
+    w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
+    cfg = QdfConfig(inner_steps=2, inner_lr=1e300 if where == "inner" else 0.02, eta=0.1)
+    if where == "outer":
+        Xo, Yo = pair.outer.arrays()
+        pair = SplitPair(pair.inner, WindowSet(Xo * 1e300, Yo, pair.outer.starts))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match=message) as err:
+        atomic_update(theta0, w, pair, cfg)
+    assert err.value.exit_code == 4
+
+
+def _windows_at(starts, H, T):
+    n = len(starts)
+    return WindowSet(np.zeros((n, H, 1)), np.zeros((n, T, 1)), np.array(starts))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    H=st.integers(1, 6),
+    T=st.integers(1, 6),
+    a=st.lists(st.integers(0, 120), min_size=1, max_size=12),
+    b=st.lists(st.integers(0, 120), min_size=1, max_size=12),
+)
+def test_coverage_overlap_check_matches_brute_force(H, T, a, b):
+    def rows(starts):
+        return {r for s in starts for r in range(s, s + H + T)}
+
+    want = bool(rows(a) & rows(b))
+    assert _coverage_overlaps(_windows_at(a, H, T), _windows_at(b, H, T)) is want
+    assert _coverage_overlaps(_windows_at(b, H, T), _windows_at(a, H, T)) is want

@@ -638,3 +638,16 @@ def test_diagnose_ragged_csv_exits_3(tmp_path, capsys):
     assert set(err) == {"error"}
     assert err["error"]["type"] == "CsvParseError"
     assert "row 3" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("optimizer, lr", [("sgd", "1e30"), ("adam", "1e300")])
+def test_train_diverged_final_training_exits_4(synth_csv, tmp_path, capsys, optimizer, lr):
+    # the minibatch loop checks every parameter update, for either optimizer
+    # (an Adam step is about lr in size, so it needs the larger lr to overflow)
+    code = main(train_args(synth_csv, tmp_path, variant="df", lr=lr, optimizer=optimizer))
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error"}
+    assert err["error"]["type"] == "NumericError"
+    assert "model parameters must be finite" in err["error"]["message"]
+    assert not (tmp_path / "report_df.json").exists()

@@ -5,8 +5,16 @@ import pytest
 
 from qdf.bilevel import atomic_update, make_split_pair
 from qdf.data import ArSpec, ar_conditional_cov, gen_ar, make_windows, ramp_noise_schedule
-from qdf.errors import InvalidConfigError, InvalidSplitError
-from qdf.model import forecast_batch, grad_params_batch, init_forecaster, sgd_step
+from qdf import workflow
+from qdf.errors import InvalidConfigError, InvalidSplitError, NumericError
+from qdf.model import (
+    AdamState,
+    forecast_batch,
+    grad_params_batch,
+    init_forecaster,
+    sgd_step,
+    sgd_update,
+)
 from qdf.objective import grad_wrt_residual, quadratic_loss
 from qdf.weighting import (
     WeightingParams,
@@ -390,3 +398,63 @@ def test_report_save_round_trip(tmp_path):
     report.save(path)
     loaded = json.loads(path.read_text())
     assert loaded["schema"] == 1 and loaded["variant"] == "df"
+
+
+# ------------------------------------------------ guards of the lean loops
+
+class RecordingAdam(AdamState):
+    """AdamState that counts its updates and keeps its state after each finite one."""
+
+    made: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+        self.states = []
+        RecordingAdam.made.append(self)
+
+    def update(self, theta, grad, out=None):
+        self.calls += 1
+        new = super().update(theta, grad, out)
+        self.states.append((self.t, self.m1.copy(), self.m2.copy()))
+        return new
+
+
+@pytest.mark.parametrize("optimizer, lr", [("sgd", 1e30), ("adam", 1e300)])
+def test_train_final_divergence_raises_mid_epoch(optimizer, lr, monkeypatch):
+    ws = ar_windows(seed=15, length=600)
+    train, valid = ws.slice(0, 400), ws.slice(420, 500)
+    cfg = QdfConfig(epochs=4, batch_size=8, final_lr=lr, final_optimizer=optimizer, seed=15)
+    model0 = init_forecaster(ws.history, ws.horizon, np.random.default_rng(15))
+    steps_per_epoch = -(-train.as_samples()[0].shape[0] // cfg.batch_size)
+    sgd_calls, validations = [], []
+
+    def counted_sgd(*args, **kwargs):
+        sgd_calls.append(args)
+        return sgd_update(*args, **kwargs)
+
+    def counted_loss(*args):
+        validations.append(args)
+        return quadratic_loss(*args)
+
+    monkeypatch.setattr(workflow, "sgd_update", counted_sgd)
+    monkeypatch.setattr(workflow, "quadratic_loss", counted_loss)
+    monkeypatch.setattr(workflow, "AdamState", RecordingAdam)
+    RecordingAdam.made = []
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match="model parameters must be finite") as err:
+        train_final(train, identity_params(ws.horizon), model0, cfg,
+                    valid=valid, rng=np.random.default_rng(15))
+    assert err.value.exit_code == 4
+    # the failing update raised at once: the first epoch never reached its end
+    assert validations == []
+    if optimizer == "adam":
+        assert sgd_calls == []
+        (opt,) = RecordingAdam.made
+        assert 1 < opt.calls < steps_per_epoch
+        t, m1, m2 = opt.states[-1]
+        assert opt.t == t == opt.calls - 1  # the failing update did not advance it
+        assert np.array_equal(opt.m1, m1) and np.array_equal(opt.m2, m2)
+    else:
+        assert RecordingAdam.made == []
+        assert 1 < len(sgd_calls) < steps_per_epoch
