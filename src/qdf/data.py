@@ -332,13 +332,14 @@ def chrono_split(data, fractions):
     raise TypeError(f"cannot split {type(data).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArSpec:
     """Stable AR(p) process spec with a per-step innovation-scale schedule.
 
     ``noise_std`` is either a scalar or a 1-D array treated as periodic with
     its own length, anchored at the first retained sample.  The spec keeps a
-    read-only copy of it.
+    read-only copy of it.  Specs are equal, and hash alike, when their
+    coefficients, schedule values, length and seed are.
     """
 
     coeffs: tuple[float, ...]
@@ -364,6 +365,17 @@ class ArSpec:
             raise UnstableSpecError(
                 f"AR coefficients {coeffs} are not stable"
             )
+
+    def _key(self) -> tuple:
+        return self.coeffs, self.noise_std.tobytes(), self.length, self.seed
+
+    def __eq__(self, other):
+        if not isinstance(other, ArSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def order(self) -> int:

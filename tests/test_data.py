@@ -566,3 +566,24 @@ def test_oracle_matches_ols_residual_covariance():
     oracle = ar_conditional_cov(spec, T)
     mask = np.abs(oracle) > 0.05
     assert np.all(np.abs(emp[mask] - oracle[mask]) / np.abs(oracle[mask]) < 0.10)
+
+
+def test_ar_spec_equality_and_hash_cover_an_array_schedule():
+    # the generated dataclass methods compared the schedule arrays with ==
+    # (ValueError) and hashed them (TypeError)
+    a = ArSpec((0.5,), np.ones(4), 100, 0)
+    b = ArSpec((0.5,), np.ones(4), 100, 0)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert ArSpec((0.5,), 1.0, 100, 0) == ArSpec((0.5,), np.array([1.0]), 100, 0)
+    sched = np.ones(4)
+    sched[3] = 2.0
+    for other in (
+        ArSpec((0.5,), sched, 100, 0),
+        ArSpec((0.5,), np.ones(3), 100, 0),
+        ArSpec((0.4,), np.ones(4), 100, 0),
+        ArSpec((0.5,), np.ones(4), 101, 0),
+        ArSpec((0.5,), np.ones(4), 100, 1),
+    ):
+        assert a != other
+    assert a != "spec"
