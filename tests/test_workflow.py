@@ -405,13 +405,10 @@ def test_report_save_round_trip(tmp_path):
 class RecordingAdam(AdamState):
     """AdamState that counts its updates and keeps its state after each finite one."""
 
-    made: list = []
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.calls = 0
         self.states = []
-        RecordingAdam.made.append(self)
 
     def update(self, theta, grad, out=None):
         self.calls += 1
@@ -427,7 +424,7 @@ def test_train_final_divergence_raises_mid_epoch(optimizer, lr, monkeypatch):
     cfg = QdfConfig(epochs=4, batch_size=8, final_lr=lr, final_optimizer=optimizer, seed=15)
     model0 = init_forecaster(ws.history, ws.horizon, np.random.default_rng(15))
     steps_per_epoch = -(-train.as_samples()[0].shape[0] // cfg.batch_size)
-    sgd_calls, validations = [], []
+    sgd_calls, validations, adams = [], [], []
 
     def counted_sgd(*args, **kwargs):
         sgd_calls.append(args)
@@ -437,10 +434,13 @@ def test_train_final_divergence_raises_mid_epoch(optimizer, lr, monkeypatch):
         validations.append(args)
         return quadratic_loss(*args)
 
+    def recording_adam(*args, **kwargs):
+        adams.append(RecordingAdam(*args, **kwargs))
+        return adams[-1]
+
     monkeypatch.setattr(workflow, "sgd_update", counted_sgd)
     monkeypatch.setattr(workflow, "quadratic_loss", counted_loss)
-    monkeypatch.setattr(workflow, "AdamState", RecordingAdam)
-    RecordingAdam.made = []
+    monkeypatch.setattr(workflow, "AdamState", recording_adam)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericError, match="model parameters must be finite") as err:
         train_final(train, identity_params(ws.horizon), model0, cfg,
@@ -450,11 +450,11 @@ def test_train_final_divergence_raises_mid_epoch(optimizer, lr, monkeypatch):
     assert validations == []
     if optimizer == "adam":
         assert sgd_calls == []
-        (opt,) = RecordingAdam.made
+        (opt,) = adams
         assert 1 < opt.calls < steps_per_epoch
         t, m1, m2 = opt.states[-1]
         assert opt.t == t == opt.calls - 1  # the failing update did not advance it
         assert np.array_equal(opt.m1, m1) and np.array_equal(opt.m2, m2)
     else:
-        assert RecordingAdam.made == []
+        assert adams == []
         assert 1 < len(sgd_calls) < steps_per_epoch
