@@ -155,7 +155,9 @@ def train_final(
     Xv, Yv = valid.as_samples()
     A = w.inverse
     # The minibatch loop runs on one writable parameter block; every update is
-    # checked finite, and each epoch ends in one validated model.
+    # checked finite, and each epoch ends in one validated model.  Minibatches
+    # are gathered one at a time: a gathered epoch would be a second copy of
+    # the training samples.
     theta = np.array(model_init.theta)
     block = np.empty_like(theta)
     if cfg.final_optimizer == "adam":
@@ -169,9 +171,9 @@ def train_final(
     with phase(timer, "final_train"):
         for _ in range(cfg.epochs):
             order = rng.permutation(n)
-            Xe, Ye = X[order], Y[order]
             for lo in range(0, n, size):
-                grad = weighted_grad(theta, Xe[lo : lo + size], Ye[lo : lo + size], A, block)
+                idx = order[lo : lo + size]
+                grad = weighted_grad(theta, X.take(idx, 0), Y.take(idx, 0), A, block)
                 update(theta, grad, out=theta)
             model = LinearForecaster(theta)
             val = quadratic_loss(Yv - forecast_batch(model, Xv), w)
