@@ -32,8 +32,7 @@ class LinearForecaster:
         th = np.array(self.theta, dtype=float)
         if th.ndim != 2 or th.shape[0] < 1 or th.shape[1] < 2:
             raise InvalidDimensionError(f"theta must be T x (H+1) with H, T >= 1, got {th.shape}")
-        if not np.isfinite(th).all():
-            raise NumericError("model parameters must be finite")
+        _finite(th)
         th.setflags(write=False)
         object.__setattr__(self, "theta", th)
 
