@@ -34,11 +34,9 @@ from .model import (
     AdamState,
     LinearForecaster,
     forecast_batch,
-    grad_params_batch,
     init_forecaster,
     load_checkpoint,
     save_checkpoint,
-    sgd_step,
 )
 from .objective import (
     grad_wrt_residual,
@@ -87,7 +85,6 @@ __all__ = [
     "frobenius_distance",
     "gen_ar",
     "gen_ar_frame",
-    "grad_params_batch",
     "grad_wrt_residual",
     "grad_wrt_weighting",
     "hypergradient",
@@ -107,7 +104,6 @@ __all__ = [
     "ramp_noise_schedule",
     "run_variant",
     "save_checkpoint",
-    "sgd_step",
     "standardize",
     "train_final",
     "write_csv",

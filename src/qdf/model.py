@@ -6,10 +6,10 @@ Its parameters are one T x (H+1) block Theta = [W | b]; gradients, SGD and
 Adam all work on that block, and ``weights`` and ``bias`` are views of it.
 
 The formulas live once, in an array-level kernel on plain blocks: the
-forecast, the gradient block [U^T X | U^T 1] written into a caller's scratch
-block, and the SGD and Adam updates, each checked finite.  The training
-loops call the kernel directly; ``forecast_batch``, ``grad_params_batch``,
-``sgd_step`` and ``AdamState.step`` are its validated, model-level wrappers.
+forecast, the weighted-loss gradient written into a caller's scratch block,
+and the SGD and Adam updates, each checked finite.  The training loops call
+the kernel directly; ``forecast_batch`` is the one model-level function, the
+validated forecast.
 """
 
 from __future__ import annotations
@@ -70,25 +70,6 @@ def forecast_batch(m: LinearForecaster, xs: np.ndarray) -> np.ndarray:
     return _forecast(m.theta, xs)
 
 
-def grad_params_batch(m: LinearForecaster, xs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Row sum [U^T X | U^T 1], T x (H+1), from B x H inputs X and B x T rows U.
-
-    With ``upstream`` = d(loss)/d(forecast) this is the parameter gradient.
-    A left factor on the T axis, such as the weighted loss's -(2/B) Sigma^-1,
-    commutes with the sum over rows, so callers pass the raw residuals and
-    apply that factor to the T x (H+1) result.
-    """
-    if xs.shape[0] != upstream.shape[0]:
-        raise InvalidDimensionError("batch sizes differ")
-    return _grad_block(xs, upstream, np.empty((upstream.shape[1], xs.shape[1] + 1)))
-
-
-def sgd_step(m: LinearForecaster, grad: np.ndarray, lr: float) -> LinearForecaster:
-    """Plain gradient-descent update; returns a new model.  A non-finite
-    gradient makes the new parameters non-finite, which raises NumericError."""
-    return LinearForecaster(sgd_update(m.theta, grad, lr))
-
-
 # The array-level kernel: plain T x (H+1) blocks, no checks but the
 # finiteness of an update.
 
@@ -97,17 +78,13 @@ def _forecast(theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return xs @ theta[:, :-1].T + theta[:, -1]
 
 
-def _grad_block(xs: np.ndarray, upstream: np.ndarray, out: np.ndarray) -> np.ndarray:
-    np.matmul(upstream.T, xs, out=out[:, :-1])
-    upstream.sum(axis=0, out=out[:, -1])
-    return out
-
-
 def weighted_grad(theta, xs, ys, A, out) -> np.ndarray:
     """-(2/B) A [R^T X | R^T 1] with R = ys - forecast: the parameter gradient
     of the mean of e^T A e over B rows.  ``out`` is a T x (H+1) scratch block."""
     resid = ys - _forecast(theta, xs)
-    return -(2.0 / xs.shape[0]) * (A @ _grad_block(xs, resid, out))
+    np.matmul(resid.T, xs, out=out[:, :-1])
+    resid.sum(axis=0, out=out[:, -1])
+    return -(2.0 / xs.shape[0]) * (A @ out)
 
 
 def _finite(theta: np.ndarray) -> np.ndarray:
@@ -129,10 +106,6 @@ class AdamState:
         self.t = 0
         self.m1 = np.zeros_like(m.theta)
         self.m2 = np.zeros_like(m.theta)
-
-    def step(self, m: LinearForecaster, grad: np.ndarray) -> LinearForecaster:
-        """One update; returns a new model."""
-        return LinearForecaster(self.update(m.theta, grad))
 
     def update(self, theta, grad, out=None) -> np.ndarray:
         """One update of the parameter block, into ``out`` if given.  A

@@ -29,7 +29,7 @@ from qdf.data import (
     write_csv,
 )
 from qdf.diagnostics import fraction_above, partial_corr_matrix, partial_correlation
-from qdf.model import LinearForecaster, forecast_batch, grad_params_batch, init_forecaster
+from qdf.model import LinearForecaster, forecast_batch, init_forecaster, weighted_grad
 from qdf.objective import (
     grad_wrt_residual,
     grad_wrt_weighting,
@@ -77,13 +77,12 @@ def test_criterion_1_gradient_correctness():
         x = rng.standard_normal((H, 1))
         y = rng.standard_normal((T, 1))
 
-        def loss_of_weights(weights):
-            mm = LinearForecaster(np.column_stack([weights, m.bias]))
-            return quadratic_loss(y.T - forecast_batch(mm, x.T), w)
+        def loss_of_theta(theta):
+            return quadratic_loss(y.T - forecast_batch(LinearForecaster(theta), x.T), w)
 
-        fd_p = central_diff(loss_of_weights, m.weights)
-        upstream = -grad_wrt_residual(y.T - forecast_batch(m, x.T), w)
-        analytic_p = grad_params_batch(m, x.T, upstream)[:, :-1]  # single window, D=1
+        # the whole [W | b] block, from the kernel final training runs
+        fd_p = central_diff(loss_of_theta, m.theta)
+        analytic_p = weighted_grad(m.theta, x.T, y.T, w.inverse, np.empty_like(m.theta))
         worst["params"] = max(worst["params"], rel_err(analytic_p, fd_p))
 
     elapsed = time.time() - t0

@@ -9,14 +9,14 @@ from qdf.model import (
     AdamState,
     LinearForecaster,
     forecast_batch,
-    grad_params_batch,
     init_forecaster,
     load_checkpoint,
     save_checkpoint,
-    sgd_step,
+    sgd_update,
+    weighted_grad,
 )
-from qdf.objective import grad_wrt_residual, mse_loss, quadratic_loss
-from qdf.weighting import WeightingParams, identity_params
+from qdf.objective import mse_loss, quadratic_loss
+from qdf.weighting import WeightingParams
 
 
 def test_zero_weights_forecast_is_bias():
@@ -49,15 +49,20 @@ def test_channel_independence(rng):
     assert np.allclose(forecast_batch(m, x.T[perm]), forecast_batch(m, x.T)[perm])
 
 
+def grad_of(theta, xs, ys, A):
+    """weighted_grad with a fresh scratch block."""
+    return weighted_grad(theta, xs, ys, A, np.empty_like(theta))
+
+
 def test_grad_params_zero_upstream():
-    m = LinearForecaster(np.column_stack([np.ones((2, 3)), np.zeros(2)]))
-    grad = grad_params_batch(m, np.ones((2, 3)), np.zeros((2, 2)))
+    theta = np.column_stack([np.ones((2, 3)), np.zeros(2)])
+    grad = grad_of(theta, np.ones((2, 3)), np.full((2, 2), 3.0), np.eye(2))  # zero residual
     assert grad.shape == (2, 4) and np.all(grad == 0)
 
 
 def test_grad_params_scalar_case():
-    m = LinearForecaster(np.array([[1.0, 0.0]]))
-    grad = grad_params_batch(m, np.array([[3.0]]), np.array([[2.0]]))
+    # forecast 3, target 2: residual -1, so -(2/1) [-1 * 3 | -1] = [6 | 2]
+    grad = grad_of(np.array([[1.0, 0.0]]), np.array([[3.0]]), np.array([[2.0]]), np.eye(1))
     assert grad == pytest.approx(np.array([[6.0, 2.0]]))
 
 
@@ -72,10 +77,7 @@ def test_grad_params_matches_finite_differences_of_mse(rng):
         return mse_loss(e)
 
     fd = central_diff(loss_at, m.theta)  # [dW | db]
-
-    resid = y.T - forecast_batch(m, x.T)
-    upstream = -grad_wrt_residual(resid, identity_params(T))  # sign flip, D x T
-    grad = grad_params_batch(m, x.T, upstream)
+    grad = grad_of(m.theta, x.T, y.T, np.eye(T))
     assert np.max(np.abs(grad[:, :-1] - fd[:, :-1])) <= 1e-6
     assert np.max(np.abs(grad[:, -1] - fd[:, -1])) <= 1e-6
 
@@ -87,46 +89,43 @@ def test_grad_params_matches_finite_differences_of_quadratic(rng):
     y = rng.standard_normal((T, D))
     w = WeightingParams(rng.uniform(-1, 1, (T, T)), T)
 
-    def loss_at(weights):
-        mm = LinearForecaster(np.column_stack([weights, m.bias]))
-        return quadratic_loss(y.T - forecast_batch(mm, x.T), w)
+    def loss_at(theta):
+        return quadratic_loss(y.T - forecast_batch(LinearForecaster(theta), x.T), w)
 
-    fd_w = central_diff(loss_at, m.weights)
-    upstream = -grad_wrt_residual(y.T - forecast_batch(m, x.T), w)
-    dw = grad_params_batch(m, x.T, upstream)[:, :-1]
-    assert rel_err(dw, fd_w) <= 1e-5
+    fd = central_diff(loss_at, m.theta)
+    assert rel_err(grad_of(m.theta, x.T, y.T, w.inverse), fd) <= 1e-5
 
 
 def test_grad_params_batch_agrees_with_per_window(rng):
     H, T = 3, 2
-    m = init_forecaster(H, T, rng)
+    theta = init_forecaster(H, T, rng).theta
     xs = rng.standard_normal((6, H))
-    up = rng.standard_normal((6, T))
-    batch = grad_params_batch(m, xs, up)
-    summed = np.zeros((T, H + 1))
-    for i in range(6):
-        summed += grad_params_batch(m, xs[i : i + 1], up[i : i + 1])
-    assert np.allclose(batch, summed, atol=1e-12)
+    ys = rng.standard_normal((6, T))
+    A = WeightingParams(rng.uniform(-1, 1, (T, T)), T).inverse
+    batch = grad_of(theta, xs, ys, A)
+    rows = [grad_of(theta, xs[i : i + 1], ys[i : i + 1], A) for i in range(6)]
+    assert np.allclose(batch, np.mean(rows, axis=0), atol=1e-12)
 
 
 def test_sgd_step_basics():
-    m = LinearForecaster(np.array([[1.0, 0.0]]))
-    same = sgd_step(m, np.zeros((1, 2)), 0.1)
-    assert np.all(same.weights == m.weights)
-    stepped = sgd_step(m, np.array([[0.5, 0.0]]), 0.1)
-    assert stepped.weights[0, 0] == pytest.approx(0.95)
+    theta = np.array([[1.0, 0.0]])
+    assert np.all(sgd_update(theta, np.zeros((1, 2)), 0.1) == theta)
+    assert sgd_update(theta, np.array([[0.5, 0.0]]), 0.1)[0, 0] == pytest.approx(0.95)
     # two steps with constant grad equal one step at doubled lr
     g = np.array([[0.3, 0.2]])
-    twice = sgd_step(sgd_step(m, g, 0.1), g, 0.1)
-    once = sgd_step(m, g, 0.2)
-    assert np.allclose(twice.weights, once.weights)
-    assert np.allclose(twice.bias, once.bias)
+    twice = sgd_update(sgd_update(theta, g, 0.1), g, 0.1)
+    assert np.allclose(twice, sgd_update(theta, g, 0.2))
+    assert np.array_equal(theta, [[1.0, 0.0]])  # without out=, theta is left alone
+    out = np.empty_like(theta)
+    assert sgd_update(theta, g, 0.1, out=out) is out
+    assert np.array_equal(out, theta - 0.1 * g)
+    assert sgd_update(theta, g, 0.1, out=theta) is theta  # in place, as training runs it
+    assert np.array_equal(theta, out)
 
 
 def test_sgd_step_rejects_nonfinite():
-    m = LinearForecaster(np.array([[1.0, 0.0]]))
     with pytest.raises(NumericError):
-        sgd_step(m, np.array([[np.inf, 0.0]]), 0.1)
+        sgd_update(np.array([[1.0, 0.0]]), np.array([[np.inf, 0.0]]), 0.1)
 
 
 def test_gd_fits_noiseless_linear_process(rng):
@@ -134,17 +133,13 @@ def test_gd_fits_noiseless_linear_process(rng):
     A = rng.standard_normal((T, H)) * 0.5
     xs = rng.standard_normal((64, H))
     ys = xs @ A.T
-    m = init_forecaster(H, T, rng)
+    theta = np.array(init_forecaster(H, T, rng).theta)
+    block = np.empty_like(theta)
     for _ in range(5000):
-        pred = forecast_batch(m, xs)
-        resid = ys - pred
-        loss = mse_loss(resid)
-        if loss < 1e-6:
+        if mse_loss(ys - forecast_batch(LinearForecaster(theta), xs)) < 1e-6:
             break
-        upstream = -grad_wrt_residual(resid, identity_params(T))
-        grads = grad_params_batch(m, xs, upstream)
-        m = sgd_step(m, grads, 0.1)
-    assert mse_loss(ys - forecast_batch(m, xs)) < 1e-6
+        sgd_update(theta, weighted_grad(theta, xs, ys, np.eye(T), block), 0.1, out=theta)
+    assert mse_loss(ys - forecast_batch(LinearForecaster(theta), xs)) < 1e-6
 
 
 def test_adam_descends(rng):
@@ -155,20 +150,19 @@ def test_adam_descends(rng):
     m = init_forecaster(H, T, rng)
     opt = AdamState(m, lr=0.05)
     first = mse_loss(ys - forecast_batch(m, xs))
+    theta, block = np.array(m.theta), np.empty_like(m.theta)
     for _ in range(200):
-        resid = ys - forecast_batch(m, xs)
-        upstream = -grad_wrt_residual(resid, identity_params(T))
-        m = opt.step(m, grad_params_batch(m, xs, upstream))
-    assert mse_loss(ys - forecast_batch(m, xs)) < first * 0.05
+        opt.update(theta, weighted_grad(theta, xs, ys, np.eye(T), block), out=theta)
+    assert mse_loss(ys - forecast_batch(LinearForecaster(theta), xs)) < first * 0.05
 
 
 def test_adam_rejects_nonfinite_without_advancing():
     m = LinearForecaster(np.array([[1.0, 0.0]]))
     opt = AdamState(m, lr=0.1)
     with pytest.raises(NumericError):
-        opt.step(m, np.array([[np.nan, 0.0]]))
+        opt.update(m.theta, np.array([[np.nan, 0.0]]))
     assert opt.t == 0 and not np.any(opt.m1) and not np.any(opt.m2)
-    assert opt.step(m, np.array([[1.0, 0.0]])).weights[0, 0] == pytest.approx(0.9)
+    assert opt.update(m.theta, np.array([[1.0, 0.0]]))[0, 0] == pytest.approx(0.9)
 
 
 def test_checkpoint_round_trip(tmp_path, rng):
@@ -225,3 +219,12 @@ def test_load_checkpoint_rejects_header_that_disagrees_with_csv(tmp_path, rng, k
     header_path.write_text(json.dumps(header))
     with pytest.raises(InvalidDimensionError):
         load_checkpoint(prefix)
+
+
+def test_package_exports_resolve_once():
+    import qdf
+
+    assert len(qdf.__all__) == len(set(qdf.__all__))
+    assert all(hasattr(qdf, name) for name in qdf.__all__)
+    # the kernel is the one gradient and update path; no model-level wrappers
+    assert not hasattr(qdf, "grad_params_batch") and not hasattr(qdf, "sgd_step")

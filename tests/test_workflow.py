@@ -7,14 +7,7 @@ from qdf.bilevel import atomic_update, make_split_pair
 from qdf.data import ArSpec, ar_conditional_cov, gen_ar, make_windows, ramp_noise_schedule
 from qdf import workflow
 from qdf.errors import InvalidConfigError, InvalidSplitError, NumericError
-from qdf.model import (
-    AdamState,
-    forecast_batch,
-    grad_params_batch,
-    init_forecaster,
-    sgd_step,
-    sgd_update,
-)
+from qdf.model import AdamState, forecast_batch, init_forecaster, sgd_update
 from qdf.objective import grad_wrt_residual, quadratic_loss
 from qdf.weighting import (
     WeightingParams,
@@ -125,22 +118,21 @@ def test_learn_weighting_reads_do_not_grow_with_rounds(rng):
 
 # ------------------------------------------------------------ train_final
 
-def reference_mse_training(train, valid, model, cfg, rng):
-    """Plain MSE minibatch training re-implemented against raw arrays."""
+def reference_mse_training(train, valid, W, b, cfg, rng):
+    """Plain MSE minibatch training on separate raw W and b."""
     X, Y = train.as_samples()
     Xv, Yv = valid.as_samples()
-    best, best_val, stale = model, np.inf, 0
+    best, best_val, stale = (W, b), np.inf, 0
     for _ in range(cfg.epochs):
         order = rng.permutation(X.shape[0])
         for lo in range(0, X.shape[0], cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            resid = Y[idx] - forecast_batch(model, X[idx])
-            upstream = -(2.0 / idx.size) * resid
-            grad = np.column_stack([upstream.T @ X[idx], upstream.sum(axis=0)])
-            model = sgd_step(model, grad, cfg.final_lr)
-        val = float(np.sum((Yv - forecast_batch(model, Xv)) ** 2) / Xv.shape[0])
+            upstream = -(2.0 / idx.size) * (Y[idx] - (X[idx] @ W.T + b))
+            W = W - cfg.final_lr * (upstream.T @ X[idx])
+            b = b - cfg.final_lr * upstream.sum(axis=0)
+        val = float(np.sum((Yv - (Xv @ W.T + b)) ** 2) / Xv.shape[0])
         if val < best_val:
-            best, best_val, stale = model, val, 0
+            best, best_val, stale = (W, b), val, 0
         else:
             stale += 1
             if stale >= cfg.patience:
@@ -156,26 +148,28 @@ def test_train_final_identity_matches_mse_training_bitwise():
 
     got = train_final(train, identity_params(ws.horizon), model0, cfg,
                       valid=valid, rng=np.random.default_rng(99))
-    want = reference_mse_training(train, valid, model0, cfg, np.random.default_rng(99))
-    assert np.array_equal(got.weights, want.weights)
-    assert np.array_equal(got.bias, want.bias)
+    W, b = reference_mse_training(train, valid, np.array(model0.weights),
+                                  np.array(model0.bias), cfg, np.random.default_rng(99))
+    assert np.array_equal(got.weights, W)
+    assert np.array_equal(got.bias, b)
 
 
-def reference_weighted_training(train, valid, w, model, cfg, rng):
-    """Minibatch training under w built from the grad_wrt_residual oracle."""
+def reference_weighted_training(train, valid, w, W, b, cfg, rng):
+    """Minibatch training under w on separate raw W and b, with the
+    grad_wrt_residual oracle's gradient."""
     X, Y = train.as_samples()
     Xv, Yv = valid.as_samples()
-    best, best_val, stale = model, np.inf, 0
+    best, best_val, stale = (W, b), np.inf, 0
     for _ in range(cfg.epochs):
         order = rng.permutation(X.shape[0])
         for lo in range(0, X.shape[0], cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            resid = Y[idx] - forecast_batch(model, X[idx])
-            upstream = -grad_wrt_residual(resid, w)
-            model = sgd_step(model, grad_params_batch(model, X[idx], upstream), cfg.final_lr)
-        val = quadratic_loss(Yv - forecast_batch(model, Xv), w)
+            upstream = -grad_wrt_residual(Y[idx] - (X[idx] @ W.T + b), w)
+            W = W - cfg.final_lr * (upstream.T @ X[idx])
+            b = b - cfg.final_lr * upstream.sum(axis=0)
+        val = quadratic_loss(Yv - (Xv @ W.T + b), w)
         if val < best_val:
-            best, best_val, stale = model, val, 0
+            best, best_val, stale = (W, b), val, 0
         else:
             stale += 1
             if stale >= cfg.patience:
@@ -193,11 +187,11 @@ def test_train_final_nondiagonal_sigma_matches_oracle_training():
     model0 = init_forecaster(ws.history, ws.horizon, rng)
 
     got = train_final(train, w, model0, cfg, valid=valid, rng=np.random.default_rng(98))
-    want = reference_weighted_training(train, valid, w, model0, cfg,
-                                       np.random.default_rng(98))
+    W, b = reference_weighted_training(train, valid, w, np.array(model0.weights),
+                                       np.array(model0.bias), cfg, np.random.default_rng(98))
     assert not np.array_equal(got.weights, model0.weights)
-    assert np.max(np.abs(got.weights - want.weights)) <= 1e-12
-    assert np.max(np.abs(got.bias - want.bias)) <= 1e-12
+    assert np.max(np.abs(got.weights - W)) <= 1e-12
+    assert np.max(np.abs(got.bias - b)) <= 1e-12
 
 
 def test_train_final_fits_noiseless_linear_process(rng):
