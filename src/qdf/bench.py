@@ -24,6 +24,7 @@ from .data import (
     make_windows,
     ramp_noise_schedule,
 )
+from .errors import InvalidConfigError
 from .workflow import QdfConfig, RunReport, run_variant
 
 HISTORY = 16
@@ -70,7 +71,7 @@ def preset_spec(preset: str, seed: int, n_windows: int = 600) -> ArSpec:
         return ArSpec((0.6,), 1.0, length, seed)
     if preset == "white":
         return ArSpec((), 1.0, length, seed)
-    raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
+    raise InvalidConfigError(f"unknown preset {preset!r}; expected one of {PRESETS}")
 
 
 @dataclass

@@ -18,10 +18,10 @@ class PhaseTimer:
         self.cpu_ms: dict[str, float] = defaultdict(float)
         self.steps: dict[str, int] = defaultdict(int)
 
-    def observe(self, phase: str, wall_s: float, cpu_s: float, steps: int = 1) -> None:
+    def observe(self, phase: str, wall_s: float, cpu_s: float) -> None:
         self.totals_ms[phase] += wall_s * 1e3
         self.cpu_ms[phase] += cpu_s * 1e3
-        self.steps[phase] += steps
+        self.steps[phase] += 1
 
 
 class phase:

@@ -237,7 +237,7 @@ def run_variant(
     named streams so variants with equal seeds share initialization and
     batch order."""
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        raise InvalidConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     model_init = init_forecaster(
         train.history, train.horizon, np.random.default_rng(init_ss)

@@ -14,6 +14,7 @@ from qdf.bench import (
     run_matrix,
 )
 from qdf.data import ar_conditional_cov
+from qdf.errors import QdfError
 from qdf.workflow import VARIANTS
 
 
@@ -157,3 +158,11 @@ def test_switching_preset_or_length_drops_held_realizations(gen_ar_calls):
         (0, 1224), (0, 1224), (0, 1464), (0, 1224)
     ]
     assert len(qdf.bench._held) == 1
+
+
+@pytest.mark.parametrize("presets, variants", [(["nope"], ["df"]), (["white"], ["nope"])],
+                         ids=["preset", "variant"])
+def test_run_matrix_rejects_unknown_name_with_exit_code_3(presets, variants):
+    with pytest.raises(QdfError) as info:
+        run_matrix(presets, variants, [0], n_windows=50)
+    assert info.value.exit_code == 3
