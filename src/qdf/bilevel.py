@@ -17,9 +17,13 @@ adjoint is seeded from the real outer residuals, so a perfect outer fit
 gives an exactly zero hypergradient.
 
 At desk scale every array here is small, so the cost is per numpy call, not
-per flop.  The unrolled loop therefore runs on the plain T x (H+1)
-parameter block, checked finite after each step, and a model object is built
-once per update, for the caller.  The outer seed is the gradient kernel that
+per flop.  The update therefore runs on plain arrays: ``atomic_step`` carries
+the T x (H+1) parameter block, the weighting's ``raw`` block, its factor L
+and Sigma^-1 from one update to the next, through the array-level kernel of
+``weighting.py``, and builds no model or weighting object.  Each inner step
+is checked finite, and so are the outer adjoint seed, the outer step and the
+rescaled weighting.  ``atomic_update`` and ``hypergradient`` are the
+object-level wrappers over it.  The outer seed is the gradient kernel that
 final training uses (``model.weighted_grad``), and the adjoint is carried
 back N - 1 times, since the last carry would never be read.  A split pair's
 disjointness is checked on the sorted window starts, with no row masks.
@@ -37,7 +41,14 @@ from .data import WindowSet
 from .errors import InvalidDimensionError, InvalidSplitError, NumericError
 from .model import LinearForecaster, weighted_grad
 from .timing import PhaseTimer, phase
-from .weighting import WeightingParams, chain_sigma_grad_to_raw, normalize_scale
+from .weighting import (
+    WeightingMode,
+    WeightingParams,
+    factor_from_raw,
+    inverse_from_factor,
+    normalized_raw,
+    raw_grad,
+)
 
 if TYPE_CHECKING:  # workflow imports this module
     from .workflow import QdfConfig
@@ -113,25 +124,17 @@ def make_split_pair(windows: WindowSet) -> SplitPair:
     return SplitPair(inner.slice(0, last), outer)
 
 
-def _unroll(
-    theta0: LinearForecaster,
-    w: WeightingParams,
-    split: SplitPair,
-    cfg: QdfConfig,
-    timer: PhaseTimer | None,
-):
-    """Shared forward pass: N full-batch GD steps from the inner statistics.
+def _unroll(theta, A, split: SplitPair, cfg: QdfConfig, timer: PhaseTimer | None):
+    """Shared forward pass: N full-batch GD steps from the inner statistics,
+    under Sigma^-1 = A.
 
-    Returns Sigma^-1, the parameter block after the last step, and the
-    residual moments M_k = C - Theta_k G of every step, which the reverse
-    pass consumes.
+    Returns the parameter block after the last step and the residual moments
+    M_k = C - Theta_k G of every step, which the reverse pass consumes.
     """
-    if theta0.horizon != w.horizon or split.inner.horizon != w.horizon:
+    if theta.shape[0] != A.shape[0] or split.inner.horizon != A.shape[0]:
         raise InvalidDimensionError("model/weighting/split horizons disagree")
     G, C, B = split.inner_moments
-    A = w.inverse
     scale = 2.0 * cfg.inner_lr / B
-    theta = theta0.theta
     moments = []
     for _ in range(cfg.inner_steps):
         with phase(timer, "inner_fwd"):
@@ -142,11 +145,12 @@ def _unroll(
         if not finite:
             raise NumericError("inner loop diverged; reduce inner_lr")
         moments.append(M)
-    return A, theta, moments
+    return theta, moments
 
 
-def _outer_reverse(A, theta_n, moments, w, split, cfg, timer) -> np.ndarray:
-    """Outer loss adjoint at theta_N, carried back through the unrolled steps.
+def _outer_reverse(theta_n, moments, raw, L, A, mode, split, cfg, timer) -> np.ndarray:
+    """Outer loss adjoint at theta_N, carried back through the unrolled steps,
+    as a gradient of the raw block whose factor is L and Sigma^-1 is A.
 
     The seed -(2 / Bo) A [R^T X, R^T 1] sums the outer residuals over rows first.
     Each step's Jacobian is I - (2 lr / B) A (.) G, constant in theta for a
@@ -168,7 +172,29 @@ def _outer_reverse(A, theta_n, moments, w, split, cfg, timer) -> np.ndarray:
             if k:
                 lam = lam - scale * (A @ lam @ G)
             P += M @ lam.T
-        return chain_sigma_grad_to_raw(w, -scale * (A @ P @ A))
+        return raw_grad(raw, L, -scale * (A @ P @ A), mode)
+
+
+def atomic_step(theta, raw, L, A, mode: WeightingMode, split: SplitPair, cfg: QdfConfig,
+                timer: PhaseTimer | None = None):
+    """One atomic update on plain arrays: N inner GD steps from the parameter
+    block ``theta``, then one hypergradient step on the weighting's ``raw``
+    block, rescaled as ``normalize_scale`` rescales.
+
+    L and A are the factor and Sigma^-1 of ``raw``.  Returns the new
+    (theta, raw, L, A); with eta = 0 the last three are the arrays given.
+    """
+    theta_n, moments = _unroll(theta, A, split, cfg, timer)
+    if cfg.eta == 0.0:
+        return theta_n, raw, L, A
+    raw = raw - cfg.eta * _outer_reverse(theta_n, moments, raw, L, A, mode, split, cfg, timer)
+    if not np.isfinite(raw).all():
+        raise NumericError("outer step diverged; reduce eta or inner_lr")
+    if mode is not WeightingMode.OFFDIAG_ONLY:
+        L = factor_from_raw(raw, mode)
+        raw = normalized_raw(L, inverse_from_factor(L), mode)
+    L = factor_from_raw(raw, mode)
+    return theta_n, raw, L, inverse_from_factor(L)
 
 
 def hypergradient(
@@ -180,7 +206,9 @@ def hypergradient(
 ) -> np.ndarray:
     """Gradient of the outer loss w.r.t. raw weighting entries, through the
     inner trajectory only (direct outer occurrence of Sigma held fixed)."""
-    return _outer_reverse(*_unroll(theta0, w, split, cfg, timer), w, split, cfg, timer)
+    theta_n, moments = _unroll(theta0.theta, w.inverse, split, cfg, timer)
+    return _outer_reverse(theta_n, moments, w.raw, w.factor, w.inverse, w.mode, split, cfg,
+                          timer)
 
 
 def atomic_update(
@@ -191,12 +219,9 @@ def atomic_update(
     timer: PhaseTimer | None = None,
 ) -> tuple[WeightingParams, LinearForecaster]:
     """N inner GD steps on the model, then one hypergradient step on the
-    weighting, rescaled by ``normalize_scale``.  With eta = 0 the weighting
-    is returned untouched."""
-    A, theta_n, moments = _unroll(model, w, split, cfg, timer)
-    if cfg.eta == 0.0:
-        return w, LinearForecaster(theta_n)
-    raw = w.raw - cfg.eta * _outer_reverse(A, theta_n, moments, w, split, cfg, timer)
-    if not np.isfinite(raw).all():
-        raise NumericError("outer step diverged; reduce eta or inner_lr")
-    return normalize_scale(w.with_raw(raw)), LinearForecaster(theta_n)
+    weighting, rescaled by ``normalize_scale``: ``atomic_step`` on the
+    model's and the weighting's arrays.  With eta = 0 the weighting is
+    returned untouched."""
+    theta, raw, _, _ = atomic_step(model.theta, w.raw, w.factor, w.inverse, w.mode, split,
+                                   cfg, timer)
+    return (w if raw is w.raw else w.with_raw(raw)), LinearForecaster(theta)

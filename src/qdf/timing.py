@@ -25,15 +25,17 @@ class PhaseTimer:
 
 
 class phase:
-    """Context manager feeding one timed block into a PhaseTimer."""
+    """Context manager feeding one timed block into a PhaseTimer; without a
+    timer it reads no clock."""
 
     def __init__(self, timer: "PhaseTimer | None", name: str):
         self.timer = timer
         self.name = name
 
     def __enter__(self):
-        self.t0 = time.perf_counter()
-        self.c0 = time.process_time()
+        if self.timer is not None:
+            self.t0 = time.perf_counter()
+            self.c0 = time.process_time()
         return self
 
     def __exit__(self, *exc):

@@ -10,6 +10,15 @@ materialize the Cholesky-style factor L with
 so Sigma = L @ L.T is PSD for any real ``raw``.  Ablation modes mask the
 factor: DIAG_ONLY zeroes the strictly-lower part of L, OFFDIAG_ONLY pins the
 diagonal of L to one.  Masked entries also receive zero gradient.
+
+Each formula lives once, in an array-level kernel on plain T x T arrays:
+L from ``raw`` (``factor_from_raw``), Sigma^-1 from L by one triangular
+solve (``inverse_from_factor``), the ``raw`` that rescales to
+trace(Sigma^-1) = T (``normalized_raw``), and the ``raw`` gradient of a
+Sigma gradient (``raw_grad``).  ``WeightingParams.factor`` and ``.inverse``,
+``normalize_scale`` and ``chain_sigma_grad_to_raw`` are thin wrappers over
+it; the bilevel loop calls it directly, so an atomic update builds no
+``WeightingParams``.
 """
 
 from __future__ import annotations
@@ -91,8 +100,7 @@ class WeightingParams:
             raise InvalidDimensionError(
                 f"raw must be {self.horizon}x{self.horizon}, got {raw.shape}"
             )
-        if not np.isfinite(np.where(_masks(self.horizon, self.mode)[0], raw, 0.0)).all():
-            raise InvalidDimensionError("raw lower triangle must be finite")
+        _check_raw(raw, self.mode)
         raw.setflags(write=False)
         object.__setattr__(self, "raw", raw)
 
@@ -102,12 +110,7 @@ class WeightingParams:
     @cached_property
     def factor(self) -> np.ndarray:
         """L, lower triangular with positive diagonal, mode masks applied."""
-        L = np.where(_masks(self.horizon, self.mode)[1], self.raw, 0.0)
-        if self.mode is WeightingMode.OFFDIAG_ONLY:
-            np.fill_diagonal(L, 1.0)
-        else:
-            np.fill_diagonal(L, np.maximum(softplus(np.diagonal(self.raw)), SOFTPLUS_FLOOR))
-        return _frozen(L)
+        return _frozen(factor_from_raw(self.raw, self.mode))
 
     @cached_property
     def sigma(self) -> np.ndarray:
@@ -117,12 +120,7 @@ class WeightingParams:
     @cached_property
     def inverse(self) -> np.ndarray:
         """Sigma^-1 = L^-T L^-1, formed from the factor."""
-        # The LAPACK call solve_triangular makes for a C-ordered L, without the
-        # wrapper's checks, which at small T cost more than the solve.
-        Linv, info = lapack().dtrtrs(self.factor.T, np.eye(self.horizon), lower=0, trans=1)
-        if info != 0:
-            raise ConditioningError(f"triangular factor is singular (LAPACK info {info})")
-        return _frozen(Linv.T @ Linv)
+        return _frozen(inverse_from_factor(self.factor))
 
 
 @lru_cache(maxsize=None)
@@ -161,6 +159,77 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# The array-level kernel: plain T x T arrays in, fresh arrays out.
+
+
+def _check_raw(raw: np.ndarray, mode: WeightingMode) -> None:
+    if not np.isfinite(np.where(_masks(raw.shape[0], mode)[0], raw, 0.0)).all():
+        raise InvalidDimensionError("raw lower triangle must be finite")
+
+
+def factor_from_raw(raw: np.ndarray, mode: WeightingMode) -> np.ndarray:
+    """L: the strictly-lower entries of ``raw`` the mode keeps, and the
+    floored softplus of its diagonal (ones in OFFDIAG_ONLY mode)."""
+    L = np.where(_masks(raw.shape[0], mode)[1], raw, 0.0)
+    if mode is WeightingMode.OFFDIAG_ONLY:
+        np.fill_diagonal(L, 1.0)
+    else:
+        np.fill_diagonal(L, np.maximum(softplus(raw.diagonal()), SOFTPLUS_FLOOR))
+    return L
+
+
+@lru_cache(maxsize=None)
+def _identity(T: int) -> np.ndarray:
+    # Left writable: dtrtrs copies its right-hand side (overwrite_b=0), and a
+    # read-only one sends it down a path ten times slower.
+    return np.eye(T)
+
+
+def inverse_from_factor(L: np.ndarray) -> np.ndarray:
+    """Sigma^-1 = L^-T L^-1, with L^-1 from one triangular solve."""
+    # The LAPACK call solve_triangular makes for a C-ordered L, without the
+    # wrapper's checks, which at small T cost more than the solve.
+    Linv, info = lapack().dtrtrs(L.T, _identity(L.shape[0]), lower=0, trans=1)
+    if info != 0:
+        raise ConditioningError(f"triangular factor is singular (LAPACK info {info})")
+    return Linv.T @ Linv
+
+
+def normalized_raw(L: np.ndarray, inverse: np.ndarray, mode: WeightingMode) -> np.ndarray:
+    """The ``raw`` whose Sigma is L L^T rescaled to trace(Sigma^-1) = T.
+
+    ``inverse`` is (L L^T)^-1.  Not for OFFDIAG_ONLY mode, whose unit
+    diagonal pins the scale.
+    """
+    T = L.shape[0]
+    trace = float(np.trace(inverse))
+    if not np.isfinite(trace):
+        raise ConditioningError("trace of inverse weighting is not finite")
+    root = np.sqrt(trace / T)
+    raw = np.where(_masks(T, mode)[1], L * root, 0.0)
+    np.fill_diagonal(raw, softplus_inv(np.maximum(L.diagonal() * root, SOFTPLUS_FLOOR)))
+    _check_raw(raw, mode)
+    return raw
+
+
+def raw_grad(raw: np.ndarray, L: np.ndarray, grad_sigma: np.ndarray,
+             mode: WeightingMode) -> np.ndarray:
+    """Pull a gradient w.r.t. Sigma = L L^T back to the raw block, L being
+    the factor of ``raw``.
+
+    Chains through Sigma = L L^T, then through the softplus on the diagonal;
+    entries frozen by the mode mask (and by the floor clamp, where the
+    diagonal of L sits at the floor) get zero.
+    """
+    lower, _, free = _masks(raw.shape[0], mode)
+    grad_L = (grad_sigma + grad_sigma.T) @ L
+    grad_raw = np.where(lower, grad_L, 0.0)
+    active = L.diagonal() > SOFTPLUS_FLOOR
+    np.fill_diagonal(grad_raw, grad_L.diagonal() * _sigmoid(raw.diagonal()) * active)
+    grad_raw *= free
+    return grad_raw
+
+
 def identity_params(horizon: int, mode: WeightingMode = WeightingMode.FULL) -> WeightingParams:
     """Parameters materializing to the identity matrix (the MSE baseline)."""
     if horizon < 1:
@@ -196,14 +265,7 @@ def normalize_scale(params: WeightingParams) -> WeightingParams:
     """
     if params.mode is WeightingMode.OFFDIAG_ONLY:
         return params
-    trace = float(np.trace(params.inverse))
-    if not np.isfinite(trace):
-        raise ConditioningError("trace of inverse weighting is not finite")
-    L = params.factor
-    root = np.sqrt(trace / params.horizon)
-    raw = np.where(_masks(params.horizon, params.mode)[1], L * root, 0.0)
-    np.fill_diagonal(raw, softplus_inv(np.maximum(np.diagonal(L) * root, SOFTPLUS_FLOOR)))
-    return params.with_raw(raw)
+    return params.with_raw(normalized_raw(params.factor, params.inverse, params.mode))
 
 
 def frobenius_distance(a: WeightingParams, b: WeightingParams) -> float:
@@ -216,19 +278,9 @@ def frobenius_distance(a: WeightingParams, b: WeightingParams) -> float:
 
 
 def chain_sigma_grad_to_raw(params: WeightingParams, grad_sigma: np.ndarray) -> np.ndarray:
-    """Pull a gradient w.r.t. Sigma back to the raw parameter block.
-
-    Chains through Sigma = L L^T, then through the softplus on the diagonal;
-    entries frozen by the mode mask (and by the floor clamp) get zero.
-    """
-    lower, _, free = _masks(params.horizon, params.mode)
-    grad_L = (grad_sigma + grad_sigma.T) @ params.factor
-    grad_raw = np.where(lower, grad_L, 0.0)
-    diag_raw = np.diagonal(params.raw)
-    active = softplus(diag_raw) > SOFTPLUS_FLOOR
-    np.fill_diagonal(grad_raw, np.diagonal(grad_L) * _sigmoid(diag_raw) * active)
-    grad_raw *= free
-    return grad_raw
+    """Pull a gradient w.r.t. Sigma back to the raw parameter block
+    (``raw_grad`` on the params' arrays)."""
+    return raw_grad(params.raw, params.factor, grad_sigma, params.mode)
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bilevel import atomic_update, make_split_pair
+from .bilevel import atomic_step, make_split_pair
 from .data import WindowSet, chrono_split
 from .errors import InvalidConfigError, InvalidSplitError, NumericError
 from .model import (
@@ -100,9 +100,11 @@ def learn_weighting(
     """Phase 1-2: identity start, K-way refinement, Frobenius stopping rule.
 
     Returns the learned parameters and the per-round delta trace.  The model
-    state persists across atomic updates.  A non-finite delta, or a Sigma
-    whose condition number exceeds ``MAX_SIGMA_COND``, means Sigma diverged
-    and raises NumericError.
+    state persists across atomic updates, which run on plain arrays
+    (``atomic_step``); each outer round builds one ``WeightingParams``, for
+    the stopping rule, the conditioning guard and the result.  A non-finite
+    delta, or a Sigma whose condition number exceeds ``MAX_SIGMA_COND``,
+    means Sigma diverged and raises NumericError.
     """
     if len(train) < 2 * cfg.k_splits:
         raise InvalidSplitError(
@@ -111,12 +113,13 @@ def learn_weighting(
     subsets = chrono_split(train, [1.0 / cfg.k_splits] * cfg.k_splits)
     pairs = [make_split_pair(s) for s in subsets]
     w = identity_params(train.horizon, mode)
-    theta = model_init
+    theta, raw, L, A = model_init.theta, w.raw, w.factor, w.inverse
     trace: list[float] = []
     for _ in range(cfg.outer_rounds):
         w_prev = w
         for pair in pairs:
-            w, theta = atomic_update(theta, w, pair, cfg, timer)
+            theta, raw, L, A = atomic_step(theta, raw, L, A, mode, pair, cfg, timer)
+        w = w_prev if raw is w_prev.raw else w_prev.with_raw(raw)
         delta = frobenius_distance(w, w_prev)
         if not np.isfinite(delta):
             raise NumericError(

@@ -13,9 +13,11 @@ from qdf.bilevel import (
     make_split_pair,
 )
 from qdf.data import SeriesFrame, WindowSet, make_windows
-from qdf.errors import InvalidSplitError, NumericError
+from qdf import timing, workflow
+from qdf.errors import ConditioningError, InvalidSplitError, NumericError, QdfError
 from qdf.model import forecast_batch, init_forecaster
 from qdf.objective import grad_wrt_residual, quadratic_loss
+from qdf.timing import PhaseTimer
 from qdf.weighting import (
     WeightingMode,
     WeightingParams,
@@ -233,22 +235,77 @@ def test_atomic_update_normalizes_scale(rng):
     assert np.trace(np.linalg.inv(sigma)) == pytest.approx(2.0, rel=1e-9)
 
 
+def guard_case(rng, where):
+    """A split pair, a model and a config on which one check of the update fires."""
+    pair = build_pair(rng, 3, 2, 60)
+    theta0 = init_forecaster(3, 2, rng)
+    lr, eta = {"inner": (1e300, 0.1), "step": (1e100, 0.1), "trace": (0.02, 1e300)}.get(
+        where, (0.02, 0.1))
+    if where == "outer":
+        Xo, Yo = pair.outer.arrays()
+        pair = SplitPair(pair.inner, WindowSet(Xo * 1e300, Yo, pair.outer.starts))
+    return pair, theta0, QdfConfig(k_splits=1, inner_steps=2, inner_lr=lr, eta=eta)
+
+
 @pytest.mark.parametrize("where, message", [
     ("inner", "inner loop diverged"),
     ("outer", "outer adjoint diverged"),
 ])
 def test_unrolled_loop_guards_fire(rng, where, message):
-    pair = build_pair(rng, 3, 2, 60)
-    theta0 = init_forecaster(3, 2, rng)
+    pair, theta0, cfg = guard_case(rng, where)
     w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
-    cfg = QdfConfig(inner_steps=2, inner_lr=1e300 if where == "inner" else 0.02, eta=0.1)
-    if where == "outer":
-        Xo, Yo = pair.outer.arrays()
-        pair = SplitPair(pair.inner, WindowSet(Xo * 1e300, Yo, pair.outer.starts))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericError, match=message) as err:
         atomic_update(theta0, w, pair, cfg)
     assert err.value.exit_code == 4
+
+
+@pytest.mark.parametrize("where, error, message", [
+    ("inner", NumericError, "inner loop diverged; reduce inner_lr"),
+    ("outer", NumericError, "outer adjoint diverged; reduce inner_lr"),
+    ("step", NumericError, "outer step diverged; reduce eta or inner_lr"),
+    ("trace", ConditioningError, "trace of inverse weighting is not finite"),
+])
+def test_update_guards_fire_alike_in_learn_weighting(rng, monkeypatch, where, error, message):
+    # learn_weighting runs the array-level step, atomic_update its object-level
+    # wrapper: the same check stops both, with the same error
+    pair, theta0, cfg = guard_case(rng, where)
+    errors = []
+    monkeypatch.setattr(workflow, "make_split_pair", lambda windows: pair)
+    for run in (lambda: atomic_update(theta0, identity_params(2), pair, cfg),
+                lambda: workflow.learn_weighting(pair.inner, theta0, cfg)):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(QdfError) as err:
+            run()
+        errors.append((type(err.value), str(err.value), err.value.exit_code))
+    assert errors == [(error, message, 4)] * 2
+
+
+class CountingClock:
+    """Stands in for the time module in qdf.timing, counting clock reads."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def perf_counter(self):
+        self.reads += 1
+        return 0.0
+
+    process_time = perf_counter
+
+
+def test_update_reads_the_clock_only_with_a_timer(rng, monkeypatch):
+    pair = build_pair(rng, 3, 2, 60)
+    theta0 = init_forecaster(3, 2, rng)
+    cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
+    clock = CountingClock()
+    monkeypatch.setattr(timing, "time", clock)
+    atomic_update(theta0, identity_params(2), pair, cfg)
+    hypergradient(theta0, identity_params(2), pair, cfg)
+    assert clock.reads == 0
+    timer = PhaseTimer()
+    atomic_update(theta0, identity_params(2), pair, cfg, timer)
+    assert timer.steps == {"inner_fwd": 2, "inner_bwd": 2, "outer_fwd": 1, "outer_bwd": 1}
+    assert clock.reads == 4 * 6  # two clocks, read on entry and on exit
 
 
 def _windows_at(starts, H, T):

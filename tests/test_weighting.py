@@ -133,6 +133,18 @@ def test_normalize_scale_is_idempotent(rng):
         assert frobenius_distance(once, twice) <= 1e-10
 
 
+@pytest.mark.parametrize("raw, error, message", [
+    # L^-1 is finite, but Sigma^-1 = L^-T L^-1 overflows on its diagonal
+    ([[-50.0, 0.0], [1e200, -50.0]], ConditioningError, "trace of inverse weighting is not finite"),
+    # the trace is finite, but rescaling L overflows its lower triangle
+    ([[-50.0, 0.0], [1e300, 1e290]], InvalidDimensionError, "raw lower triangle must be finite"),
+], ids=["trace", "rescaled"])
+def test_normalize_scale_rejects_an_overflowing_weighting(raw, error, message):
+    w = WeightingParams(np.array(raw), 2)
+    with np.errstate(over="ignore"), pytest.raises(error, match=message):
+        normalize_scale(w)
+
+
 def test_normalize_scale_keeps_offdiag_mode_untouched(rng):
     p = WeightingParams(rng.uniform(-2, 2, size=(4, 4)), 4, WeightingMode.OFFDIAG_ONLY)
     assert normalize_scale(p) is p

@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from qdf.bilevel import atomic_update, make_split_pair
-from qdf.data import ArSpec, ar_conditional_cov, gen_ar, make_windows, ramp_noise_schedule
+from qdf.data import (
+    ArSpec,
+    ar_conditional_cov,
+    chrono_split,
+    gen_ar,
+    make_windows,
+    ramp_noise_schedule,
+)
 from qdf import workflow
 from qdf.errors import InvalidConfigError, InvalidSplitError, NumericError
 from qdf.model import AdamState, forecast_batch, init_forecaster, sgd_update
 from qdf.objective import grad_wrt_residual, quadratic_loss
 from qdf.weighting import (
+    WeightingMode,
     WeightingParams,
     frobenius_distance,
     identity_params,
@@ -66,6 +74,28 @@ def test_learn_weighting_k1_single_atomic_update(rng):
     )
     assert np.array_equal(w.raw, expect.raw)
     assert len(trace) == 1
+
+
+@pytest.mark.parametrize("inner_steps", [1, 2])
+@pytest.mark.parametrize("mode", list(WeightingMode), ids=lambda m: m.value)
+def test_learn_weighting_equals_chained_atomic_updates(rng, mode, inner_steps):
+    # learn_weighting's array-level loop against its public object-level wrappers
+    ws = ar_windows(seed=11)
+    cfg = QdfConfig(k_splits=3, outer_rounds=3, inner_steps=inner_steps, inner_lr=0.05,
+                    eta=0.1, tol=0.0, seed=11)
+    model = init_forecaster(ws.history, ws.horizon, rng)
+    w, trace = learn_weighting(ws, model, cfg, mode)
+
+    pairs = [make_split_pair(s) for s in chrono_split(ws, [1.0 / 3] * 3)]
+    expect, deltas = identity_params(ws.horizon, mode), []
+    for _ in range(3):
+        prev = expect
+        for pair in pairs:
+            expect, model = atomic_update(model, expect, pair, cfg)
+        deltas.append(frobenius_distance(expect, prev))
+    assert w.mode is mode and deltas[-1] > 0.0
+    assert list(map(float.hex, trace)) == list(map(float.hex, deltas))
+    assert list(map(float.hex, w.raw.ravel())) == list(map(float.hex, expect.raw.ravel()))
 
 
 def test_learn_weighting_halts_within_budget():
