@@ -101,13 +101,15 @@ def benchmark_data(preset: str, seed: int, n_windows: int = 600) -> BenchmarkDat
     held ones.  The series is read-only, and every call returns fresh
     ``WindowSet``s with their own read counters.
     """
-    by_seed = _held.get((preset, n_windows))
-    if by_seed is None:
-        _held.clear()
-        by_seed = _held[preset, n_windows] = {}
+    key = preset, n_windows
+    by_seed = _held.get(key, {})
     if seed not in by_seed:
+        # an unknown preset raises here, before the held realizations are touched
         spec = preset_spec(preset, seed, n_windows)
         by_seed[seed] = spec, gen_ar(spec)
+        if key not in _held:
+            _held.clear()
+            _held[key] = by_seed
     spec, frame = by_seed[seed]
     windows = make_windows(frame, HISTORY, HORIZON, stride=HISTORY + HORIZON)
     train, valid, test = chrono_split(windows, [0.35, 0.15, 0.5])

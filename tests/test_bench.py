@@ -14,7 +14,7 @@ from qdf.bench import (
     run_matrix,
 )
 from qdf.data import ar_conditional_cov
-from qdf.errors import QdfError
+from qdf.errors import InvalidConfigError, QdfError
 from qdf.workflow import VARIANTS
 
 
@@ -158,6 +158,15 @@ def test_switching_preset_or_length_drops_held_realizations(gen_ar_calls):
         (0, 1224), (0, 1224), (0, 1464), (0, 1224)
     ]
     assert len(qdf.bench._held) == 1
+
+
+def test_unknown_preset_keeps_the_held_realizations(gen_ar_calls):
+    benchmark_data("white", seed=0, n_windows=50)
+    with pytest.raises(InvalidConfigError, match="unknown preset"):
+        benchmark_data("nope", seed=0, n_windows=50)
+    assert ("nope", 50) not in qdf.bench._held
+    benchmark_data("white", seed=0, n_windows=50)
+    assert len(gen_ar_calls) == 1
 
 
 @pytest.mark.parametrize("presets, variants", [(["nope"], ["df"]), (["white"], ["nope"])],
