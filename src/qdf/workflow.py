@@ -6,6 +6,11 @@ until the materialized matrix stops moving (Frobenius delta under ``tol``)
 or the round budget runs out, then train the final model under the frozen
 learned objective with minibatches and early stopping.
 
+The refinement carries plain arrays from one atomic update to the next (the
+parameter block, the weighting's raw block, its factor and Sigma^-1; see
+``bilevel.atomic_step``) and builds one ``WeightingParams`` per outer round,
+which the stopping rule, the conditioning guard and the result share.
+
 Only the training split is ever read during the first two phases; validation
 drives early stopping and the test split is touched exclusively by metric
 evaluation.
@@ -100,11 +105,9 @@ def learn_weighting(
     """Phase 1-2: identity start, K-way refinement, Frobenius stopping rule.
 
     Returns the learned parameters and the per-round delta trace.  The model
-    state persists across atomic updates, which run on plain arrays
-    (``atomic_step``); each outer round builds one ``WeightingParams``, for
-    the stopping rule, the conditioning guard and the result.  A non-finite
-    delta, or a Sigma whose condition number exceeds ``MAX_SIGMA_COND``,
-    means Sigma diverged and raises NumericError.
+    state persists across atomic updates.  A non-finite delta, or a Sigma
+    whose condition number exceeds ``MAX_SIGMA_COND``, means Sigma diverged
+    and raises NumericError.
     """
     if len(train) < 2 * cfg.k_splits:
         raise InvalidSplitError(
@@ -119,7 +122,7 @@ def learn_weighting(
         w_prev = w
         for pair in pairs:
             theta, raw, L, A = atomic_step(theta, raw, L, A, mode, pair, cfg, timer)
-        w = w_prev if raw is w_prev.raw else w_prev.with_raw(raw)
+        w = w_prev.with_raw(raw)
         delta = frobenius_distance(w, w_prev)
         if not np.isfinite(delta):
             raise NumericError(
