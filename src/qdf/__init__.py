@@ -8,7 +8,7 @@ the unrolled inner updates) moves the weighting toward better holdout
 performance.
 """
 
-from .bilevel import SplitPair, atomic_update, hypergradient, make_split_pair
+from .bilevel import SplitPair, hypergradient, make_split_pair
 from .data import (
     ArSpec,
     SeriesFrame,
@@ -76,7 +76,6 @@ __all__ = [
     "WeightingParams",
     "WindowSet",
     "ar_conditional_cov",
-    "atomic_update",
     "chrono_split",
     "cov_to_corr",
     "evaluate",

@@ -17,16 +17,17 @@ adjoint is seeded from the real outer residuals, so a perfect outer fit
 gives an exactly zero hypergradient.
 
 At desk scale every array here is small, so the cost is per numpy call, not
-per flop.  The update therefore runs on plain arrays: ``atomic_step`` carries
-the T x (H+1) parameter block, the weighting's ``raw`` block, its factor L
-and Sigma^-1 from one update to the next, through the array-level kernel of
+per flop.  The update therefore runs on plain arrays: ``atomic_step`` takes
+and returns the T x (H+1) parameter block and the weighting's ``raw`` block,
+forms L and Sigma^-1 from ``raw`` through the array-level kernel of
 ``weighting.py``, and builds no model or weighting object.  Each inner step
 is checked finite, and so are the outer adjoint seed, the outer step and the
-rescaled weighting.  ``atomic_update`` and ``hypergradient`` are the
-object-level wrappers over it.  The outer seed is the gradient kernel that
-final training uses (``model.weighted_grad``), and the adjoint is carried
-back N - 1 times, since the last carry would never be read.  A split pair's
-disjointness is checked on the sorted window starts, with no row masks.
+rescaled weighting.  ``hypergradient``, on a model and a
+``WeightingParams``, is the one object-level function.  The outer seed is
+the gradient kernel that final training uses (``model.weighted_grad``), and
+the adjoint is carried back N - 1 times, since the last carry would never be
+read.  A split pair's disjointness is checked on the sorted window starts,
+with no row masks.
 """
 
 from __future__ import annotations
@@ -175,26 +176,23 @@ def _outer_reverse(theta_n, moments, raw, L, A, mode, split, cfg, timer) -> np.n
         return raw_grad(raw, L, -scale * (A @ P @ A), mode)
 
 
-def atomic_step(theta, raw, L, A, mode: WeightingMode, split: SplitPair, cfg: QdfConfig,
+def atomic_step(theta, raw, mode: WeightingMode, split: SplitPair, cfg: QdfConfig,
                 timer: PhaseTimer | None = None):
     """One atomic update on plain arrays: N inner GD steps from the parameter
     block ``theta``, then one hypergradient step on the weighting's ``raw``
-    block, rescaled as ``normalize_scale`` rescales.
+    block, rescaled by ``normalized_raw``.
 
-    L and A are the factor and Sigma^-1 of ``raw``.  Returns the new
-    (theta, raw, L, A); with eta = 0 the last three are the arrays given.
+    Returns the new (theta, raw); with eta = 0, ``raw`` is the array given.
     """
+    L = factor_from_raw(raw, mode)
+    A = inverse_from_factor(L)
     theta_n, moments = _unroll(theta, A, split, cfg, timer)
     if cfg.eta == 0.0:
-        return theta_n, raw, L, A
+        return theta_n, raw
     raw = raw - cfg.eta * _outer_reverse(theta_n, moments, raw, L, A, mode, split, cfg, timer)
     if not np.isfinite(raw).all():
         raise NumericError("outer step diverged; reduce eta or inner_lr")
-    if mode is not WeightingMode.OFFDIAG_ONLY:
-        L = factor_from_raw(raw, mode)
-        raw = normalized_raw(L, inverse_from_factor(L), mode)
-    L = factor_from_raw(raw, mode)
-    return theta_n, raw, L, inverse_from_factor(L)
+    return theta_n, normalized_raw(raw, mode)
 
 
 def hypergradient(
@@ -210,18 +208,3 @@ def hypergradient(
     return _outer_reverse(theta_n, moments, w.raw, w.factor, w.inverse, w.mode, split, cfg,
                           timer)
 
-
-def atomic_update(
-    model: LinearForecaster,
-    w: WeightingParams,
-    split: SplitPair,
-    cfg: QdfConfig,
-    timer: PhaseTimer | None = None,
-) -> tuple[WeightingParams, LinearForecaster]:
-    """N inner GD steps on the model, then one hypergradient step on the
-    weighting, rescaled by ``normalize_scale``: ``atomic_step`` on the
-    model's and the weighting's arrays.  With eta = 0 the weighting is
-    returned untouched."""
-    theta, raw, _, _ = atomic_step(model.theta, w.raw, w.factor, w.inverse, w.mode, split,
-                                   cfg, timer)
-    return (w if raw is w.raw else w.with_raw(raw)), LinearForecaster(theta)

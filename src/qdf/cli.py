@@ -287,7 +287,6 @@ def cmd_diagnose(args) -> int:
         seed=args.seed,
     )
     prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     matrix_path = Path(f"{prefix}_matrix.csv")
     write_matrix_csv(matrix_path, report.matrix)
     summary = {

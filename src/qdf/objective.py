@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyInputError, InvalidDimensionError, NumericError
-from .weighting import WeightingParams, chain_sigma_grad_to_raw
+from .weighting import WeightingParams, raw_grad
 
 
 def _residuals(residuals, horizon: int | None = None) -> np.ndarray:
@@ -64,4 +64,4 @@ def grad_wrt_weighting(residuals, w: WeightingParams) -> np.ndarray:
     r = _residuals(residuals, w.horizon)
     u = _inv_sigma_apply(w, r)  # rows are Sigma^-1 e_i
     grad_sigma = -(u.T @ u) / r.shape[0]
-    return chain_sigma_grad_to_raw(w, grad_sigma)
+    return raw_grad(w.raw, w.factor, grad_sigma, w.mode)

@@ -14,10 +14,11 @@ diagonal of L to one.  Masked entries also receive zero gradient.
 Each formula lives once, in an array-level kernel on plain T x T arrays:
 L from ``raw`` (``factor_from_raw``), Sigma^-1 from L by one triangular
 solve (``inverse_from_factor``), the ``raw`` that rescales to
-trace(Sigma^-1) = T (``normalized_raw``), and the ``raw`` gradient of a
-Sigma gradient (``raw_grad``).  ``WeightingParams.factor`` and ``.inverse``,
-``normalize_scale`` and ``chain_sigma_grad_to_raw`` are thin wrappers over
-it; the bilevel loop calls it directly, so an atomic update builds no
+trace(Sigma^-1) = T (``normalized_raw``, the one place that leaves
+OFFDIAG_ONLY mode unscaled), and the ``raw`` gradient of a Sigma gradient
+(``raw_grad``).  ``WeightingParams.factor`` and ``.inverse`` and
+``normalize_scale`` are thin wrappers over it.  The bilevel loop carries
+only ``raw`` and calls the kernel directly, so an atomic update builds no
 ``WeightingParams``.
 """
 
@@ -195,14 +196,17 @@ def inverse_from_factor(L: np.ndarray) -> np.ndarray:
     return Linv.T @ Linv
 
 
-def normalized_raw(L: np.ndarray, inverse: np.ndarray, mode: WeightingMode) -> np.ndarray:
-    """The ``raw`` whose Sigma is L L^T rescaled to trace(Sigma^-1) = T.
+def normalized_raw(raw: np.ndarray, mode: WeightingMode) -> np.ndarray:
+    """The ``raw`` whose Sigma is that of ``raw`` rescaled to trace(Sigma^-1) = T.
 
-    ``inverse`` is (L L^T)^-1.  Not for OFFDIAG_ONLY mode, whose unit
-    diagonal pins the scale.
+    In OFFDIAG_ONLY mode the unit diagonal of L already pins the scale and
+    the family is not closed under scaling, so ``raw`` itself is returned.
     """
-    T = L.shape[0]
-    trace = float(np.trace(inverse))
+    if mode is WeightingMode.OFFDIAG_ONLY:
+        return raw
+    T = raw.shape[0]
+    L = factor_from_raw(raw, mode)
+    trace = float(np.trace(inverse_from_factor(L)))
     if not np.isfinite(trace):
         raise ConditioningError("trace of inverse weighting is not finite")
     root = np.sqrt(trace / T)
@@ -256,16 +260,16 @@ def params_from_matrix(
 
 
 def normalize_scale(params: WeightingParams) -> WeightingParams:
-    """Rescale so that trace(Sigma^-1) = T, removing the scale degeneracy.
+    """Rescale so that trace(Sigma^-1) = T, removing the scale degeneracy
+    (``normalized_raw`` on the params' ``raw``).
 
     Scaling Sigma multiplies the quadratic loss by a constant without moving
-    its argmin over model parameters, so this pins a canonical scale.  In
-    OFFDIAG_ONLY mode the unit diagonal of L already pins the scale and the
-    family is not closed under scaling, so params are returned unchanged.
+    its argmin over model parameters, so this pins a canonical scale.  Params
+    that ``normalized_raw`` leaves as they are (OFFDIAG_ONLY mode) are
+    returned unchanged.
     """
-    if params.mode is WeightingMode.OFFDIAG_ONLY:
-        return params
-    return params.with_raw(normalized_raw(params.factor, params.inverse, params.mode))
+    raw = normalized_raw(params.raw, params.mode)
+    return params if raw is params.raw else params.with_raw(raw)
 
 
 def frobenius_distance(a: WeightingParams, b: WeightingParams) -> float:
@@ -277,12 +281,8 @@ def frobenius_distance(a: WeightingParams, b: WeightingParams) -> float:
     return float(np.linalg.norm(a.sigma - b.sigma, "fro"))
 
 
-def chain_sigma_grad_to_raw(params: WeightingParams, grad_sigma: np.ndarray) -> np.ndarray:
-    """Pull a gradient w.r.t. Sigma back to the raw parameter block
-    (``raw_grad`` on the params' arrays)."""
-    return raw_grad(params.raw, params.factor, grad_sigma, params.mode)
-
-
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
-    """Dump a matrix as plain CSV with 17 significant digits."""
+    """Dump a matrix as plain CSV with 17 significant digits, creating the
+    parent directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(path, np.atleast_2d(matrix), delimiter=",", fmt="%.17g")

@@ -6,9 +6,9 @@ until the materialized matrix stops moving (Frobenius delta under ``tol``)
 or the round budget runs out, then train the final model under the frozen
 learned objective with minibatches and early stopping.
 
-The refinement carries plain arrays from one atomic update to the next (the
-parameter block, the weighting's raw block, its factor and Sigma^-1; see
-``bilevel.atomic_step``) and builds one ``WeightingParams`` per outer round,
+The refinement carries two plain arrays from one atomic update to the next,
+the parameter block and the weighting's raw block (see
+``bilevel.atomic_step``), and builds one ``WeightingParams`` per outer round,
 which the stopping rule, the conditioning guard and the result share.
 
 Only the training split is ever read during the first two phases; validation
@@ -79,6 +79,13 @@ class QdfConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("k_splits", "outer_rounds", "inner_steps", "epochs", "batch_size",
+                     "patience", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+            # stored as int, so that a numpy integer still serializes to JSON
+            object.__setattr__(self, name, int(value))
         for name in ("k_splits", "outer_rounds", "inner_steps", "batch_size", "epochs",
                      "patience", "inner_lr", "final_lr"):
             value = getattr(self, name)
@@ -116,12 +123,12 @@ def learn_weighting(
     subsets = chrono_split(train, [1.0 / cfg.k_splits] * cfg.k_splits)
     pairs = [make_split_pair(s) for s in subsets]
     w = identity_params(train.horizon, mode)
-    theta, raw, L, A = model_init.theta, w.raw, w.factor, w.inverse
+    theta, raw = model_init.theta, w.raw
     trace: list[float] = []
     for _ in range(cfg.outer_rounds):
         w_prev = w
         for pair in pairs:
-            theta, raw, L, A = atomic_step(theta, raw, L, A, mode, pair, cfg, timer)
+            theta, raw = atomic_step(theta, raw, mode, pair, cfg, timer)
         w = w_prev.with_raw(raw)
         delta = frobenius_distance(w, w_prev)
         if not np.isfinite(delta):

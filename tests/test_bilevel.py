@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ from hypothesis import strategies as st
 from qdf.bilevel import (
     SplitPair,
     _coverage_overlaps,
-    atomic_update,
+    atomic_step,
     hypergradient,
     make_split_pair,
 )
 from qdf.data import SeriesFrame, WindowSet, make_windows
-from qdf import timing, workflow
+from qdf import timing, weighting, workflow
 from qdf.errors import ConditioningError, InvalidSplitError, NumericError, QdfError
-from qdf.model import forecast_batch, init_forecaster
+from qdf.model import LinearForecaster, forecast_batch, init_forecaster
 from qdf.objective import grad_wrt_residual, quadratic_loss
 from qdf.timing import PhaseTimer
 from qdf.weighting import (
@@ -165,7 +166,8 @@ def test_stop_gradient_zero_outer_residuals(rng):
     cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
 
     # theta after the inner loop, computed by the module's own path
-    _, theta_n = atomic_update(theta0, w, pair, replace(cfg, eta=0.0))
+    theta_n = LinearForecaster(
+        atomic_step(theta0.theta, w.raw, w.mode, pair, replace(cfg, eta=0.0))[0])
     Xo, _ = pair.outer.as_samples()
     perfect_Y = forecast_batch(theta_n, Xo)[:, :, None]
     Xo3, _ = pair.outer.arrays()
@@ -207,8 +209,9 @@ def test_atomic_update_eta_zero_returns_w_unchanged(rng):
     theta0 = init_forecaster(3, 2, rng)
     w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
     cfg = QdfConfig(inner_steps=3, inner_lr=0.02, eta=0.0)
-    w2, theta_n = atomic_update(theta0, w, pair, cfg)
-    assert w2 is w
+    theta, raw = atomic_step(theta0.theta, w.raw, w.mode, pair, cfg)
+    assert raw is w.raw
+    theta_n = LinearForecaster(theta)
     X, Y = pair.inner.as_samples()
     W, b = reference_inner_run(theta0, w, X, Y, 3, 0.02)
     assert np.allclose(theta_n.weights, W, atol=1e-12)
@@ -221,8 +224,8 @@ def test_atomic_update_applies_hypergradient_step(rng):
     w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
     cfg = QdfConfig(inner_steps=1, inner_lr=0.02, eta=0.3)
     g = hypergradient(theta0, w, pair, cfg)
-    w2, _ = atomic_update(theta0, w, pair, cfg)
-    assert np.array_equal(w2.raw, normalize_scale(w.with_raw(w.raw - 0.3 * g)).raw)
+    _, raw = atomic_step(theta0.theta, w.raw, w.mode, pair, cfg)
+    assert np.array_equal(raw, normalize_scale(w.with_raw(w.raw - 0.3 * g)).raw)
 
 
 def test_atomic_update_normalizes_scale(rng):
@@ -230,7 +233,7 @@ def test_atomic_update_normalizes_scale(rng):
     theta0 = init_forecaster(3, 2, rng)
     w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
     cfg = QdfConfig(inner_steps=1, inner_lr=0.02, eta=0.3)
-    w2, _ = atomic_update(theta0, w, pair, cfg)
+    w2 = w.with_raw(atomic_step(theta0.theta, w.raw, w.mode, pair, cfg)[1])
     L, sigma = w2.factor, w2.sigma
     assert np.trace(np.linalg.inv(sigma)) == pytest.approx(2.0, rel=1e-9)
 
@@ -256,7 +259,7 @@ def test_unrolled_loop_guards_fire(rng, where, message):
     w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericError, match=message) as err:
-        atomic_update(theta0, w, pair, cfg)
+        atomic_step(theta0.theta, w.raw, w.mode, pair, cfg)
     assert err.value.exit_code == 4
 
 
@@ -265,14 +268,19 @@ def test_unrolled_loop_guards_fire(rng, where, message):
     ("outer", NumericError, "outer adjoint diverged; reduce inner_lr"),
     ("step", NumericError, "outer step diverged; reduce eta or inner_lr"),
     ("trace", ConditioningError, "trace of inverse weighting is not finite"),
+    ("lapack", ConditioningError, "triangular factor is singular (LAPACK info 1)"),
 ])
 def test_update_guards_fire_alike_in_learn_weighting(rng, monkeypatch, where, error, message):
-    # learn_weighting runs the array-level step, atomic_update its object-level
-    # wrapper: the same check stops both, with the same error
+    # the same check stops the array-level step alone and learn_weighting's loop
+    # over it, with the same error
     pair, theta0, cfg = guard_case(rng, where)
     errors = []
     monkeypatch.setattr(workflow, "make_split_pair", lambda windows: pair)
-    for run in (lambda: atomic_update(theta0, identity_params(2), pair, cfg),
+    if where == "lapack":  # a floored L is never singular; a solver reporting so must stop
+        monkeypatch.setattr(weighting, "lapack",
+                            lambda: SimpleNamespace(dtrtrs=lambda *a, **k: (None, 1)))
+    w = identity_params(2)
+    for run in (lambda: atomic_step(theta0.theta, w.raw, w.mode, pair, cfg),
                 lambda: workflow.learn_weighting(pair.inner, theta0, cfg)):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(QdfError) as err:
             run()
@@ -299,11 +307,12 @@ def test_update_reads_the_clock_only_with_a_timer(rng, monkeypatch):
     cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
     clock = CountingClock()
     monkeypatch.setattr(timing, "time", clock)
-    atomic_update(theta0, identity_params(2), pair, cfg)
-    hypergradient(theta0, identity_params(2), pair, cfg)
+    w = identity_params(2)
+    atomic_step(theta0.theta, w.raw, w.mode, pair, cfg)
+    hypergradient(theta0, w, pair, cfg)
     assert clock.reads == 0
     timer = PhaseTimer()
-    atomic_update(theta0, identity_params(2), pair, cfg, timer)
+    atomic_step(theta0.theta, w.raw, w.mode, pair, cfg, timer)
     assert timer.steps == {"inner_fwd": 2, "inner_bwd": 2, "outer_fwd": 1, "outer_bwd": 1}
     assert clock.reads == 4 * 6  # two clocks, read on entry and on exit
 

@@ -165,6 +165,14 @@ def test_train_save_model_checkpoint(synth_csv, tmp_path):
     assert "mean" in header and "std" in header
 
 
+def test_train_dump_sigma_into_new_directory(synth_csv, tmp_path):
+    # like --report and --save-model, --dump-sigma creates its parent directory
+    sigma_path = tmp_path / "new" / "sigma.csv"
+    assert main(train_args(synth_csv, tmp_path) + ["--dump-sigma", str(sigma_path)]) == 0
+    sigma = np.loadtxt(sigma_path, delimiter=",")
+    assert sigma.shape == (4, 4) and np.isfinite(sigma).all()
+
+
 def test_train_explicit_validation_file(synth_csv, tmp_path):
     vpath = tmp_path / "valid.csv"
     write_csv(gen_ar(ArSpec((0.6,), 1.0, 300, seed=77)), vpath)

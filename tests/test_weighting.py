@@ -18,12 +18,13 @@ from qdf.weighting import (
     WeightingMode,
     WeightingParams,
     _masks,
-    chain_sigma_grad_to_raw,
     frobenius_distance,
     identity_params,
     lapack,
     normalize_scale,
+    normalized_raw,
     params_from_matrix,
+    raw_grad,
     softplus,
     softplus_inv,
     write_matrix_csv,
@@ -271,7 +272,9 @@ def test_weighting_layer_matches_reference_formulas_bitwise(mode, rng):
             assert_bitwise(w.sigma, L @ L.T)
             assert_bitwise(w.inverse, ref_inverse(L))
             assert_bitwise(normalize_scale(w).raw, ref_normalized_raw(raw, mode))
-            assert_bitwise(chain_sigma_grad_to_raw(w, grad_sigma), ref_chain(raw, mode, grad_sigma))
+            assert_bitwise(normalized_raw(raw, mode), ref_normalized_raw(raw, mode))
+            assert_bitwise(raw_grad(w.raw, w.factor, grad_sigma, mode),
+                           ref_chain(raw, mode, grad_sigma))
     diagonals = np.concatenate(diagonals)
     # both sigmoid branches, and diagonals on both sides of the floor clamp
     assert np.any(diagonals >= 0) and np.any(diagonals < 0)
@@ -288,9 +291,9 @@ def test_masks_are_cached_read_only_and_gradients_are_fresh(mode, rng):
             mask[0, 0] = mask[0, 0]
     w = WeightingParams(rng.uniform(-2, 2, size=(5, 5)), 5, mode)
     grad_sigma = rng.standard_normal((5, 5))
-    first = chain_sigma_grad_to_raw(w, grad_sigma)
+    first = raw_grad(w.raw, w.factor, grad_sigma, mode)
     first[:] = 123.0
-    assert_bitwise(chain_sigma_grad_to_raw(w, grad_sigma), ref_chain(w.raw, mode, grad_sigma))
+    assert_bitwise(raw_grad(w.raw, w.factor, grad_sigma, mode), ref_chain(w.raw, mode, grad_sigma))
 
 
 def lapack_outputs(module):

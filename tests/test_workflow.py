@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qdf.bilevel import atomic_update, make_split_pair
+from qdf.bilevel import atomic_step, make_split_pair
 from qdf.data import (
     ArSpec,
     ar_conditional_cov,
@@ -44,10 +44,21 @@ def ar_windows(seed=0, length=800, H=8, T=4, phi=0.6):
     dict(tol=-1.0), dict(k_splits=0), dict(outer_rounds=0), dict(inner_steps=0),
     dict(inner_lr=float("inf")), dict(final_lr=float("inf")), dict(eta=float("inf")),
     dict(tol=float("inf")),
+    # counts must be integers: a float, even a whole one, a string or a bool is refused
+    dict(outer_rounds=2.0), dict(inner_steps=1.5), dict(epochs=2.5), dict(batch_size=2.5),
+    dict(seed=1.5), dict(k_splits=3.0), dict(patience=np.float64(2.0)), dict(seed="1"),
+    dict(epochs=True),
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(InvalidConfigError):
         QdfConfig(**bad)
+
+
+def test_config_takes_numpy_integer_counts_as_int():
+    cfg = QdfConfig(k_splits=np.int64(2), epochs=np.int32(3), seed=np.uint8(7))
+    assert (cfg.k_splits, cfg.epochs, cfg.seed) == (2, 3, 7)
+    assert all(type(v) is int for v in (cfg.k_splits, cfg.epochs, cfg.seed))
+    assert json.loads(json.dumps(cfg.as_dict()))["seed"] == 7
 
 
 # -------------------------------------------------------- learn_weighting
@@ -68,18 +79,20 @@ def test_learn_weighting_k1_single_atomic_update(rng):
     w, trace = learn_weighting(ws, model, cfg)
 
     pair = make_split_pair(ws)
-    expect, _ = atomic_update(
-        model, identity_params(ws.horizon), pair,
+    start = identity_params(ws.horizon)
+    _, expect = atomic_step(
+        model.theta, start.raw, start.mode, pair,
         QdfConfig(inner_steps=1, inner_lr=0.02, eta=0.1),
     )
-    assert np.array_equal(w.raw, expect.raw)
+    assert np.array_equal(w.raw, expect)
     assert len(trace) == 1
 
 
 @pytest.mark.parametrize("inner_steps", [1, 2])
 @pytest.mark.parametrize("mode", list(WeightingMode), ids=lambda m: m.value)
 def test_learn_weighting_equals_chained_atomic_updates(rng, mode, inner_steps):
-    # learn_weighting's array-level loop against its public object-level wrappers
+    # learn_weighting's loop against atomic_step chained by hand, with a fresh
+    # WeightingParams after every step
     ws = ar_windows(seed=11)
     cfg = QdfConfig(k_splits=3, outer_rounds=3, inner_steps=inner_steps, inner_lr=0.05,
                     eta=0.1, tol=0.0, seed=11)
@@ -87,11 +100,12 @@ def test_learn_weighting_equals_chained_atomic_updates(rng, mode, inner_steps):
     w, trace = learn_weighting(ws, model, cfg, mode)
 
     pairs = [make_split_pair(s) for s in chrono_split(ws, [1.0 / 3] * 3)]
-    expect, deltas = identity_params(ws.horizon, mode), []
+    expect, deltas, theta = identity_params(ws.horizon, mode), [], model.theta
     for _ in range(3):
         prev = expect
         for pair in pairs:
-            expect, model = atomic_update(model, expect, pair, cfg)
+            theta, raw = atomic_step(theta, expect.raw, mode, pair, cfg)
+            expect = expect.with_raw(raw)
         deltas.append(frobenius_distance(expect, prev))
     assert w.mode is mode and deltas[-1] > 0.0
     assert list(map(float.hex, trace)) == list(map(float.hex, deltas))
