@@ -8,13 +8,15 @@ form is held constant.  Everything here is exact reverse-mode differentiation
 of the unrolled updates, with no autodiff.
 
 The model is linear and the loss quadratic, so with Z = [X, 1] and
-Theta = [W, b] the inner data enter only through G = Z^T Z and C = Y^T Z,
-cached once per split pair.  With A = Sigma^-1 (cached on the weighting), an
-inner step is Theta <- Theta + (2 lr / B) A (C - Theta G), and the reverse
-pass needs only the residual moments M_k = C - Theta_k G of each step, so
-both cost O(T^2 H + T H^2) whatever the number of inner windows.  The outer
-adjoint is seeded from the real outer residuals, so a perfect outer fit
-gives an exactly zero hypergradient.
+Theta = [W, b] the data of each split enter only through G = Z^T Z and
+C = Y^T Z, cached once per split pair.  With A = Sigma^-1 (cached on the
+weighting), an inner step is Theta <- Theta + (2 lr / B) A (C - Theta G),
+the reverse pass needs only the residual moments M_k = C - Theta_k G of each
+step, and the outer adjoint is seeded from the outer moments as
+-(2 / Bo) A (Co - Theta_N Go).  So an update costs O(T^2 H + T H^2) whatever
+the number of windows, and reads no sample row.  The seed is the outer
+residuals' R^T Z in normal-equation form: a perfect outer fit gives a
+hypergradient that is zero up to the rounding of Co - Theta_N Go.
 
 At desk scale every array here is small, so the cost is per numpy call, not
 per flop.  The update therefore runs on plain arrays: ``atomic_step`` takes
@@ -23,10 +25,10 @@ forms L and Sigma^-1 from ``raw`` through the array-level kernel of
 ``weighting.py``, and builds no model or weighting object.  Each inner step
 is checked finite, and so are the outer adjoint seed, the outer step and the
 rescaled weighting.  ``hypergradient``, on a model and a
-``WeightingParams``, is the one object-level function.  The outer seed is
-the gradient kernel that final training uses (``model.weighted_grad``), and
-the adjoint is carried back N - 1 times, since the last carry would never be
-read.  A split pair's disjointness is checked on the sorted window starts,
+``WeightingParams``, is the one object-level function.  The adjoint is
+carried back N - 1 times, since the last carry would never be read.  A
+``PhaseTimer`` laps the inner phases back to back, and then the two outer
+ones.  A split pair's disjointness is checked on the sorted window starts,
 with no row masks.
 """
 
@@ -40,8 +42,8 @@ import numpy as np
 
 from .data import WindowSet
 from .errors import InvalidDimensionError, InvalidSplitError, NumericError
-from .model import LinearForecaster, weighted_grad
-from .timing import PhaseTimer, phase
+from .model import LinearForecaster
+from .timing import UNTIMED, PhaseTimer
 from .weighting import (
     WeightingMode,
     WeightingParams,
@@ -76,14 +78,19 @@ class SplitPair:
     @cached_property
     def inner_moments(self) -> tuple[np.ndarray, np.ndarray, int]:
         """(G, C, B) of the inner samples: Z^T Z, Y^T Z and the row count."""
-        X, Y = self.inner.as_samples()
-        Z = np.column_stack([X, np.ones(X.shape[0])])
-        return Z.T @ Z, Y.T @ Z, X.shape[0]
+        return _moments(self.inner)
 
     @cached_property
-    def outer_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X, Y) sample rows of the outer split, read once per pair."""
-        return self.outer.as_samples()
+    def outer_moments(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(Go, Co, Bo) of the outer samples, read once per pair."""
+        return _moments(self.outer)
+
+
+def _moments(windows: WindowSet) -> tuple[np.ndarray, np.ndarray, int]:
+    """(Z^T Z, Y^T Z, rows) of a split's samples, with Z = [X, 1]."""
+    X, Y = windows.as_samples()
+    Z = np.column_stack([X, np.ones(X.shape[0])])
+    return Z.T @ Z, Y.T @ Z, X.shape[0]
 
 
 def _coverage_overlaps(a: WindowSet, b: WindowSet) -> bool:
@@ -125,7 +132,7 @@ def make_split_pair(windows: WindowSet) -> SplitPair:
     return SplitPair(inner.slice(0, last), outer)
 
 
-def _unroll(theta, A, split: SplitPair, cfg: QdfConfig, timer: PhaseTimer | None):
+def _unroll(theta, A, split: SplitPair, cfg: QdfConfig, timer: PhaseTimer):
     """Shared forward pass: N full-batch GD steps from the inner statistics,
     under Sigma^-1 = A.
 
@@ -137,43 +144,53 @@ def _unroll(theta, A, split: SplitPair, cfg: QdfConfig, timer: PhaseTimer | None
     G, C, B = split.inner_moments
     scale = 2.0 * cfg.inner_lr / B
     moments = []
+    timer.start()
     for _ in range(cfg.inner_steps):
-        with phase(timer, "inner_fwd"):
-            M = C - theta @ G
-        with phase(timer, "inner_bwd"):
-            theta = theta + scale * (A @ M)
-            finite = np.isfinite(theta).all()
+        M = C - theta @ G
+        timer.lap("inner_fwd")
+        theta = theta + scale * (A @ M)
+        finite = np.isfinite(theta).all()
+        timer.lap("inner_bwd")
         if not finite:
             raise NumericError("inner loop diverged; reduce inner_lr")
         moments.append(M)
     return theta, moments
 
 
+def _outer_seed(theta_n, A, outer_moments) -> np.ndarray:
+    """Gradient of the outer loss at theta_N, -(2 / Bo) A (Co - Theta_N Go):
+    the row form -(2 / Bo) A R^T Z, from the outer moments alone."""
+    Go, Co, Bo = outer_moments
+    return -(2.0 / Bo) * (A @ (Co - theta_n @ Go))
+
+
 def _outer_reverse(theta_n, moments, raw, L, A, mode, split, cfg, timer) -> np.ndarray:
     """Outer loss adjoint at theta_N, carried back through the unrolled steps,
     as a gradient of the raw block whose factor is L and Sigma^-1 is A.
 
-    The seed -(2 / Bo) A [R^T X, R^T 1] sums the outer residuals over rows first.
-    Each step's Jacobian is I - (2 lr / B) A (.) G, constant in theta for a
-    quadratic loss; the mixed derivative of step k with respect to Sigma is
+    The seed is ``_outer_seed``, read off the outer moments.  Each step's
+    Jacobian is I - (2 lr / B) A (.) G, constant in theta for a quadratic
+    loss; the mixed derivative of step k with respect to Sigma is
     -(2 lr / B) A M_k lambda^T A, accumulated before the two A factors apply.
-    The adjoint is carried back N - 1 times: past the first step it is never read.
+    The adjoint is carried back N - 1 times: past the first step it is never
+    read.
     """
-    Xo, Yo = split.outer_samples
-    with phase(timer, "outer_fwd"):
-        # R is exactly 0 where Yo was forecast by theta_n
-        lam = weighted_grad(theta_n, Xo, Yo, A, np.empty_like(theta_n))
+    outer = split.outer_moments
+    timer.start()  # a pair's first update builds its outer moments untimed
+    lam = _outer_seed(theta_n, A, outer)
+    timer.lap("outer_fwd")
     if not np.isfinite(lam).all():
         raise NumericError("outer adjoint diverged; reduce inner_lr")
-    with phase(timer, "outer_bwd"):
-        G, _, B = split.inner_moments
-        scale = 2.0 * cfg.inner_lr / B
-        P = np.zeros_like(A)
-        for k, M in enumerate(reversed(moments)):
-            if k:
-                lam = lam - scale * (A @ lam @ G)
-            P += M @ lam.T
-        return raw_grad(raw, L, -scale * (A @ P @ A), mode)
+    G, _, B = split.inner_moments
+    scale = 2.0 * cfg.inner_lr / B
+    steps = reversed(moments)
+    P = next(steps) @ lam.T
+    for M in steps:
+        lam = lam - scale * (A @ lam @ G)
+        P += M @ lam.T
+    grad = raw_grad(raw, L, -scale * (A @ P @ A), mode)
+    timer.lap("outer_bwd")
+    return grad
 
 
 def atomic_step(theta, raw, mode: WeightingMode, split: SplitPair, cfg: QdfConfig,
@@ -184,6 +201,7 @@ def atomic_step(theta, raw, mode: WeightingMode, split: SplitPair, cfg: QdfConfi
 
     Returns the new (theta, raw); with eta = 0, ``raw`` is the array given.
     """
+    timer = timer or UNTIMED
     L = factor_from_raw(raw, mode)
     A = inverse_from_factor(L)
     theta_n, moments = _unroll(theta, A, split, cfg, timer)
@@ -204,6 +222,7 @@ def hypergradient(
 ) -> np.ndarray:
     """Gradient of the outer loss w.r.t. raw weighting entries, through the
     inner trajectory only (direct outer occurrence of Sigma held fixed)."""
+    timer = timer or UNTIMED
     theta_n, moments = _unroll(theta0.theta, w.inverse, split, cfg, timer)
     return _outer_reverse(theta_n, moments, w.raw, w.factor, w.inverse, w.mode, split, cfg,
                           timer)

@@ -8,7 +8,9 @@ Adam all work on that block, and ``weights`` and ``bias`` are views of it.
 The formulas live once, in an array-level kernel on plain blocks: the
 forecast, the weighted-loss gradient written into a caller's scratch block,
 and the SGD and Adam updates, each checked finite.  The training loops call
-the kernel directly; ``forecast_batch`` is the one model-level function, the
+the kernel directly; final training binds the gradient to its live block
+once per run (``bound_grad``), and ``weighted_grad`` is the same kernel for
+one call.  ``forecast_batch`` is the one model-level function, the
 validated forecast.
 """
 
@@ -67,24 +69,40 @@ def forecast_batch(m: LinearForecaster, xs: np.ndarray) -> np.ndarray:
         raise InvalidDimensionError(
             f"samples must be B x {m.history}, got {xs.shape}"
         )
-    return _forecast(m.theta, xs)
+    return forecast(m.theta, xs)
 
 
 # The array-level kernel: plain T x (H+1) blocks, no checks but the
 # finiteness of an update.
 
 
-def _forecast(theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def forecast(theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """B x T forecasts of B x H sample rows by the parameter block ``theta``."""
     return xs @ theta[:, :-1].T + theta[:, -1]
+
+
+def bound_grad(theta, A, out):
+    """``weighted_grad`` bound to one parameter block and one scratch block:
+    their views are taken once, and the returned function of (xs, ys) reads
+    ``theta`` as it stands at each call."""
+    Wt, b = theta[:, :-1].T, theta[:, -1]
+    out_W, out_b = out[:, :-1], out[:, -1]
+
+    def grad(xs, ys):
+        resid = xs @ Wt
+        resid += b
+        np.subtract(ys, resid, out=resid)
+        np.matmul(resid.T, xs, out=out_W)
+        resid.sum(axis=0, out=out_b)
+        return -(2.0 / xs.shape[0]) * (A @ out)
+
+    return grad
 
 
 def weighted_grad(theta, xs, ys, A, out) -> np.ndarray:
     """-(2/B) A [R^T X | R^T 1] with R = ys - forecast: the parameter gradient
     of the mean of e^T A e over B rows.  ``out`` is a T x (H+1) scratch block."""
-    resid = ys - _forecast(theta, xs)
-    np.matmul(resid.T, xs, out=out[:, :-1])
-    resid.sum(axis=0, out=out[:, -1])
-    return -(2.0 / xs.shape[0]) * (A @ out)
+    return bound_grad(theta, A, out)(xs, ys)
 
 
 def _finite(theta: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ def _residuals(residuals, horizon: int | None = None) -> np.ndarray:
     r = np.atleast_2d(np.asarray(residuals, dtype=float))
     if r.ndim != 2:
         raise InvalidDimensionError(f"residuals must be 2-D, got ndim={r.ndim}")
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise NumericError("residuals contain non-finite entries")
     if r.shape[0] == 0:
         raise EmptyInputError("empty residual batch")
@@ -34,7 +34,7 @@ def _residuals(residuals, horizon: int | None = None) -> np.ndarray:
 def quadratic_loss(residuals, w: WeightingParams) -> float:
     """Mean over rows of e^T Sigma^-1 e."""
     r = _residuals(residuals, w.horizon)
-    return float(np.sum((r @ w.inverse) * r) / r.shape[0])
+    return float(((r @ w.inverse) * r).sum() / r.shape[0])
 
 
 def mse_loss(residuals) -> float:

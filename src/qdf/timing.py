@@ -2,6 +2,11 @@
 
 Wall time is what a user experiences; CPU time (process clock) is far more
 stable on contended machines and is what reproducibility checks compare.
+
+Phases are timed as laps: ``start`` reads both clocks, and each ``lap``
+charges the time since the last reading to one phase and restarts from
+there.  Phases that run back to back, as the inner steps of an atomic update
+do, thus cost one pair of clock reads per boundary.
 """
 
 from __future__ import annotations
@@ -18,31 +23,27 @@ class PhaseTimer:
         self.cpu_ms: dict[str, float] = defaultdict(float)
         self.steps: dict[str, int] = defaultdict(int)
 
-    def observe(self, phase: str, wall_s: float, cpu_s: float) -> None:
-        self.totals_ms[phase] += wall_s * 1e3
-        self.cpu_ms[phase] += cpu_s * 1e3
+    def start(self) -> None:
+        """Begin the first of a run of back-to-back phases."""
+        self._wall, self._cpu = time.perf_counter(), time.process_time()
+
+    def lap(self, phase: str) -> None:
+        """End one phase, begun by ``start`` or by the previous lap."""
+        wall, cpu = time.perf_counter(), time.process_time()
+        self.totals_ms[phase] += (wall - self._wall) * 1e3
+        self.cpu_ms[phase] += (cpu - self._cpu) * 1e3
         self.steps[phase] += 1
+        self._wall, self._cpu = wall, cpu
 
 
-class phase:
-    """Context manager feeding one timed block into a PhaseTimer; without a
-    timer it reads no clock."""
+class _Untimed:
+    """Stands in for a PhaseTimer where none is given; reads no clock."""
 
-    def __init__(self, timer: "PhaseTimer | None", name: str):
-        self.timer = timer
-        self.name = name
+    def start(self) -> None:
+        pass
 
-    def __enter__(self):
-        if self.timer is not None:
-            self.t0 = time.perf_counter()
-            self.c0 = time.process_time()
-        return self
+    def lap(self, phase: str) -> None:
+        pass
 
-    def __exit__(self, *exc):
-        if self.timer is not None:
-            self.timer.observe(
-                self.name,
-                time.perf_counter() - self.t0,
-                time.process_time() - self.c0,
-            )
-        return False
+
+UNTIMED = _Untimed()

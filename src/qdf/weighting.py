@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import importlib.util
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -171,11 +172,12 @@ def _check_raw(raw: np.ndarray, mode: WeightingMode) -> None:
 def factor_from_raw(raw: np.ndarray, mode: WeightingMode) -> np.ndarray:
     """L: the strictly-lower entries of ``raw`` the mode keeps, and the
     floored softplus of its diagonal (ones in OFFDIAG_ONLY mode)."""
-    L = np.where(_masks(raw.shape[0], mode)[1], raw, 0.0)
+    T = raw.shape[0]
+    L = np.where(_masks(T, mode)[1], raw, 0.0)
     if mode is WeightingMode.OFFDIAG_ONLY:
-        np.fill_diagonal(L, 1.0)
+        L.flat[:: T + 1] = 1.0
     else:
-        np.fill_diagonal(L, np.maximum(softplus(raw.diagonal()), SOFTPLUS_FLOOR))
+        L.flat[:: T + 1] = np.maximum(softplus(raw.diagonal()), SOFTPLUS_FLOOR)
     return L
 
 
@@ -206,13 +208,15 @@ def normalized_raw(raw: np.ndarray, mode: WeightingMode) -> np.ndarray:
         return raw
     T = raw.shape[0]
     L = factor_from_raw(raw, mode)
-    trace = float(np.trace(inverse_from_factor(L)))
-    if not np.isfinite(trace):
+    trace = float(inverse_from_factor(L).trace())
+    if not math.isfinite(trace):
         raise ConditioningError("trace of inverse weighting is not finite")
-    root = np.sqrt(trace / T)
+    root = math.sqrt(trace / T)
+    # zero above the diagonal, so a whole-block check covers the lower triangle
     raw = np.where(_masks(T, mode)[1], L * root, 0.0)
-    np.fill_diagonal(raw, softplus_inv(np.maximum(L.diagonal() * root, SOFTPLUS_FLOOR)))
-    _check_raw(raw, mode)
+    raw.flat[:: T + 1] = softplus_inv(np.maximum(L.diagonal() * root, SOFTPLUS_FLOOR))
+    if not np.isfinite(raw).all():
+        raise ConditioningError("rescaled weighting is not finite")
     return raw
 
 
@@ -225,11 +229,12 @@ def raw_grad(raw: np.ndarray, L: np.ndarray, grad_sigma: np.ndarray,
     entries frozen by the mode mask (and by the floor clamp, where the
     diagonal of L sits at the floor) get zero.
     """
-    lower, _, free = _masks(raw.shape[0], mode)
+    T = raw.shape[0]
+    lower, _, free = _masks(T, mode)
     grad_L = (grad_sigma + grad_sigma.T) @ L
     grad_raw = np.where(lower, grad_L, 0.0)
     active = L.diagonal() > SOFTPLUS_FLOOR
-    np.fill_diagonal(grad_raw, grad_L.diagonal() * _sigmoid(raw.diagonal()) * active)
+    grad_raw.flat[:: T + 1] = grad_L.diagonal() * _sigmoid(raw.diagonal()) * active
     grad_raw *= free
     return grad_raw
 

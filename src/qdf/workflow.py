@@ -31,13 +31,14 @@ from .errors import InvalidConfigError, InvalidSplitError, NumericError
 from .model import (
     AdamState,
     LinearForecaster,
+    bound_grad,
+    forecast,
     forecast_batch,
     init_forecaster,
     sgd_update,
-    weighted_grad,
 )
 from .objective import quadratic_loss
-from .timing import PhaseTimer, phase
+from .timing import UNTIMED, PhaseTimer
 from .weighting import (
     WeightingMode,
     WeightingParams,
@@ -135,7 +136,8 @@ def learn_weighting(
             raise NumericError(
                 "weighting diverged (Frobenius delta not finite); reduce eta or inner_lr"
             )
-        cond = np.linalg.cond(w.sigma)
+        sv = np.linalg.svd(w.sigma, compute_uv=False)
+        cond = sv[0] / sv[-1] if sv[-1] else np.inf  # np.linalg.cond, with no warning
         if not cond <= MAX_SIGMA_COND:
             raise NumericError(
                 f"weighting diverged (cond(Sigma) = {cond:.3g} > {MAX_SIGMA_COND:g}); "
@@ -167,12 +169,13 @@ def train_final(
     X, Y = train.as_samples()
     Xv, Yv = valid.as_samples()
     A = w.inverse
-    # The minibatch loop runs on one writable parameter block; every update is
-    # checked finite, and each epoch ends in one validated model.  Minibatches
-    # are gathered one at a time: a gathered epoch would be a second copy of
-    # the training samples.
+    # The minibatch loop runs on one writable parameter block, whose gradient
+    # kernel is bound once; every update is checked finite, and an epoch that
+    # improves the validation loss is kept as one validated model.
+    # Minibatches are gathered one at a time: a gathered epoch would be a
+    # second copy of the training samples.
     theta = np.array(model_init.theta)
-    block = np.empty_like(theta)
+    grad = bound_grad(theta, A, np.empty_like(theta))
     if cfg.final_optimizer == "adam":
         update = AdamState(model_init, lr=cfg.final_lr).update
     else:
@@ -181,25 +184,25 @@ def train_final(
     best_model = model_init
     best_val = np.inf
     stale = 0
-    with phase(timer, "final_train"):
-        for _ in range(cfg.epochs):
-            order = rng.permutation(n)
-            for lo in range(0, n, size):
-                idx = order[lo : lo + size]
-                grad = weighted_grad(theta, X.take(idx, 0), Y.take(idx, 0), A, block)
-                update(theta, grad, out=theta)
-            model = LinearForecaster(theta)
-            val = quadratic_loss(Yv - forecast_batch(model, Xv), w)
-            if not np.isfinite(val):
-                raise NumericError("validation loss diverged; reduce final_lr")
-            if val < best_val:
-                best_val = val
-                best_model = model
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    break
+    timer = timer or UNTIMED
+    timer.start()
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, size):
+            idx = order[lo : lo + size]
+            update(theta, grad(X.take(idx, 0), Y.take(idx, 0)), out=theta)
+        val = quadratic_loss(Yv - forecast(theta, Xv), w)
+        if not np.isfinite(val):
+            raise NumericError("validation loss diverged; reduce final_lr")
+        if val < best_val:
+            best_val = val
+            best_model = LinearForecaster(theta)
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
+    timer.lap("final_train")
     return best_model
 
 

@@ -138,12 +138,14 @@ def test_normalize_scale_is_idempotent(rng):
     # L^-1 is finite, but Sigma^-1 = L^-T L^-1 overflows on its diagonal
     ([[-50.0, 0.0], [1e200, -50.0]], ConditioningError, "trace of inverse weighting is not finite"),
     # the trace is finite, but rescaling L overflows its lower triangle
-    ([[-50.0, 0.0], [1e300, 1e290]], InvalidDimensionError, "raw lower triangle must be finite"),
+    ([[-50.0, 0.0], [1e300, 1e290]], ConditioningError, "rescaled weighting is not finite"),
 ], ids=["trace", "rescaled"])
 def test_normalize_scale_rejects_an_overflowing_weighting(raw, error, message):
+    # a diverged learned weighting is a numeric failure: exit 4
     w = WeightingParams(np.array(raw), 2)
-    with np.errstate(over="ignore"), pytest.raises(error, match=message):
+    with np.errstate(over="ignore"), pytest.raises(error, match=message) as err:
         normalize_scale(w)
+    assert err.value.exit_code == 4
 
 
 def test_normalize_scale_keeps_offdiag_mode_untouched(rng):
