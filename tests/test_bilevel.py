@@ -162,8 +162,9 @@ def seed_rounding_bound(theta0, w, pair, cfg):
     The seed -(2 / Bo) A (Co - Theta_N Go) cancels to zero on a perfect outer
     fit, leaving a rounding error of about (H + 2) eps ||Co|| in Co - Theta_N Go.
     The reverse pass maps a seed error d linearly to a hypergradient of norm
-    at most 2 ||L|| s ||A||^2 sum_k ||M_k|| (1 + s ||A|| ||G||)^k ||d||, with
-    s = 2 lr / B and M_k = C - Theta_k G the inner residual moments.
+    at most 2 ||L|| s ||A||^2 ||d|| sum_k ||M_k|| (1 + s ||A|| ||G||)^(N-1-k),
+    over the inner steps k = 0 .. N-1, with s = 2 lr / B and
+    M_k = C - Theta_k G the inner residual moments.
     """
     norm = np.linalg.norm
     G, C, B = pair.inner_moments
@@ -227,9 +228,10 @@ def test_outer_moment_seed_matches_row_seed(rng, mode, T):
         Xo, Yo = pair.outer.as_samples()
         rows = weighted_grad(theta, Xo, Yo, A, np.empty_like(theta))
         moments = _outer_seed(theta, A, pair.outer_moments)
-        _, Co, Bo = pair.outer_moments
-        tol = (2.0 / Bo) * np.linalg.norm(A) * (H + 2) * np.finfo(float).eps * (
-            np.linalg.norm(Co) + np.linalg.norm(theta) * np.linalg.norm(pair.outer_moments[0]))
+        Go, Co, Bo = pair.outer_moments
+        norm = np.linalg.norm
+        tol = (2.0 / Bo) * norm(A) * (H + 2) * np.finfo(float).eps * (
+            norm(Co) + norm(theta) * norm(Go))
         assert np.linalg.norm(moments - rows) <= tol
         assert np.linalg.norm(rows) > 1e6 * tol
 
