@@ -13,7 +13,7 @@ from qdf import (
     WeightingParams,
     frobenius_distance,
     identity_params,
-    normalize_scale,
+    normalized_raw,
     params_from_matrix,
 )
 
@@ -43,7 +43,8 @@ print(L_off)
 # --- the loss is invariant to Sigma's scale up to a constant factor, so we
 #     pin trace(Sigma^-1) = T after every update
 sigma0 = np.array([[4.0, 2.0], [2.0, 5.0]])
-normalized = normalize_scale(params_from_matrix(sigma0))
+params = params_from_matrix(sigma0)
+normalized = params.with_raw(normalized_raw(params.raw, params.mode))
 sigma1 = normalized.sigma
 print("\nbefore normalization:")
 print(sigma0)

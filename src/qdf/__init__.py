@@ -49,7 +49,7 @@ from .weighting import (
     WeightingParams,
     frobenius_distance,
     identity_params,
-    normalize_scale,
+    normalized_raw,
     params_from_matrix,
 )
 from .workflow import (
@@ -95,7 +95,7 @@ __all__ = [
     "make_split_pair",
     "make_windows",
     "mse_loss",
-    "normalize_scale",
+    "normalized_raw",
     "params_from_matrix",
     "partial_corr_matrix",
     "partial_correlation",

@@ -2,11 +2,12 @@
 
 Partial correlation between two label steps, controlling for the shared
 history: regress each step on the history by OLS, then take the Pearson
-correlation of the two residual series.  The matrix form fits every step
-against one thin SVD of the history design, then streams the labels in
-blocks of windows through two passes: the first accumulates the fit and
-the residual mean, the second the centred residuals' T x T Gram.  No
-samples x T array of labels or residuals is ever formed.
+correlation of the two residual series.  The matrix form streams the
+windows in blocks through two passes, gathering each block's design
+[1 | history] and labels from the window views: the first builds the
+design's R factor by a blockwise QR and the sums the fit and the residual
+mean need, the second the centred residuals' T x T Gram.  No samples x (H+1)
+design and no samples x T array of labels or residuals is ever formed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ log = logging.getLogger(__name__)
 
 RIDGE_LAMBDA = 1e-8
 VAR_EPS = 1e-12
-# Windows per label block in partial_corr_matrix's two passes over the labels.
+# Windows per block in partial_corr_matrix's two passes over the windows.
 BLOCK_WINDOWS = 128
 
 
@@ -58,12 +59,15 @@ def _design_and_labels(windows: WindowSet, variable: int):
     return design, labels
 
 
-def _samples(stack: np.ndarray, rows: np.ndarray, variable: int | None) -> np.ndarray:
-    """Windows ``rows`` of an (n, width, D) stack as a new (samples, width)
-    array; pooled rows are window-major, variable-minor, as in as_samples."""
-    if variable is not None:
-        return stack[rows, :, variable]
-    return stack[rows].transpose(0, 2, 1).reshape(-1, stack.shape[1])
+def _samples(stack: np.ndarray, rows: np.ndarray, variable: int | None,
+             out: np.ndarray) -> np.ndarray:
+    """Windows ``rows`` of an (n, width, D) stack copied into the leading rows
+    of the (at least samples, width) buffer ``out``, as a (samples, width)
+    view; pooled rows are window-major, variable-minor, as in as_samples."""
+    block = stack[rows].transpose(0, 2, 1) if variable is None else stack[rows, :, variable]
+    out = out[:block.size // stack.shape[1]]
+    np.copyto(out.reshape(block.shape), block)
+    return out
 
 
 def _fit_residuals(design: np.ndarray, labels: np.ndarray, flags: list[str]) -> np.ndarray:
@@ -127,7 +131,8 @@ def partial_corr_matrix(
 
     Windows are subsampled (seeded, without replacement) when more than
     ``subsample`` are available.  ``variable=None`` pools samples across
-    variables into a single estimate.  Memory is O(samples * H + block + T^2).
+    variables into a single estimate.  Memory is O(block * (H + T) + H^2 + T^2)
+    beyond the window index arrays, for ``BLOCK_WINDOWS`` windows a block.
     """
     if not subsample >= 1:
         raise InvalidConfigError(f"subsample must be >= 1, got {subsample!r}")
@@ -150,41 +155,73 @@ def partial_corr_matrix(
             f"need at least H+3={history + 3} samples after subsampling"
         )
     X, Y = windows.arrays()
-    design = np.column_stack([np.ones(samples), _samples(X, rows, variable)])
-    blocks = [(lo * per_window, rows[lo:lo + BLOCK_WINDOWS])
-              for lo in range(0, len(rows), BLOCK_WINDOWS)]
+    width = history + 1
+    blocks = [rows[lo:lo + BLOCK_WINDOWS] for lo in range(0, len(rows), BLOCK_WINDOWS)]
+
+    # One block's design, labels and fitted values live in buffers that every
+    # block refills.  With new arrays for each block, the allocator returned
+    # their memory to the OS and faulted it in again a block later: at the
+    # diagnose benchmark's shape, 8.4k page faults a call, not 1.4k.
+    block_rows = min(BLOCK_WINDOWS, len(rows)) * per_window
+    design_rows = np.ones((block_rows, width))
+    label_rows = np.empty((block_rows, horizon))
+    fitted_rows = np.empty((block_rows, horizon))
+
+    def design_block(block: np.ndarray) -> np.ndarray:
+        hist = _samples(X, block, variable, design_rows[:, 1:])
+        return design_rows[:len(hist)]
+
     flags: list[str] = []
+    R = np.zeros((0, width))
+    design_gram = np.zeros((width, width))
+    cross = np.zeros((width, horizon))
+    col_sum = np.zeros(width)
+    label_sum = np.zeros(horizon)
+    gram = np.zeros((horizon, horizon))
+    leftover = np.zeros((width, horizon))
     try:
-        # The rank rule and ridge fallback of _fit_residuals: the residual is
-        # the labels minus basis @ coef, with coef = U^T labels at full rank.
-        U, s, _ = np.linalg.svd(design, full_matrices=False)
-        rank = np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0])
-        ridge = rank < design.shape[1]
-        basis = design if ridge else U
-        coef = np.zeros((design.shape[1], horizon))
-        label_sum = np.zeros(horizon)
-        for k, block in blocks:
-            labels = _samples(Y, block, variable)
-            coef += basis[k:k + len(labels)].T @ labels
+        # Pass 1: the design's R factor by a blockwise QR, plus D^T D, D^T
+        # labels and the column and label sums.  R has the design's singular
+        # values, so the rank rule of _fit_residuals applies to it unchanged.
+        for block in blocks:
+            design = design_block(block)
+            labels = _samples(Y, block, variable, label_rows)
+            R = np.linalg.qr(np.vstack([R, design]), mode="r")
+            design_gram += design.T @ design
+            cross += design.T @ labels
+            col_sum += design.sum(axis=0)
             label_sum += labels.sum(axis=0)
+        s = np.linalg.svd(R, compute_uv=False)
+        rank = np.count_nonzero(s > np.finfo(float).eps * max(samples, width) * s[0])
+        ridge = rank < width
         if ridge:
             flags.append("ridge_fallback")
-            log.warning("rank-deficient design (rank %d < %d); ridge fallback",
-                        rank, design.shape[1])
-            ridge_gram = design.T @ design + RIDGE_LAMBDA * np.eye(design.shape[1])
-            coef = np.linalg.solve(ridge_gram, coef)
+            log.warning("rank-deficient design (rank %d < %d); ridge fallback", rank, width)
+            coef = np.linalg.solve(design_gram + RIDGE_LAMBDA * np.eye(width), cross)
+        else:
+            # the semi-normal equations R^T R coef = D^T labels
+            coef = np.linalg.solve(R, np.linalg.solve(R.T, cross))
+        # Pass 2 subtracts the exact residual mean from each block before its
+        # Gram is taken, so no raw second moment is ever differenced.  It also
+        # sums D^T resid: at full rank the Gram then sheds W^T W, with
+        # W = R^-T D^T resid, the part of the residuals that the fit's
+        # rounding left in the design's span.  So the semi-normal equations'
+        # error grows like cond(D), not cond(D)^2.
+        mean = (label_sum - col_sum @ coef) / samples
+        for block in blocks:
+            design = design_block(block)
+            resid = _samples(Y, block, variable, label_rows)
+            resid -= np.matmul(design, coef, out=fitted_rows[:len(resid)])
+            resid -= mean
+            gram += resid.T @ resid
+            leftover += design.T @ resid
+        if not ridge:
+            W = np.linalg.solve(R.T, leftover)
+            gram -= W.T @ W
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"least-squares fit failed: {exc}") from None
-    # Pass 2 subtracts the exact residual mean from each block before its
-    # Gram is taken, so no raw second moment is ever differenced.
-    mean = (label_sum - basis.sum(axis=0) @ coef) / samples
-    gram = np.zeros((horizon, horizon))
-    for k, block in blocks:
-        resid = _samples(Y, block, variable)
-        resid -= basis[k:k + len(resid)] @ coef
-        resid -= mean
-        gram += resid.T @ resid
-    sumsq = np.diagonal(gram)
+    # shedding W^T W can take a dead step's sum of squares a rounding below 0
+    sumsq = np.maximum(np.diagonal(gram), 0.0)
     cond_var = sumsq / samples
     dead = cond_var < VAR_EPS
     scale = np.sqrt(np.maximum(sumsq, VAR_EPS * samples))

@@ -16,8 +16,8 @@ L from ``raw`` (``factor_from_raw``), Sigma^-1 from L by one triangular
 solve (``inverse_from_factor``), the ``raw`` that rescales to
 trace(Sigma^-1) = T (``normalized_raw``, the one place that leaves
 OFFDIAG_ONLY mode unscaled), and the ``raw`` gradient of a Sigma gradient
-(``raw_grad``).  ``WeightingParams.factor`` and ``.inverse`` and
-``normalize_scale`` are thin wrappers over it.  The bilevel loop carries
+(``raw_grad``).  ``WeightingParams.factor`` and ``.inverse`` are thin
+wrappers over it.  The bilevel loop carries
 only ``raw`` and calls the kernel directly, so an atomic update builds no
 ``WeightingParams``.
 """
@@ -201,7 +201,9 @@ def inverse_from_factor(L: np.ndarray) -> np.ndarray:
 def normalized_raw(raw: np.ndarray, mode: WeightingMode) -> np.ndarray:
     """The ``raw`` whose Sigma is that of ``raw`` rescaled to trace(Sigma^-1) = T.
 
-    In OFFDIAG_ONLY mode the unit diagonal of L already pins the scale and
+    Scaling Sigma multiplies the quadratic loss by a constant without moving
+    its argmin over model parameters, so this pins a canonical scale.  In
+    OFFDIAG_ONLY mode the unit diagonal of L already pins the scale and
     the family is not closed under scaling, so ``raw`` itself is returned.
     """
     if mode is WeightingMode.OFFDIAG_ONLY:
@@ -262,19 +264,6 @@ def params_from_matrix(
     raw = np.tril(L, k=-1)
     raw[np.diag_indices_from(raw)] = softplus_inv(np.diagonal(L))
     return WeightingParams(raw, sigma.shape[0], mode)
-
-
-def normalize_scale(params: WeightingParams) -> WeightingParams:
-    """Rescale so that trace(Sigma^-1) = T, removing the scale degeneracy
-    (``normalized_raw`` on the params' ``raw``).
-
-    Scaling Sigma multiplies the quadratic loss by a constant without moving
-    its argmin over model parameters, so this pins a canonical scale.  Params
-    that ``normalized_raw`` leaves as they are (OFFDIAG_ONLY mode) are
-    returned unchanged.
-    """
-    raw = normalized_raw(params.raw, params.mode)
-    return params if raw is params.raw else params.with_raw(raw)
 
 
 def frobenius_distance(a: WeightingParams, b: WeightingParams) -> float:

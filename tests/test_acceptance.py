@@ -39,7 +39,7 @@ from qdf.objective import (
 from qdf.weighting import (
     WeightingParams,
     identity_params,
-    normalize_scale,
+    normalized_raw,
     params_from_matrix,
 )
 from qdf.workflow import QdfConfig, evaluate, learn_weighting, run_variant, train_final
@@ -226,8 +226,8 @@ def test_criterion_7_synthetic_benefit():
     wins = 0
     for seed in seeds:
         data = benchmark_data("hetero-corr", seed)
-        w_train = normalize_scale(params_from_matrix(data.oracle_cov))
         w_eval = params_from_matrix(data.oracle_cov)
+        w_train = w_eval.with_raw(normalized_raw(w_eval.raw, w_eval.mode))
         cfg = bench_config(seed, preset="hetero-corr")
         ss = np.random.SeedSequence(seed).spawn(2)
         m0 = init_forecaster(HISTORY, HORIZON, np.random.default_rng(ss[0]))

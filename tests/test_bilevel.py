@@ -24,7 +24,7 @@ from qdf.weighting import (
     WeightingMode,
     WeightingParams,
     identity_params,
-    normalize_scale,
+    normalized_raw,
 )
 from qdf.workflow import QdfConfig
 
@@ -291,7 +291,7 @@ def test_atomic_update_applies_hypergradient_step(rng):
     cfg = QdfConfig(inner_steps=1, inner_lr=0.02, eta=0.3)
     g = hypergradient(theta0, w, pair, cfg)
     _, raw = atomic_step(theta0.theta, w.raw, w.mode, pair, cfg)
-    assert np.array_equal(raw, normalize_scale(w.with_raw(w.raw - 0.3 * g)).raw)
+    assert np.array_equal(raw, normalized_raw(w.raw - 0.3 * g, w.mode))
 
 
 def test_atomic_update_normalizes_scale(rng):

@@ -375,6 +375,19 @@ def test_synthetic_data_does_not_load_scipy_signal(tmp_path):
         assert not [m for m in loaded if m.startswith("scipy.signal")], code
 
 
+def test_diagnose_does_not_load_scipy(tmp_path):
+    # the fit uses numpy.linalg alone: a qdf.weighting.lapack() call would load
+    # scipy's compiled LAPACK wrappers, and their 2.7 MB of resident memory
+    path = tmp_path / "s.csv"
+    write_csv(SeriesFrame(np.random.default_rng(5).standard_normal((400, 2)), ["a", "b"]), path)
+    out = str(tmp_path / "d")
+    for extra in ([], ["--variable", "1"]):
+        argv = ["diagnose", "--data", str(path), "--reg-history", "4", "--horizon", "6",
+                "--out-prefix", out, *extra]
+        assert scipy_modules(f"from qdf.cli import main; assert main({argv!r}) == 0") == [], extra
+    assert (tmp_path / "d_matrix.csv").exists()
+
+
 def test_failing_run_stderr_is_one_json_object(synth_csv):
     # a subprocess, because pytest records warnings in-process
     proc = run_module("-m", "qdf.cli", "train", "--data", str(synth_csv),

@@ -259,21 +259,24 @@ def test_collinear_history_matrix_flags_ridge_fallback(series):
 
 
 def test_svd_that_does_not_converge_exits_4(monkeypatch, tmp_path, capsys):
+    # the blockwise QR of the design and the SVD of its R factor alike
     path = tmp_path / "s.csv"
     write_csv(gen_ar(ArSpec((0.5,), 1.0, 300, seed=3)), path)
+    for name in ("svd", "qr"):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError(f"{name} did not converge")
 
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
-    with pytest.raises(NumericError, match="did not converge"):
-        partial_corr_matrix(load_csv(path), 4, 3)
-    code = main(["diagnose", "--data", str(path), "--reg-history", "4", "--horizon", "3",
-                 "--out-prefix", str(tmp_path / "d")])
-    assert code == 4
-    err = json.loads(capsys.readouterr().err)
-    assert set(err) == {"error"} and err["error"]["type"] == "NumericError"
-    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, name, no_convergence)
+            with pytest.raises(NumericError, match=f"{name} did not converge"):
+                partial_corr_matrix(load_csv(path), 4, 3)
+            code = main(["diagnose", "--data", str(path), "--reg-history", "4",
+                         "--horizon", "3", "--out-prefix", str(tmp_path / "d")])
+        assert code == 4, name
+        err = json.loads(capsys.readouterr().err)
+        assert set(err) == {"error"} and err["error"]["type"] == "NumericError", name
+        assert name in err["error"]["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"], name
 
 
 def test_overflowing_residuals_raise_numeric_error():
@@ -345,13 +348,13 @@ def ridge_series():
     return SeriesFrame(values, ["a", "b"])
 
 
-def assert_matches_full_buffer(frame, history, horizon, subsample, variable):
+def assert_matches_full_buffer(frame, history, horizon, subsample, variable, tol=1e-12):
     report = partial_corr_matrix(frame, history, horizon, subsample=subsample,
                                  variable=variable, seed=3)
     corr, cond_var, flags, meta = full_buffer_partial_corr(
         frame, history, horizon, subsample, variable, seed=3)
-    np.testing.assert_allclose(report.matrix, corr, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(report.cond_var, cond_var, rtol=1e-12)
+    np.testing.assert_allclose(report.matrix, corr, rtol=0, atol=tol)
+    np.testing.assert_allclose(report.cond_var, cond_var, rtol=tol)
     assert report.flags == flags
     assert report.meta == meta
     return report
@@ -402,14 +405,66 @@ def test_pooled_matrix_holds_no_samples_by_horizon_array():
     assert peak < samples * T * 8
 
 
+@pytest.mark.parametrize("variable", [None, 1])
+@pytest.mark.parametrize("offset,tol", [(0.0, 1e-12), (1e2, 1e-12), (1e4, 1e-12), (1e6, 1e-9)])
+def test_offset_series_match_full_buffer_formula(monkeypatch, offset, tol, variable):
+    # the intercept absorbs a constant offset, which makes the design ill
+    # conditioned: cond(D) grows with the offset.  The fit solves the normal
+    # equations with the blockwise R factor and sheds the part of the
+    # residuals that rounding left in the design's span, so its distance from
+    # the full-buffer SVD fit grows like cond(D), not cond(D)^2: measured
+    # 3.4e-13 at an offset of 1e4 and 3.8e-11 at 1e6, where the normal
+    # equations alone are 6.5e-6 off
+    monkeypatch.setattr(diagnostics, "BLOCK_WINDOWS", 16)
+    base = gen_ar_frame(ArSpec((0.6,), 1.0, 400, seed=59), 3)
+    frame = SeriesFrame(base.values + offset, base.names)
+    report = assert_matches_full_buffer(frame, 6, 8, 10**9, variable, tol)
+    assert report.flags == []
+
+
+def pooled_fit_peak(rows, H, T, D):
+    frame = gen_ar_frame(ArSpec((0.5,), 1.0, rows, seed=61), D)
+    tracemalloc.start()
+    try:
+        report = partial_corr_matrix(frame, H, T, subsample=10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.meta["windows"] == rows - H - T + 1
+    return peak, report.meta["samples"]
+
+
+def test_pooled_fit_holds_no_design_sized_array():
+    # every window, pooled, with T four times H: a whole samples x (H+1)
+    # design, which the samples x T bound of the test above would let pass,
+    # takes more than the whole traced peak
+    H, T = 8, 32
+    peak, samples = pooled_fit_peak(3000, H, T, 4)
+    assert peak < samples * (H + 1) * 8
+
+
+def test_pooled_fit_peak_does_not_grow_with_the_window_count():
+    # twice the windows: the fit's arrays are per block or T x T, so the peak
+    # grows by less than one label block (the index arrays of the windows
+    # grow by 16 bytes a window)
+    H, T, D = 8, 32, 4
+    small, _ = pooled_fit_peak(3000, H, T, D)
+    large, _ = pooled_fit_peak(6000, H, T, D)
+    assert large - small < diagnostics.BLOCK_WINDOWS * D * T * 8
+
+
 @pytest.mark.parametrize("series", [
     np.full(300, 2.0),
     0.5 * np.arange(300.0) - 7,
-], ids=["constant", "linear"])
+    np.sin(0.3 * np.arange(300.0)) + 0.5 * np.cos(0.7 * np.arange(300.0)) + 3e4,
+], ids=["constant", "linear", "two-sines"])
 @pytest.mark.parametrize("block", [16, 256])
 def test_dead_step_variances_are_never_negative(monkeypatch, series, block):
     # the residuals are rounding noise: the centred blocks' sums of squares
-    # keep every variance at or above zero
+    # keep every variance at or above zero.  Two sines follow an exact
+    # order-4 recursion, so at H = 4 the offset design has full rank, and the
+    # Gram sheds the residuals' part in the design's span: a difference of
+    # two rounding-sized numbers, which here falls below zero unclamped
     monkeypatch.setattr(diagnostics, "BLOCK_WINDOWS", block)
     report = partial_corr_matrix(SeriesFrame(series[:, None], ["y"]), 4, 3)
     assert np.all(report.cond_var >= 0.0)

@@ -21,7 +21,6 @@ from qdf.weighting import (
     frobenius_distance,
     identity_params,
     lapack,
-    normalize_scale,
     normalized_raw,
     params_from_matrix,
     raw_grad,
@@ -112,15 +111,15 @@ def test_random_params_are_psd(rng):
 
 def test_normalize_scale_examples():
     p = params_from_matrix(4.0 * np.eye(2))
-    sigma = normalize_scale(p).sigma
+    sigma = p.with_raw(normalized_raw(p.raw, p.mode)).sigma
     assert np.allclose(sigma, np.eye(2), atol=1e-10)
 
     p = identity_params(5)
-    sigma = normalize_scale(p).sigma
+    sigma = p.with_raw(normalized_raw(p.raw, p.mode)).sigma
     assert np.allclose(sigma, np.eye(5), atol=1e-10)
 
     p = params_from_matrix(np.array([[4.0, 2.0], [2.0, 5.0]]))
-    sigma = normalize_scale(p).sigma
+    sigma = p.with_raw(normalized_raw(p.raw, p.mode)).sigma
     assert np.allclose(sigma, (9.0 / 32.0) * np.array([[4.0, 2.0], [2.0, 5.0]]), atol=1e-10)
     assert np.trace(np.linalg.inv(sigma)) == pytest.approx(2.0, abs=1e-10)
 
@@ -129,8 +128,8 @@ def test_normalize_scale_is_idempotent(rng):
     for _ in range(20):
         T = int(rng.integers(1, 6))
         p = WeightingParams(rng.uniform(-2, 2, size=(T, T)), T)
-        once = normalize_scale(p)
-        twice = normalize_scale(once)
+        once = p.with_raw(normalized_raw(p.raw, p.mode))
+        twice = once.with_raw(normalized_raw(once.raw, once.mode))
         assert frobenius_distance(once, twice) <= 1e-10
 
 
@@ -144,13 +143,13 @@ def test_normalize_scale_rejects_an_overflowing_weighting(raw, error, message):
     # a diverged learned weighting is a numeric failure: exit 4
     w = WeightingParams(np.array(raw), 2)
     with np.errstate(over="ignore"), pytest.raises(error, match=message) as err:
-        normalize_scale(w)
+        normalized_raw(w.raw, w.mode)
     assert err.value.exit_code == 4
 
 
 def test_normalize_scale_keeps_offdiag_mode_untouched(rng):
     p = WeightingParams(rng.uniform(-2, 2, size=(4, 4)), 4, WeightingMode.OFFDIAG_ONLY)
-    assert normalize_scale(p) is p
+    assert normalized_raw(p.raw, p.mode) is p.raw
 
 
 def test_frobenius_distance_examples():
@@ -273,7 +272,8 @@ def test_weighting_layer_matches_reference_formulas_bitwise(mode, rng):
             assert_bitwise(w.factor, L)
             assert_bitwise(w.sigma, L @ L.T)
             assert_bitwise(w.inverse, ref_inverse(L))
-            assert_bitwise(normalize_scale(w).raw, ref_normalized_raw(raw, mode))
+            assert_bitwise(w.with_raw(normalized_raw(w.raw, mode)).raw,
+                           ref_normalized_raw(raw, mode))
             assert_bitwise(normalized_raw(raw, mode), ref_normalized_raw(raw, mode))
             assert_bitwise(raw_grad(w.raw, w.factor, grad_sigma, mode),
                            ref_chain(raw, mode, grad_sigma))
