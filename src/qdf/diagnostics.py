@@ -3,11 +3,12 @@
 Partial correlation between two label steps, controlling for the shared
 history: regress each step on the history by OLS, then take the Pearson
 correlation of the two residual series.  The matrix form streams the
-windows in blocks through two passes, gathering each block's design
-[1 | history] and labels from the window views: the first builds the
-design's R factor by a blockwise QR and the sums the fit and the residual
-mean need, the second the centred residuals' T x T Gram.  No samples x (H+1)
-design and no samples x T array of labels or residuals is ever formed.
+windows in blocks through one pass, gathering each block's design
+[1 | history] and labels from the window views below the R factor and
+Q^T labels of the blocks before: a QR of that stack carries both on, and
+what the labels keep outside Q's span adds to the residuals' T x T Gram.
+No samples x (H+1) design and no samples x T array of labels or residuals
+is ever formed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ log = logging.getLogger(__name__)
 
 RIDGE_LAMBDA = 1e-8
 VAR_EPS = 1e-12
-# Windows per block in partial_corr_matrix's two passes over the windows.
+# Windows per block in partial_corr_matrix's pass over the windows.
 BLOCK_WINDOWS = 128
 
 
@@ -131,8 +132,9 @@ def partial_corr_matrix(
 
     Windows are subsampled (seeded, without replacement) when more than
     ``subsample`` are available.  ``variable=None`` pools samples across
-    variables into a single estimate.  Memory is O(block * (H + T) + H^2 + T^2)
-    beyond the window index arrays, for ``BLOCK_WINDOWS`` windows a block.
+    variables into a single estimate.  One pass over blocks of
+    ``BLOCK_WINDOWS`` windows holds O(block * (H + T) + H * T + T^2) memory
+    beyond the window index arrays.
     """
     if not subsample >= 1:
         raise InvalidConfigError(f"subsample must be >= 1, got {subsample!r}")
@@ -156,71 +158,59 @@ def partial_corr_matrix(
         )
     X, Y = windows.arrays()
     width = history + 1
-    blocks = [rows[lo:lo + BLOCK_WINDOWS] for lo in range(0, len(rows), BLOCK_WINDOWS)]
+    # The intercept absorbs one constant off every history and label value, so
+    # taking the level off leaves the residuals as they are and keeps it out of
+    # the design's conditioning.  Pooled variables share the intercept.
+    level = (frame.values if variable is None else frame.values[:, variable]).mean()
 
-    # One block's design, labels and fitted values live in buffers that every
-    # block refills.  With new arrays for each block, the allocator returned
-    # their memory to the OS and faulted it in again a block later: at the
-    # diagnose benchmark's shape, 8.4k page faults a call, not 1.4k.
-    block_rows = min(BLOCK_WINDOWS, len(rows)) * per_window
-    design_rows = np.ones((block_rows, width))
-    label_rows = np.empty((block_rows, horizon))
-    fitted_rows = np.empty((block_rows, horizon))
-
-    def design_block(block: np.ndarray) -> np.ndarray:
-        hist = _samples(X, block, variable, design_rows[:, 1:])
-        return design_rows[:len(hist)]
+    # The top `width` rows of these buffers carry R and Q^T labels so far, and
+    # every block refills the rows below.  New arrays for each block were
+    # returned to the OS and faulted in again a block later: 8.4k page faults
+    # a call at the diagnose benchmark's shape, not 1.4k.
+    stack_rows = width + min(BLOCK_WINDOWS, len(rows)) * per_window
+    stack = np.zeros((stack_rows, width))
+    stack[width:, 0] = 1.0
+    label_rows = np.zeros((stack_rows, horizon))
+    fitted_rows = np.empty((stack_rows, horizon))
 
     flags: list[str] = []
-    R = np.zeros((0, width))
-    design_gram = np.zeros((width, width))
-    cross = np.zeros((width, horizon))
-    col_sum = np.zeros(width)
-    label_sum = np.zeros(horizon)
     gram = np.zeros((horizon, horizon))
-    leftover = np.zeros((width, horizon))
     try:
-        # Pass 1: the design's R factor by a blockwise QR, plus D^T D, D^T
-        # labels and the column and label sums.  R has the design's singular
-        # values, so the rank rule of _fit_residuals applies to it unchanged.
-        for block in blocks:
-            design = design_block(block)
-            labels = _samples(Y, block, variable, label_rows)
-            R = np.linalg.qr(np.vstack([R, design]), mode="r")
-            design_gram += design.T @ design
-            cross += design.T @ labels
-            col_sum += design.sum(axis=0)
-            label_sum += labels.sum(axis=0)
+        # With [R; D_block] = Q R', the stacked labels split into Q^T labels,
+        # which the next block carries, and the residuals, which no later
+        # block can reach, so their Gram adds up block by block.
+        for lo in range(0, len(rows), BLOCK_WINDOWS):
+            block = rows[lo:lo + BLOCK_WINDOWS]
+            hist = _samples(X, block, variable, stack[width:, 1:])
+            labels = _samples(Y, block, variable, label_rows[width:])
+            hist -= level
+            labels -= level
+            m = width + len(labels)
+            Q, R = np.linalg.qr(stack[:m])
+            resid = label_rows[:m]
+            proj = Q.T @ resid
+            resid -= np.matmul(Q, proj, out=fitted_rows[:m])
+            gram += resid.T @ resid
+            stack[:width] = R
+            label_rows[:width] = proj
+        # R has the centred design's singular values, so the rank rule of
+        # _fit_residuals applies to it unchanged.  At full rank the intercept
+        # keeps the residuals' mean at 0, and the Gram is already centred.
         s = np.linalg.svd(R, compute_uv=False)
         rank = np.count_nonzero(s > np.finfo(float).eps * max(samples, width) * s[0])
-        ridge = rank < width
-        if ridge:
+        if rank < width:
             flags.append("ridge_fallback")
             log.warning("rank-deficient design (rank %d < %d); ridge fallback", rank, width)
-            coef = np.linalg.solve(design_gram + RIDGE_LAMBDA * np.eye(width), cross)
-        else:
-            # the semi-normal equations R^T R coef = D^T labels
-            coef = np.linalg.solve(R, np.linalg.solve(R.T, cross))
-        # Pass 2 subtracts the exact residual mean from each block before its
-        # Gram is taken, so no raw second moment is ever differenced.  It also
-        # sums D^T resid: at full rank the Gram then sheds W^T W, with
-        # W = R^-T D^T resid, the part of the residuals that the fit's
-        # rounding left in the design's span.  So the semi-normal equations'
-        # error grows like cond(D), not cond(D)^2.
-        mean = (label_sum - col_sum @ coef) / samples
-        for block in blocks:
-            design = design_block(block)
-            resid = _samples(Y, block, variable, label_rows)
-            resid -= np.matmul(design, coef, out=fitted_rows[:len(resid)])
-            resid -= mean
-            gram += resid.T @ resid
-            leftover += design.T @ resid
-        if not ridge:
-            W = np.linalg.solve(R.T, leftover)
-            gram -= W.T @ W
+            # D = Q_total R, so the ridge residuals add Q_total (proj - R coef)
+            # to the ones above, and the intercept column is R[0, 0] q_1
+            coef = np.linalg.solve(R.T @ R + RIDGE_LAMBDA * np.eye(width), R.T @ proj)
+            E = proj - R @ coef
+            mean = R[0, 0] * E[0] / samples
+            gram += E.T @ E - samples * np.outer(mean, mean)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"least-squares fit failed: {exc}") from None
-    # shedding W^T W can take a dead step's sum of squares a rounding below 0
+    # subtracting the ridge residuals' mean can take a dead step's sum of
+    # squares a rounding below 0
     sumsq = np.maximum(np.diagonal(gram), 0.0)
     cond_var = sumsq / samples
     dead = cond_var < VAR_EPS

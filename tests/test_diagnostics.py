@@ -1,6 +1,7 @@
 import json
 import logging
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -409,17 +410,98 @@ def test_pooled_matrix_holds_no_samples_by_horizon_array():
 @pytest.mark.parametrize("offset,tol", [(0.0, 1e-12), (1e2, 1e-12), (1e4, 1e-12), (1e6, 1e-9)])
 def test_offset_series_match_full_buffer_formula(monkeypatch, offset, tol, variable):
     # the intercept absorbs a constant offset, which makes the design ill
-    # conditioned: cond(D) grows with the offset.  The fit solves the normal
-    # equations with the blockwise R factor and sheds the part of the
-    # residuals that rounding left in the design's span, so its distance from
-    # the full-buffer SVD fit grows like cond(D), not cond(D)^2: measured
-    # 3.4e-13 at an offset of 1e4 and 3.8e-11 at 1e6, where the normal
-    # equations alone are 6.5e-6 off
+    # conditioned: cond(D) grows with the offset.  The fit takes the frame's
+    # mean off every value and carries the labels through the blockwise QR,
+    # so no normal equations are solved; the gap left is the full-buffer SVD
+    # fit's own rounding of the offset design, which grows with the offset:
+    # measured 3.1e-13 at 1e4 and 3.7e-11 at 1e6
     monkeypatch.setattr(diagnostics, "BLOCK_WINDOWS", 16)
     base = gen_ar_frame(ArSpec((0.6,), 1.0, 400, seed=59), 3)
     frame = SeriesFrame(base.values + offset, base.names)
     report = assert_matches_full_buffer(frame, 6, 8, 10**9, variable, tol)
     assert report.flags == []
+
+
+@pytest.mark.parametrize("variable", [None, 1])
+@pytest.mark.parametrize("level", [1e4, 1e6])
+def test_common_level_matches_the_series_without_it(level, variable):
+    # (x + level) - level is exact (Sterbenz), so the lowered frame holds the
+    # series without its level, and its fit is the exact-shift reference.
+    # Unless the fit takes the level off, the raised frame's design
+    # [1 | history] is ill conditioned: at 1e6 its rank count falls short
+    for seed in (67, 71):
+        base = gen_ar_frame(ArSpec((0.6,), 1.0, 1200, seed=seed), 3)
+        raised = SeriesFrame(base.values + level, base.names)
+        lowered = SeriesFrame(raised.values - level, base.names)
+        for H, T in [(2, 4), (8, 24)]:
+            got = partial_corr_matrix(raised, H, T, subsample=10**9, variable=variable)
+            want = partial_corr_matrix(lowered, H, T, subsample=10**9, variable=variable)
+            assert got.flags == want.flags == []
+            np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=2e-14)
+            np.testing.assert_allclose(got.cond_var, want.cond_var, rtol=2e-14)
+
+
+def fraction_solve(A, B):
+    """A^-1 B by Gauss-Jordan elimination in exact rationals."""
+    n = len(A)
+    M = [[Fraction(v) for v in [*A[i], *B[i]]] for i in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if M[r][c] != 0)
+        M[c], M[p] = M[p], M[c]
+        for r in range(n):
+            if r != c and M[r][c] != 0:
+                f = M[r][c] / M[c][c]
+                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
+    return np.array([[v / M[i][i] for v in M[i][n:]] for i in range(n)], dtype=object)
+
+
+def exact_pooled_fit(frame, history, horizon):
+    """Matrix and variances of the pooled fit from the residual Gram
+    S = Y^T Y - (D^T Y)^T (D^T D)^-1 D^T Y in exact rationals, for values on
+    the 2^-20 grid: scaled by 2^20, D and Y hold integers."""
+    hist, labels = make_windows(frame, history, horizon).as_samples()
+    scale = 2**20
+    D = (np.column_stack([np.ones(len(hist)), hist]) * scale).astype(np.int64).astype(object)
+    Y = (labels * scale).astype(np.int64).astype(object)
+    cross = D.T @ Y
+    S = Y.T @ Y - cross.T @ fraction_solve(D.T @ D, cross)
+    sumsq = np.array([float(v) for v in np.diagonal(S)])
+    corr = np.array([[float(v) for v in row] for row in S]) / np.sqrt(np.outer(sumsq, sumsq))
+    return corr, sumsq / scale**2 / len(hist)
+
+
+@pytest.mark.parametrize("seed", [73, 79])
+@pytest.mark.parametrize("H,T", [(2, 3), (2, 4), (4, 3), (4, 4)])
+def test_pooled_mixed_levels_match_exact_rational_fit(H, T, seed):
+    # one pooled intercept for columns at +1e4, -1e4 and 0: no one constant
+    # takes the levels off, so the design stays ill conditioned.  On the 2^-20
+    # grid the levels add exactly, and the reference is exact
+    base = gen_ar_frame(ArSpec((0.6,), 1.0, 400, seed=seed), 3)
+    values = np.round(base.values * 2**20) / 2**20 + [1e4, -1e4, 0.0]
+    frame = SeriesFrame(values, base.names)
+    corr, cond_var = exact_pooled_fit(frame, H, T)
+    report = partial_corr_matrix(frame, H, T, subsample=10**9)
+    assert report.flags == []
+    np.testing.assert_allclose(report.matrix, corr, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.cond_var, cond_var, rtol=1e-12)
+
+
+@pytest.mark.parametrize("variable", [None, 1])
+def test_each_block_is_gathered_once(monkeypatch, variable):
+    # 29 windows in blocks of 7: each block's history and labels, once each
+    monkeypatch.setattr(diagnostics, "BLOCK_WINDOWS", 7)
+    gathered = []
+    gather = diagnostics._samples
+
+    def counted(stack, rows, *args):
+        gathered.append(len(rows))
+        return gather(stack, rows, *args)
+
+    monkeypatch.setattr(diagnostics, "_samples", counted)
+    H, T = 2, 4
+    frame = gen_ar_frame(ArSpec((0.6,), 1.0, 29 + H + T - 1, seed=41), 3)
+    partial_corr_matrix(frame, H, T, subsample=10**9, variable=variable)
+    assert gathered == [7, 7, 7, 7, 7, 7, 7, 7, 1, 1]
 
 
 def pooled_fit_peak(rows, H, T, D):
@@ -460,11 +542,11 @@ def test_pooled_fit_peak_does_not_grow_with_the_window_count():
 ], ids=["constant", "linear", "two-sines"])
 @pytest.mark.parametrize("block", [16, 256])
 def test_dead_step_variances_are_never_negative(monkeypatch, series, block):
-    # the residuals are rounding noise: the centred blocks' sums of squares
-    # keep every variance at or above zero.  Two sines follow an exact
-    # order-4 recursion, so at H = 4 the offset design has full rank, and the
-    # Gram sheds the residuals' part in the design's span: a difference of
-    # two rounding-sized numbers, which here falls below zero unclamped
+    # the residuals are rounding noise.  Two sines follow an exact order-4
+    # recursion, so at H = 4 the offset design has full rank and the Gram is a
+    # sum of the blocks' squared residuals; the constant and linear series
+    # take the ridge fallback, whose Gram subtracts the residuals' mean, a
+    # difference of two rounding-sized numbers that the clamp keeps at 0
     monkeypatch.setattr(diagnostics, "BLOCK_WINDOWS", block)
     report = partial_corr_matrix(SeriesFrame(series[:, None], ["y"]), 4, 3)
     assert np.all(report.cond_var >= 0.0)
