@@ -194,19 +194,18 @@ def _outer_reverse(theta_n, moments, raw, L, A, mode, split, cfg, timer) -> np.n
 
 
 def atomic_step(theta, raw, mode: WeightingMode, split: SplitPair, cfg: QdfConfig,
-                timer: PhaseTimer | None = None):
+                timer: PhaseTimer = UNTIMED):
     """One atomic update on plain arrays: N inner GD steps from the parameter
     block ``theta``, then one hypergradient step on the weighting's ``raw``
     block, rescaled by ``normalized_raw``.
 
-    Returns the new (theta, raw); with eta = 0, ``raw`` is the array given.
+    Returns the new (theta, raw).  With eta = 0 the step is zero and only the
+    rescale moves ``raw``; the identity start is its fixed point, so an
+    eta = 0 run keeps Sigma = I and trains as plain MSE.
     """
-    timer = timer or UNTIMED
     L = factor_from_raw(raw, mode)
     A = inverse_from_factor(L)
     theta_n, moments = _unroll(theta, A, split, cfg, timer)
-    if cfg.eta == 0.0:
-        return theta_n, raw
     raw = raw - cfg.eta * _outer_reverse(theta_n, moments, raw, L, A, mode, split, cfg, timer)
     if not np.isfinite(raw).all():
         raise NumericError("outer step diverged; reduce eta or inner_lr")
@@ -218,11 +217,10 @@ def hypergradient(
     w: WeightingParams,
     split: SplitPair,
     cfg: QdfConfig,
-    timer: PhaseTimer | None = None,
+    timer: PhaseTimer = UNTIMED,
 ) -> np.ndarray:
     """Gradient of the outer loss w.r.t. raw weighting entries, through the
     inner trajectory only (direct outer occurrence of Sigma held fixed)."""
-    timer = timer or UNTIMED
     theta_n, moments = _unroll(theta0.theta, w.inverse, split, cfg, timer)
     return _outer_reverse(theta_n, moments, w.raw, w.factor, w.inverse, w.mode, split, cfg,
                           timer)

@@ -60,12 +60,11 @@ def _design_and_labels(windows: WindowSet, variable: int):
     return design, labels
 
 
-def _samples(stack: np.ndarray, rows: np.ndarray, variable: int | None,
-             out: np.ndarray) -> np.ndarray:
-    """Windows ``rows`` of an (n, width, D) stack copied into the leading rows
-    of the (at least samples, width) buffer ``out``, as a (samples, width)
-    view; pooled rows are window-major, variable-minor, as in as_samples."""
-    block = stack[rows].transpose(0, 2, 1) if variable is None else stack[rows, :, variable]
+def _samples(stack: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Windows ``rows`` of an (n, width, D) stack copied into the leading
+    len(rows) * D rows of the buffer ``out``, as a (len(rows) * D, width) view.
+    Rows are window-major, variable-minor, as in as_samples."""
+    block = stack[rows].transpose(0, 2, 1)
     out = out[:block.size // stack.shape[1]]
     np.copyto(out.reshape(block.shape), block)
     return out
@@ -132,7 +131,8 @@ def partial_corr_matrix(
 
     Windows are subsampled (seeded, without replacement) when more than
     ``subsample`` are available.  ``variable=None`` pools samples across
-    variables into a single estimate.  One pass over blocks of
+    variables into a single estimate; ``variable=v`` is the pooled estimate of
+    the one-column frame of column v.  One pass over blocks of
     ``BLOCK_WINDOWS`` windows holds O(block * (H + T) + H * T + T^2) memory
     beyond the window index arrays.
     """
@@ -140,6 +140,9 @@ def partial_corr_matrix(
         raise InvalidConfigError(f"subsample must be >= 1, got {subsample!r}")
     if not seed >= 0:
         raise InvalidConfigError(f"seed must be nonnegative, got {seed!r}")
+    if variable is not None:
+        _check_variable(variable, frame.n_vars)
+        frame = SeriesFrame(frame.values[:, [variable]], [frame.names[variable]])
     windows = make_windows(frame, history, horizon)
     n = len(windows)
     if subsample < n:
@@ -147,11 +150,7 @@ def partial_corr_matrix(
         rows = np.sort(rng.choice(n, size=subsample, replace=False))
     else:
         rows = np.arange(n)
-    per_window = windows.n_vars
-    if variable is not None:
-        _check_variable(variable, per_window)
-        per_window = 1
-    samples = len(rows) * per_window
+    samples = len(rows) * windows.n_vars
     if samples < history + 3:
         raise InsufficientDataError(
             f"need at least H+3={history + 3} samples after subsampling"
@@ -161,13 +160,13 @@ def partial_corr_matrix(
     # The intercept absorbs one constant off every history and label value, so
     # taking the level off leaves the residuals as they are and keeps it out of
     # the design's conditioning.  Pooled variables share the intercept.
-    level = (frame.values if variable is None else frame.values[:, variable]).mean()
+    level = frame.values.mean()
 
     # The top `width` rows of these buffers carry R and Q^T labels so far, and
     # every block refills the rows below.  New arrays for each block were
     # returned to the OS and faulted in again a block later: 8.4k page faults
     # a call at the diagnose benchmark's shape, not 1.4k.
-    stack_rows = width + min(BLOCK_WINDOWS, len(rows)) * per_window
+    stack_rows = width + min(BLOCK_WINDOWS, len(rows)) * windows.n_vars
     stack = np.zeros((stack_rows, width))
     stack[width:, 0] = 1.0
     label_rows = np.zeros((stack_rows, horizon))
@@ -181,8 +180,8 @@ def partial_corr_matrix(
         # block can reach, so their Gram adds up block by block.
         for lo in range(0, len(rows), BLOCK_WINDOWS):
             block = rows[lo:lo + BLOCK_WINDOWS]
-            hist = _samples(X, block, variable, stack[width:, 1:])
-            labels = _samples(Y, block, variable, label_rows[width:])
+            hist = _samples(X, block, stack[width:, 1:])
+            labels = _samples(Y, block, label_rows[width:])
             hist -= level
             labels -= level
             m = width + len(labels)

@@ -9,9 +9,8 @@ The formulas live once, in an array-level kernel on plain blocks: the
 forecast, the weighted-loss gradient written into a caller's scratch block,
 and the SGD and Adam updates, each checked finite.  The training loops call
 the kernel directly; final training binds the gradient to its live block
-once per run (``bound_grad``), and ``weighted_grad`` is the same kernel for
-one call.  ``forecast_batch`` is the one model-level function, the
-validated forecast.
+once per run (``bound_grad``).  ``forecast_batch`` is the one model-level
+function, the validated forecast.
 """
 
 from __future__ import annotations
@@ -82,9 +81,12 @@ def forecast(theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def bound_grad(theta, A, out):
-    """``weighted_grad`` bound to one parameter block and one scratch block:
-    their views are taken once, and the returned function of (xs, ys) reads
-    ``theta`` as it stands at each call."""
+    """The weighted-loss gradient bound to one parameter block and one
+    scratch block ``out``: their views are taken once, and the returned
+    function of (xs, ys) reads ``theta`` as it stands at each call.
+
+    The gradient is -(2/B) A [R^T X | R^T 1] with R = ys - forecast: the
+    parameter gradient of the mean of e^T A e over B rows."""
     Wt, b = theta[:, :-1].T, theta[:, -1]
     out_W, out_b = out[:, :-1], out[:, -1]
 
@@ -97,12 +99,6 @@ def bound_grad(theta, A, out):
         return -(2.0 / xs.shape[0]) * (A @ out)
 
     return grad
-
-
-def weighted_grad(theta, xs, ys, A, out) -> np.ndarray:
-    """-(2/B) A [R^T X | R^T 1] with R = ys - forecast: the parameter gradient
-    of the mean of e^T A e over B rows.  ``out`` is a T x (H+1) scratch block."""
-    return bound_grad(theta, A, out)(xs, ys)
 
 
 def _finite(theta: np.ndarray) -> np.ndarray:

@@ -108,7 +108,7 @@ def learn_weighting(
     model_init: LinearForecaster,
     cfg: QdfConfig,
     mode: WeightingMode = WeightingMode.FULL,
-    timer: PhaseTimer | None = None,
+    timer: PhaseTimer = UNTIMED,
 ) -> tuple[WeightingParams, list[float]]:
     """Phase 1-2: identity start, K-way refinement, Frobenius stopping rule.
 
@@ -156,7 +156,7 @@ def train_final(
     cfg: QdfConfig,
     valid: WindowSet,
     rng: np.random.Generator,
-    timer: PhaseTimer | None = None,
+    timer: PhaseTimer = UNTIMED,
 ) -> LinearForecaster:
     """Phase 3: minibatch training under the frozen weighting.
 
@@ -184,7 +184,6 @@ def train_final(
     best_model = model_init
     best_val = np.inf
     stale = 0
-    timer = timer or UNTIMED
     timer.start()
     for _ in range(cfg.epochs):
         order = rng.permutation(n)

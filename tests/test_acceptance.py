@@ -29,7 +29,7 @@ from qdf.data import (
     write_csv,
 )
 from qdf.diagnostics import fraction_above, partial_corr_matrix, partial_correlation
-from qdf.model import LinearForecaster, forecast_batch, init_forecaster, weighted_grad
+from qdf.model import LinearForecaster, bound_grad, forecast_batch, init_forecaster
 from qdf.objective import (
     grad_wrt_residual,
     grad_wrt_weighting,
@@ -82,7 +82,7 @@ def test_criterion_1_gradient_correctness():
 
         # the whole [W | b] block, from the kernel final training runs
         fd_p = central_diff(loss_of_theta, m.theta)
-        analytic_p = weighted_grad(m.theta, x.T, y.T, w.inverse, np.empty_like(m.theta))
+        analytic_p = bound_grad(m.theta, w.inverse, np.empty_like(m.theta))(x.T, y.T)
         worst["params"] = max(worst["params"], rel_err(analytic_p, fd_p))
 
     elapsed = time.time() - t0

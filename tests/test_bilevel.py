@@ -17,7 +17,7 @@ from qdf.bilevel import (
 from qdf.data import SeriesFrame, WindowSet, make_windows
 from qdf import timing, weighting, workflow
 from qdf.errors import ConditioningError, InvalidSplitError, NumericError, QdfError
-from qdf.model import LinearForecaster, forecast_batch, init_forecaster, weighted_grad
+from qdf.model import LinearForecaster, bound_grad, forecast_batch, init_forecaster
 from qdf.objective import grad_wrt_residual, quadratic_loss
 from qdf.timing import PhaseTimer
 from qdf.weighting import (
@@ -226,7 +226,7 @@ def test_outer_moment_seed_matches_row_seed(rng, mode, T):
         theta = rng.standard_normal((T, H + 1))
         A = WeightingParams(rng.uniform(-0.6, 0.6, (T, T)), T, mode).inverse
         Xo, Yo = pair.outer.as_samples()
-        rows = weighted_grad(theta, Xo, Yo, A, np.empty_like(theta))
+        rows = bound_grad(theta, A, np.empty_like(theta))(Xo, Yo)
         moments = _outer_seed(theta, A, pair.outer_moments)
         Go, Co, Bo = pair.outer_moments
         norm = np.linalg.norm
@@ -271,17 +271,20 @@ def test_hypergradient_deterministic(rng):
 # --------------------------------------------------------- atomic update
 
 def test_atomic_update_eta_zero_returns_w_unchanged(rng):
+    # eta = 0 takes a zero outer step, and the rescale leaves the identity
+    # start as it is: the raw block comes back equal, in every mode
     pair = build_pair(rng, 3, 2, 60)
     theta0 = init_forecaster(3, 2, rng)
-    w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
     cfg = QdfConfig(inner_steps=3, inner_lr=0.02, eta=0.0)
-    theta, raw = atomic_step(theta0.theta, w.raw, w.mode, pair, cfg)
-    assert raw is w.raw
-    theta_n = LinearForecaster(theta)
     X, Y = pair.inner.as_samples()
-    W, b = reference_inner_run(theta0, w, X, Y, 3, 0.02)
-    assert np.allclose(theta_n.weights, W, atol=1e-12)
-    assert np.allclose(theta_n.bias, b, atol=1e-12)
+    for mode in WeightingMode:
+        w = identity_params(2, mode)
+        theta, raw = atomic_step(theta0.theta, w.raw, w.mode, pair, cfg)
+        assert np.array_equal(raw, w.raw)
+        theta_n = LinearForecaster(theta)
+        W, b = reference_inner_run(theta0, w, X, Y, 3, 0.02)
+        assert np.allclose(theta_n.weights, W, atol=1e-12)
+        assert np.allclose(theta_n.bias, b, atol=1e-12)
 
 
 def test_atomic_update_applies_hypergradient_step(rng):

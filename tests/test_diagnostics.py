@@ -176,6 +176,23 @@ def test_pooled_multivariate_estimate():
     assert pooled.matrix[0, 1] == pytest.approx(implied, abs=0.05)
 
 
+@pytest.mark.parametrize("subsample", [300, 10**9], ids=["subsampled", "all"])
+def test_variable_is_the_pooled_fit_of_its_column(subsample):
+    # each column at its own level, so the level taken off is the column's
+    spec = ArSpec((0.5,), 1.0, 1500, seed=41)
+    values = gen_ar_frame(spec, 3).values + np.array([0.0, 40.0, -2500.0])
+    frame = SeriesFrame(values, ["a", "b", "c"])
+    for v in range(3):
+        got = partial_corr_matrix(frame, 5, 6, subsample=subsample, variable=v, seed=2)
+        column = SeriesFrame(np.array(values[:, v:v + 1]), [frame.names[v]])
+        want = partial_corr_matrix(column, 5, 6, subsample=subsample, seed=2)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(got.cond_var, want.cond_var)
+        assert got.flags == want.flags
+        assert got.meta == {**want.meta, "variable": v}
+        assert want.meta["variable"] == "pooled"
+
+
 def test_pooled_matrix_keeps_one_live_label_block():
     # the subsampled labels (n*D x T float64) are about 6 MB here; the copies
     # made on the way to the correlations must not stack up beyond 3 of them

@@ -8,12 +8,12 @@ from qdf.errors import InvalidDimensionError, NumericError
 from qdf.model import (
     AdamState,
     LinearForecaster,
+    bound_grad,
     forecast_batch,
     init_forecaster,
     load_checkpoint,
     save_checkpoint,
     sgd_update,
-    weighted_grad,
 )
 from qdf.objective import mse_loss, quadratic_loss
 from qdf.weighting import WeightingParams
@@ -50,8 +50,8 @@ def test_channel_independence(rng):
 
 
 def grad_of(theta, xs, ys, A):
-    """weighted_grad with a fresh scratch block."""
-    return weighted_grad(theta, xs, ys, A, np.empty_like(theta))
+    """The bound gradient kernel with a fresh scratch block, for one call."""
+    return bound_grad(theta, A, np.empty_like(theta))(xs, ys)
 
 
 def test_grad_params_zero_upstream():
@@ -134,11 +134,11 @@ def test_gd_fits_noiseless_linear_process(rng):
     xs = rng.standard_normal((64, H))
     ys = xs @ A.T
     theta = np.array(init_forecaster(H, T, rng).theta)
-    block = np.empty_like(theta)
+    grad = bound_grad(theta, np.eye(T), np.empty_like(theta))
     for _ in range(5000):
         if mse_loss(ys - forecast_batch(LinearForecaster(theta), xs)) < 1e-6:
             break
-        sgd_update(theta, weighted_grad(theta, xs, ys, np.eye(T), block), 0.1, out=theta)
+        sgd_update(theta, grad(xs, ys), 0.1, out=theta)
     assert mse_loss(ys - forecast_batch(LinearForecaster(theta), xs)) < 1e-6
 
 
@@ -150,9 +150,10 @@ def test_adam_descends(rng):
     m = init_forecaster(H, T, rng)
     opt = AdamState(m, lr=0.05)
     first = mse_loss(ys - forecast_batch(m, xs))
-    theta, block = np.array(m.theta), np.empty_like(m.theta)
+    theta = np.array(m.theta)
+    grad = bound_grad(theta, np.eye(T), np.empty_like(theta))
     for _ in range(200):
-        opt.update(theta, weighted_grad(theta, xs, ys, np.eye(T), block), out=theta)
+        opt.update(theta, grad(xs, ys), out=theta)
     assert mse_loss(ys - forecast_batch(LinearForecaster(theta), xs)) < first * 0.05
 
 

@@ -147,6 +147,14 @@ def test_normalize_scale_rejects_an_overflowing_weighting(raw, error, message):
     assert err.value.exit_code == 4
 
 
+@pytest.mark.parametrize("mode", list(WeightingMode), ids=lambda m: m.value)
+def test_identity_start_is_a_fixed_point_of_the_rescale(mode):
+    # an eta = 0 outer step leaves the raw block as it is, so Sigma stays I
+    for T in range(1, 65):
+        raw = identity_params(T, mode).raw
+        assert np.array_equal(normalized_raw(raw, mode), raw), T
+
+
 def test_normalize_scale_keeps_offdiag_mode_untouched(rng):
     p = WeightingParams(rng.uniform(-2, 2, size=(4, 4)), 4, WeightingMode.OFFDIAG_ONLY)
     assert normalized_raw(p.raw, p.mode) is p.raw

@@ -63,11 +63,15 @@ def test_config_takes_numpy_integer_counts_as_int():
 
 # -------------------------------------------------------- learn_weighting
 
-def test_learn_weighting_eta_zero_returns_identity(rng):
+@pytest.mark.parametrize("mode", list(WeightingMode), ids=lambda m: m.value)
+def test_learn_weighting_eta_zero_returns_identity(rng, mode):
+    # eta = 0 takes the same outer step as any other eta, a zero one, and the
+    # identity start is a fixed point of the rescale in every mode
     ws = ar_windows()
     cfg = QdfConfig(k_splits=3, outer_rounds=5, eta=0.0, seed=1)
     model = init_forecaster(ws.history, ws.horizon, rng)
-    w, trace = learn_weighting(ws, model, cfg)
+    w, trace = learn_weighting(ws, model, cfg, mode)
+    assert np.array_equal(w.raw, identity_params(ws.horizon, mode).raw)
     assert frobenius_distance(w, identity_params(ws.horizon)) == 0.0
     assert trace == [0.0]
 
