@@ -326,7 +326,7 @@ def main(argv=None) -> int:
             except QdfError as exc:
                 _emit_error(exc, caught, held.messages)
                 return exc.exit_code
-            except OSError as exc:
+            except (OSError, MemoryError) as exc:
                 _emit_error(exc, caught, held.messages)
                 return 3
     finally:

@@ -419,40 +419,66 @@ def ma_weights(coeffs, count: int) -> np.ndarray:
     return psi
 
 
+BAND_FLOATS = 2**13  # gen_ar's band buffer: (p+1) x (p + block) floats
+
+
 def gen_ar(spec: ArSpec) -> SeriesFrame:
     """Seeded realization of an AR process; 10*p burn-in samples are discarded.
 
     The innovation schedule is anchored so position 0 falls on the first
     retained sample (burn-in uses negative positions, wrapped periodically).
-    The recursion y[n] = eps[n] + sum_k phi_k y[n-k] is one banded solve
+    The recursion y[n] = eps[n] + sum_k phi_k y[n-k] is the banded solve
     A y = eps, with A unit lower triangular and A[n, n-k] = -phi_k.
+
+    It is solved block by block through one band buffer of about
+    ``BAND_FLOATS`` floats, so memory is O(n + p * block), not O(p * n).
+    Each block's solve starts with p rows holding the previous block's last
+    p outputs (zeros before the first block), and the band entries that
+    would land on those rows are zero, so they pass through unchanged.  Every
+    kept row thus gets the same multiply-adds, in the same order, as in one
+    solve over all rows, from the same innovation stream drawn in pieces:
+    the series is float-hex equal to the one-solve result.
     """
+    values = np.empty((spec.length, 1))
+    _fill_ar(spec, values[:, 0])
+    return SeriesFrame(values, ["y"])
+
+
+def _fill_ar(spec: ArSpec, out: np.ndarray) -> None:
+    """Write gen_ar's series for ``spec`` into the length-n vector ``out``."""
     rng = np.random.default_rng(spec.seed)
     p = spec.order
     burn = 10 * p
     total = spec.length + burn
     period = spec.noise_std.shape[0]
-    stds = spec.noise_std[(np.arange(total) - burn) % period]
-    eps = rng.standard_normal(total) * stds
+    block = max(p, BAND_FLOATS // (p + 1))
     # LAPACK lower band storage: row k holds the k-th subdiagonal; row 0, the
     # unit diagonal, is not read.  Fortran order, or the wrapper copies it.
-    band = np.zeros((p + 1, total), order="F")
-    band[1:] = -np.asarray(spec.coeffs)[:, None]
-    y, _ = lapack().dtbtrs(band, eps[:, None], uplo="L", diag="U")
-    return SeriesFrame(y[burn:], ["y"])
+    band = np.zeros((p + 1, p + block), order="F")
+    for k, phi in enumerate(spec.coeffs, start=1):
+        band[k, p - k:] = -phi
+    rhs = np.zeros((p + block, 1), order="F")
+    dtbtrs = lapack().dtbtrs
+    for start in range(0, total, block):
+        m = min(block, total - start)
+        eps = rhs[p:p + m, 0]
+        rng.standard_normal(out=eps)
+        eps *= spec.noise_std[(np.arange(start, start + m) - burn) % period]
+        y, _ = dtbtrs(band[:, :p + m], rhs[:p + m], uplo="L", diag="U", overwrite_b=1)
+        first = max(start, burn)  # burn-in rows are not kept
+        if first < start + m:
+            out[first - burn:start + m - burn] = y[p + first - start:, 0]
+        rhs[:p] = y[m:m + p]
 
 
 def gen_ar_frame(spec: ArSpec, n_vars: int) -> SeriesFrame:
-    """Stack independent realizations (per-variable child seeds) as columns."""
+    """Independent realizations (per-variable child seeds) as columns."""
     seeds = np.random.SeedSequence(spec.seed).spawn(n_vars)
-    cols = []
-    for child in seeds:
+    values = np.empty((spec.length, n_vars))
+    for d, child in enumerate(seeds):
         child_seed = int(child.generate_state(1)[0])
-        frame = gen_ar(
-            ArSpec(spec.coeffs, spec.noise_std, spec.length, child_seed)
-        )
-        cols.append(frame.values[:, 0])
-    return SeriesFrame(np.column_stack(cols), [f"y{d}" for d in range(n_vars)])
+        _fill_ar(ArSpec(spec.coeffs, spec.noise_std, spec.length, child_seed), values[:, d])
+    return SeriesFrame(values, [f"y{d}" for d in range(n_vars)])
 
 
 def ar_conditional_cov(spec: ArSpec, horizon: int) -> np.ndarray:

@@ -450,6 +450,20 @@ def test_synth_non_finite_phi_exits_3_and_writes_nothing(tmp_path, capsys, phi):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_synth_too_large_to_allocate_exits_3_and_writes_nothing(tmp_path):
+    # 8 PB of output: beyond the x86-64 address space, so the allocation fails
+    # at once whatever the overcommit setting (it used to end in a traceback)
+    out = tmp_path / "x.csv"
+    proc = run_module("-m", "qdf.cli", "synth", "--n", str(10**15), "--phi", "0.5",
+                      "--out", str(out))
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert set(err) == {"error"}
+    assert err["error"]["type"] == "MemoryError"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["train", "diagnose"])
 def test_overflowing_csv_exits_4_with_one_json_object(tmp_path, command):
     # 1e200-scale values: the column std overflows to inf.  train used to

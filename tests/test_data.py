@@ -1,6 +1,7 @@
 import csv
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from qdf.errors import (
     NumericError,
     UnstableSpecError,
 )
+from qdf.weighting import lapack
 
 
 def frame_of(values):
@@ -481,6 +483,79 @@ def test_gen_ar_matches_ar_recursion(coeffs, noise_std):
     # own relative error reflects only the order of the additions.
     np.testing.assert_allclose(y, expected, rtol=1e-12,
                                atol=1e-12 * np.abs(expected).max())
+
+
+def one_band_solve(spec):
+    """gen_ar's series as one banded solve over every row, burn-in included."""
+    rng = np.random.default_rng(spec.seed)
+    p = spec.order
+    burn = 10 * p
+    total = spec.length + burn
+    period = spec.noise_std.shape[0]
+    stds = spec.noise_std[(np.arange(total) - burn) % period]
+    eps = rng.standard_normal(total) * stds
+    band = np.zeros((p + 1, total), order="F")
+    band[1:] = -np.asarray(spec.coeffs)[:, None]
+    y, _ = lapack().dtbtrs(band, eps[:, None], uplo="L", diag="U")
+    return y[burn:, 0]
+
+
+def random_stable_coeffs(p, seed):
+    """Order-p coefficients with sum |phi_k| = 0.9, so every root lies inside the unit disc."""
+    c = np.random.default_rng(seed).uniform(-1.0, 1.0, p)
+    return tuple(0.9 * c / np.abs(c).sum())
+
+
+@pytest.mark.parametrize("coeffs", [
+    (), (0.6,), (0.7, -0.2), (0.0,) * 15 + (0.6,), (0.0,) * 95 + (0.6,),
+    random_stable_coeffs(29, 3),
+], ids=["white", "ar1", "ar2", "seasonal16", "seasonal96", "random29"])
+@pytest.mark.parametrize("ramp", [False, True], ids=["constant", "ramp"])
+def test_gen_ar_is_float_hex_equal_to_one_band_solve(coeffs, ramp):
+    # the blocked solve gives every kept row the same multiply-adds in the
+    # same order as one solve over all rows, at and around block ends
+    noise = ramp_noise_schedule(16, 8, 1.0, 3.0) if ramp else 0.7
+    p = len(coeffs)
+    block = max(p, data.BAND_FLOATS // (p + 1))
+    for length in sorted({1, max(block - 1, 1), block, block + 1, 3 * block + 5}):
+        spec = ArSpec(coeffs, noise, length, seed=length)
+        assert gen_ar(spec).values[:, 0].tobytes() == one_band_solve(spec).tobytes(), length
+
+
+def test_gen_ar_frame_is_float_hex_equal_to_one_band_solves():
+    spec = ArSpec((0.5,), 1.0, 20000, seed=0)
+    seeds = np.random.SeedSequence(spec.seed).spawn(8)
+    expected = np.column_stack([
+        one_band_solve(ArSpec(spec.coeffs, spec.noise_std, spec.length,
+                              int(child.generate_state(1)[0])))
+        for child in seeds
+    ])
+    assert gen_ar_frame(spec, 8).values.tobytes() == expected.tobytes()
+
+
+def gen_ar_peak(coeffs, length):
+    """Traced allocation peak of one gen_ar call, in bytes."""
+    spec = ArSpec(coeffs, 1.0, length, seed=0)
+    tracemalloc.start()
+    try:
+        gen_ar(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_gen_ar_memory_follows_the_output():
+    # one band of all rows was (p+1) x (n + 10p) floats: about 78 MB at lag 96
+    # and 100 000 rows.  Blocked, the order adds at most its band buffer, and
+    # a row costs its 8 output bytes plus SeriesFrame's 1-byte finiteness mask.
+    n, p = 100_000, 96
+    seasonal = (0.0,) * (p - 1) + (0.6,)
+    gen_ar_peak(seasonal, 10)  # LAPACK loaded outside the traced calls
+    band_bytes = 8 * (p + 1) * (p + max(p, data.BAND_FLOATS // (p + 1)))
+    slack = 64 * 1024
+    assert gen_ar_peak(seasonal, n) - gen_ar_peak((0.6,), n) < band_bytes + slack
+    assert gen_ar_peak(seasonal, 2 * n) - gen_ar_peak(seasonal, n) < 9 * n + slack
 
 
 def test_unstable_spec_rejected():
