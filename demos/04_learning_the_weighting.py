@@ -1,10 +1,11 @@
 """End-to-end: learn the weighting by bilevel updates, then train under it.
 
 Phase 1 starts the weighting at the identity and splits the training windows
-chronologically. Phase 2 cycles atomic updates (a few inner gradient steps
-on the forecaster, one hypergradient step on the weighting, taken through
-the unrolled inner trajectory) until the matrix stops moving. Phase 3
-trains the final model under the frozen learned objective.
+chronologically. Phase 2 cycles atomic updates until the matrix stops
+moving: ``qdf.hypergradient`` runs a few inner gradient steps on the
+forecaster and differentiates the holdout loss through them, and
+``learn_weighting`` steps the weighting down that gradient and rescales it.
+Phase 3 trains the final model under the frozen learned objective.
 """
 
 import numpy as np

@@ -1,7 +1,8 @@
-"""Atomic bilevel update: N inner model steps, one outer weighting step.
+"""Bilevel hypergradient: N inner model steps, then the outer loss's gradient
+with respect to the weighting.
 
 The inner loop runs plain full-batch gradient descent on the quadratic loss
-over the inner split.  The outer step differentiates the outer-split loss
+over the inner split.  The hypergradient differentiates the outer-split loss
 with respect to the weighting parameters *through the unrolled inner
 trajectory only*: the weighting's direct appearance in the outer quadratic
 form is held constant.  Everything here is exact reverse-mode differentiation
@@ -9,8 +10,8 @@ of the unrolled updates, with no autodiff.
 
 The model is linear and the loss quadratic, so with Z = [X, 1] and
 Theta = [W, b] the data of each split enter only through G = Z^T Z and
-C = Y^T Z, cached once per split pair.  With A = Sigma^-1 (cached on the
-weighting), an inner step is Theta <- Theta + (2 lr / B) A (C - Theta G),
+C = Y^T Z, cached once per split pair.  With A = Sigma^-1 (formed once per
+call), an inner step is Theta <- Theta + (2 lr / B) A (C - Theta G),
 the reverse pass needs only the residual moments M_k = C - Theta_k G of each
 step, and the outer adjoint is seeded from the outer moments as
 -(2 / Bo) A (Co - Theta_N Go).  So an update costs O(T^2 H + T H^2) whatever
@@ -19,14 +20,14 @@ residuals' R^T Z in normal-equation form: a perfect outer fit gives a
 hypergradient that is zero up to the rounding of Co - Theta_N Go.
 
 At desk scale every array here is small, so the cost is per numpy call, not
-per flop.  The update therefore runs on plain arrays: ``atomic_step`` takes
-and returns the T x (H+1) parameter block and the weighting's ``raw`` block,
-forms L and Sigma^-1 from ``raw`` through the array-level kernel of
-``weighting.py``, and builds no model or weighting object.  Each inner step
-is checked finite, and so are the outer adjoint seed, the outer step and the
-rescaled weighting.  ``hypergradient``, on a model and a
-``WeightingParams``, is the one object-level function.  The adjoint is
-carried back N - 1 times, since the last carry would never be read.  A
+per flop.  ``hypergradient`` therefore runs on plain arrays: it takes the
+T x (H+1) parameter block and the weighting's ``raw`` block, forms L and
+Sigma^-1 from ``raw`` through the array-level kernel of ``weighting.py``,
+and returns theta_N and the ``raw`` gradient, building no model or weighting
+object.  It is the one function that runs the unroll and the reverse pass;
+the outer step and the rescale are ``workflow.learn_weighting``'s.  Each
+inner step is checked finite, and so is the outer adjoint seed.  The adjoint
+is carried back N - 1 times, since the last carry would never be read.  A
 ``PhaseTimer`` laps the inner phases back to back, and then the two outer
 ones.  A split pair's disjointness is checked on the sorted window starts,
 with no row masks.
@@ -42,16 +43,8 @@ import numpy as np
 
 from .data import WindowSet
 from .errors import InvalidDimensionError, InvalidSplitError, NumericError
-from .model import LinearForecaster
 from .timing import UNTIMED, PhaseTimer
-from .weighting import (
-    WeightingMode,
-    WeightingParams,
-    factor_from_raw,
-    inverse_from_factor,
-    normalized_raw,
-    raw_grad,
-)
+from .weighting import WeightingMode, factor_from_raw, inverse_from_factor, raw_grad
 
 if TYPE_CHECKING:  # workflow imports this module
     from .workflow import QdfConfig
@@ -193,35 +186,16 @@ def _outer_reverse(theta_n, moments, raw, L, A, mode, split, cfg, timer) -> np.n
     return grad
 
 
-def atomic_step(theta, raw, mode: WeightingMode, split: SplitPair, cfg: QdfConfig,
-                timer: PhaseTimer = UNTIMED):
-    """One atomic update on plain arrays: N inner GD steps from the parameter
-    block ``theta``, then one hypergradient step on the weighting's ``raw``
-    block, rescaled by ``normalized_raw``.
+def hypergradient(theta, raw, mode: WeightingMode, split: SplitPair, cfg: QdfConfig,
+                  timer: PhaseTimer = UNTIMED):
+    """N inner GD steps from the parameter block ``theta`` under the Sigma of
+    the weighting's ``raw`` block, and the gradient of the outer loss with
+    respect to ``raw`` through that inner trajectory only (the direct outer
+    occurrence of Sigma held fixed).
 
-    Returns the new (theta, raw).  With eta = 0 the step is zero and only the
-    rescale moves ``raw``; the identity start is its fixed point, so an
-    eta = 0 run keeps Sigma = I and trains as plain MSE.
+    Returns (theta_N, grad); the caller takes the outer step.
     """
     L = factor_from_raw(raw, mode)
     A = inverse_from_factor(L)
     theta_n, moments = _unroll(theta, A, split, cfg, timer)
-    raw = raw - cfg.eta * _outer_reverse(theta_n, moments, raw, L, A, mode, split, cfg, timer)
-    if not np.isfinite(raw).all():
-        raise NumericError("outer step diverged; reduce eta or inner_lr")
-    return theta_n, normalized_raw(raw, mode)
-
-
-def hypergradient(
-    theta0: LinearForecaster,
-    w: WeightingParams,
-    split: SplitPair,
-    cfg: QdfConfig,
-    timer: PhaseTimer = UNTIMED,
-) -> np.ndarray:
-    """Gradient of the outer loss w.r.t. raw weighting entries, through the
-    inner trajectory only (direct outer occurrence of Sigma held fixed)."""
-    theta_n, moments = _unroll(theta0.theta, w.inverse, split, cfg, timer)
-    return _outer_reverse(theta_n, moments, w.raw, w.factor, w.inverse, w.mode, split, cfg,
-                          timer)
-
+    return theta_n, _outer_reverse(theta_n, moments, raw, L, A, mode, split, cfg, timer)

@@ -30,6 +30,12 @@ from .weighting import lapack
 log = logging.getLogger(__name__)
 
 
+def _all_finite(v: np.ndarray) -> bool:
+    """``np.isfinite(v).all()`` without its one-byte-per-value mask: a NaN
+    propagates through min and max, and an infinity is one of them."""
+    return bool(np.isfinite(v.min(initial=0.0)) and np.isfinite(v.max(initial=0.0)))
+
+
 @dataclass(frozen=True)
 class SeriesFrame:
     """Time-major N x D value matrix with column names."""
@@ -45,7 +51,7 @@ class SeriesFrame:
             raise InvalidDimensionError(
                 f"{v.shape[1]} columns but {len(self.names)} names"
             )
-        if not np.all(np.isfinite(v)):
+        if not _all_finite(v):
             raise NumericError("series contains non-finite entries")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -160,7 +166,7 @@ def _load_fast(fh) -> SeriesFrame | None:
             values = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
     except (ValueError, Warning):
         return None
-    if values.shape[1] != len(header) or not np.all(np.isfinite(values)):
+    if values.shape[1] != len(header) or not _all_finite(values):
         return None
     return SeriesFrame(values, header)
 
@@ -188,7 +194,7 @@ def _load_checked(fh, path, skip_first_column: bool) -> SeriesFrame:
         values = np.array(rows, dtype=float)
     except ValueError:
         values = None
-    if values is None or not np.all(np.isfinite(values)):
+    if values is None or not _all_finite(values):
         values = _parse_cells(rows, row_numbers)
     if ragged is not None:
         raise ragged

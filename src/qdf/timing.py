@@ -5,7 +5,7 @@ stable on contended machines and is what reproducibility checks compare.
 
 Phases are timed as laps: ``start`` reads both clocks, and each ``lap``
 charges the time since the last reading to one phase and restarts from
-there.  Phases that run back to back, as the inner steps of an atomic update
+there.  Phases that run back to back, as the inner steps of a hypergradient
 do, thus cost one pair of clock reads per boundary.
 """
 

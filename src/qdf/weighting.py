@@ -17,9 +17,9 @@ solve (``inverse_from_factor``), the ``raw`` that rescales to
 trace(Sigma^-1) = T (``normalized_raw``, the one place that leaves
 OFFDIAG_ONLY mode unscaled), and the ``raw`` gradient of a Sigma gradient
 (``raw_grad``).  ``WeightingParams.factor`` and ``.inverse`` are thin
-wrappers over it.  The bilevel loop carries
-only ``raw`` and calls the kernel directly, so an atomic update builds no
-``WeightingParams``.
+wrappers over it.  Sigma learning carries only ``raw``:
+``bilevel.hypergradient`` and ``learn_weighting``'s outer step call the
+kernel directly, so an atomic update builds no ``WeightingParams``.
 """
 
 from __future__ import annotations

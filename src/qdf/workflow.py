@@ -7,9 +7,11 @@ or the round budget runs out, then train the final model under the frozen
 learned objective with minibatches and early stopping.
 
 The refinement carries two plain arrays from one atomic update to the next,
-the parameter block and the weighting's raw block (see
-``bilevel.atomic_step``), and builds one ``WeightingParams`` per outer round,
-which the stopping rule, the conditioning guard and the result share.
+the parameter block and the weighting's raw block.  An update is
+``bilevel.hypergradient``, a step of -eta times its gradient, a finite check
+and the ``normalized_raw`` rescale, all in ``learn_weighting``'s loop, and
+one ``WeightingParams`` per outer round serves the stopping rule, the
+conditioning guard and the result.
 
 Only the training split is ever read during the first two phases; validation
 drives early stopping and the test split is touched exclusively by metric
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bilevel import atomic_step, make_split_pair
+from .bilevel import hypergradient, make_split_pair
 from .data import WindowSet, chrono_split
 from .errors import InvalidConfigError, InvalidSplitError, NumericError
 from .model import (
@@ -44,6 +46,7 @@ from .weighting import (
     WeightingParams,
     frobenius_distance,
     identity_params,
+    normalized_raw,
     write_matrix_csv,
 )
 
@@ -113,9 +116,10 @@ def learn_weighting(
     """Phase 1-2: identity start, K-way refinement, Frobenius stopping rule.
 
     Returns the learned parameters and the per-round delta trace.  The model
-    state persists across atomic updates.  A non-finite delta, or a Sigma
-    whose condition number exceeds ``MAX_SIGMA_COND``, means Sigma diverged
-    and raises NumericError.
+    state persists across atomic updates.  With eta = 0 every step is zero,
+    and the identity start is a fixed point of ``normalized_raw``, so Sigma
+    stays I.  A non-finite step or delta, or a Sigma whose condition number
+    exceeds ``MAX_SIGMA_COND``, means Sigma diverged and raises NumericError.
     """
     if len(train) < 2 * cfg.k_splits:
         raise InvalidSplitError(
@@ -129,7 +133,11 @@ def learn_weighting(
     for _ in range(cfg.outer_rounds):
         w_prev = w
         for pair in pairs:
-            theta, raw = atomic_step(theta, raw, mode, pair, cfg, timer)
+            theta, grad = hypergradient(theta, raw, mode, pair, cfg, timer)
+            raw = raw - cfg.eta * grad
+            if not np.isfinite(raw).all():
+                raise NumericError("outer step diverged; reduce eta or inner_lr")
+            raw = normalized_raw(raw, mode)
         w = w_prev.with_raw(raw)
         delta = frobenius_distance(w, w_prev)
         if not np.isfinite(delta):

@@ -110,7 +110,7 @@ def test_criterion_2_hypergradient_correctness():
             cfg = QdfConfig(inner_steps=n_steps, inner_lr=0.02, eta=0.1)
             from qdf.bilevel import hypergradient
 
-            analytic = hypergradient(theta0, w, pair, cfg)
+            analytic = hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[1]
             fd = fd_hypergradient(theta0, w, pair, cfg)
             assert_close_hypergrad(analytic, fd, tol=1e-3)
             checked += 1

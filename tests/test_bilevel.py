@@ -10,7 +10,6 @@ from qdf.bilevel import (
     SplitPair,
     _coverage_overlaps,
     _outer_seed,
-    atomic_step,
     hypergradient,
     make_split_pair,
 )
@@ -29,9 +28,19 @@ from qdf.weighting import (
 from qdf.workflow import QdfConfig
 
 
+def build_windows(rng, H, T, n_rows=80):
+    return make_windows(SeriesFrame(rng.standard_normal((n_rows, 1)), ["y"]), H, T)
+
+
 def build_pair(rng, H, T, n_rows=80):
-    frame = SeriesFrame(rng.standard_normal((n_rows, 1)), ["y"])
-    return make_split_pair(make_windows(frame, H, T))
+    return make_split_pair(build_windows(rng, H, T, n_rows))
+
+
+def one_update(windows, theta0, cfg, mode=WeightingMode.FULL):
+    """learn_weighting's update on its own: one split pair, one round, from
+    the identity start; returns the learned weighting."""
+    cfg = replace(cfg, k_splits=1, outer_rounds=1)
+    return workflow.learn_weighting(windows, theta0, cfg, mode)[0]
 
 
 def reference_inner_run(theta0, params, X, Y, steps, lr):
@@ -63,6 +72,42 @@ def fd_hypergradient(theta0, w, split, cfg, step=1e-4):
             rp[i, j] += step
             rm[i, j] -= step
             grad[i, j] = (outer_loss_at(rp) - outer_loss_at(rm)) / (2 * step)
+    return grad
+
+
+def complex_factor(raw, mode):
+    """L of ``raw`` in complex arithmetic: softplus as log(1 + e^z), no floor."""
+    T = raw.shape[0]
+    L = np.tril(raw, k=-1) if mode is not WeightingMode.DIAG_ONLY else np.zeros_like(raw)
+    diag = np.ones(T) if mode is WeightingMode.OFFDIAG_ONLY else np.log(1 + np.exp(raw.diagonal()))
+    return L + np.diag(diag)
+
+
+def cs_hypergradient(theta0, raw, mode, split, cfg, h=1e-30):
+    """Complex-step oracle: Im f(raw + i h E_ij) / h for every lower entry,
+    f being the outer loss after the inner GD steps re-run on the samples in
+    complex arithmetic, with the outer form's Sigma^-1 held at its real value.
+    Entries the mode does not read come out zero."""
+    X, Y = split.inner.as_samples()
+    Xo, Yo = split.outer.as_samples()
+    Z, Zo = (np.column_stack([a, np.ones(len(a))]) for a in (X, Xo))
+    L0 = complex_factor(raw, mode)
+    A0 = np.linalg.inv(L0 @ L0.T)
+
+    def outer_loss_at(z):
+        L = complex_factor(z, mode)
+        A = np.linalg.inv(L @ L.T)  # plain transpose: analytic in z
+        theta = theta0.astype(complex)
+        for _ in range(cfg.inner_steps):
+            theta = theta + (2 * cfg.inner_lr / len(Z)) * (A @ (Y - Z @ theta.T).T @ Z)
+        R = Yo - Zo @ theta.T
+        return ((R @ A0) * R).sum() / len(Zo)
+
+    grad = np.zeros_like(raw)
+    for i, j in zip(*np.tril_indices(raw.shape[0])):
+        z = raw.astype(complex)
+        z[i, j] += 1j * h
+        grad[i, j] = outer_loss_at(z).imag / h
     return grad
 
 
@@ -117,9 +162,30 @@ def test_hypergradient_matches_finite_differences(rng, inner_steps):
         raw = rng.uniform(-0.6, 0.6, size=(T, T))
         w = WeightingParams(raw, T)
         cfg = QdfConfig(inner_steps=inner_steps, inner_lr=0.02, eta=0.1)
-        analytic = hypergradient(theta0, w, pair, cfg)
+        analytic = hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[1]
         fd = fd_hypergradient(theta0, w, pair, cfg)
         assert_close_hypergrad(analytic, fd)
+
+
+@pytest.mark.parametrize("mode", list(WeightingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("T", [1, 2, 8, 33])
+def test_hypergradient_matches_complex_step(rng, mode, T):
+    # normwise, against an oracle exact to rounding: no difference quotient's
+    # truncation error to hide behind, so a relative error of 1e-6 anywhere
+    # in the reverse pass fails; the diagonal stays far above SOFTPLUS_FLOOR
+    for inner_steps in (1, 2, 3, 8):
+        H = int(rng.integers(1, 7))
+        pair = build_pair(rng, H, T, n_rows=4 * (T + H) + 60)
+        theta0 = rng.standard_normal((T, H + 1))
+        raw = rng.uniform(-0.6, 0.6, (T, T)) / np.sqrt(T)  # Sigma stays well conditioned
+        np.fill_diagonal(raw, rng.uniform(-0.6, 0.6, T))
+        cfg = QdfConfig(inner_steps=inner_steps, inner_lr=0.02)
+        g = hypergradient(theta0, raw, mode, pair, cfg)[1]
+        oracle = cs_hypergradient(theta0, raw, mode, pair, cfg)
+        assert np.linalg.norm(g - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        free = {WeightingMode.FULL: np.tri(T), WeightingMode.DIAG_ONLY: np.eye(T),
+                WeightingMode.OFFDIAG_ONLY: np.tri(T, k=-1)}[mode] != 0
+        assert np.all(g[~free] == 0.0) and np.all(oracle[free] != 0.0)
 
 
 def test_hypergradient_spec_example_n1_t2(rng):
@@ -127,7 +193,7 @@ def test_hypergradient_spec_example_n1_t2(rng):
     theta0 = init_forecaster(2, 2, rng)
     w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
     cfg = QdfConfig(inner_steps=1, inner_lr=0.05, eta=0.1)
-    analytic = hypergradient(theta0, w, pair, cfg)
+    analytic = hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[1]
     fd = fd_hypergradient(theta0, w, pair, cfg)
     assert_close_hypergrad(analytic, fd)
 
@@ -136,8 +202,10 @@ def test_hypergradient_vanishes_with_inner_lr(rng):
     pair = build_pair(rng, 3, 3, 70)
     theta0 = init_forecaster(3, 3, rng)
     w = identity_params(3)
-    big = hypergradient(theta0, w, pair, QdfConfig(inner_steps=1, inner_lr=1e-2, eta=0.1))
-    small = hypergradient(theta0, w, pair, QdfConfig(inner_steps=1, inner_lr=1e-8, eta=0.1))
+    big = hypergradient(theta0.theta, w.raw, w.mode, pair,
+                        QdfConfig(inner_steps=1, inner_lr=1e-2, eta=0.1))[1]
+    small = hypergradient(theta0.theta, w.raw, w.mode, pair,
+                          QdfConfig(inner_steps=1, inner_lr=1e-8, eta=0.1))[1]
     assert np.max(np.abs(small)) < 1e-5 * max(np.max(np.abs(big)), 1e-12) + 1e-12
 
 
@@ -146,12 +214,12 @@ def test_hypergradient_mode_masks(rng):
     theta0 = init_forecaster(3, 4, rng)
     cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
     g_diag = hypergradient(
-        theta0, WeightingParams(rng.uniform(-0.5, 0.5, (4, 4)), 4, WeightingMode.DIAG_ONLY), pair, cfg
-    )
+        theta0.theta, rng.uniform(-0.5, 0.5, (4, 4)), WeightingMode.DIAG_ONLY, pair, cfg
+    )[1]
     assert np.all(np.tril(g_diag, k=-1) == 0.0)
     g_off = hypergradient(
-        theta0, WeightingParams(rng.uniform(-0.5, 0.5, (4, 4)), 4, WeightingMode.OFFDIAG_ONLY), pair, cfg
-    )
+        theta0.theta, rng.uniform(-0.5, 0.5, (4, 4)), WeightingMode.OFFDIAG_ONLY, pair, cfg
+    )[1]
     assert np.all(np.diagonal(g_off) == 0.0)
 
 
@@ -172,7 +240,7 @@ def seed_rounding_bound(theta0, w, pair, cfg):
     A, s = w.inverse, 2.0 * cfg.inner_lr / B
     seed_error = (2.0 / Bo) * norm(A) * (theta0.history + 2) * np.finfo(float).eps * norm(Co)
     thetas = [theta0.theta] + [
-        atomic_step(theta0.theta, w.raw, w.mode, pair, replace(cfg, inner_steps=k, eta=0.0))[0]
+        hypergradient(theta0.theta, w.raw, w.mode, pair, replace(cfg, inner_steps=k))[0]
         for k in range(1, cfg.inner_steps)]
     carry = sum(norm(C - th @ G) * (1 + s * norm(A) * norm(G)) ** (cfg.inner_steps - 1 - k)
                 for k, th in enumerate(thetas))
@@ -192,8 +260,7 @@ def test_stop_gradient_zero_outer_residuals(rng):
     cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
 
     # theta after the inner loop, computed by the module's own path
-    theta_n = LinearForecaster(
-        atomic_step(theta0.theta, w.raw, w.mode, pair, replace(cfg, eta=0.0))[0])
+    theta_n = LinearForecaster(hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[0])
     Xo, _ = pair.outer.as_samples()
     perfect_Y = forecast_batch(theta_n, Xo)[:, :, None]
     Xo3, _ = pair.outer.arrays()
@@ -201,14 +268,14 @@ def test_stop_gradient_zero_outer_residuals(rng):
 
     bound = seed_rounding_bound(theta0, w, perfect_pair, cfg)
     assert 0 < bound < 1e-12
-    g = hypergradient(theta0, w, perfect_pair, cfg)
+    g = hypergradient(theta0.theta, w.raw, w.mode, perfect_pair, cfg)[1]
     assert np.linalg.norm(g) <= bound
     # contrast: outer labels off the forecasts by a thousandth of their scale
     # give a hypergradient far above the bound, so a seed that ignored the
     # outer residuals would fail one of the two checks
     noise = 1e-3 * np.std(perfect_Y) * rng.standard_normal(perfect_Y.shape)
     off_pair = SplitPair(pair.inner, WindowSet(Xo3, perfect_Y + noise, pair.outer.starts))
-    g_off = hypergradient(theta0, w, off_pair, cfg)
+    g_off = hypergradient(theta0.theta, w.raw, w.mode, off_pair, cfg)[1]
     assert np.linalg.norm(g_off) > 1e6 * seed_rounding_bound(theta0, w, off_pair, cfg)
     # sanity: inner residuals themselves are not zero
     X, Y = pair.inner.as_samples()
@@ -242,7 +309,8 @@ def test_outer_split_is_read_once_per_pair(rng):
     raw, mode = identity_params(2).raw, WeightingMode.FULL
     cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
     for _ in range(5):
-        theta, raw = atomic_step(theta, raw, mode, pair, cfg)
+        theta, grad = hypergradient(theta, raw, mode, pair, cfg)
+        raw = normalized_raw(raw - cfg.eta * grad, mode)
     assert pair.outer.reads == 1
     assert pair.inner.reads == 1
 
@@ -255,7 +323,7 @@ def test_overflowing_outer_split_raises_numeric_error(rng):
     Xo, Yo = pair.outer.arrays()
     huge = SplitPair(pair.inner, WindowSet(Xo * 1e300, Yo, pair.outer.starts))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="diverged"):
-        hypergradient(theta0, w, huge, cfg)
+        hypergradient(theta0.theta, w.raw, w.mode, huge, cfg)
 
 
 def test_hypergradient_deterministic(rng):
@@ -263,8 +331,8 @@ def test_hypergradient_deterministic(rng):
     theta0 = init_forecaster(4, 3, rng)
     w = WeightingParams(rng.uniform(-0.5, 0.5, (3, 3)), 3)
     cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
-    g1 = hypergradient(theta0, w, pair, cfg)
-    g2 = hypergradient(theta0, w, pair, cfg)
+    g1 = hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[1]
+    g2 = hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[1]
     assert np.array_equal(g1, g2)
 
 
@@ -272,39 +340,41 @@ def test_hypergradient_deterministic(rng):
 
 def test_atomic_update_eta_zero_returns_w_unchanged(rng):
     # eta = 0 takes a zero outer step, and the rescale leaves the identity
-    # start as it is: the raw block comes back equal, in every mode
-    pair = build_pair(rng, 3, 2, 60)
+    # start as it is: the raw block comes back equal, in every mode, while
+    # the inner trajectory runs as plain GD
+    ws = build_windows(rng, 3, 2, 60)
+    pair = make_split_pair(ws)
     theta0 = init_forecaster(3, 2, rng)
     cfg = QdfConfig(inner_steps=3, inner_lr=0.02, eta=0.0)
     X, Y = pair.inner.as_samples()
     for mode in WeightingMode:
         w = identity_params(2, mode)
-        theta, raw = atomic_step(theta0.theta, w.raw, w.mode, pair, cfg)
-        assert np.array_equal(raw, w.raw)
-        theta_n = LinearForecaster(theta)
+        assert np.array_equal(one_update(ws, theta0, cfg, mode).raw, w.raw)
+        theta_n = LinearForecaster(hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[0])
         W, b = reference_inner_run(theta0, w, X, Y, 3, 0.02)
         assert np.allclose(theta_n.weights, W, atol=1e-12)
         assert np.allclose(theta_n.bias, b, atol=1e-12)
 
 
 def test_atomic_update_applies_hypergradient_step(rng):
-    pair = build_pair(rng, 3, 2, 60)
+    ws = build_windows(rng, 3, 2, 60)
     theta0 = init_forecaster(3, 2, rng)
-    w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
     cfg = QdfConfig(inner_steps=1, inner_lr=0.02, eta=0.3)
-    g = hypergradient(theta0, w, pair, cfg)
-    _, raw = atomic_step(theta0.theta, w.raw, w.mode, pair, cfg)
-    assert np.array_equal(raw, normalized_raw(w.raw - 0.3 * g, w.mode))
+    for mode in WeightingMode:
+        w = identity_params(2, mode)
+        g = hypergradient(theta0.theta, w.raw, w.mode, make_split_pair(ws), cfg)[1]
+        assert np.any(g != 0.0)
+        raw = one_update(ws, theta0, cfg, mode).raw
+        assert np.array_equal(raw, normalized_raw(w.raw - 0.3 * g, w.mode))
 
 
 def test_atomic_update_normalizes_scale(rng):
-    pair = build_pair(rng, 3, 2, 60)
+    ws = build_windows(rng, 3, 2, 60)
     theta0 = init_forecaster(3, 2, rng)
-    w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
     cfg = QdfConfig(inner_steps=1, inner_lr=0.02, eta=0.3)
-    w2 = w.with_raw(atomic_step(theta0.theta, w.raw, w.mode, pair, cfg)[1])
-    L, sigma = w2.factor, w2.sigma
-    assert np.trace(np.linalg.inv(sigma)) == pytest.approx(2.0, rel=1e-9)
+    w2 = one_update(ws, theta0, cfg)
+    assert not np.array_equal(w2.raw, identity_params(2).raw)
+    assert np.trace(np.linalg.inv(w2.sigma)) == pytest.approx(2.0, rel=1e-9)
 
 
 def guard_case(rng, where):
@@ -316,20 +386,26 @@ def guard_case(rng, where):
     if where == "outer":
         Xo, Yo = pair.outer.arrays()
         pair = SplitPair(pair.inner, WindowSet(Xo * 1e300, Yo, pair.outer.starts))
-    return pair, theta0, QdfConfig(k_splits=1, inner_steps=2, inner_lr=lr, eta=eta)
+    return pair, theta0, QdfConfig(k_splits=1, outer_rounds=1, inner_steps=2, inner_lr=lr,
+                                   eta=eta)
 
 
 @pytest.mark.parametrize("where, message", [
     ("inner", "inner loop diverged"),
     ("outer", "outer adjoint diverged"),
 ])
-def test_unrolled_loop_guards_fire(rng, where, message):
+def test_unrolled_loop_guards_fire(rng, monkeypatch, where, message):
+    # the check stops hypergradient alone, at any weighting, and
+    # learn_weighting's update over it
     pair, theta0, cfg = guard_case(rng, where)
+    monkeypatch.setattr(workflow, "make_split_pair", lambda windows: pair)
     w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericError, match=message) as err:
-        atomic_step(theta0.theta, w.raw, w.mode, pair, cfg)
-    assert err.value.exit_code == 4
+    for run in (lambda: hypergradient(theta0.theta, w.raw, w.mode, pair, cfg),
+                lambda: workflow.learn_weighting(pair.inner, theta0, cfg)):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match=message) as err:
+            run()
+        assert err.value.exit_code == 4
 
 
 @pytest.mark.parametrize("where, error, message", [
@@ -340,21 +416,16 @@ def test_unrolled_loop_guards_fire(rng, where, message):
     ("lapack", ConditioningError, "triangular factor is singular (LAPACK info 1)"),
 ])
 def test_update_guards_fire_alike_in_learn_weighting(rng, monkeypatch, where, error, message):
-    # the same check stops the array-level step alone and learn_weighting's loop
-    # over it, with the same error
+    # each check of an update stops learn_weighting's first update, with its
+    # own error and exit code 4: the unroll's, the step's and the rescale's
     pair, theta0, cfg = guard_case(rng, where)
-    errors = []
     monkeypatch.setattr(workflow, "make_split_pair", lambda windows: pair)
     if where == "lapack":  # a floored L is never singular; a solver reporting so must stop
         monkeypatch.setattr(weighting, "lapack",
                             lambda: SimpleNamespace(dtrtrs=lambda *a, **k: (None, 1)))
-    w = identity_params(2)
-    for run in (lambda: atomic_step(theta0.theta, w.raw, w.mode, pair, cfg),
-                lambda: workflow.learn_weighting(pair.inner, theta0, cfg)):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(QdfError) as err:
-            run()
-        errors.append((type(err.value), str(err.value), err.value.exit_code))
-    assert errors == [(error, message, 4)] * 2
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(QdfError) as err:
+        workflow.learn_weighting(pair.inner, theta0, cfg)
+    assert (type(err.value), str(err.value), err.value.exit_code) == (error, message, 4)
 
 
 class CountingClock:
@@ -376,12 +447,13 @@ def test_update_reads_the_clock_only_with_a_timer(rng, monkeypatch):
     cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
     clock = CountingClock()
     monkeypatch.setattr(timing, "time", clock)
+    monkeypatch.setattr(workflow, "make_split_pair", lambda windows: pair)
     w = identity_params(2)
-    atomic_step(theta0.theta, w.raw, w.mode, pair, cfg)
-    hypergradient(theta0, w, pair, cfg)
+    hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)
+    workflow.learn_weighting(pair.inner, theta0, replace(cfg, k_splits=1, outer_rounds=1))
     assert clock.reads == 0
     timer = PhaseTimer()
-    atomic_step(theta0.theta, w.raw, w.mode, pair, cfg, timer)
+    hypergradient(theta0.theta, w.raw, w.mode, pair, cfg, timer)
     assert timer.steps == {"inner_fwd": 2, "inner_bwd": 2, "outer_fwd": 1, "outer_bwd": 1}
     # two clocks, read at the start of the inner and of the outer phases and
     # at each phase's end

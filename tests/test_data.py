@@ -44,6 +44,32 @@ def frame_of(values):
     return SeriesFrame(values, [f"v{j}" for j in range(values.shape[1])])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_series_frame_finiteness_verdict(bad):
+    # the verdict of np.isfinite(values).all(), wherever the fault sits, with
+    # finite values out to the ends of the float range, and on no rows
+    values = 1.7e308 * np.linspace(-1.0, 1.0, 21).reshape(7, 3)
+    assert SeriesFrame(values, list("abc")).length == 7
+    assert SeriesFrame(np.empty((0, 3)), list("abc")).length == 0
+    for i, j in np.ndindex(values.shape):
+        faulty = values.copy()
+        faulty[i, j] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            SeriesFrame(faulty, list("abc"))
+
+
+def test_series_frame_checks_finiteness_without_a_mask():
+    # np.isfinite(values).all() held one byte per value: 1 MB here
+    values = np.ones((125_000, 8))
+    tracemalloc.start()
+    try:
+        SeriesFrame(values, list("abcdefgh"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 # ---------------------------------------------------------------- CSV I/O
 
 def test_load_csv_minimal(tmp_path):
@@ -548,14 +574,14 @@ def gen_ar_peak(coeffs, length):
 def test_gen_ar_memory_follows_the_output():
     # one band of all rows was (p+1) x (n + 10p) floats: about 78 MB at lag 96
     # and 100 000 rows.  Blocked, the order adds at most its band buffer, and
-    # a row costs its 8 output bytes plus SeriesFrame's 1-byte finiteness mask.
+    # a row costs its 8 output bytes.
     n, p = 100_000, 96
     seasonal = (0.0,) * (p - 1) + (0.6,)
     gen_ar_peak(seasonal, 10)  # LAPACK loaded outside the traced calls
     band_bytes = 8 * (p + 1) * (p + max(p, data.BAND_FLOATS // (p + 1)))
     slack = 64 * 1024
     assert gen_ar_peak(seasonal, n) - gen_ar_peak((0.6,), n) < band_bytes + slack
-    assert gen_ar_peak(seasonal, 2 * n) - gen_ar_peak(seasonal, n) < 9 * n + slack
+    assert gen_ar_peak(seasonal, 2 * n) - gen_ar_peak(seasonal, n) < 8 * n + slack
 
 
 def test_unstable_spec_rejected():

@@ -229,6 +229,9 @@ def test_package_exports_resolve_once():
     assert all(hasattr(qdf, name) for name in qdf.__all__)
     # the kernel is the one gradient and update path; no model-level wrappers
     assert not hasattr(qdf, "grad_params_batch") and not hasattr(qdf, "sgd_step")
-    # Sigma learning has one update path, on arrays, and one raw-gradient kernel
+    # Sigma learning has one update path, on arrays, and one raw-gradient kernel;
+    # its one bilevel computation, hypergradient, holds no model or weighting object
     assert not hasattr(qdf, "atomic_update") and not hasattr(qdf.bilevel, "atomic_update")
+    assert not hasattr(qdf.bilevel, "atomic_step")
+    assert not {"LinearForecaster", "WeightingParams", "model"} & set(vars(qdf.bilevel))
     assert not hasattr(qdf.weighting, "chain_sigma_grad_to_raw")

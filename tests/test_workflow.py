@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qdf.bilevel import atomic_step, make_split_pair
+from qdf.bilevel import hypergradient, make_split_pair
 from qdf.data import (
     ArSpec,
     ar_conditional_cov,
@@ -21,6 +21,7 @@ from qdf.weighting import (
     WeightingParams,
     frobenius_distance,
     identity_params,
+    normalized_raw,
     params_from_matrix,
 )
 from qdf.workflow import (
@@ -84,19 +85,19 @@ def test_learn_weighting_k1_single_atomic_update(rng):
 
     pair = make_split_pair(ws)
     start = identity_params(ws.horizon)
-    _, expect = atomic_step(
+    _, grad = hypergradient(
         model.theta, start.raw, start.mode, pair,
         QdfConfig(inner_steps=1, inner_lr=0.02, eta=0.1),
     )
-    assert np.array_equal(w.raw, expect)
+    assert np.array_equal(w.raw, normalized_raw(start.raw - 0.1 * grad, start.mode))
     assert len(trace) == 1
 
 
 @pytest.mark.parametrize("inner_steps", [1, 2])
 @pytest.mark.parametrize("mode", list(WeightingMode), ids=lambda m: m.value)
 def test_learn_weighting_equals_chained_atomic_updates(rng, mode, inner_steps):
-    # learn_weighting's loop against atomic_step chained by hand, with a fresh
-    # WeightingParams after every step
+    # learn_weighting's loop against hypergradient and the step chained by
+    # hand, with a fresh WeightingParams after every step
     ws = ar_windows(seed=11)
     cfg = QdfConfig(k_splits=3, outer_rounds=3, inner_steps=inner_steps, inner_lr=0.05,
                     eta=0.1, tol=0.0, seed=11)
@@ -108,8 +109,8 @@ def test_learn_weighting_equals_chained_atomic_updates(rng, mode, inner_steps):
     for _ in range(3):
         prev = expect
         for pair in pairs:
-            theta, raw = atomic_step(theta, expect.raw, mode, pair, cfg)
-            expect = expect.with_raw(raw)
+            theta, grad = hypergradient(theta, expect.raw, mode, pair, cfg)
+            expect = expect.with_raw(normalized_raw(expect.raw - cfg.eta * grad, mode))
         deltas.append(frobenius_distance(expect, prev))
     assert w.mode is mode and deltas[-1] > 0.0
     assert list(map(float.hex, trace)) == list(map(float.hex, deltas))
