@@ -1,5 +1,10 @@
 """Dataset ingestion, windowing, chronological splitting, and synthetic data.
 
+Windows are read-only views of the series.  ``WindowSet.sample_blocks`` is
+the blockwise reader: it writes the sample rows of chosen windows into the
+caller's buffers, a block at a time, with no temporary larger than
+``CHUNK_FLOATS`` floats.
+
 The synthetic side generates autoregressive series with an optional periodic
 innovation-scale schedule and provides the exact conditional covariance of
 the label steps given the past, which serves as the oracle for benchmark and
@@ -11,6 +16,7 @@ from __future__ import annotations
 import csv
 import logging
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,8 +75,9 @@ class WindowSet:
     """Paired (X, Y) sliding windows with their source start indices.
 
     X stacks to (n, H, D), Y to (n, T, D); a window starting at s covers
-    source rows [s, s + H + T).  Reads through ``arrays`` / ``as_samples``
-    are counted so leakage tests can assert a split was never touched.
+    source rows [s, s + H + T).  Reads through ``arrays``, ``as_samples``
+    and ``sample_blocks`` are counted so leakage tests can assert a split
+    was never touched.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, starts: np.ndarray):
@@ -114,6 +121,26 @@ class WindowSet:
         Ys = np.ascontiguousarray(Y.transpose(0, 2, 1).reshape(n * D, T))
         return Xs, Ys
 
+    def sample_blocks(
+        self, rows: np.ndarray, x_out: np.ndarray, y_out: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield the sample rows of windows ``rows``, one block at a time.
+
+        A block takes as many windows k as ``x_out`` holds, len(x_out) // D.
+        Their k*D history rows are written into the leading rows of ``x_out``
+        (width H) and their labels into ``y_out`` (width T), window-major and
+        variable-minor as in ``as_samples``, and those two views are yielded;
+        the next block overwrites them.  Windows are gathered a few at a
+        time, so no temporary holds more than ``CHUNK_FLOATS`` floats.  The
+        pass counts as one read.
+        """
+        X, Y = self.arrays()
+        block = len(x_out) // self.n_vars
+        for lo in range(0, len(rows), block):
+            idx = rows[lo:lo + block]
+            k = len(idx) * self.n_vars
+            yield _gather(X, idx, x_out[:k]), _gather(Y, idx, y_out[:k])
+
     def slice(self, lo: int, hi: int) -> "WindowSet":
         child = WindowSet(self._X[lo:hi], self._Y[lo:hi], self.starts[lo:hi])
         child._parent = self
@@ -123,6 +150,24 @@ class WindowSet:
         """Half-open range of source rows touched by any window."""
         span = self.history + self.horizon
         return int(self.starts.min()), int(self.starts.max()) + span
+
+
+# Floats in one chunk of a blockwise pass: the gather of WindowSet.sample_blocks,
+# and the residual rows of partial_corr_matrix.
+CHUNK_FLOATS = 2**13
+
+
+def _gather(stack: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Windows ``idx`` of an (n, width, D) stack written into ``out`` as its
+    len(idx) * D rows of width ``width``; returns ``out``.  The windows are
+    fancy-indexed a chunk of at most CHUNK_FLOATS floats at a time."""
+    width, D = stack.shape[1], stack.shape[2]
+    src = stack.transpose(0, 2, 1)
+    dest = out.reshape(len(idx), D, width)
+    few = max(1, CHUNK_FLOATS // (D * width))
+    for c in range(0, len(idx), few):
+        np.copyto(dest[c:c + few], src[idx[c:c + few]])
+    return out
 
 
 def load_csv(path, skip_first_column: bool = False) -> SeriesFrame:
@@ -493,7 +538,8 @@ def ar_conditional_cov(spec: ArSpec, horizon: int) -> np.ndarray:
     Only innovations entering after the conditioning time contribute:
     Cov[i, j] = sum_k psi_{i-k} psi_{j-k} sigma_k^2 over label steps k.
     The first label step sits at schedule position period - horizon, as in
-    windows whose starts are aligned to the schedule period.
+    windows whose starts are aligned to the schedule period.  NumericError
+    if the covariance is not finite (a squared innovation scale overflows).
     """
     if horizon < 1:
         raise InvalidDimensionError("horizon must be >= 1")
@@ -505,6 +551,8 @@ def ar_conditional_cov(spec: ArSpec, horizon: int) -> np.ndarray:
         contrib = np.zeros(horizon)
         contrib[k:] = psi[: horizon - k]
         cov += np.outer(contrib, contrib) * stds[k] ** 2
+    if not _all_finite(cov):
+        raise NumericError("conditional covariance is not finite; the noise scale is too large")
     return cov
 
 

@@ -3,12 +3,13 @@
 Partial correlation between two label steps, controlling for the shared
 history: regress each step on the history by OLS, then take the Pearson
 correlation of the two residual series.  The matrix form streams the
-windows in blocks through one pass, gathering each block's design
-[1 | history] and labels from the window views below the R factor and
-Q^T labels of the blocks before: a QR of that stack carries both on, and
-what the labels keep outside Q's span adds to the residuals' T x T Gram.
-No samples x (H+1) design and no samples x T array of labels or residuals
-is ever formed.
+windows in blocks through one pass of ``WindowSet.sample_blocks``, which
+writes each block's history and labels below the R factor and Q^T labels of
+the blocks before: a QR of that stack, with its column of ones, carries both
+on, and what the labels keep outside Q's span, taken off a chunk of rows at
+a time, adds to the residuals' T x T Gram.  No samples x (H+1) design, no
+samples x T array of labels or residuals, and no second label-block-sized
+array is ever formed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SeriesFrame, WindowSet, make_windows
+from .data import CHUNK_FLOATS, SeriesFrame, WindowSet, make_windows
 from .errors import (
     InsufficientDataError,
     InvalidConfigError,
@@ -58,16 +59,6 @@ def _design_and_labels(windows: WindowSet, variable: int):
     labels = Y[:, :, variable]
     design = np.column_stack([np.ones(hist.shape[0]), hist])
     return design, labels
-
-
-def _samples(stack: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Windows ``rows`` of an (n, width, D) stack copied into the leading
-    len(rows) * D rows of the buffer ``out``, as a (len(rows) * D, width) view.
-    Rows are window-major, variable-minor, as in as_samples."""
-    block = stack[rows].transpose(0, 2, 1)
-    out = out[:block.size // stack.shape[1]]
-    np.copyto(out.reshape(block.shape), block)
-    return out
 
 
 def _fit_residuals(design: np.ndarray, labels: np.ndarray, flags: list[str]) -> np.ndarray:
@@ -146,8 +137,10 @@ def partial_corr_matrix(
     windows = make_windows(frame, history, horizon)
     n = len(windows)
     if subsample < n:
-        rng = np.random.default_rng(seed)
-        rows = np.sort(rng.choice(n, size=subsample, replace=False))
+        # a mask draws the sorted rows without np.sort's first-call memory
+        keep = np.zeros(n, dtype=bool)
+        keep[np.random.default_rng(seed).choice(n, size=subsample, replace=False)] = True
+        rows = np.flatnonzero(keep)
     else:
         rows = np.arange(n)
     samples = len(rows) * windows.n_vars
@@ -155,7 +148,6 @@ def partial_corr_matrix(
         raise InsufficientDataError(
             f"need at least H+3={history + 3} samples after subsampling"
         )
-    X, Y = windows.arrays()
     width = history + 1
     # The intercept absorbs one constant off every history and label value, so
     # taking the level off leaves the residuals as they are and keeps it out of
@@ -170,7 +162,11 @@ def partial_corr_matrix(
     stack = np.zeros((stack_rows, width))
     stack[width:, 0] = 1.0
     label_rows = np.zeros((stack_rows, horizon))
-    fitted_rows = np.empty((stack_rows, horizon))
+    # Q (Q^T labels) comes off the labels a chunk of rows at a time.  A last
+    # chunk of one row would take numpy's matrix-vector path, whose sums can
+    # round otherwise than the matrix product's, so it joins the chunk before.
+    chunk = max(2, CHUNK_FLOATS // horizon)
+    fitted = np.empty((min(chunk + 1, stack_rows), horizon))
 
     flags: list[str] = []
     gram = np.zeros((horizon, horizon))
@@ -178,17 +174,16 @@ def partial_corr_matrix(
         # With [R; D_block] = Q R', the stacked labels split into Q^T labels,
         # which the next block carries, and the residuals, which no later
         # block can reach, so their Gram adds up block by block.
-        for lo in range(0, len(rows), BLOCK_WINDOWS):
-            block = rows[lo:lo + BLOCK_WINDOWS]
-            hist = _samples(X, block, stack[width:, 1:])
-            labels = _samples(Y, block, label_rows[width:])
+        for hist, labels in windows.sample_blocks(rows, stack[width:, 1:], label_rows[width:]):
             hist -= level
             labels -= level
             m = width + len(labels)
             Q, R = np.linalg.qr(stack[:m])
             resid = label_rows[:m]
             proj = Q.T @ resid
-            resid -= np.matmul(Q, proj, out=fitted_rows[:m])
+            edges = [*range(0, m - 1, chunk), m]
+            for a, b in zip(edges, edges[1:]):
+                resid[a:b] -= np.matmul(Q[a:b], proj, out=fitted[:b - a])
             gram += resid.T @ resid
             stack[:width] = R
             label_rows[:width] = proj

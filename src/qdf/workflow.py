@@ -214,14 +214,19 @@ def train_final(
 
 
 def evaluate(model: LinearForecaster, windows: WindowSet, w: WeightingParams) -> dict:
-    """Test metrics: per-element MSE/MAE plus the quadratic loss under w."""
+    """Test metrics: per-element MSE/MAE plus the quadratic loss under w.
+    NumericError if any of them is not finite (an overflowing residual)."""
     X, Y = windows.as_samples()
     resid = Y - forecast_batch(model, X)
-    return {
+    metrics = {
         "mse": float(np.mean(resid**2)),
         "mae": float(np.mean(np.abs(resid))),
         "nll": quadratic_loss(resid, w),
     }
+    bad = [name for name, v in metrics.items() if not np.isfinite(v)]
+    if bad:
+        raise NumericError(f"test metrics {bad} are not finite; the test residuals overflow")
+    return metrics
 
 
 @dataclass

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from qdf.weighting import WeightingMode
+
 
 def central_diff(f, x0, step=1e-5):
     """Central finite-difference gradient of scalar f over an array argument."""
@@ -18,6 +20,28 @@ def central_diff(f, x0, step=1e-5):
         grad[idx] = (f(xp) - f(xm)) / (2 * step)
         it.iternext()
     return grad
+
+
+def complex_step(f, x0, h=1e-30):
+    """Complex-step gradient Im f(x0 + i h E_k) / h over every entry k, for f
+    analytic in its array argument: no difference is taken, so it is exact to
+    rounding (Squire & Trapp 1998)."""
+    grad = np.zeros(np.shape(x0))
+    for idx in np.ndindex(grad.shape):
+        z = np.array(x0, dtype=complex)
+        z[idx] += 1j * h
+        grad[idx] = f(z).imag / h
+    return grad
+
+
+def complex_factor(raw, mode, floor=0.0):
+    """L of ``raw`` in complex arithmetic: softplus as log(1 + e^z), and a
+    diagonal entry whose real part falls below ``floor`` held there, a
+    constant, as the floor clamp holds it."""
+    T = raw.shape[0]
+    L = np.tril(raw, k=-1) if mode is not WeightingMode.DIAG_ONLY else np.zeros_like(raw)
+    diag = np.ones(T) if mode is WeightingMode.OFFDIAG_ONLY else np.log(1 + np.exp(raw.diagonal()))
+    return L + np.diag(np.where(diag.real < floor, floor, diag))
 
 
 def rel_err(analytic, numeric, floor=1e-6):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import complex_factor
 from qdf.bilevel import (
     SplitPair,
     _coverage_overlaps,
@@ -73,14 +74,6 @@ def fd_hypergradient(theta0, w, split, cfg, step=1e-4):
             rm[i, j] -= step
             grad[i, j] = (outer_loss_at(rp) - outer_loss_at(rm)) / (2 * step)
     return grad
-
-
-def complex_factor(raw, mode):
-    """L of ``raw`` in complex arithmetic: softplus as log(1 + e^z), no floor."""
-    T = raw.shape[0]
-    L = np.tril(raw, k=-1) if mode is not WeightingMode.DIAG_ONLY else np.zeros_like(raw)
-    diag = np.ones(T) if mode is WeightingMode.OFFDIAG_ONLY else np.log(1 + np.exp(raw.diagonal()))
-    return L + np.diag(diag)
 
 
 def cs_hypergradient(theta0, raw, mode, split, cfg, h=1e-30):

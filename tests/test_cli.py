@@ -464,6 +464,41 @@ def test_synth_too_large_to_allocate_exits_3_and_writes_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_synth_overflowing_oracle_exits_4_and_writes_nothing(tmp_path):
+    # the squared noise scale is inf, and 0 * inf put a nan in the oracle
+    # covariance, which the strict-JSON sidecar used to meet as a traceback
+    out = tmp_path / "x.csv"
+    proc = run_module("-m", "qdf.cli", "synth", "--noise", "1e200", "--phi", "0.5",
+                      "--out", str(out))
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert set(err) == {"error"}
+    assert err["error"]["type"] == "NumericError"
+    assert "covariance is not finite" in err["error"]["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_overflowing_test_metrics_exit_4_and_write_no_report(synth_csv, tmp_path):
+    # the last fifth of the series, the test split, scaled by 1e200: the
+    # standardized test residuals square to inf, so mse is inf and nll nan,
+    # which the strict-JSON report used to meet as a traceback
+    values = np.loadtxt(synth_csv, delimiter=",", skiprows=1, ndmin=2)
+    values[int(0.8 * len(values)):] *= 1e200
+    data = tmp_path / "big_tail.csv"
+    write_csv(SeriesFrame(values, ["y"]), data)
+    report = tmp_path / "r.json"
+    proc = run_module("-m", "qdf.cli", "train", "--data", str(data), "--history", "8",
+                      "--horizon", "4", "--report", str(report))
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert set(err) == {"error"}
+    assert err["error"]["type"] == "NumericError"
+    assert "test metrics ['mse', 'nll'] are not finite" in err["error"]["message"]
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "diagnose"])
 def test_overflowing_csv_exits_4_with_one_json_object(tmp_path, command):
     # 1e200-scale values: the column std overflows to inf.  train used to

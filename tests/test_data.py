@@ -407,6 +407,55 @@ def test_window_reads_counter(rng):
     assert ws.reads == 2
 
 
+READER_ROWS = {
+    "all": np.arange(40),
+    "one-run": np.arange(5, 17),
+    "gaps": np.array([0, 2, 3, 4, 9, 10, 11, 12, 13, 20, 39]),
+    "single": np.array([17]),
+    "last": np.array([39]),
+    "unsorted": np.array([30, 3, 4, 5, 1, 22, 23]),
+}
+
+
+@pytest.mark.parametrize("rows", READER_ROWS.values(), ids=READER_ROWS.keys())
+@pytest.mark.parametrize("few", [1, 3, None], ids=["few-1", "few-3", "default"])
+@pytest.mark.parametrize("D", [1, 3])
+def test_sample_blocks_write_the_rows_of_as_samples(monkeypatch, rng, D, few, rows):
+    # `few` label windows per gather chunk: block sizes 1, 4 and 7 put block
+    # edges inside runs of consecutive windows and inside gaps, and leave
+    # short last chunks
+    H, T = 3, 5
+    if few is not None:
+        monkeypatch.setattr(data, "CHUNK_FLOATS", few * D * T)
+    ws = make_windows(frame_of(rng.standard_normal((40 + H + T - 1, D))), H, T)
+    Xs, Ys = ws.as_samples()
+    want_x = Xs.reshape(len(ws), D, H)[rows].reshape(-1, H)
+    want_y = Ys.reshape(len(ws), D, T)[rows].reshape(-1, T)
+    for block in (1, 4, 7, 40):
+        # the history buffer is a column slice, as in partial_corr_matrix
+        x_buf = np.full((block * D, H + 1), np.nan)
+        y_buf = np.full((block * D, T), np.nan)
+        reads = ws.reads
+        got = [(x.copy(), y.copy()) for x, y in ws.sample_blocks(rows, x_buf[:, 1:], y_buf)]
+        assert ws.reads == reads + 1
+        assert [len(y) for _, y in got] == [
+            D * len(rows[lo:lo + block]) for lo in range(0, len(rows), block)]
+        assert np.array_equal(np.concatenate([x for x, _ in got]), want_x)
+        assert np.array_equal(np.concatenate([y for _, y in got]), want_y)
+        assert np.isnan(x_buf[:, 0]).all()
+
+
+def test_sample_blocks_yield_views_of_the_buffers(rng):
+    ws = make_windows(frame_of(rng.standard_normal((30, 2))), 2, 3)
+    x_buf, y_buf = np.empty((8, 2)), np.empty((8, 3))
+    for x, y in ws.sample_blocks(np.arange(0, 26, 2), x_buf, y_buf):
+        assert np.shares_memory(x, x_buf) and np.shares_memory(y, y_buf)
+    # a pass is one read of the split and of its parent
+    child = ws.slice(3, 20)
+    list(child.sample_blocks(np.arange(17), x_buf, y_buf))
+    assert (child.reads, ws.reads) == (1, 2)
+
+
 # ----------------------------------------------------------------- splits
 
 def test_chrono_split_windows_five_five(rng):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qdf import diagnostics
+from qdf import data, diagnostics
 from qdf.data import (
     ArSpec,
     SeriesFrame,
@@ -505,20 +505,150 @@ def test_pooled_mixed_levels_match_exact_rational_fit(H, T, seed):
 
 @pytest.mark.parametrize("variable", [None, 1])
 def test_each_block_is_gathered_once(monkeypatch, variable):
-    # 29 windows in blocks of 7: each block's history and labels, once each
+    # 29 windows in blocks of 7: one reader pass, and each block's history
+    # and labels gathered once each
     monkeypatch.setattr(diagnostics, "BLOCK_WINDOWS", 7)
-    gathered = []
-    gather = diagnostics._samples
+    passes, blocks, gathered = [], [], []
+    read, gather = WindowSet.sample_blocks, data._gather
 
-    def counted(stack, rows, *args):
-        gathered.append(len(rows))
-        return gather(stack, rows, *args)
+    def counted_pass(self, *args):
+        passes.append(self)
+        for hist, labels in read(self, *args):
+            blocks.append(len(labels) // self.n_vars)
+            yield hist, labels
 
-    monkeypatch.setattr(diagnostics, "_samples", counted)
+    def counted_gather(stack, idx, out):
+        gathered.append(len(idx))
+        return gather(stack, idx, out)
+
+    monkeypatch.setattr(WindowSet, "sample_blocks", counted_pass)
+    monkeypatch.setattr(data, "_gather", counted_gather)
     H, T = 2, 4
     frame = gen_ar_frame(ArSpec((0.6,), 1.0, 29 + H + T - 1, seed=41), 3)
     partial_corr_matrix(frame, H, T, subsample=10**9, variable=variable)
+    assert len(passes) == 1 and passes[0].reads == 1
+    assert blocks == [7, 7, 7, 7, 1]
     assert gathered == [7, 7, 7, 7, 7, 7, 7, 7, 1, 1]
+
+
+def parent_partial_corr(frame, history, horizon, subsample, variable=None, seed=0):
+    """The one-pass fit as it was before the window-block reader, kept as the
+    byte-equality oracle: each block fancy-indexed out of the window views,
+    Q (Q^T labels) taken off the whole block at once, and the subsample
+    sorted with np.sort."""
+    def samples(stack, rows, out):
+        block = stack[rows].transpose(0, 2, 1)
+        out = out[:block.size // stack.shape[1]]
+        np.copyto(out.reshape(block.shape), block)
+        return out
+
+    if variable is not None:
+        frame = SeriesFrame(frame.values[:, [variable]], [frame.names[variable]])
+    windows = make_windows(frame, history, horizon)
+    n = len(windows)
+    if subsample < n:
+        rows = np.sort(np.random.default_rng(seed).choice(n, size=subsample, replace=False))
+    else:
+        rows = np.arange(n)
+    samples_n = len(rows) * windows.n_vars
+    X, Y = windows.arrays()
+    width = history + 1
+    level = frame.values.mean()
+    stack_rows = width + min(diagnostics.BLOCK_WINDOWS, len(rows)) * windows.n_vars
+    stack = np.zeros((stack_rows, width))
+    stack[width:, 0] = 1.0
+    label_rows = np.zeros((stack_rows, horizon))
+    fitted_rows = np.empty((stack_rows, horizon))
+    flags = []
+    gram = np.zeros((horizon, horizon))
+    for lo in range(0, len(rows), diagnostics.BLOCK_WINDOWS):
+        block = rows[lo:lo + diagnostics.BLOCK_WINDOWS]
+        hist = samples(X, block, stack[width:, 1:])
+        labels = samples(Y, block, label_rows[width:])
+        hist -= level
+        labels -= level
+        m = width + len(labels)
+        Q, R = np.linalg.qr(stack[:m])
+        resid = label_rows[:m]
+        proj = Q.T @ resid
+        resid -= np.matmul(Q, proj, out=fitted_rows[:m])
+        gram += resid.T @ resid
+        stack[:width] = R
+        label_rows[:width] = proj
+    s = np.linalg.svd(R, compute_uv=False)
+    rank = np.count_nonzero(s > np.finfo(float).eps * max(samples_n, width) * s[0])
+    if rank < width:
+        flags.append("ridge_fallback")
+        coef = np.linalg.solve(R.T @ R + diagnostics.RIDGE_LAMBDA * np.eye(width), R.T @ proj)
+        E = proj - R @ coef
+        mean = R[0, 0] * E[0] / samples_n
+        gram += E.T @ E - samples_n * np.outer(mean, mean)
+    sumsq = np.maximum(np.diagonal(gram), 0.0)
+    cond_var = sumsq / samples_n
+    dead = cond_var < VAR_EPS
+    scale = np.sqrt(np.maximum(sumsq, VAR_EPS * samples_n))
+    corr = gram / np.outer(scale, scale)
+    corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
+    np.fill_diagonal(corr, 1.0)
+    flags += [f"zero_variance_step_{int(t)}" for t in np.nonzero(dead)[0]]
+    corr[dead, :] = 0.0
+    corr[:, dead] = 0.0
+    np.fill_diagonal(corr, 1.0)
+    return corr, cond_var, flags
+
+
+def assert_byte_equal_to_parent(frame, history, horizon, subsample, variable, seed=0):
+    report = partial_corr_matrix(frame, history, horizon, subsample=subsample,
+                                 variable=variable, seed=seed)
+    corr, cond_var, flags = parent_partial_corr(frame, history, horizon, subsample,
+                                                variable, seed)
+    assert report.matrix.tobytes() == corr.tobytes()
+    assert report.cond_var.tobytes() == cond_var.tobytes()
+    assert report.flags == flags
+    return report
+
+
+@pytest.mark.parametrize("variable", [None, 2])
+@pytest.mark.parametrize("subsample", [205, 700, 10**9],
+                         ids=["one-row-tail", "subsampled", "all-windows"])
+@pytest.mark.parametrize("block", [7, 128])
+def test_pass_is_byte_equal_to_the_parent_pass(monkeypatch, block, subsample, variable):
+    # T = 96 puts several residual chunks of 85 rows in each block; with the
+    # default blocks the subsample has runs of consecutive windows and gaps in
+    # each.  205 = 128 + 77 windows of one variable leave a last block of
+    # 9 + 77 = 86 rows, one past a chunk, which the chunk before takes in
+    monkeypatch.setattr(diagnostics, "BLOCK_WINDOWS", block)
+    frame = gen_ar_frame(ArSpec((0.5,), 1.0, 1400, seed=83), 3)
+    for seed in (0, 5):
+        assert_byte_equal_to_parent(frame, 8, 96, subsample, variable, seed)
+
+
+@pytest.mark.parametrize("variable", [None, 0])
+@pytest.mark.parametrize("subsample", [20, 10**9], ids=["subsampled", "all-windows"])
+@pytest.mark.parametrize("block", [4, 128])
+def test_ridge_fallback_is_byte_equal_to_the_parent_pass(monkeypatch, block, subsample,
+                                                          variable):
+    monkeypatch.setattr(diagnostics, "BLOCK_WINDOWS", block)
+    report = assert_byte_equal_to_parent(ridge_series(), 4, 5, subsample, variable, seed=1)
+    assert report.flags == ["ridge_fallback"]
+
+
+def test_diagnose_shape_holds_no_second_label_block():
+    # the diagnose benchmark's shape: 5000 of 20k windows, 8 variables, T = 96.
+    # Beyond the one label buffer, the fit used to hold a fancy-indexed label
+    # block and a whole-block product as large as it: 2.81 MB traced, against
+    # 1.47 MB with the reader and the row-chunked product
+    H, T, D = 8, 96, 8
+    frame = gen_ar_frame(ArSpec((0.5,), 1.0, 20_000, seed=0), D)
+    tracemalloc.start()
+    try:
+        report = partial_corr_matrix(frame, H, T, subsample=5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.meta["samples"] == 5000 * D
+    label_block = (H + 1 + diagnostics.BLOCK_WINDOWS * D) * T * 8
+    assert peak < 2 * label_block
 
 
 def pooled_fit_peak(rows, H, T, D):

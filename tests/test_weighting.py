@@ -11,6 +11,7 @@ import scipy.linalg.lapack
 from scipy.linalg import solve_triangular
 
 import qdf
+from conftest import complex_factor, complex_step
 from qdf import weighting
 from qdf.errors import ConditioningError, InvalidDimensionError
 from qdf.weighting import (
@@ -18,6 +19,7 @@ from qdf.weighting import (
     WeightingMode,
     WeightingParams,
     _masks,
+    factor_from_raw,
     frobenius_distance,
     identity_params,
     lapack,
@@ -290,6 +292,60 @@ def test_weighting_layer_matches_reference_formulas_bitwise(mode, rng):
     assert np.any(diagonals >= 0) and np.any(diagonals < 0)
     assert np.any(softplus(diagonals) < SOFTPLUS_FLOOR)
     assert np.any((diagonals < 0) & (softplus(diagonals) > SOFTPLUS_FLOOR))
+
+
+def sigma_form_grad(raw, mode, G, floor=0.0):
+    """Complex-step gradient over ``raw`` of sum(G * Sigma), Sigma = L L^T
+    with a plain transpose, so that it is analytic in ``raw``."""
+    def form(z):
+        L = complex_factor(z, mode, floor)
+        return (G * (L @ L.T)).sum()
+
+    return complex_step(form, raw)
+
+
+@pytest.mark.parametrize("mode", list(WeightingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("T", [1, 2, 8, 33])
+def test_raw_grad_matches_complex_step(rng, mode, T):
+    # normwise, with every diagonal of L far above SOFTPLUS_FLOOR (softplus(-3)
+    # is 0.049); the worst case measured 2.7e-16 of the norm.  T = 1 in
+    # OFFDIAG_ONLY mode has no free entry, and both sides are 0
+    free = {WeightingMode.FULL: np.tri(T), WeightingMode.DIAG_ONLY: np.eye(T),
+            WeightingMode.OFFDIAG_ONLY: np.tri(T, k=-1)}[mode] != 0
+    for _ in range(3):
+        raw = rng.uniform(-1, 1, (T, T))
+        np.fill_diagonal(raw, rng.uniform(-3, 3, T))
+        G = rng.standard_normal((T, T))  # not symmetric: raw_grad symmetrizes it
+        oracle = sigma_form_grad(raw, mode, G)
+        got = raw_grad(raw, factor_from_raw(raw, mode), G, mode)
+        assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        assert np.all(got[~free] == 0.0) and np.all(oracle[~free] == 0.0)
+        assert np.all(oracle[free] != 0.0)
+
+
+@pytest.mark.parametrize("mode", [WeightingMode.FULL, WeightingMode.DIAG_ONLY],
+                         ids=lambda m: m.value)
+def test_raw_grad_is_zero_where_the_floor_clamps(rng, mode):
+    # softplus(-40) is 4e-18, so those diagonals of L sit at the floor, where
+    # the clamp is not analytic: L does not move with them, and their gradient
+    # is exactly 0.  Elsewhere raw_grad matches the complex step of the
+    # factor that holds them at the floor
+    T = 6
+    raw = rng.uniform(-1, 1, (T, T))
+    np.fill_diagonal(raw, [-40.0, 0.5, -40.0, -1.0, 2.0, -40.0])
+    clamped = np.array([True, False, True, False, False, True])
+    L = factor_from_raw(raw, mode)
+    assert np.all(L.diagonal()[clamped] == SOFTPLUS_FLOOR)
+    for i in np.flatnonzero(clamped):
+        moved = raw.copy()
+        moved[i, i] += 1.0
+        assert np.array_equal(factor_from_raw(moved, mode), L)
+    G = rng.standard_normal((T, T))
+    got = raw_grad(raw, L, G, mode)
+    assert np.all(got.diagonal()[clamped] == 0.0)
+    oracle = sigma_form_grad(raw, mode, G, floor=SOFTPLUS_FLOOR)
+    assert np.all(oracle.diagonal()[clamped] == 0.0)
+    assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 @pytest.mark.parametrize("mode", list(WeightingMode), ids=lambda m: m.value)
