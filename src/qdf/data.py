@@ -30,6 +30,7 @@ from .errors import (
     InvalidSplitError,
     NumericError,
     UnstableSpecError,
+    integer,
 )
 from .weighting import lapack
 
@@ -44,7 +45,11 @@ def _all_finite(v: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class SeriesFrame:
-    """Time-major N x D value matrix with column names."""
+    """Time-major N x D value matrix with column names.
+
+    ``values`` is a read-only view that shares the caller's array: the frame
+    copies nothing, and the caller's array stays writeable.
+    """
 
     values: np.ndarray
     names: list[str]
@@ -59,6 +64,7 @@ class SeriesFrame:
             )
         if not _all_finite(v):
             raise NumericError("series contains non-finite entries")
+        v = v.view()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -178,9 +184,8 @@ def load_csv(path, skip_first_column: bool = False) -> SeriesFrame:
     rejected with a parse error carrying the 1-based row (and, for a bad
     cell, the column) of the first fault in reading order.
 
-    Without a date column, numpy's C reader parses the body first; whenever
-    it cannot vouch for its result, the file is read again cell by cell,
-    which finds the fault.  A file with a date column is read cell by cell.
+    numpy's C reader parses the body, date column or not; whenever it cannot
+    vouch for its result, the file is read again cell by cell, finding the fault.
     """
     path = Path(path)
     try:
@@ -189,7 +194,7 @@ def load_csv(path, skip_first_column: bool = False) -> SeriesFrame:
         raise CsvParseError(f"cannot read {path}: {exc}") from exc
     with fh:
         try:
-            frame = None if skip_first_column else _load_fast(fh)
+            frame = _load_fast(fh, skip_first_column)
             if frame is None:
                 fh.seek(0)
                 frame = _load_checked(fh, path, skip_first_column)
@@ -198,9 +203,11 @@ def load_csv(path, skip_first_column: bool = False) -> SeriesFrame:
     return frame
 
 
-def _load_fast(fh) -> SeriesFrame | None:
+def _load_fast(fh, skip_first_column: bool) -> SeriesFrame | None:
     """The file through np.loadtxt, or None if the result might differ from
-    the cell-by-cell reading (which then also finds any fault)."""
+    the cell-by-cell reading (which then also finds any fault).  Quotes split
+    as in ``csv``; a date column reads as 0.0 and is dropped after the width
+    check, so a long row still fails it."""
     header = next((row for row in csv.reader(fh) if row), None)
     if header is None:
         return None
@@ -208,16 +215,19 @@ def _load_fast(fh) -> SeriesFrame | None:
         # a header-only file makes loadtxt warn rather than raise
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+            values = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"',
+                                converters={0: lambda cell: 0.0} if skip_first_column else None)
     except (ValueError, Warning):
         return None
     if values.shape[1] != len(header) or not _all_finite(values):
         return None
+    if skip_first_column:  # contiguous, so sums round as on the undated file
+        values, header = np.ascontiguousarray(values[:, 1:]), header[1:]
     return SeriesFrame(values, header)
 
 
 def _load_checked(fh, path, skip_first_column: bool) -> SeriesFrame:
-    """csv.reader row by row; raises at the first fault, with its position."""
+    """Cell by cell, for files numpy refuses; raises at the first fault, with its position."""
     names = None
     rows, row_numbers = [], []
     ragged = None
@@ -235,12 +245,7 @@ def _load_checked(fh, path, skip_first_column: bool) -> SeriesFrame:
         else:
             rows.append(cells)
             row_numbers.append(i)
-    try:
-        values = np.array(rows, dtype=float)
-    except ValueError:
-        values = None
-    if values is None or not _all_finite(values):
-        values = _parse_cells(rows, row_numbers)
+    values = _parse_cells(rows, row_numbers)
     if ragged is not None:
         raise ragged
     if not rows:
@@ -269,13 +274,12 @@ def _parse_cells(rows, row_numbers) -> np.ndarray:
 
 
 def write_csv(frame: SeriesFrame, path) -> None:
+    """Header through csv.writer, then %.17g cells in CRLF rows through np.savetxt."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(frame.names)
-        for row in frame.values:
-            writer.writerow([f"{v:.17g}" for v in row])
+        csv.writer(fh).writerow(frame.names)
+        np.savetxt(fh, frame.values, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
 @dataclass
@@ -333,6 +337,8 @@ def make_windows(
     against a periodic innovation schedule).  X and Y are read-only views
     of the frame's values; no window is copied.
     """
+    history, horizon = integer("history", history), integer("horizon", horizon)
+    stride = integer("stride", stride)
     if history < 1 or horizon < 1 or stride < 1:
         raise InvalidDimensionError("history, horizon and stride must be >= 1")
     if frame.n_vars == 0:
@@ -387,10 +393,10 @@ def chrono_split(data, fractions):
 class ArSpec:
     """Stable AR(p) process spec with a per-step innovation-scale schedule.
 
-    ``noise_std`` is either a scalar or a 1-D array treated as periodic with
-    its own length, anchored at the first retained sample.  The spec keeps a
-    read-only copy of it.  Specs are equal, and hash alike, when their
-    coefficients, schedule values, length and seed are.
+    ``noise_std`` is either a scalar or a non-empty 1-D array treated as
+    periodic with its own length, anchored at the first retained sample.  The
+    spec keeps a read-only copy of it.  Specs are equal, and hash alike, when
+    their coefficients, schedule values, length and seed are.
     """
 
     coeffs: tuple[float, ...]
@@ -402,10 +408,14 @@ class ArSpec:
         coeffs = tuple(float(c) for c in np.asarray(self.coeffs, dtype=float).ravel())
         object.__setattr__(self, "coeffs", coeffs)
         sched = np.atleast_1d(np.array(self.noise_std, dtype=float))
+        if sched.ndim != 1 or sched.size == 0:
+            raise InvalidDimensionError("noise_std must be a scalar or a non-empty 1-D schedule")
         if np.any(sched <= 0) or not np.all(np.isfinite(sched)):
             raise UnstableSpecError("noise_std entries must be positive and finite")
         sched.setflags(write=False)
         object.__setattr__(self, "noise_std", sched)
+        object.__setattr__(self, "length", integer("length", self.length))
+        object.__setattr__(self, "seed", integer("seed", self.seed))
         if self.length < 1:
             raise InvalidDimensionError("length must be >= 1")
         if not self.seed >= 0:

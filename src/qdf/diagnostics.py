@@ -26,6 +26,7 @@ from .errors import (
     InvalidDimensionError,
     NumericError,
     UndefinedCorrelationError,
+    integer,
 )
 
 log = logging.getLogger(__name__)
@@ -46,14 +47,16 @@ class PartialCorrReport:
     flags: list[str] = field(default_factory=list)
 
 
-def _check_variable(variable: int, n_vars: int) -> None:
+def _check_variable(variable: int, n_vars: int) -> int:
+    variable = integer("variable", variable)
     if not 0 <= variable < n_vars:
         raise InvalidDimensionError(f"variable {variable} out of range (D={n_vars})")
+    return variable
 
 
 def _design_and_labels(windows: WindowSet, variable: int):
     """Intercept-plus-history design and label matrix of one variable."""
-    _check_variable(variable, windows.n_vars)
+    variable = _check_variable(variable, windows.n_vars)
     X, Y = windows.arrays()
     hist = X[:, :, variable]
     labels = Y[:, :, variable]
@@ -127,12 +130,13 @@ def partial_corr_matrix(
     ``BLOCK_WINDOWS`` windows holds O(block * (H + T) + H * T + T^2) memory
     beyond the window index arrays.
     """
+    subsample, seed = integer("subsample", subsample), integer("seed", seed)
     if not subsample >= 1:
         raise InvalidConfigError(f"subsample must be >= 1, got {subsample!r}")
     if not seed >= 0:
         raise InvalidConfigError(f"seed must be nonnegative, got {seed!r}")
     if variable is not None:
-        _check_variable(variable, frame.n_vars)
+        variable = _check_variable(variable, frame.n_vars)
         frame = SeriesFrame(frame.values[:, [variable]], [frame.names[variable]])
     windows = make_windows(frame, history, horizon)
     n = len(windows)

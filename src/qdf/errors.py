@@ -3,8 +3,10 @@
 Every error the library raises deliberately derives from QdfError so callers
 can distinguish our failures from genuine bugs.  Each class carries the CLI
 exit code it maps to: 3 for bad data or configuration, 4 for numeric or
-conditioning failures.
+conditioning failures.  ``integer`` is the one rule for integer arguments.
 """
+
+import numpy as np
 
 
 class QdfError(Exception):
@@ -62,3 +64,10 @@ class UndefinedCorrelationError(QdfError, ArithmeticError):
     """Residual variance too small for a meaningful correlation."""
 
     exit_code = 4
+
+
+def integer(name: str, value) -> int:
+    """``value`` as an int; InvalidConfigError for a bool or a non-integer such as 2.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .bilevel import hypergradient, make_split_pair
 from .data import WindowSet, chrono_split
-from .errors import InvalidConfigError, InvalidSplitError, NumericError
+from .errors import InvalidConfigError, InvalidSplitError, NumericError, integer
 from .model import (
     AdamState,
     LinearForecaster,
@@ -85,11 +85,8 @@ class QdfConfig:
     def __post_init__(self):
         for name in ("k_splits", "outer_rounds", "inner_steps", "epochs", "batch_size",
                      "patience", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
             # stored as int, so that a numpy integer still serializes to JSON
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         for name in ("k_splits", "outer_rounds", "inner_steps", "batch_size", "epochs",
                      "patience", "inner_lr", "final_lr"):
             value = getattr(self, name)

@@ -29,6 +29,7 @@ from qdf.data import (
 from qdf.errors import (
     CsvParseError,
     InsufficientDataError,
+    InvalidConfigError,
     InvalidDimensionError,
     InvalidSplitError,
     NumericError,
@@ -56,6 +57,14 @@ def test_series_frame_finiteness_verdict(bad):
         faulty[i, j] = bad
         with pytest.raises(NumericError, match="non-finite"):
             SeriesFrame(faulty, list("abc"))
+
+
+def test_series_frame_leaves_the_callers_array_writeable():
+    a = np.zeros((5, 2))
+    frame = SeriesFrame(a, ["x", "y"])
+    a[0, 0] = 1.0  # raised while the frame froze the caller's array
+    assert frame.values[0, 0] == 1.0  # no copy: the frame shares a's memory
+    assert not frame.values.flags.writeable
 
 
 def test_series_frame_checks_finiteness_without_a_mask():
@@ -218,7 +227,12 @@ CLEAN_FILES = {
     "no-final-newline": "a,b\n1,2\n3,4",
     "spaces-around-numbers": "a,b\n 1 , 2\n3,4\n",
     "quoted-header": '"a,1",b\n1,2\n',
+    "quoted-cells": 'a,b\n"1",2\n3," -4e-3 "\n',
 }
+
+
+def refuse(*args):
+    raise AssertionError("fell back to the cell-by-cell reader")
 
 
 @pytest.mark.parametrize("name", sorted(CLEAN_FILES))
@@ -226,11 +240,7 @@ def test_clean_csv_never_reaches_the_fallback(name, tmp_path, monkeypatch):
     path = tmp_path / "clean.csv"
     path.write_bytes(CLEAN_FILES[name].encode("utf-8"))
     names, values = reference_load_csv(path, False)
-
-    def fallback(*args):
-        raise AssertionError("fell back to the cell-by-cell reader")
-
-    monkeypatch.setattr(data, "_load_checked", fallback)
+    monkeypatch.setattr(data, "_load_checked", refuse)
     frame = load_csv(path)
     assert frame.names == names
     assert frame.values.tobytes() == values.tobytes()
@@ -239,7 +249,7 @@ def test_clean_csv_never_reaches_the_fallback(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("text", [
     "a,b\n1\n2\n",  # every row one cell short: loadtxt reads one column
     "a,b\n1,2\n3,4,5\n",  # a long row
-    'a,b\n"1",2\n',  # a quoted cell
+    'a,b\n"1_0",2\n',  # a quoted cell numpy does not parse
 ], ids=["short-rows", "long-row", "quoted-cell"])
 def test_rows_loadtxt_cannot_vouch_for_fall_back(text, tmp_path):
     path = tmp_path / "p.csv"
@@ -249,19 +259,49 @@ def test_rows_loadtxt_cannot_vouch_for_fall_back(text, tmp_path):
 
 @pytest.mark.parametrize("text", [
     "date,a,b\n2020-01-01 00:00,1,2\n2020-01-01 01:00,3,4\n",
-    "date,a,b\nd,1,2\nd,3,4,5\n",  # a long row
     'date,a,b\n"2020-01-01, 00:00",1,2\n',  # a quoted comma
     'date,a\n"d,1\n2",3\n',  # a quoted newline
-], ids=["clean", "long-row", "quoted-comma", "quoted-newline"])
-def test_date_column_csv_is_read_cell_by_cell(text, tmp_path, monkeypatch):
+    'date,a\n"a""b",3\n"""",4\n',  # doubled quotes
+    'date,a,b\nd,"1.5",2\nd,3," -4e-3 "\n',  # quoted numbers
+], ids=["clean", "quoted-comma", "quoted-newline", "doubled-quote", "quoted-number"])
+def test_date_column_csv_takes_numpys_reader(text, tmp_path, monkeypatch):
     path = tmp_path / "p.csv"
     path.write_bytes(text.encode("utf-8"))
+    names, values = reference_load_csv(path, True)
+    monkeypatch.setattr(data, "_load_checked", refuse)
+    frame = load_csv(path, skip_first_column=True)
+    assert frame.names == names
+    assert frame.values.tobytes() == values.tobytes()
+    assert frame.values.shape == values.shape and frame.values.flags.c_contiguous
 
-    def fast(*args):
-        raise AssertionError("tried numpy's reader")
 
-    monkeypatch.setattr(data, "_load_fast", fast)
+def test_date_column_long_row_falls_back(tmp_path, monkeypatch):
+    # numpy parses the date column too, so a row one cell long is refused
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"date,a,b\nd,1,2\nd,3,4,5\n")
+    calls = []
+    checked = data._load_checked
+    monkeypatch.setattr(data, "_load_checked", lambda *args: calls.append(1) or checked(*args))
     assert_matches_reference(path, True)
+    assert calls == [1]
+
+
+def test_dated_csv_loads_in_little_more_than_its_array(tmp_path):
+    # the cell-by-cell reader's rows of Python strings traced 16.1 MB on this file
+    values = np.random.default_rng(0).standard_normal((20000, 8))
+    path = tmp_path / "dated.csv"
+    write_csv(frame_of(values), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    dated = ["date," + lines[0]] + [f"2020-01-01 {i:05d},{line}" for i, line in enumerate(lines[1:])]
+    path.write_text("\n".join(dated) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        frame = load_csv(path, skip_first_column=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert frame.values.tobytes() == values.tobytes()
+    assert peak < 3 * frame.values.nbytes
 
 
 @pytest.mark.parametrize("text", ["a,b\n", "a,b", "a,b\r\n\r\n\r\n", "\n\na\n\n"])
@@ -297,6 +337,35 @@ def test_write_csv_round_trip(tmp_path, rng):
     write_csv(frame, path)
     back = load_csv(path)
     assert np.allclose(back.values, frame.values, atol=1e-15)
+
+
+def reference_write_csv(frame, path):
+    """One csv.writer row per time step, each cell formatted with .17g."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(frame.names)
+        for row in frame.values:
+            writer.writerow([f"{v:.17g}" for v in row])
+
+
+WRITE_FRAMES = {
+    "extremes": ([[-0.0, 5e-324, 1.7976931348623157e308],
+                  [0.1, -2.2250738585072014e-308, -1.7976931348623157e308]], ["x", "y", "z"]),
+    "names": ([[1.0, -2.5, 3e-7, 4e22, 0.0]], ["a,b", 'say "hi"', "two\nlines", "", "\u00e9t\u00e9"]),
+    "empty-name": ([[1.0], [2.0]], [""]),
+    "no-rows": (np.empty((0, 3)), ["a", "b", "c"]),
+    "no-columns": (np.empty((4, 0)), []),
+    "random": (np.random.default_rng(3).standard_normal((50, 4)) * [1e-200, 1.0, 1e5, 1e200],
+               list("abcd")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITE_FRAMES))
+def test_write_csv_is_byte_equal_to_the_csv_writer_loop(name, tmp_path):
+    frame = SeriesFrame(np.array(WRITE_FRAMES[name][0], dtype=float), WRITE_FRAMES[name][1])
+    reference_write_csv(frame, tmp_path / "want.csv")
+    write_csv(frame, tmp_path / "got.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 # ------------------------------------------------------------ standardize
@@ -392,6 +461,14 @@ def test_windows_are_read_only_views_of_the_frame(rng):
     # sample rows are copies, also where a reshape alone would give overlapping rows
     uni = make_windows(frame_of(rng.standard_normal(40)), 4, 2)
     assert all(a.flags.c_contiguous for a in (*ws.as_samples(), *uni.as_samples()))
+
+
+@pytest.mark.parametrize("args", [(2.5, 2), (2, 2.0), (2, 2, 1.5)],
+                         ids=["float-history", "float-horizon", "float-stride"])
+def test_windows_reject_non_integer_sizes(args):
+    # make_windows(frame, 2.5, 2) raised TypeError
+    with pytest.raises(InvalidConfigError, match="must be an integer"):
+        make_windows(frame_of(np.arange(20.0)), *args)
 
 
 def test_strided_windows_alignment():
@@ -642,6 +719,27 @@ def test_unstable_spec_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(UnstableSpecError, match="finite"):
             ArSpec(coeffs=(0.5, bad), noise_std=1.0, length=100, seed=0)
+
+
+@pytest.mark.parametrize("noise_std", [np.array([]), np.ones((2, 3))], ids=["empty", "2-D"])
+def test_ar_spec_rejects_a_schedule_that_is_not_1d_and_non_empty(noise_std):
+    # an empty schedule raised IndexError in gen_ar, a 2-D one a broadcast ValueError
+    with pytest.raises(InvalidDimensionError, match="noise_std"):
+        gen_ar(ArSpec((0.5,), noise_std, 10, 0))
+
+
+@pytest.mark.parametrize("kwargs", [{"length": 10.5}, {"seed": 1.5}, {"length": True}],
+                         ids=["float-length", "float-seed", "bool-length"])
+def test_ar_spec_rejects_non_integer_length_and_seed(kwargs):
+    # gen_ar raised TypeError on a float length or seed
+    with pytest.raises(InvalidConfigError, match="must be an integer"):
+        gen_ar(ArSpec((0.5,), **{"noise_std": 1.0, "length": 10, "seed": 0, **kwargs}))
+
+
+def test_ar_spec_stores_numpy_integers_as_int():
+    spec = ArSpec((0.5,), 1.0, np.int64(10), np.int32(3))
+    assert type(spec.length) is int and type(spec.seed) is int
+    assert spec == ArSpec((0.5,), 1.0, 10, 3)
 
 
 def test_ar_spec_keeps_a_read_only_copy_of_the_schedule():

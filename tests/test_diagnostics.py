@@ -157,6 +157,16 @@ def test_subsample_clamps_and_records():
     assert report.meta["windows"] == 300 - 4 - 3 + 1
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"subsample": 100.5}, {"seed": 1.5}, {"variable": 0.5}, {"seed": True},
+], ids=["float-subsample", "float-seed", "float-variable", "bool-seed"])
+def test_non_integer_arguments_raise_config_errors(kwargs):
+    # a float subsample or seed raised TypeError, and variable=0.5 IndexError
+    frame = gen_ar(ArSpec((0.5,), 1.0, 300, seed=29))
+    with pytest.raises(InvalidConfigError, match="must be an integer"):
+        partial_corr_matrix(frame, 4, 3, **kwargs)
+
+
 def test_subsampling_deterministic():
     frame = gen_ar(ArSpec((0.5,), 1.0, 3000, seed=31))
     a = partial_corr_matrix(frame, 4, 3, subsample=500, seed=5)
