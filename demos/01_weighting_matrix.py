@@ -26,15 +26,15 @@ sigma = w.sigma
 print("identity parameterization materializes to:")
 print(sigma)
 
-# --- any raw values stay PSD
+# --- any raw values stay PSD; the horizon (4) is read off the square raw block
 raw = rng.uniform(-2, 2, size=(4, 4))
-sigma = WeightingParams(raw, 4).sigma
+sigma = WeightingParams(raw).sigma
 eigs = np.linalg.eigvalsh(sigma)
 print("\nrandom raw block -> eigenvalues all nonnegative:", eigs)
 
-# --- ablation modes freeze part of the factor
-L_diag = WeightingParams(raw, 4, WeightingMode.DIAG_ONLY).factor
-L_off = WeightingParams(raw, 4, WeightingMode.OFFDIAG_ONLY).factor
+# --- ablation modes freeze part of the factor; the mode must be a WeightingMode
+L_diag = WeightingParams(raw, WeightingMode.DIAG_ONLY).factor
+L_off = WeightingParams(raw, WeightingMode.OFFDIAG_ONLY).factor
 print("\ndiag-only factor (off-diagonals pinned to zero):")
 print(L_diag)
 print("offdiag-only factor (diagonal pinned to one):")

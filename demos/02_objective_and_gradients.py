@@ -52,9 +52,10 @@ g_resid = grad_wrt_residual(residuals, w)
 g_fd = fd(lambda r: quadratic_loss(r, w), residuals)
 print("\nresidual gradient max |analytic - fd|:", np.max(np.abs(g_resid - g_fd)))
 
-# --- and the gradient with respect to the raw weighting entries
-raw = WeightingParams(rng.uniform(-1, 1, (T, T)), T)
+# --- and the gradient with respect to the raw weighting entries (a T x T
+#     block; WeightingParams reads the horizon off it)
+raw = WeightingParams(rng.uniform(-1, 1, (T, T)))
 g_w = grad_wrt_weighting(residuals, raw)
-g_w_fd = fd(lambda r: quadratic_loss(residuals, WeightingParams(r, T)), np.array(raw.raw))
+g_w_fd = fd(lambda r: quadratic_loss(residuals, WeightingParams(r)), np.array(raw.raw))
 print("weighting gradient max |analytic - fd| (lower triangle):",
       np.max(np.abs(np.tril(g_w - g_w_fd))))

@@ -114,13 +114,10 @@ def cmd_synth(args) -> int:
     coeffs = tuple(args.phi) if args.phi else ()
     if (args.ramp_from is None) != (args.ramp_to is None):
         raise InvalidSplitError("--ramp-from and --ramp-to must be given together")
+    noise = args.noise
     if args.ramp_from is not None:
-        sched = args.noise * ramp_noise_schedule(
-            args.history, args.horizon, args.ramp_from, args.ramp_to
-        )
-        noise = sched
-    else:
-        noise = args.noise
+        noise = noise * ramp_noise_schedule(args.history, args.horizon,
+                                            args.ramp_from, args.ramp_to)
     spec = ArSpec(coeffs, noise, args.n, args.seed)
     # Everything that can be rejected comes first, so a rejection writes nothing.
     oracle = ar_conditional_cov(spec, args.horizon)
@@ -176,12 +173,11 @@ def _load_windows(args):
 
 def cmd_train(args) -> int:
     train, valid, test, stats = _load_windows(args)
-    cfg = QdfConfig(**{
-        f.name: getattr(args, f.name) for f in fields(QdfConfig) if hasattr(args, f.name)
-    })
-    report, model, w = run_variant(
-        train, valid, test, args.variant, cfg, sigma_path=args.dump_sigma
-    )
+    cfg = QdfConfig(**{f.name: getattr(args, f.name) for f in fields(QdfConfig)})
+    report, model, w = run_variant(train, valid, test, args.variant, cfg)
+    if args.dump_sigma is not None:
+        write_matrix_csv(args.dump_sigma, w.sigma)
+        report.sigma_path = str(args.dump_sigma)
     report.config["data"] = {
         "path": str(args.data),
         "valid_path": str(args.valid_data) if args.valid_data else None,

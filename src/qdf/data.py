@@ -6,9 +6,10 @@ caller's buffers, a block at a time, with no temporary larger than
 ``CHUNK_FLOATS`` floats.
 
 The synthetic side generates autoregressive series with an optional periodic
-innovation-scale schedule and provides the exact conditional covariance of
-the label steps given the past, which serves as the oracle for benchmark and
-diagnostic tests.
+innovation-scale schedule, solving the recursion through a band buffer of
+about the same ``CHUNK_FLOATS`` floats, and provides the exact conditional
+covariance of the label steps given the past, which serves as the oracle for
+benchmark and diagnostic tests.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class WindowSet:
 
 
 # Floats in one chunk of a blockwise pass: the gather of WindowSet.sample_blocks,
-# and the residual rows of partial_corr_matrix.
+# the residual rows of partial_corr_matrix, and gen_ar's band buffer.
 CHUNK_FLOATS = 2**13
 
 
@@ -456,9 +457,14 @@ def ramp_noise_schedule(
     history: int, horizon: int, var_start: float, var_end: float
 ) -> np.ndarray:
     """Periodic std schedule: flat at sqrt(var_start) over the history slots,
-    then variance ramping var_start -> var_end across the horizon slots."""
+    then variance ramping var_start -> var_end across the horizon slots.
+    Both variances must be positive and finite."""
+    history, horizon = integer("history", history), integer("horizon", horizon)
     if history < 0 or horizon < 1:
         raise InvalidDimensionError("history must be >= 0 and horizon >= 1")
+    for name, var in (("var_start", var_start), ("var_end", var_end)):
+        if not 0 < var < np.inf:  # also rejects NaN
+            raise InvalidConfigError(f"{name} must be positive and finite, got {var!r}")
     head = np.full(history, np.sqrt(var_start))
     tail = np.sqrt(np.linspace(var_start, var_end, horizon))
     return np.concatenate([head, tail])
@@ -467,9 +473,7 @@ def ramp_noise_schedule(
 def ma_weights(coeffs, count: int) -> np.ndarray:
     """First ``count`` moving-average weights of the AR polynomial (psi_0=1)."""
     psi = np.zeros(count)
-    if count == 0:
-        return psi
-    psi[0] = 1.0
+    psi[:1] = 1.0
     for m in range(1, count):
         acc = 0.0
         for j, phi in enumerate(coeffs, start=1):
@@ -480,9 +484,6 @@ def ma_weights(coeffs, count: int) -> np.ndarray:
     return psi
 
 
-BAND_FLOATS = 2**13  # gen_ar's band buffer: (p+1) x (p + block) floats
-
-
 def gen_ar(spec: ArSpec) -> SeriesFrame:
     """Seeded realization of an AR process; 10*p burn-in samples are discarded.
 
@@ -491,8 +492,8 @@ def gen_ar(spec: ArSpec) -> SeriesFrame:
     The recursion y[n] = eps[n] + sum_k phi_k y[n-k] is the banded solve
     A y = eps, with A unit lower triangular and A[n, n-k] = -phi_k.
 
-    It is solved block by block through one band buffer of about
-    ``BAND_FLOATS`` floats, so memory is O(n + p * block), not O(p * n).
+    It is solved block by block through one (p+1) x (p + block) band buffer
+    of about ``CHUNK_FLOATS`` floats, so memory is O(n + p * block), not O(p * n).
     Each block's solve starts with p rows holding the previous block's last
     p outputs (zeros before the first block), and the band entries that
     would land on those rows are zero, so they pass through unchanged.  Every
@@ -512,7 +513,7 @@ def _fill_ar(spec: ArSpec, out: np.ndarray) -> None:
     burn = 10 * p
     total = spec.length + burn
     period = spec.noise_std.shape[0]
-    block = max(p, BAND_FLOATS // (p + 1))
+    block = max(p, CHUNK_FLOATS // (p + 1))
     # LAPACK lower band storage: row k holds the k-th subdiagonal; row 0, the
     # unit diagonal, is not read.  Fortran order, or the wrapper copies it.
     band = np.zeros((p + 1, p + block), order="F")
@@ -534,6 +535,8 @@ def _fill_ar(spec: ArSpec, out: np.ndarray) -> None:
 
 def gen_ar_frame(spec: ArSpec, n_vars: int) -> SeriesFrame:
     """Independent realizations (per-variable child seeds) as columns."""
+    if integer("n_vars", n_vars) < 1:
+        raise InvalidDimensionError(f"n_vars must be >= 1, got {n_vars}")
     seeds = np.random.SeedSequence(spec.seed).spawn(n_vars)
     values = np.empty((spec.length, n_vars))
     for d, child in enumerate(seeds):
@@ -551,7 +554,7 @@ def ar_conditional_cov(spec: ArSpec, horizon: int) -> np.ndarray:
     windows whose starts are aligned to the schedule period.  NumericError
     if the covariance is not finite (a squared innovation scale overflows).
     """
-    if horizon < 1:
+    if integer("horizon", horizon) < 1:
         raise InvalidDimensionError("horizon must be >= 1")
     psi = ma_weights(spec.coeffs, horizon)
     period = spec.noise_std.shape[0]

@@ -191,6 +191,9 @@ def partial_corr_matrix(
             gram += resid.T @ resid
             stack[:width] = R
             label_rows[:width] = proj
+        # The block buffers go first: the SVD's first call faults in LAPACK code
+        # pages, and with the buffers still held those pages raise the peak RSS.
+        del stack, label_rows, fitted, hist, labels, resid, Q
         # R has the centred design's singular values, so the rank rule of
         # _fit_residuals applies to it unchanged.  At full rank the intercept
         # keeps the residuals' mean at 0, and the Gram is already centred.

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidDimensionError, NumericError
+from .errors import InvalidDimensionError, NumericError, integer
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,8 @@ class LinearForecaster:
 
 def init_forecaster(history: int, horizon: int, rng: np.random.Generator) -> LinearForecaster:
     """Uniform[-1/sqrt(H), 1/sqrt(H)] weights, zero bias."""
+    if integer("history", history) < 1 or integer("horizon", horizon) < 1:
+        raise InvalidDimensionError(f"history and horizon must be >= 1, got {history}, {horizon}")
     bound = 1.0 / np.sqrt(history)
     w = rng.uniform(-bound, bound, size=(horizon, history))
     return LinearForecaster(np.column_stack([w, np.zeros(horizon)]))
@@ -115,7 +117,7 @@ def sgd_update(theta, grad, lr, out=None) -> np.ndarray:
 class AdamState:
     """Adam accumulator: first and second moments of the parameter block."""
 
-    def __init__(self, m: LinearForecaster, lr=1e-3):
+    def __init__(self, m: LinearForecaster, lr: float):
         self.lr = lr
         self.t = 0
         self.m1 = np.zeros_like(m.theta)

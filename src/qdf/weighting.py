@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConditioningError, InvalidDimensionError
+from .errors import ConditioningError, InvalidConfigError, InvalidDimensionError, integer
 
 # Diagonal entries of L never drop below this, keeping Sigma invertible even
 # under aggressive outer updates.
@@ -84,30 +84,33 @@ def _masks(T: int, mode: WeightingMode) -> tuple[np.ndarray, np.ndarray, np.ndar
 class WeightingParams:
     """Immutable parameterization of the weighting matrix.
 
-    ``raw`` is a dense T x T array whose upper triangle is ignored.  Updates
+    ``raw`` is a dense, non-empty T x T array whose upper triangle is ignored,
+    and T is the horizon; ``mode`` must be a ``WeightingMode``.  Updates
     produce new instances; the stored array is marked read-only, and so are
     ``factor`` (L), ``sigma`` and ``inverse`` (Sigma^-1), each derived once
     on first use and then shared by every caller.  Masks are built once per (horizon, mode).
     """
 
     raw: np.ndarray
-    horizon: int
     mode: WeightingMode = WeightingMode.FULL
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise InvalidDimensionError(f"horizon must be >= 1, got {self.horizon}")
+        if not isinstance(self.mode, WeightingMode):
+            raise InvalidConfigError(f"mode must be a WeightingMode, got {self.mode!r}")
         raw = np.array(self.raw, dtype=float)
-        if raw.shape != (self.horizon, self.horizon):
-            raise InvalidDimensionError(
-                f"raw must be {self.horizon}x{self.horizon}, got {raw.shape}"
-            )
-        _check_raw(raw, self.mode)
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.size == 0:
+            raise InvalidDimensionError(f"raw must be a non-empty square block, got {raw.shape}")
+        if not np.isfinite(np.where(_masks(raw.shape[0], self.mode)[0], raw, 0.0)).all():
+            raise InvalidDimensionError("raw lower triangle must be finite")
         raw.setflags(write=False)
         object.__setattr__(self, "raw", raw)
 
+    @property
+    def horizon(self) -> int:
+        return self.raw.shape[0]
+
     def with_raw(self, raw: np.ndarray) -> "WeightingParams":
-        return WeightingParams(raw, self.horizon, self.mode)
+        return WeightingParams(raw, self.mode)
 
     @cached_property
     def factor(self) -> np.ndarray:
@@ -162,11 +165,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 # The array-level kernel: plain T x T arrays in, fresh arrays out.
-
-
-def _check_raw(raw: np.ndarray, mode: WeightingMode) -> None:
-    if not np.isfinite(np.where(_masks(raw.shape[0], mode)[0], raw, 0.0)).all():
-        raise InvalidDimensionError("raw lower triangle must be finite")
 
 
 def factor_from_raw(raw: np.ndarray, mode: WeightingMode) -> np.ndarray:
@@ -243,11 +241,11 @@ def raw_grad(raw: np.ndarray, L: np.ndarray, grad_sigma: np.ndarray,
 
 def identity_params(horizon: int, mode: WeightingMode = WeightingMode.FULL) -> WeightingParams:
     """Parameters materializing to the identity matrix (the MSE baseline)."""
-    if horizon < 1:
+    if integer("horizon", horizon) < 1:
         raise InvalidDimensionError(f"horizon must be >= 1, got {horizon}")
     raw = np.zeros((horizon, horizon))
     np.fill_diagonal(raw, softplus_inv(1.0))
-    return WeightingParams(raw, horizon, mode)
+    return WeightingParams(raw, mode)
 
 
 def params_from_matrix(
@@ -263,7 +261,7 @@ def params_from_matrix(
         raise ConditioningError(f"matrix is not positive definite: {exc}") from None
     raw = np.tril(L, k=-1)
     raw[np.diag_indices_from(raw)] = softplus_inv(np.diagonal(L))
-    return WeightingParams(raw, sigma.shape[0], mode)
+    return WeightingParams(raw, mode)
 
 
 def frobenius_distance(a: WeightingParams, b: WeightingParams) -> float:

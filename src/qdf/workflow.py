@@ -4,7 +4,8 @@ Three phases: start the weighting at the identity, refine it by cycling
 atomic bilevel updates over K chronological subsets of the training windows
 until the materialized matrix stops moving (Frobenius delta under ``tol``)
 or the round budget runs out, then train the final model under the frozen
-learned objective with minibatches and early stopping.
+learned objective with minibatches, stopping early after ``PATIENCE``
+epochs without a better validation loss.
 
 The refinement carries two plain arrays from one atomic update to the next,
 the parameter block and the weighting's raw block.  An update is
@@ -47,7 +48,6 @@ from .weighting import (
     frobenius_distance,
     identity_params,
     normalized_raw,
-    write_matrix_csv,
 )
 
 VARIANTS = ("df", "qdf", "qdf-diag", "qdf-offdiag")
@@ -62,6 +62,9 @@ _VARIANT_MODE = {
 # A Sigma beyond this condition number has diverged, even while finite.
 # Every passing benchmark cell stays below 15.
 MAX_SIGMA_COND = 1e6
+
+# Final training stops after this many epochs without a better validation loss.
+PATIENCE = 3
 
 
 @dataclass(frozen=True)
@@ -79,16 +82,14 @@ class QdfConfig:
     batch_size: int = 64
     final_lr: float = 0.01
     final_optimizer: str = "sgd"
-    patience: int = 3
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("k_splits", "outer_rounds", "inner_steps", "epochs", "batch_size",
-                     "patience", "seed"):
+        for name in ("k_splits", "outer_rounds", "inner_steps", "epochs", "batch_size", "seed"):
             # stored as int, so that a numpy integer still serializes to JSON
             object.__setattr__(self, name, integer(name, getattr(self, name)))
         for name in ("k_splits", "outer_rounds", "inner_steps", "batch_size", "epochs",
-                     "patience", "inner_lr", "final_lr"):
+                     "inner_lr", "final_lr"):
             value = getattr(self, name)
             if not 0 < value < np.inf:  # also rejects NaN
                 raise InvalidConfigError(f"{name} must be positive and finite, got {value!r}")
@@ -166,7 +167,7 @@ def train_final(
     """Phase 3: minibatch training under the frozen weighting.
 
     Early-stops when the validation loss (under the same weighting) has not
-    improved for ``patience`` consecutive epochs; returns the best snapshot.
+    improved for ``PATIENCE`` consecutive epochs; returns the best snapshot.
     A non-finite parameter update raises NumericError at once.
     """
     if train.horizon != w.horizon:
@@ -204,7 +205,7 @@ def train_final(
             stale = 0
         else:
             stale += 1
-            if stale >= cfg.patience:
+            if stale >= PATIENCE:
                 break
     timer.lap("final_train")
     return best_model
@@ -256,11 +257,10 @@ def run_variant(
     test: WindowSet,
     variant: str,
     cfg: QdfConfig,
-    sigma_path=None,
 ) -> tuple[RunReport, LinearForecaster, WeightingParams]:
     """One full run of a variant; all randomness flows from cfg.seed through
     named streams so variants with equal seeds share initialization and
-    batch order."""
+    batch order.  It writes no file: the caller may save the report and w.sigma."""
     if variant not in VARIANTS:
         raise InvalidConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -278,14 +278,11 @@ def run_variant(
         valid=valid, rng=np.random.default_rng(batch_ss), timer=timer,
     )
     metrics = evaluate(model, test, w)
-    if sigma_path is not None:
-        write_matrix_csv(sigma_path, w.sigma)
     report = RunReport(
         variant=variant,
         seed=cfg.seed,
         config=cfg.as_dict(),
         metrics=metrics,
-        sigma_path=str(sigma_path) if sigma_path is not None else None,
         timings_ms={k: timer.totals_ms.get(k, 0.0) for k in TIMING_KEYS},
         timings_cpu_ms={k: timer.cpu_ms.get(k, 0.0) for k in TIMING_KEYS},
         phase_steps={k: timer.steps.get(k, 0) for k in TIMING_KEYS},

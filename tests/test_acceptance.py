@@ -62,13 +62,13 @@ def test_criterion_1_gradient_correctness():
         B = int(rng.integers(1, 4))
         H = int(rng.integers(1, 7))
         raw = rng.uniform(-1.2, 1.2, size=(T, T))
-        w = WeightingParams(raw, T)
+        w = WeightingParams(raw)
         resid = rng.standard_normal((B, T))
 
         fd_r = central_diff(lambda r: quadratic_loss(r, w), resid)
         worst["residual"] = max(worst["residual"], rel_err(grad_wrt_residual(resid, w), fd_r))
 
-        fd_w = central_diff(lambda rw: quadratic_loss(resid, WeightingParams(rw, T)), raw)
+        fd_w = central_diff(lambda rw: quadratic_loss(resid, WeightingParams(rw)), raw)
         worst["weighting"] = max(
             worst["weighting"], rel_err(np.tril(grad_wrt_weighting(resid, w)), np.tril(fd_w))
         )
@@ -106,7 +106,7 @@ def test_criterion_2_hypergradient_correctness():
             frame = SeriesFrame(rng.standard_normal((80, 1)), ["y"])
             pair = make_split_pair(make_windows(frame, H, T))
             theta0 = init_forecaster(H, T, rng)
-            w = WeightingParams(rng.uniform(-0.6, 0.6, (T, T)), T)
+            w = WeightingParams(rng.uniform(-0.6, 0.6, (T, T)))
             cfg = QdfConfig(inner_steps=n_steps, inner_lr=0.02, eta=0.1)
             from qdf.bilevel import hypergradient
 
@@ -127,7 +127,7 @@ def test_criterion_3_psd_invariance():
     worst = np.inf
     for _ in range(1000):
         T = int(rng.integers(1, 9))
-        sigma = WeightingParams(rng.uniform(-3, 3, (T, T)), T).sigma
+        sigma = WeightingParams(rng.uniform(-3, 3, (T, T))).sigma
         v = rng.standard_normal((100, T))
         worst = min(worst, float(np.min(np.einsum("ij,jk,ik->i", v, sigma, v))))
     elapsed = time.time() - t0

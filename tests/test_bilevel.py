@@ -60,7 +60,7 @@ def fd_hypergradient(theta0, w, split, cfg, step=1e-4):
     Xo, Yo = split.outer.as_samples()
 
     def outer_loss_at(raw):
-        perturbed = WeightingParams(raw, w.horizon, w.mode)
+        perturbed = WeightingParams(raw, w.mode)
         W, b = reference_inner_run(theta0, perturbed, X, Y, cfg.inner_steps, cfg.inner_lr)
         resid = Yo - (Xo @ W.T + b)
         return quadratic_loss(resid, w)  # direct slot fixed at w
@@ -153,7 +153,7 @@ def test_hypergradient_matches_finite_differences(rng, inner_steps):
         pair = build_pair(rng, H, T, n_rows=90)
         theta0 = init_forecaster(H, T, rng)
         raw = rng.uniform(-0.6, 0.6, size=(T, T))
-        w = WeightingParams(raw, T)
+        w = WeightingParams(raw)
         cfg = QdfConfig(inner_steps=inner_steps, inner_lr=0.02, eta=0.1)
         analytic = hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[1]
         fd = fd_hypergradient(theta0, w, pair, cfg)
@@ -184,7 +184,7 @@ def test_hypergradient_matches_complex_step(rng, mode, T):
 def test_hypergradient_spec_example_n1_t2(rng):
     pair = build_pair(rng, 2, 2, 70)
     theta0 = init_forecaster(2, 2, rng)
-    w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
+    w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)))
     cfg = QdfConfig(inner_steps=1, inner_lr=0.05, eta=0.1)
     analytic = hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[1]
     fd = fd_hypergradient(theta0, w, pair, cfg)
@@ -249,7 +249,7 @@ def test_stop_gradient_zero_outer_residuals(rng):
     ws = make_windows(frame, H, T)
     pair = make_split_pair(ws)
     theta0 = init_forecaster(H, T, rng)
-    w = WeightingParams(rng.uniform(-0.5, 0.5, (T, T)), T)
+    w = WeightingParams(rng.uniform(-0.5, 0.5, (T, T)))
     cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
 
     # theta after the inner loop, computed by the module's own path
@@ -284,7 +284,7 @@ def test_outer_moment_seed_matches_row_seed(rng, mode, T):
         H = int(rng.integers(1, 9))
         pair = build_pair(rng, H, T, n_rows=int(rng.integers(40, 120)))
         theta = rng.standard_normal((T, H + 1))
-        A = WeightingParams(rng.uniform(-0.6, 0.6, (T, T)), T, mode).inverse
+        A = WeightingParams(rng.uniform(-0.6, 0.6, (T, T)), mode).inverse
         Xo, Yo = pair.outer.as_samples()
         rows = bound_grad(theta, A, np.empty_like(theta))(Xo, Yo)
         moments = _outer_seed(theta, A, pair.outer_moments)
@@ -311,7 +311,7 @@ def test_outer_split_is_read_once_per_pair(rng):
 def test_overflowing_outer_split_raises_numeric_error(rng):
     pair = build_pair(rng, 3, 2, 60)
     theta0 = init_forecaster(3, 2, rng)
-    w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
+    w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)))
     cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
     Xo, Yo = pair.outer.arrays()
     huge = SplitPair(pair.inner, WindowSet(Xo * 1e300, Yo, pair.outer.starts))
@@ -322,7 +322,7 @@ def test_overflowing_outer_split_raises_numeric_error(rng):
 def test_hypergradient_deterministic(rng):
     pair = build_pair(rng, 4, 3, 80)
     theta0 = init_forecaster(4, 3, rng)
-    w = WeightingParams(rng.uniform(-0.5, 0.5, (3, 3)), 3)
+    w = WeightingParams(rng.uniform(-0.5, 0.5, (3, 3)))
     cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
     g1 = hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[1]
     g2 = hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[1]
@@ -392,7 +392,7 @@ def test_unrolled_loop_guards_fire(rng, monkeypatch, where, message):
     # learn_weighting's update over it
     pair, theta0, cfg = guard_case(rng, where)
     monkeypatch.setattr(workflow, "make_split_pair", lambda windows: pair)
-    w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)), 2)
+    w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)))
     for run in (lambda: hypergradient(theta0.theta, w.raw, w.mode, pair, cfg),
                 lambda: workflow.learn_weighting(pair.inner, theta0, cfg)):
         with np.errstate(over="ignore", invalid="ignore"), \

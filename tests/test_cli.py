@@ -126,6 +126,7 @@ def test_train_writes_report_and_sigma(synth_csv, tmp_path):
     assert set(report["timings_ms"]) == {
         "inner_fwd", "inner_bwd", "outer_fwd", "outer_bwd", "final_train"
     }
+    assert report["sigma_path"] == str(sigma_path)
     sigma = np.loadtxt(sigma_path, delimiter=",")
     assert sigma.shape == (4, 4)
 
@@ -565,7 +566,7 @@ def test_unreadable_csv_exits_3_with_one_json_object(tmp_path, body, reason, dat
 def test_train_tuning_defaults_come_from_config():
     args = cli.build_parser().parse_args(["train", "--data", "x.csv", "--horizon", "4"])
     tuned = [f for f in fields(QdfConfig) if hasattr(args, f.name)]
-    assert {f.name for f in tuned} == {f.name for f in fields(QdfConfig)} - {"patience"}
+    assert {f.name for f in tuned} == {f.name for f in fields(QdfConfig)}
     for f in tuned:
         assert getattr(args, f.name) == f.default, f.name
 

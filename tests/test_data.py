@@ -668,7 +668,7 @@ def test_gen_ar_is_float_hex_equal_to_one_band_solve(coeffs, ramp):
     # same order as one solve over all rows, at and around block ends
     noise = ramp_noise_schedule(16, 8, 1.0, 3.0) if ramp else 0.7
     p = len(coeffs)
-    block = max(p, data.BAND_FLOATS // (p + 1))
+    block = max(p, data.CHUNK_FLOATS // (p + 1))
     for length in sorted({1, max(block - 1, 1), block, block + 1, 3 * block + 5}):
         spec = ArSpec(coeffs, noise, length, seed=length)
         assert gen_ar(spec).values[:, 0].tobytes() == one_band_solve(spec).tobytes(), length
@@ -704,7 +704,7 @@ def test_gen_ar_memory_follows_the_output():
     n, p = 100_000, 96
     seasonal = (0.0,) * (p - 1) + (0.6,)
     gen_ar_peak(seasonal, 10)  # LAPACK loaded outside the traced calls
-    band_bytes = 8 * (p + 1) * (p + max(p, data.BAND_FLOATS // (p + 1)))
+    band_bytes = 8 * (p + 1) * (p + max(p, data.CHUNK_FLOATS // (p + 1)))
     slack = 64 * 1024
     assert gen_ar_peak(seasonal, n) - gen_ar_peak((0.6,), n) < band_bytes + slack
     assert gen_ar_peak(seasonal, 2 * n) - gen_ar_peak(seasonal, n) < 8 * n + slack
@@ -753,6 +753,17 @@ def test_ar_spec_keeps_a_read_only_copy_of_the_schedule():
     assert np.array_equal(gen_ar(spec).values, before)
 
 
+@pytest.mark.parametrize("n_vars, error", [
+    (2.5, InvalidConfigError), (True, InvalidConfigError),
+    (0, InvalidDimensionError), (-1, InvalidDimensionError),
+], ids=["float", "bool", "zero", "negative"])
+def test_gen_ar_frame_rejects_a_bad_column_count(n_vars, error):
+    # 2.5 raised TypeError, -1 OverflowError from SeedSequence.spawn, and 0
+    # returned a frame with no columns
+    with pytest.raises(error):
+        gen_ar_frame(ArSpec((0.5,), 1.0, 10, 0), n_vars)
+
+
 def test_gen_ar_frame_independent_columns():
     spec = ArSpec(coeffs=(0.5,), noise_std=1.0, length=4000, seed=5)
     frame = gen_ar_frame(spec, 2)
@@ -783,6 +794,32 @@ def test_ar1_implied_partial_correlation():
     spec = ArSpec(coeffs=(0.5,), noise_std=1.0, length=100, seed=0)
     corr = cov_to_corr(ar_conditional_cov(spec, 2))
     assert corr[0, 1] == pytest.approx(0.5 / np.sqrt(1.25), abs=1e-12)
+
+
+@pytest.mark.parametrize("horizon", [2.5, np.float64(3.0), True],
+                         ids=["float", "numpy-float", "bool"])
+def test_conditional_cov_rejects_a_non_integer_horizon(horizon):
+    # 2.5 raised TypeError, and True returned a 1 x 1 covariance
+    with pytest.raises(InvalidConfigError, match="must be an integer"):
+        ar_conditional_cov(ArSpec((0.5,), 1.0, 100, 0), horizon)
+
+
+@pytest.mark.parametrize("args, error", [
+    ((2.5, 3, 1.0, 2.0), InvalidConfigError),
+    ((2, 3.0, 1.0, 2.0), InvalidConfigError),
+    ((2, 3, -1.0, 2.0), InvalidConfigError),
+    ((2, 3, 1.0, 0.0), InvalidConfigError),
+    ((2, 3, float("nan"), 2.0), InvalidConfigError),
+    ((2, 3, 1.0, float("inf")), InvalidConfigError),
+], ids=["float-history", "float-horizon", "negative-start", "zero-end", "nan-start",
+        "inf-end"])
+def test_ramp_schedule_rejects_bad_sizes_and_variances(args, error):
+    # sizes raised TypeError; -1.0 gave NaN behind a sqrt RuntimeWarning, and
+    # NaN, zero and infinite variances passed silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            ramp_noise_schedule(*args)
 
 
 def test_ramp_schedule_positions():

@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import central_diff, complex_step, rel_err
-from qdf.errors import InvalidDimensionError, NumericError
+from qdf.errors import InvalidConfigError, InvalidDimensionError, NumericError
 from qdf.model import (
     AdamState,
     LinearForecaster,
@@ -17,6 +18,18 @@ from qdf.model import (
 )
 from qdf.objective import mse_loss, quadratic_loss
 from qdf.weighting import WeightingParams
+
+
+@pytest.mark.parametrize("history, horizon, error", [
+    (2.5, 3, InvalidConfigError), (2, 3.0, InvalidConfigError), (True, 3, InvalidConfigError),
+    (0, 3, InvalidDimensionError), (2, 0, InvalidDimensionError),
+], ids=["float-history", "float-horizon", "bool-history", "zero-history", "zero-horizon"])
+def test_init_forecaster_rejects_bad_sizes(history, horizon, error):
+    # floats raised TypeError, and history 0 divided by zero before its error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            init_forecaster(history, horizon, np.random.default_rng(0))
 
 
 def test_zero_weights_forecast_is_bias():
@@ -87,7 +100,7 @@ def test_grad_params_matches_finite_differences_of_quadratic(rng):
     m = init_forecaster(H, T, rng)
     x = rng.standard_normal((H, D))
     y = rng.standard_normal((T, D))
-    w = WeightingParams(rng.uniform(-1, 1, (T, T)), T)
+    w = WeightingParams(rng.uniform(-1, 1, (T, T)))
 
     def loss_at(theta):
         return quadratic_loss(y.T - forecast_batch(LinearForecaster(theta), x.T), w)
@@ -119,7 +132,7 @@ def test_grad_params_batch_agrees_with_per_window(rng):
     theta = init_forecaster(H, T, rng).theta
     xs = rng.standard_normal((6, H))
     ys = rng.standard_normal((6, T))
-    A = WeightingParams(rng.uniform(-1, 1, (T, T)), T).inverse
+    A = WeightingParams(rng.uniform(-1, 1, (T, T))).inverse
     batch = grad_of(theta, xs, ys, A)
     rows = [grad_of(theta, xs[i : i + 1], ys[i : i + 1], A) for i in range(6)]
     assert np.allclose(batch, np.mean(rows, axis=0), atol=1e-12)

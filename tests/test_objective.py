@@ -20,7 +20,7 @@ from qdf.weighting import (
 
 def known_params():
     raw = np.array([[softplus_inv(2.0), 0.0], [1.0, softplus_inv(2.0)]])
-    return WeightingParams(raw, 2)  # L = [[2,0],[1,2]], Sigma = [[4,2],[2,5]]
+    return WeightingParams(raw)  # L = [[2,0],[1,2]], Sigma = [[4,2],[2,5]]
 
 
 def test_quadratic_loss_identity_is_squared_norm():
@@ -110,7 +110,7 @@ def test_horizon_mismatch_errors(name, residuals, error):
 @pytest.mark.parametrize("name", sorted(RESIDUAL_FUNCTIONS))
 def test_one_dimensional_residuals_are_one_row(name):
     f = RESIDUAL_FUNCTIONS[name]
-    w = WeightingParams(np.random.default_rng(3).uniform(-1, 1, (3, 3)), 3)
+    w = WeightingParams(np.random.default_rng(3).uniform(-1, 1, (3, 3)))
     row = np.array([0.5, -1.0, 2.0])
     np.testing.assert_array_equal(f(row, w), f(row[None, :], w))
 
@@ -135,7 +135,7 @@ def test_identity_equivalence_with_mse(rng):
 def test_positivity_and_zero_iff_zero_residual(rng):
     for _ in range(30):
         T = int(rng.integers(1, 6))
-        w = WeightingParams(rng.uniform(-2, 2, size=(T, T)), T)
+        w = WeightingParams(rng.uniform(-2, 2, size=(T, T)))
         batch = rng.standard_normal((3, T))
         assert quadratic_loss(batch, w) > 0
         assert quadratic_loss(np.zeros((3, T)), w) == 0.0
@@ -174,14 +174,14 @@ def test_grad_wrt_residual_matches_finite_differences(rng):
     for _ in range(20):
         T = int(rng.integers(1, 7))
         B = int(rng.integers(1, 5))
-        w = WeightingParams(rng.uniform(-1.5, 1.5, size=(T, T)), T)
+        w = WeightingParams(rng.uniform(-1.5, 1.5, size=(T, T)))
         r0 = rng.standard_normal((B, T))
         fd = central_diff(lambda r: quadratic_loss(r, w), r0)
         assert rel_err(grad_wrt_residual(r0, w), fd) <= 1e-5
 
 
 def test_grad_wrt_weighting_zero_residuals():
-    w = WeightingParams(np.random.default_rng(0).uniform(-1, 1, (3, 3)), 3)
+    w = WeightingParams(np.random.default_rng(0).uniform(-1, 1, (3, 3)))
     g = grad_wrt_weighting(np.zeros((2, 3)), w)
     assert np.all(g == 0.0)
 
@@ -194,10 +194,10 @@ def test_grad_wrt_weighting_matches_finite_differences(rng):
         batch = rng.standard_normal((B, T))
 
         def loss_of(raw):
-            return quadratic_loss(batch, WeightingParams(raw, T))
+            return quadratic_loss(batch, WeightingParams(raw))
 
         fd = central_diff(loss_of, raw0)
-        analytic = grad_wrt_weighting(batch, WeightingParams(raw0, T))
+        analytic = grad_wrt_weighting(batch, WeightingParams(raw0))
         assert rel_err(np.tril(analytic), np.tril(fd)) <= 1e-5
         assert np.all(np.triu(analytic, k=1) == 0.0)
 
@@ -205,7 +205,7 @@ def test_grad_wrt_weighting_matches_finite_differences(rng):
 def test_grad_wrt_weighting_spec_example_t2():
     batch = np.array([[1.0, 1.0]])
     p = identity_params(2)
-    fd = central_diff(lambda raw: quadratic_loss(batch, WeightingParams(raw, 2)), p.raw)
+    fd = central_diff(lambda raw: quadratic_loss(batch, WeightingParams(raw)), p.raw)
     analytic = grad_wrt_weighting(batch, p)
     assert np.max(np.abs(np.tril(analytic) - np.tril(fd))) <= 1e-6
 
@@ -218,7 +218,7 @@ def test_grad_wrt_weighting_spec_example_t2():
     ],
 )
 def test_grad_wrt_weighting_mode_masks(rng, mode, check):
-    w = WeightingParams(rng.uniform(-1, 1, (4, 4)), 4, mode)
+    w = WeightingParams(rng.uniform(-1, 1, (4, 4)), mode)
     g = grad_wrt_weighting(rng.standard_normal((3, 4)), w)
     assert check(g)
 
@@ -231,8 +231,8 @@ def test_masked_gradients_match_finite_differences(rng):
         batch = rng.standard_normal((5, T))
 
         def loss_of(raw):
-            return quadratic_loss(batch, WeightingParams(raw, T, mode))
+            return quadratic_loss(batch, WeightingParams(raw, mode))
 
         fd = central_diff(loss_of, raw0)
-        analytic = grad_wrt_weighting(batch, WeightingParams(raw0, T, mode))
+        analytic = grad_wrt_weighting(batch, WeightingParams(raw0, mode))
         assert rel_err(np.tril(analytic), np.tril(fd)) <= 1e-5

@@ -13,7 +13,7 @@ from scipy.linalg import solve_triangular
 import qdf
 from conftest import complex_factor, complex_step
 from qdf import weighting
-from qdf.errors import ConditioningError, InvalidDimensionError
+from qdf.errors import ConditioningError, InvalidConfigError, InvalidDimensionError
 from qdf.weighting import (
     SOFTPLUS_FLOOR,
     WeightingMode,
@@ -51,16 +51,45 @@ def test_identity_rejects_zero_horizon():
         identity_params(0)
 
 
+@pytest.mark.parametrize("horizon", [2.5, np.float64(3.0), True],
+                         ids=["float", "numpy-float", "bool"])
+def test_identity_rejects_a_non_integer_horizon(horizon):
+    # each raised TypeError from np.zeros
+    with pytest.raises(InvalidConfigError, match="must be an integer"):
+        identity_params(horizon)
+
+
+@pytest.mark.parametrize("raw", [np.zeros(3), np.zeros((2, 3)), np.zeros((0, 0))],
+                         ids=["1d", "2x3", "0x0"])
+def test_params_reject_a_raw_block_that_is_not_square_and_non_empty(raw):
+    with pytest.raises(InvalidDimensionError, match="non-empty square"):
+        WeightingParams(raw)
+
+
+@pytest.mark.parametrize("mode", ["diag", 4], ids=["string", "int"])
+def test_params_reject_a_mode_that_is_not_a_weighting_mode(mode):
+    # WeightingParams(raw, 2, "diag") recorded "diag" but built the FULL factor
+    with pytest.raises(InvalidConfigError, match="WeightingMode"):
+        WeightingParams(np.zeros((2, 2)), mode)
+
+
+def test_params_reject_a_positional_horizon():
+    # the horizon is read off raw; a stale WeightingParams(raw, T) is refused
+    with pytest.raises(InvalidConfigError, match="WeightingMode"):
+        WeightingParams(np.zeros((3, 3)), 3)
+    assert WeightingParams(np.zeros((3, 3)), WeightingMode.DIAG_ONLY).horizon == 3
+
+
 def test_materialize_known_factor():
     raw = np.array([[softplus_inv(2.0), 0.0], [1.0, softplus_inv(2.0)]])
-    w = WeightingParams(raw, 2)
+    w = WeightingParams(raw)
     L, sigma = w.factor, w.sigma
     assert np.allclose(L, [[2.0, 0.0], [1.0, 2.0]], atol=1e-12)
     assert np.allclose(sigma, [[4.0, 2.0], [2.0, 5.0]], atol=1e-12)
 
 
 def test_materialize_returns_the_same_read_only_arrays(rng):
-    w = WeightingParams(rng.uniform(-1, 1, size=(4, 4)), 4)
+    w = WeightingParams(rng.uniform(-1, 1, size=(4, 4)))
     L, sigma, inverse = w.factor, w.sigma, w.inverse
     assert w.factor is L and w.sigma is sigma and w.inverse is inverse
     assert np.allclose(inverse @ sigma, np.eye(4), atol=1e-10)
@@ -78,14 +107,14 @@ def test_inverse_of_singular_factor_raises_conditioning_error():
 
 
 def test_materialize_zero_raw_diagonal_gives_log_two():
-    L = WeightingParams(np.zeros((3, 3)), 3).factor
+    L = WeightingParams(np.zeros((3, 3))).factor
     assert np.allclose(np.diagonal(L), np.log(2.0), atol=1e-12)
 
 
 def test_materialize_ignores_upper_triangle():
     raw = np.zeros((2, 2))
     raw[0, 1] = 123.0
-    w = WeightingParams(raw, 2)
+    w = WeightingParams(raw)
     L, sigma = w.factor, w.sigma
     assert L[0, 1] == 0.0
     assert sigma[0, 1] == sigma[1, 0]
@@ -93,9 +122,9 @@ def test_materialize_ignores_upper_triangle():
 
 def test_mode_masks_are_exact(rng):
     raw = rng.uniform(-3, 3, size=(5, 5))
-    L_diag = WeightingParams(raw, 5, WeightingMode.DIAG_ONLY).factor
+    L_diag = WeightingParams(raw, WeightingMode.DIAG_ONLY).factor
     assert np.all(np.tril(L_diag, k=-1) == 0.0)
-    L_off = WeightingParams(raw, 5, WeightingMode.OFFDIAG_ONLY).factor
+    L_off = WeightingParams(raw, WeightingMode.OFFDIAG_ONLY).factor
     assert np.all(np.diagonal(L_off) == 1.0)
 
 
@@ -105,7 +134,7 @@ def test_random_params_are_psd(rng):
     for _ in range(1000):
         T = int(rng.integers(1, 7))
         raw = rng.uniform(-3, 3, size=(T, T))
-        sigma = WeightingParams(raw, T).sigma
+        sigma = WeightingParams(raw).sigma
         v = rng.standard_normal((100, T))
         worst = min(worst, float(np.min(np.einsum("ij,jk,ik->i", v, sigma, v))))
     assert worst >= -1e-10
@@ -129,7 +158,7 @@ def test_normalize_scale_examples():
 def test_normalize_scale_is_idempotent(rng):
     for _ in range(20):
         T = int(rng.integers(1, 6))
-        p = WeightingParams(rng.uniform(-2, 2, size=(T, T)), T)
+        p = WeightingParams(rng.uniform(-2, 2, size=(T, T)))
         once = p.with_raw(normalized_raw(p.raw, p.mode))
         twice = once.with_raw(normalized_raw(once.raw, once.mode))
         assert frobenius_distance(once, twice) <= 1e-10
@@ -143,7 +172,7 @@ def test_normalize_scale_is_idempotent(rng):
 ], ids=["trace", "rescaled"])
 def test_normalize_scale_rejects_an_overflowing_weighting(raw, error, message):
     # a diverged learned weighting is a numeric failure: exit 4
-    w = WeightingParams(np.array(raw), 2)
+    w = WeightingParams(np.array(raw))
     with np.errstate(over="ignore"), pytest.raises(error, match=message) as err:
         normalized_raw(w.raw, w.mode)
     assert err.value.exit_code == 4
@@ -158,7 +187,7 @@ def test_identity_start_is_a_fixed_point_of_the_rescale(mode):
 
 
 def test_normalize_scale_keeps_offdiag_mode_untouched(rng):
-    p = WeightingParams(rng.uniform(-2, 2, size=(4, 4)), 4, WeightingMode.OFFDIAG_ONLY)
+    p = WeightingParams(rng.uniform(-2, 2, size=(4, 4)), WeightingMode.OFFDIAG_ONLY)
     assert normalized_raw(p.raw, p.mode) is p.raw
 
 
@@ -185,7 +214,7 @@ def test_params_from_matrix_round_trip(rng):
 
 def test_softplus_floor_clamps_tiny_diagonals():
     raw = np.full((2, 2), -50.0)
-    L = WeightingParams(raw, 2).factor
+    L = WeightingParams(raw).factor
     assert np.all(np.diagonal(L) == SOFTPLUS_FLOOR)
 
 
@@ -277,7 +306,7 @@ def test_weighting_layer_matches_reference_formulas_bitwise(mode, rng):
                 raw[upper] = np.resize([np.nan, np.inf, -np.inf], len(upper[0]))
             diagonals.append(np.diagonal(raw).copy())
             grad_sigma = rng.standard_normal((T, T))
-            w = WeightingParams(raw, T, mode)
+            w = WeightingParams(raw, mode)
             L = ref_factor(raw, mode)
             assert_bitwise(w.factor, L)
             assert_bitwise(w.sigma, L @ L.T)
@@ -355,7 +384,7 @@ def test_masks_are_cached_read_only_and_gradients_are_fresh(mode, rng):
     for mask in masks:
         with pytest.raises(ValueError):
             mask[0, 0] = mask[0, 0]
-    w = WeightingParams(rng.uniform(-2, 2, size=(5, 5)), 5, mode)
+    w = WeightingParams(rng.uniform(-2, 2, size=(5, 5)), mode)
     grad_sigma = rng.standard_normal((5, 5))
     first = raw_grad(w.raw, w.factor, grad_sigma, mode)
     first[:] = 123.0

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -25,6 +26,7 @@ from qdf.weighting import (
     params_from_matrix,
 )
 from qdf.workflow import (
+    PATIENCE,
     QdfConfig,
     RunReport,
     evaluate,
@@ -40,14 +42,14 @@ def ar_windows(seed=0, length=800, H=8, T=4, phi=0.6):
 
 
 @pytest.mark.parametrize("bad", [
-    dict(batch_size=0), dict(final_optimizer="rmsprop"), dict(epochs=0), dict(patience=0),
+    dict(batch_size=0), dict(final_optimizer="rmsprop"), dict(epochs=0),
     dict(final_lr=0.0), dict(final_lr=float("nan")), dict(inner_lr=-0.1), dict(eta=-1e-3),
     dict(tol=-1.0), dict(k_splits=0), dict(outer_rounds=0), dict(inner_steps=0),
     dict(inner_lr=float("inf")), dict(final_lr=float("inf")), dict(eta=float("inf")),
     dict(tol=float("inf")),
     # counts must be integers: a float, even a whole one, a string or a bool is refused
     dict(outer_rounds=2.0), dict(inner_steps=1.5), dict(epochs=2.5), dict(batch_size=2.5),
-    dict(seed=1.5), dict(k_splits=3.0), dict(patience=np.float64(2.0)), dict(seed="1"),
+    dict(seed=1.5), dict(k_splits=3.0), dict(seed="1"),
     dict(epochs=True),
 ])
 def test_config_rejects_bad_values(bad):
@@ -184,7 +186,7 @@ def reference_mse_training(train, valid, W, b, cfg, rng):
             best, best_val, stale = (W, b), val, 0
         else:
             stale += 1
-            if stale >= cfg.patience:
+            if stale >= PATIENCE:
                 break
     return best
 
@@ -221,7 +223,7 @@ def reference_weighted_training(train, valid, w, W, b, cfg, rng):
             best, best_val, stale = (W, b), val, 0
         else:
             stale += 1
-            if stale >= cfg.patience:
+            if stale >= PATIENCE:
                 break
     return best
 
@@ -230,7 +232,7 @@ def test_train_final_nondiagonal_sigma_matches_oracle_training():
     ws = ar_windows(seed=12, length=600)
     train, valid = ws.slice(0, 400), ws.slice(420, 500)
     rng = np.random.default_rng(12)
-    w = WeightingParams(rng.uniform(-0.5, 0.5, (ws.horizon, ws.horizon)), ws.horizon)
+    w = WeightingParams(rng.uniform(-0.5, 0.5, (ws.horizon, ws.horizon)))
     assert np.count_nonzero(np.tril(w.factor, k=-1)) > 0
     cfg = QdfConfig(epochs=8, batch_size=32, final_lr=0.01, seed=12)
     model0 = init_forecaster(ws.history, ws.horizon, rng)
@@ -243,7 +245,7 @@ def test_train_final_nondiagonal_sigma_matches_oracle_training():
     assert np.max(np.abs(got.bias - b)) <= 1e-12
 
 
-def test_train_final_fits_noiseless_linear_process(rng):
+def test_train_final_fits_noiseless_linear_process(rng, monkeypatch):
     H, T = 4, 3
     A = rng.standard_normal((T, H)) * 0.4
     xs = rng.standard_normal((300, H))
@@ -256,7 +258,8 @@ def test_train_final_fits_noiseless_linear_process(rng):
     ws = WindowSet(X3, Y3, starts)
     train, valid = ws.slice(0, 250), ws.slice(250, 300)
     w = params_from_matrix(np.array([[2.0, 0.5, 0.0], [0.5, 1.5, 0.2], [0.0, 0.2, 1.0]]))
-    cfg = QdfConfig(epochs=400, batch_size=64, final_lr=0.1, patience=400, seed=0)
+    monkeypatch.setattr(workflow, "PATIENCE", 400)
+    cfg = QdfConfig(epochs=400, batch_size=64, final_lr=0.1, seed=0)
     model0 = init_forecaster(H, T, rng)
     model = train_final(train, w, model0, cfg, valid=valid, rng=rng)
     X, Y = train.as_samples()
@@ -304,7 +307,7 @@ def reference_adam_training(train, valid, w, W, b, cfg, rng):
             best, best_val, stale = (W, b), val, 0
         else:
             stale += 1
-            if stale >= cfg.patience:
+            if stale >= PATIENCE:
                 break
     return best
 
@@ -313,7 +316,7 @@ def test_train_final_adam_matches_separate_moment_reference_bitwise():
     ws = ar_windows(seed=14, length=600)
     train, valid = ws.slice(0, 400), ws.slice(420, 500)
     rng = np.random.default_rng(14)
-    w = WeightingParams(rng.uniform(-0.5, 0.5, (ws.horizon, ws.horizon)), ws.horizon)
+    w = WeightingParams(rng.uniform(-0.5, 0.5, (ws.horizon, ws.horizon)))
     cfg = QdfConfig(epochs=8, batch_size=32, final_lr=0.01, final_optimizer="adam", seed=14)
     model0 = init_forecaster(ws.history, ws.horizon, rng)
 
@@ -371,14 +374,13 @@ def test_run_variant_never_reads_test_before_metrics():
     assert test.reads == 1  # exactly one read: metric evaluation
 
 
-def test_run_variant_report_contents(tmp_path):
+def test_run_variant_report_contents():
     train, valid, test = split_three(ar_windows(seed=29, length=900))
     cfg = QdfConfig(epochs=3, batch_size=32, final_lr=0.01, eta=0.05,
                     outer_rounds=2, seed=29)
-    sigma_path = tmp_path / "sigma.csv"
-    report, _, _ = run_variant(train, valid, test, "qdf", cfg, sigma_path=sigma_path)
+    report, _, _ = run_variant(train, valid, test, "qdf", cfg)
     assert report.schema == 1
-    assert sigma_path.exists()
+    assert report.sigma_path is None
     payload = json.loads(report.to_json())
     assert set(payload["timings_ms"]) == {
         "inner_fwd", "inner_bwd", "outer_fwd", "outer_bwd", "final_train"
@@ -387,6 +389,17 @@ def test_run_variant_report_contents(tmp_path):
     assert payload["timings_ms"]["outer_bwd"] > 0
     assert payload["metrics"]["mse"] > 0
     assert payload["config"]["seed"] == 29
+
+
+def test_run_variant_writes_no_file(tmp_path, monkeypatch):
+    # the CLI writes --dump-sigma itself; run_variant only returns w
+    assert "sigma_path" not in inspect.signature(run_variant).parameters
+    monkeypatch.chdir(tmp_path)
+    train, valid, test = split_three(ar_windows(seed=29, length=900))
+    cfg = QdfConfig(epochs=3, batch_size=32, final_lr=0.01, eta=0.05,
+                    outer_rounds=2, seed=29)
+    run_variant(train, valid, test, "qdf", cfg)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_variant_deterministic_reruns():
