@@ -44,7 +44,7 @@ print(L_off)
 #     pin trace(Sigma^-1) = T after every update
 sigma0 = np.array([[4.0, 2.0], [2.0, 5.0]])
 params = params_from_matrix(sigma0)
-normalized = params.with_raw(normalized_raw(params.raw, params.mode))
+normalized = params.with_raw(*normalized_raw(params.raw, params.mode))
 sigma1 = normalized.sigma
 print("\nbefore normalization:")
 print(sigma0)

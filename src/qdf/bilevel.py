@@ -9,40 +9,46 @@ form is held constant.  Everything here is exact reverse-mode differentiation
 of the unrolled updates, with no autodiff.
 
 The model is linear and the loss quadratic, so with Z = [X, 1] and
-Theta = [W, b] the data of each split enter only through G = Z^T Z and
-C = Y^T Z, cached once per split pair.  With A = Sigma^-1 (formed once per
-call), an inner step is Theta <- Theta + (2 lr / B) A (C - Theta G),
+Theta = [W, b] the data of a split enter only through its moments G = Z^T Z,
+C = Y^T Z, S = Y^T Y and the row count B (``Moments``).  ``split_moments``
+reads a split once into one sample block [X | 1 | Y] (``sample_block``) and
+takes all three from views of it; each side of a split pair caches them.
+With A = Sigma^-1, an inner step is Theta <- Theta + (2 lr / B) A (C - Theta G),
 the reverse pass needs only the residual moments M_k = C - Theta_k G of each
 step, and the outer adjoint is seeded from the outer moments as
 -(2 / Bo) A (Co - Theta_N Go).  So an update costs O(T^2 H + T H^2) whatever
-the number of windows, and reads no sample row.  The seed is the outer
-residuals' R^T Z in normal-equation form: a perfect outer fit gives a
-hypergradient that is zero up to the rounding of Co - Theta_N Go.
+the number of windows, and reads no sample row.  The seed is the outer residuals' R^T Z in normal-equation
+form: a perfect outer fit gives a hypergradient that is zero up to the
+rounding of Co - Theta_N Go.  The same moments give a split's mean
+quadratic loss under a frozen A, which final training scores its
+validation split by (``Moments.loss``).
 
 At desk scale every array here is small, so the cost is per numpy call, not
 per flop.  ``hypergradient`` therefore runs on plain arrays: it takes the
-T x (H+1) parameter block and the weighting's ``raw`` block, forms L and
-Sigma^-1 from ``raw`` through the array-level kernel of ``weighting.py``,
-and returns theta_N and the ``raw`` gradient, building no model or weighting
-object.  It is the one function that runs the unroll and the reverse pass;
-the outer step and the rescale are ``workflow.learn_weighting``'s.  Each
-inner step is checked finite, and so is the outer adjoint seed.  The adjoint
-is carried back N - 1 times, since the last carry would never be read.  A
-``PhaseTimer`` laps the inner phases back to back, and then the two outer
-ones.  A split pair's disjointness is checked on the sorted window starts,
-with no row masks.
+T x (H+1) parameter block and the weighting's ``raw`` block, with the L and
+Sigma^-1 of ``raw`` when the caller has already formed them (the rescale
+of ``learn_weighting``'s previous update has), or forms them once itself
+through the array-level kernel of ``weighting.py``.  It returns theta_N and
+the ``raw`` gradient, building no model or weighting object.  It is the one
+function that runs the unroll and the reverse pass; the outer step and the
+rescale are ``workflow.learn_weighting``'s.  Each inner step is checked
+finite, and so is the outer adjoint seed.  The adjoint is carried back
+N - 1 times, since the last carry would never be read.  A ``PhaseTimer``
+laps the inner phases back to back, and then the two outer ones.  A split
+pair's disjointness is checked on the sorted window starts, with no row
+masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .data import WindowSet
-from .errors import InvalidDimensionError, InvalidSplitError, NumericError
+from .errors import EmptyInputError, InvalidDimensionError, InvalidSplitError, NumericError
 from .timing import UNTIMED, PhaseTimer
 from .weighting import WeightingMode, factor_from_raw, inverse_from_factor, raw_grad
 
@@ -69,21 +75,64 @@ class SplitPair:
             raise InvalidSplitError("inner and outer windows share source rows")
 
     @cached_property
-    def inner_moments(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(G, C, B) of the inner samples: Z^T Z, Y^T Z and the row count."""
-        return _moments(self.inner)
+    def inner_moments(self) -> Moments:
+        """Moments of the inner samples."""
+        return split_moments(self.inner)
 
     @cached_property
-    def outer_moments(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(Go, Co, Bo) of the outer samples, read once per pair."""
-        return _moments(self.outer)
+    def outer_moments(self) -> Moments:
+        """Moments of the outer samples, read once per pair."""
+        return split_moments(self.outer)
 
 
-def _moments(windows: WindowSet) -> tuple[np.ndarray, np.ndarray, int]:
-    """(Z^T Z, Y^T Z, rows) of a split's samples, with Z = [X, 1]."""
-    X, Y = windows.as_samples()
-    Z = np.column_stack([X, np.ones(X.shape[0])])
-    return Z.T @ Z, Y.T @ Z, X.shape[0]
+class Moments(NamedTuple):
+    """Second moments of a split's sample block [Z | Y], with Z = [X | 1]."""
+
+    G: np.ndarray  # Z^T Z, (H+1) x (H+1)
+    C: np.ndarray  # Y^T Z, T x (H+1)
+    S: np.ndarray  # Y^T Y, T x T
+    B: int  # sample rows
+
+    def loss(self, theta: np.ndarray, A: np.ndarray) -> float:
+        """Mean of e^T A e over the rows, e = y - Theta z, for the parameter
+        block ``theta`` and a symmetric A: tr(A (S - C Theta^T - Theta C^T +
+        Theta G Theta^T)) / B, summed as <A, S> + <A Theta, Theta G - 2 C>."""
+        P = theta @ self.G
+        P -= self.C
+        P -= self.C
+        return float(np.vdot(A @ theta, P) + np.vdot(A, self.S)) / self.B
+
+
+def sample_block(windows: WindowSet) -> np.ndarray:
+    """A split's samples as one n*D x (H+1+T) block [X | 1 | Y], rows
+    window-major and variable-minor as in ``as_samples``.  The window views
+    are copied straight into the block, with no second copy; counts as one
+    read."""
+    X, Y = windows.arrays()
+    n, H, D = X.shape
+    T = Y.shape[1]
+    block = np.empty((n * D, H + 1 + T))
+    np.copyto(block[:, :H].reshape(n, D, H), X.transpose(0, 2, 1))
+    block[:, H] = 1.0
+    np.copyto(block[:, H + 1:].reshape(n, D, T), Y.transpose(0, 2, 1))
+    return block
+
+
+def split_moments(windows: WindowSet) -> Moments:
+    """The moments of a nonempty split, from its sample block; the block is
+    not kept."""
+    if len(windows) == 0:
+        raise EmptyInputError("moments of an empty split")
+    k, T = windows.history + 1, windows.horizon
+    # The moments' buffers are taken before the block's, so that the freed
+    # block leaves the top of the heap for the next one to reuse.
+    G, C, S = np.empty((k, k)), np.empty((T, k)), np.empty((T, T))
+    block = sample_block(windows)
+    Z, Y = block[:, :k], block[:, k:]
+    np.matmul(Z.T, Z, out=G)
+    np.matmul(Y.T, Z, out=C)
+    np.matmul(Y.T, Y, out=S)
+    return Moments(G, C, S, block.shape[0])
 
 
 def _coverage_overlaps(a: WindowSet, b: WindowSet) -> bool:
@@ -134,7 +183,7 @@ def _unroll(theta, A, split: SplitPair, cfg: QdfConfig, timer: PhaseTimer):
     """
     if theta.shape[0] != A.shape[0] or split.inner.horizon != A.shape[0]:
         raise InvalidDimensionError("model/weighting/split horizons disagree")
-    G, C, B = split.inner_moments
+    G, C, _, B = split.inner_moments
     scale = 2.0 * cfg.inner_lr / B
     moments = []
     timer.start()
@@ -153,7 +202,7 @@ def _unroll(theta, A, split: SplitPair, cfg: QdfConfig, timer: PhaseTimer):
 def _outer_seed(theta_n, A, outer_moments) -> np.ndarray:
     """Gradient of the outer loss at theta_N, -(2 / Bo) A (Co - Theta_N Go):
     the row form -(2 / Bo) A R^T Z, from the outer moments alone."""
-    Go, Co, Bo = outer_moments
+    Go, Co, _, Bo = outer_moments
     return -(2.0 / Bo) * (A @ (Co - theta_n @ Go))
 
 
@@ -174,7 +223,7 @@ def _outer_reverse(theta_n, moments, raw, L, A, mode, split, cfg, timer) -> np.n
     timer.lap("outer_fwd")
     if not np.isfinite(lam).all():
         raise NumericError("outer adjoint diverged; reduce inner_lr")
-    G, _, B = split.inner_moments
+    G, _, _, B = split.inner_moments
     scale = 2.0 * cfg.inner_lr / B
     steps = reversed(moments)
     P = next(steps) @ lam.T
@@ -187,15 +236,18 @@ def _outer_reverse(theta_n, moments, raw, L, A, mode, split, cfg, timer) -> np.n
 
 
 def hypergradient(theta, raw, mode: WeightingMode, split: SplitPair, cfg: QdfConfig,
-                  timer: PhaseTimer = UNTIMED):
+                  timer: PhaseTimer = UNTIMED, factor=None):
     """N inner GD steps from the parameter block ``theta`` under the Sigma of
     the weighting's ``raw`` block, and the gradient of the outer loss with
     respect to ``raw`` through that inner trajectory only (the direct outer
-    occurrence of Sigma held fixed).
+    occurrence of Sigma held fixed).  ``factor`` is the (L, Sigma^-1) of
+    ``raw`` if the caller has formed them; without it they are formed here.
 
     Returns (theta_N, grad); the caller takes the outer step.
     """
-    L = factor_from_raw(raw, mode)
-    A = inverse_from_factor(L)
+    if factor is None:
+        L = factor_from_raw(raw, mode)
+        factor = L, inverse_from_factor(L)
+    L, A = factor
     theta_n, moments = _unroll(theta, A, split, cfg, timer)
     return theta_n, _outer_reverse(theta_n, moments, raw, L, A, mode, split, cfg, timer)

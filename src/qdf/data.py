@@ -472,6 +472,8 @@ def ramp_noise_schedule(
 
 def ma_weights(coeffs, count: int) -> np.ndarray:
     """First ``count`` moving-average weights of the AR polynomial (psi_0=1)."""
+    if integer("count", count) < 0:
+        raise InvalidDimensionError(f"count must be >= 0, got {count}")
     psi = np.zeros(count)
     psi[:1] = 1.0
     for m in range(1, count):
@@ -570,5 +572,12 @@ def ar_conditional_cov(spec: ArSpec, horizon: int) -> np.ndarray:
 
 
 def cov_to_corr(cov: np.ndarray) -> np.ndarray:
-    d = np.sqrt(np.diagonal(cov))
+    """Correlation matrix of a square covariance matrix whose variances are positive."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise InvalidDimensionError(f"covariance must be a square 2-D array, got {cov.shape}")
+    var = np.diagonal(cov)
+    if not (var > 0).all():  # also rejects NaN
+        raise NumericError("covariance has a variance that is not positive")
+    d = np.sqrt(var)
     return cov / np.outer(d, d)

@@ -6,11 +6,11 @@ Its parameters are one T x (H+1) block Theta = [W | b]; gradients, SGD and
 Adam all work on that block, and ``weights`` and ``bias`` are views of it.
 
 The formulas live once, in an array-level kernel on plain blocks: the
-forecast, the weighted-loss gradient written into a caller's scratch block,
-and the SGD and Adam updates, each checked finite.  The training loops call
-the kernel directly; final training binds the gradient to its live block
-once per run (``bound_grad``).  ``forecast_batch`` is the one model-level
-function, the validated forecast.
+forecast, the weighted-loss gradient of a block of sample rows [X | 1 | Y]
+written into a caller's scratch block, and the SGD and Adam updates, each
+checked finite.  The training loops call the kernel directly; final
+training binds the gradient to its live block once per run (``bound_grad``).
+``forecast_batch`` is the one model-level function, the validated forecast.
 """
 
 from __future__ import annotations
@@ -84,21 +84,21 @@ def forecast(theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def bound_grad(theta, A, out):
     """The weighted-loss gradient bound to one parameter block and one
-    scratch block ``out``: their views are taken once, and the returned
-    function of (xs, ys) reads ``theta`` as it stands at each call.
+    scratch block ``out``: the returned function of a sample block ``rows``,
+    B rows of [X | 1 | Y], reads ``theta`` as it stands at each call.
 
-    The gradient is -(2/B) A [R^T X | R^T 1] with R = ys - forecast: the
-    parameter gradient of the mean of e^T A e over B rows."""
-    Wt, b = theta[:, :-1].T, theta[:, -1]
-    out_W, out_b = out[:, :-1], out[:, -1]
+    The gradient is -(2/B) A (Y - Z Theta^T)^T Z with Z = [X | 1], the
+    parameter gradient of the mean of e^T A e over the B rows: the bias
+    column is folded into both products."""
+    k = theta.shape[1]
+    theta_t = theta.T
 
-    def grad(xs, ys):
-        resid = xs @ Wt
-        resid += b
-        np.subtract(ys, resid, out=resid)
-        np.matmul(resid.T, xs, out=out_W)
-        resid.sum(axis=0, out=out_b)
-        return -(2.0 / xs.shape[0]) * (A @ out)
+    def grad(rows):
+        Z = rows[:, :k]
+        resid = Z @ theta_t
+        np.subtract(rows[:, k:], resid, out=resid)
+        np.matmul(resid.T, Z, out=out)
+        return -(2.0 / rows.shape[0]) * (A @ out)
 
     return grad
 

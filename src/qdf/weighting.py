@@ -17,9 +17,10 @@ solve (``inverse_from_factor``), the ``raw`` that rescales to
 trace(Sigma^-1) = T (``normalized_raw``, the one place that leaves
 OFFDIAG_ONLY mode unscaled), and the ``raw`` gradient of a Sigma gradient
 (``raw_grad``).  ``WeightingParams.factor`` and ``.inverse`` are thin
-wrappers over it.  Sigma learning carries only ``raw``:
-``bilevel.hypergradient`` and ``learn_weighting``'s outer step call the
-kernel directly, so an atomic update builds no ``WeightingParams``.
+wrappers over it.  Sigma learning carries ``raw`` with the L and Sigma^-1
+that the rescale formed for it: ``bilevel.hypergradient`` and
+``learn_weighting``'s outer step call the kernel directly, so an atomic
+update forms one factor and builds no ``WeightingParams``.
 """
 
 from __future__ import annotations
@@ -109,8 +110,13 @@ class WeightingParams:
     def horizon(self) -> int:
         return self.raw.shape[0]
 
-    def with_raw(self, raw: np.ndarray) -> "WeightingParams":
-        return WeightingParams(raw, self.mode)
+    def with_raw(self, raw: np.ndarray, factor=None) -> "WeightingParams":
+        """Parameters of ``raw`` in this mode.  ``factor``, the (L, Sigma^-1)
+        already formed for ``raw``, is kept as ``factor`` and ``inverse``."""
+        w = WeightingParams(raw, self.mode)
+        if factor is not None:
+            w.__dict__.update(factor=_frozen(factor[0]), inverse=_frozen(factor[1]))
+        return w
 
     @cached_property
     def factor(self) -> np.ndarray:
@@ -196,28 +202,42 @@ def inverse_from_factor(L: np.ndarray) -> np.ndarray:
     return Linv.T @ Linv
 
 
-def normalized_raw(raw: np.ndarray, mode: WeightingMode) -> np.ndarray:
-    """The ``raw`` whose Sigma is that of ``raw`` rescaled to trace(Sigma^-1) = T.
+def normalized_raw(raw: np.ndarray, mode: WeightingMode):
+    """The ``raw`` whose Sigma is that of ``raw`` rescaled to trace(Sigma^-1) = T,
+    with its factor: (raw, (L, Sigma^-1)).
 
     Scaling Sigma multiplies the quadratic loss by a constant without moving
     its argmin over model parameters, so this pins a canonical scale.  In
     OFFDIAG_ONLY mode the unit diagonal of L already pins the scale and
     the family is not closed under scaling, so ``raw`` itself is returned.
+    L and Sigma^-1 are formed once, from ``raw``, and the rescale carries
+    them along as root L and Sigma^-1 / root^2, so the next update need not
+    form them again.  Where the softplus floor clamps a rescaled diagonal
+    entry, L is no longer root L, and Sigma^-1 is formed again from it.
     """
-    if mode is WeightingMode.OFFDIAG_ONLY:
-        return raw
-    T = raw.shape[0]
     L = factor_from_raw(raw, mode)
-    trace = float(inverse_from_factor(L).trace())
+    A = inverse_from_factor(L)
+    if mode is WeightingMode.OFFDIAG_ONLY:
+        return raw, (L, A)
+    T = raw.shape[0]
+    trace = float(A.trace())
     if not math.isfinite(trace):
         raise ConditioningError("trace of inverse weighting is not finite")
     root = math.sqrt(trace / T)
+    L *= root
     # zero above the diagonal, so a whole-block check covers the lower triangle
-    raw = np.where(_masks(T, mode)[1], L * root, 0.0)
-    raw.flat[:: T + 1] = softplus_inv(np.maximum(L.diagonal() * root, SOFTPLUS_FLOOR))
+    raw = np.where(_masks(T, mode)[1], L, 0.0)
+    diag = L.diagonal()  # a view: it reads the clamp below
+    clamped = diag.min() < SOFTPLUS_FLOOR
+    if clamped:
+        L.flat[:: T + 1] = np.maximum(diag, SOFTPLUS_FLOOR)
+    raw.flat[:: T + 1] = softplus_inv(diag)
     if not np.isfinite(raw).all():
         raise ConditioningError("rescaled weighting is not finite")
-    return raw
+    if clamped:
+        return raw, (L, inverse_from_factor(L))
+    A /= root * root
+    return raw, (L, A)
 
 
 def raw_grad(raw: np.ndarray, L: np.ndarray, grad_sigma: np.ndarray,

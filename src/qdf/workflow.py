@@ -7,12 +7,18 @@ or the round budget runs out, then train the final model under the frozen
 learned objective with minibatches, stopping early after ``PATIENCE``
 epochs without a better validation loss.
 
-The refinement carries two plain arrays from one atomic update to the next,
-the parameter block and the weighting's raw block.  An update is
-``bilevel.hypergradient``, a step of -eta times its gradient, a finite check
-and the ``normalized_raw`` rescale, all in ``learn_weighting``'s loop, and
-one ``WeightingParams`` per outer round serves the stopping rule, the
-conditioning guard and the result.
+The refinement carries plain arrays from one atomic update to the next: the
+parameter block, the weighting's raw block, and the L and Sigma^-1 that the
+rescale formed for it.  An update is ``bilevel.hypergradient``, a step of
+-eta times its gradient, a finite check and the ``normalized_raw`` rescale,
+all in ``learn_weighting``'s loop, so it forms one factor.  One
+``WeightingParams`` per outer round, holding the carried factor, serves the
+stopping rule, the conditioning guard and the result.
+
+Final training reads the training split once into one sample block
+[X | 1 | Y] and gathers each minibatch from it with one ``take``.  It scores
+each epoch from the validation split's moments under the frozen Sigma^-1,
+so it holds no validation sample.
 
 Only the training split is ever read during the first two phases; validation
 drives early stopping and the test split is touched exclusively by metric
@@ -28,14 +34,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .bilevel import hypergradient, make_split_pair
+from .bilevel import hypergradient, make_split_pair, sample_block, split_moments
 from .data import WindowSet, chrono_split
 from .errors import InvalidConfigError, InvalidSplitError, NumericError, integer
 from .model import (
     AdamState,
     LinearForecaster,
     bound_grad,
-    forecast,
     forecast_batch,
     init_forecaster,
     sgd_update,
@@ -101,7 +106,8 @@ class QdfConfig:
             raise InvalidConfigError(f"unknown optimizer {self.final_optimizer!r}")
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        # a fresh dict of the fields: their values are immutable, so no deep copy
+        return dict(vars(self))
 
 
 def learn_weighting(
@@ -126,17 +132,17 @@ def learn_weighting(
     subsets = chrono_split(train, [1.0 / cfg.k_splits] * cfg.k_splits)
     pairs = [make_split_pair(s) for s in subsets]
     w = identity_params(train.horizon, mode)
-    theta, raw = model_init.theta, w.raw
+    theta, raw, factor = model_init.theta, w.raw, (w.factor, w.inverse)
     trace: list[float] = []
     for _ in range(cfg.outer_rounds):
         w_prev = w
         for pair in pairs:
-            theta, grad = hypergradient(theta, raw, mode, pair, cfg, timer)
+            theta, grad = hypergradient(theta, raw, mode, pair, cfg, timer, factor)
             raw = raw - cfg.eta * grad
             if not np.isfinite(raw).all():
                 raise NumericError("outer step diverged; reduce eta or inner_lr")
-            raw = normalized_raw(raw, mode)
-        w = w_prev.with_raw(raw)
+            raw, factor = normalized_raw(raw, mode)
+        w = w_prev.with_raw(raw, factor)
         delta = frobenius_distance(w, w_prev)
         if not np.isfinite(delta):
             raise NumericError(
@@ -172,13 +178,14 @@ def train_final(
     """
     if train.horizon != w.horizon:
         raise InvalidSplitError("weighting horizon does not match windows")
-    X, Y = train.as_samples()
-    Xv, Yv = valid.as_samples()
     A = w.inverse
+    # The validation split enters only through its moments, read before the
+    # training block is built, so the two blocks are never held at once.
+    held_out = split_moments(valid)
+    rows = sample_block(train)
     # The minibatch loop runs on one writable parameter block, whose gradient
-    # kernel is bound once; every update is checked finite, and an epoch that
-    # improves the validation loss is kept as one validated model.
-    # Minibatches are gathered one at a time: a gathered epoch would be a
+    # kernel is bound once; every update is checked finite.  Minibatches are
+    # gathered one at a time, one take each: a gathered epoch would be a
     # second copy of the training samples.
     theta = np.array(model_init.theta)
     grad = bound_grad(theta, A, np.empty_like(theta))
@@ -186,29 +193,28 @@ def train_final(
         update = AdamState(model_init, lr=cfg.final_lr).update
     else:
         update = partial(sgd_update, lr=cfg.final_lr)
-    n, size = X.shape[0], cfg.batch_size
-    best_model = model_init
+    n, size = rows.shape[0], cfg.batch_size
+    best = model_init.theta
     best_val = np.inf
     stale = 0
     timer.start()
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, size):
-            idx = order[lo : lo + size]
-            update(theta, grad(X.take(idx, 0), Y.take(idx, 0)), out=theta)
-        val = quadratic_loss(Yv - forecast(theta, Xv), w)
+            update(theta, grad(rows.take(order[lo : lo + size], 0)), out=theta)
+        val = held_out.loss(theta, A)
         if not np.isfinite(val):
             raise NumericError("validation loss diverged; reduce final_lr")
         if val < best_val:
             best_val = val
-            best_model = LinearForecaster(theta)
+            best = theta.copy()
             stale = 0
         else:
             stale += 1
             if stale >= PATIENCE:
                 break
     timer.lap("final_train")
-    return best_model
+    return LinearForecaster(best)
 
 
 def evaluate(model: LinearForecaster, windows: WindowSet, w: WeightingParams) -> dict:

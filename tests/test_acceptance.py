@@ -82,7 +82,8 @@ def test_criterion_1_gradient_correctness():
 
         # the whole [W | b] block, from the kernel final training runs
         fd_p = central_diff(loss_of_theta, m.theta)
-        analytic_p = bound_grad(m.theta, w.inverse, np.empty_like(m.theta))(x.T, y.T)
+        analytic_p = bound_grad(m.theta, w.inverse, np.empty_like(m.theta))(
+            np.column_stack([x.T, np.ones(1), y.T]))
         worst["params"] = max(worst["params"], rel_err(analytic_p, fd_p))
 
     elapsed = time.time() - t0
@@ -227,7 +228,7 @@ def test_criterion_7_synthetic_benefit():
     for seed in seeds:
         data = benchmark_data("hetero-corr", seed)
         w_eval = params_from_matrix(data.oracle_cov)
-        w_train = w_eval.with_raw(normalized_raw(w_eval.raw, w_eval.mode))
+        w_train = w_eval.with_raw(*normalized_raw(w_eval.raw, w_eval.mode))
         cfg = bench_config(seed, preset="hetero-corr")
         ss = np.random.SeedSequence(seed).spawn(2)
         m0 = init_forecaster(HISTORY, HORIZON, np.random.default_rng(ss[0]))

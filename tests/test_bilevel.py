@@ -7,17 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complex_factor
+from qdf.bench import benchmark_data
 from qdf.bilevel import (
     SplitPair,
     _coverage_overlaps,
     _outer_seed,
     hypergradient,
     make_split_pair,
+    sample_block,
+    split_moments,
 )
-from qdf.data import SeriesFrame, WindowSet, make_windows
+from qdf.data import ArSpec, SeriesFrame, WindowSet, ar_conditional_cov, gen_ar, make_windows
 from qdf import timing, weighting, workflow
 from qdf.errors import ConditioningError, InvalidSplitError, NumericError, QdfError
-from qdf.model import LinearForecaster, bound_grad, forecast_batch, init_forecaster
+from qdf.model import LinearForecaster, bound_grad, forecast, forecast_batch, init_forecaster
 from qdf.objective import grad_wrt_residual, quadratic_loss
 from qdf.timing import PhaseTimer
 from qdf.weighting import (
@@ -25,6 +28,7 @@ from qdf.weighting import (
     WeightingParams,
     identity_params,
     normalized_raw,
+    params_from_matrix,
 )
 from qdf.workflow import QdfConfig
 
@@ -228,8 +232,8 @@ def seed_rounding_bound(theta0, w, pair, cfg):
     M_k = C - Theta_k G the inner residual moments.
     """
     norm = np.linalg.norm
-    G, C, B = pair.inner_moments
-    Go, Co, Bo = pair.outer_moments
+    G, C, _, B = pair.inner_moments
+    Go, Co, _, Bo = pair.outer_moments
     A, s = w.inverse, 2.0 * cfg.inner_lr / B
     seed_error = (2.0 / Bo) * norm(A) * (theta0.history + 2) * np.finfo(float).eps * norm(Co)
     thetas = [theta0.theta] + [
@@ -286,9 +290,10 @@ def test_outer_moment_seed_matches_row_seed(rng, mode, T):
         theta = rng.standard_normal((T, H + 1))
         A = WeightingParams(rng.uniform(-0.6, 0.6, (T, T)), mode).inverse
         Xo, Yo = pair.outer.as_samples()
-        rows = bound_grad(theta, A, np.empty_like(theta))(Xo, Yo)
+        block = np.column_stack([Xo, np.ones(len(Xo)), Yo])
+        rows = bound_grad(theta, A, np.empty_like(theta))(block)
         moments = _outer_seed(theta, A, pair.outer_moments)
-        Go, Co, Bo = pair.outer_moments
+        Go, Co, _, Bo = pair.outer_moments
         norm = np.linalg.norm
         tol = (2.0 / Bo) * norm(A) * (H + 2) * np.finfo(float).eps * (
             norm(Co) + norm(theta) * norm(Go))
@@ -303,7 +308,7 @@ def test_outer_split_is_read_once_per_pair(rng):
     cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
     for _ in range(5):
         theta, grad = hypergradient(theta, raw, mode, pair, cfg)
-        raw = normalized_raw(raw - cfg.eta * grad, mode)
+        raw, _ = normalized_raw(raw - cfg.eta * grad, mode)
     assert pair.outer.reads == 1
     assert pair.inner.reads == 1
 
@@ -358,7 +363,7 @@ def test_atomic_update_applies_hypergradient_step(rng):
         g = hypergradient(theta0.theta, w.raw, w.mode, make_split_pair(ws), cfg)[1]
         assert np.any(g != 0.0)
         raw = one_update(ws, theta0, cfg, mode).raw
-        assert np.array_equal(raw, normalized_raw(w.raw - 0.3 * g, w.mode))
+        assert np.array_equal(raw, normalized_raw(w.raw - 0.3 * g, w.mode)[0])
 
 
 def test_atomic_update_normalizes_scale(rng):
@@ -472,3 +477,62 @@ def test_coverage_overlap_check_matches_brute_force(H, T, a, b):
     want = bool(rows(a) & rows(b))
     assert _coverage_overlaps(_windows_at(a, H, T), _windows_at(b, H, T)) is want
     assert _coverage_overlaps(_windows_at(b, H, T), _windows_at(a, H, T)) is want
+
+
+# ------------------------------------------------------------ split moments
+
+def test_sample_block_is_the_samples_with_a_ones_column_in_one_read(rng):
+    ws = build_windows(rng, 3, 2, 60)
+    block = sample_block(ws)
+    assert ws.reads == 1
+    X, Y = ws.as_samples()
+    assert np.array_equal(block, np.column_stack([X, np.ones(len(X)), Y]))
+    assert block.flags.c_contiguous
+
+
+def test_split_moments_are_the_block_products(rng):
+    ws = build_windows(rng, 4, 3, 80)
+    G, C, S, B = split_moments(ws)
+    assert ws.reads == 1
+    X, Y = ws.as_samples()
+    Z = np.column_stack([X, np.ones(len(X))])
+    assert B == len(X)
+    for got, want in ((G, Z.T @ Z), (C, Y.T @ Z), (S, Y.T @ Y)):
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+    assert np.array_equal(G, G.T) and np.array_equal(S, S.T)
+
+
+def test_split_moments_of_an_empty_split_raise():
+    ws = WindowSet(np.zeros((0, 3, 1)), np.zeros((0, 2, 1)), np.zeros(0, dtype=int))
+    with pytest.raises(QdfError):
+        split_moments(ws)
+
+
+def moments_shape_split(shape):
+    """The validation split at a named shape, with its AR(1) oracle covariance."""
+    if shape == "bench":  # the corr-only preset: AR(1), phi = 0.6, H = 16, T = 8
+        data = benchmark_data("corr-only", 0)
+        return data.valid, data.oracle_cov
+    # criterion 9: H = 16, T = 96, about 11900 windows of AR(1), as in its
+    # validation split
+    spec = ArSpec((0.6,), 1.0, 12000, seed=909)
+    return make_windows(gen_ar(spec), 16, 96), ar_conditional_cov(spec, 96)
+
+
+@pytest.mark.parametrize("shape", ["bench", "criterion-9"])
+def test_moments_loss_matches_quadratic_loss_on_the_samples(shape):
+    # tr(A (S - C Theta^T - Theta C^T + Theta G Theta^T)) / B against the mean
+    # e^T A e of the residual rows, from a small random start to the least
+    # squares fit Theta* = C G^-1, where the formula cancels most
+    valid, oracle = moments_shape_split(shape)
+    moments = split_moments(valid)
+    X, Y = valid.as_samples()
+    T, k = moments.C.shape
+    fit = np.linalg.solve(moments.G, moments.C.T).T
+    start = 0.1 * np.random.default_rng(0).standard_normal((T, k))
+    worst = 0.0
+    for w in (identity_params(T), params_from_matrix(oracle)):
+        for theta in (start, (start + fit) / 2, fit):
+            want = quadratic_loss(Y - forecast(theta, X), w)
+            worst = max(worst, abs(moments.loss(theta, w.inverse) - want) / want)
+    assert worst <= 1e-12

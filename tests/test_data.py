@@ -779,6 +779,36 @@ def test_ma_weights_ar1():
     assert np.allclose(psi, [1.0, 0.5, 0.25, 0.125])
 
 
+def test_ma_weights_rejects_a_non_integer_count():
+    # 2.5 raised numpy's TypeError
+    with pytest.raises(InvalidConfigError, match="must be an integer"):
+        ma_weights((0.5,), 2.5)
+
+
+def test_ma_weights_rejects_a_negative_count():
+    # -1 raised numpy's ValueError, "negative dimensions"
+    with pytest.raises(InvalidDimensionError, match=">= 0"):
+        ma_weights((0.5,), -1)
+
+
+@pytest.mark.parametrize("cov", [np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2))],
+                         ids=["1-d", "non-square", "3-d"])
+def test_cov_to_corr_rejects_a_non_square_array(cov):
+    # a 1-D array raised numpy's ValueError from np.diagonal
+    with pytest.raises(InvalidDimensionError, match="square 2-D"):
+        cov_to_corr(cov)
+
+
+@pytest.mark.parametrize("variance", [0.0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
+def test_cov_to_corr_rejects_a_variance_that_is_not_positive(variance):
+    # a zero variance returned NaN behind a divide RuntimeWarning
+    cov = np.array([[1.0, 0.0], [0.0, variance]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="not positive"):
+            cov_to_corr(cov)
+
+
 def test_ar1_conditional_cov_example():
     spec = ArSpec(coeffs=(0.5,), noise_std=1.0, length=100, seed=0)
     cov = ar_conditional_cov(spec, 2)

@@ -64,7 +64,12 @@ def test_channel_independence(rng):
 
 def grad_of(theta, xs, ys, A):
     """The bound gradient kernel with a fresh scratch block, for one call."""
-    return bound_grad(theta, A, np.empty_like(theta))(xs, ys)
+    return bound_grad(theta, A, np.empty_like(theta))(block(xs, ys))
+
+
+def block(xs, ys):
+    """The sample block [X | 1 | Y] of B input and label rows."""
+    return np.column_stack([xs, np.ones(len(xs)), ys])
 
 
 def test_grad_params_zero_upstream():
@@ -165,11 +170,11 @@ def test_gd_fits_noiseless_linear_process(rng):
     xs = rng.standard_normal((64, H))
     ys = xs @ A.T
     theta = np.array(init_forecaster(H, T, rng).theta)
-    grad = bound_grad(theta, np.eye(T), np.empty_like(theta))
+    grad, rows = bound_grad(theta, np.eye(T), np.empty_like(theta)), block(xs, ys)
     for _ in range(5000):
         if mse_loss(ys - forecast_batch(LinearForecaster(theta), xs)) < 1e-6:
             break
-        sgd_update(theta, grad(xs, ys), 0.1, out=theta)
+        sgd_update(theta, grad(rows), 0.1, out=theta)
     assert mse_loss(ys - forecast_batch(LinearForecaster(theta), xs)) < 1e-6
 
 
@@ -182,9 +187,9 @@ def test_adam_descends(rng):
     opt = AdamState(m, lr=0.05)
     first = mse_loss(ys - forecast_batch(m, xs))
     theta = np.array(m.theta)
-    grad = bound_grad(theta, np.eye(T), np.empty_like(theta))
+    grad, rows = bound_grad(theta, np.eye(T), np.empty_like(theta)), block(xs, ys)
     for _ in range(200):
-        opt.update(theta, grad(xs, ys), out=theta)
+        opt.update(theta, grad(rows), out=theta)
     assert mse_loss(ys - forecast_batch(LinearForecaster(theta), xs)) < first * 0.05
 
 

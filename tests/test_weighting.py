@@ -142,15 +142,15 @@ def test_random_params_are_psd(rng):
 
 def test_normalize_scale_examples():
     p = params_from_matrix(4.0 * np.eye(2))
-    sigma = p.with_raw(normalized_raw(p.raw, p.mode)).sigma
+    sigma = p.with_raw(*normalized_raw(p.raw, p.mode)).sigma
     assert np.allclose(sigma, np.eye(2), atol=1e-10)
 
     p = identity_params(5)
-    sigma = p.with_raw(normalized_raw(p.raw, p.mode)).sigma
+    sigma = p.with_raw(*normalized_raw(p.raw, p.mode)).sigma
     assert np.allclose(sigma, np.eye(5), atol=1e-10)
 
     p = params_from_matrix(np.array([[4.0, 2.0], [2.0, 5.0]]))
-    sigma = p.with_raw(normalized_raw(p.raw, p.mode)).sigma
+    sigma = p.with_raw(*normalized_raw(p.raw, p.mode)).sigma
     assert np.allclose(sigma, (9.0 / 32.0) * np.array([[4.0, 2.0], [2.0, 5.0]]), atol=1e-10)
     assert np.trace(np.linalg.inv(sigma)) == pytest.approx(2.0, abs=1e-10)
 
@@ -159,8 +159,8 @@ def test_normalize_scale_is_idempotent(rng):
     for _ in range(20):
         T = int(rng.integers(1, 6))
         p = WeightingParams(rng.uniform(-2, 2, size=(T, T)))
-        once = p.with_raw(normalized_raw(p.raw, p.mode))
-        twice = once.with_raw(normalized_raw(once.raw, once.mode))
+        once = p.with_raw(*normalized_raw(p.raw, p.mode))
+        twice = once.with_raw(*normalized_raw(once.raw, once.mode))
         assert frobenius_distance(once, twice) <= 1e-10
 
 
@@ -183,12 +183,12 @@ def test_identity_start_is_a_fixed_point_of_the_rescale(mode):
     # an eta = 0 outer step leaves the raw block as it is, so Sigma stays I
     for T in range(1, 65):
         raw = identity_params(T, mode).raw
-        assert np.array_equal(normalized_raw(raw, mode), raw), T
+        assert np.array_equal(normalized_raw(raw, mode)[0], raw), T
 
 
 def test_normalize_scale_keeps_offdiag_mode_untouched(rng):
     p = WeightingParams(rng.uniform(-2, 2, size=(4, 4)), WeightingMode.OFFDIAG_ONLY)
-    assert normalized_raw(p.raw, p.mode) is p.raw
+    assert normalized_raw(p.raw, p.mode)[0] is p.raw
 
 
 def test_frobenius_distance_examples():
@@ -311,9 +311,9 @@ def test_weighting_layer_matches_reference_formulas_bitwise(mode, rng):
             assert_bitwise(w.factor, L)
             assert_bitwise(w.sigma, L @ L.T)
             assert_bitwise(w.inverse, ref_inverse(L))
-            assert_bitwise(w.with_raw(normalized_raw(w.raw, mode)).raw,
+            assert_bitwise(w.with_raw(*normalized_raw(w.raw, mode)).raw,
                            ref_normalized_raw(raw, mode))
-            assert_bitwise(normalized_raw(raw, mode), ref_normalized_raw(raw, mode))
+            assert_bitwise(normalized_raw(raw, mode)[0], ref_normalized_raw(raw, mode))
             assert_bitwise(raw_grad(w.raw, w.factor, grad_sigma, mode),
                            ref_chain(raw, mode, grad_sigma))
     diagonals = np.concatenate(diagonals)

@@ -1,5 +1,6 @@
 import inspect
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +19,13 @@ from qdf.errors import InvalidConfigError, InvalidSplitError, NumericError
 from qdf.model import AdamState, forecast_batch, init_forecaster, sgd_update
 from qdf.objective import grad_wrt_residual, quadratic_loss
 from qdf.weighting import (
+    SOFTPLUS_FLOOR,
     WeightingMode,
     WeightingParams,
+    factor_from_raw,
     frobenius_distance,
     identity_params,
+    inverse_from_factor,
     normalized_raw,
     params_from_matrix,
 )
@@ -91,7 +95,7 @@ def test_learn_weighting_k1_single_atomic_update(rng):
         model.theta, start.raw, start.mode, pair,
         QdfConfig(inner_steps=1, inner_lr=0.02, eta=0.1),
     )
-    assert np.array_equal(w.raw, normalized_raw(start.raw - 0.1 * grad, start.mode))
+    assert np.array_equal(w.raw, normalized_raw(start.raw - 0.1 * grad, start.mode)[0])
     assert len(trace) == 1
 
 
@@ -99,7 +103,8 @@ def test_learn_weighting_k1_single_atomic_update(rng):
 @pytest.mark.parametrize("mode", list(WeightingMode), ids=lambda m: m.value)
 def test_learn_weighting_equals_chained_atomic_updates(rng, mode, inner_steps):
     # learn_weighting's loop against hypergradient and the step chained by
-    # hand, with a fresh WeightingParams after every step
+    # hand, with a fresh WeightingParams after every step that keeps the L and
+    # Sigma^-1 the rescale carried, and hands them to the next hypergradient
     ws = ar_windows(seed=11)
     cfg = QdfConfig(k_splits=3, outer_rounds=3, inner_steps=inner_steps, inner_lr=0.05,
                     eta=0.1, tol=0.0, seed=11)
@@ -111,12 +116,54 @@ def test_learn_weighting_equals_chained_atomic_updates(rng, mode, inner_steps):
     for _ in range(3):
         prev = expect
         for pair in pairs:
-            theta, grad = hypergradient(theta, expect.raw, mode, pair, cfg)
-            expect = expect.with_raw(normalized_raw(expect.raw - cfg.eta * grad, mode))
+            factor = expect.factor, expect.inverse
+            theta, grad = hypergradient(theta, expect.raw, mode, pair, cfg, factor=factor)
+            expect = expect.with_raw(*normalized_raw(expect.raw - cfg.eta * grad, mode))
         deltas.append(frobenius_distance(expect, prev))
     assert w.mode is mode and deltas[-1] > 0.0
     assert list(map(float.hex, trace)) == list(map(float.hex, deltas))
     assert list(map(float.hex, w.raw.ravel())) == list(map(float.hex, expect.raw.ravel()))
+
+
+def assert_factor_of(raw, mode, L, A):
+    """L and A are the factor and Sigma^-1 of ``raw``, formed afresh, to 1e-14 normwise."""
+    fresh = factor_from_raw(raw, mode)
+    inverse = inverse_from_factor(fresh)
+    assert np.linalg.norm(L - fresh) <= 1e-14 * np.linalg.norm(fresh)
+    assert np.linalg.norm(A - inverse) <= 1e-14 * np.linalg.norm(inverse)
+
+
+@pytest.mark.parametrize("mode, H, T, cfg", [
+    (mode, 8, 4, QdfConfig(k_splits=3, outer_rounds=5, inner_steps=2, inner_lr=0.05,
+                           eta=0.1, tol=0.0))
+    for mode in WeightingMode
+] + [
+    # an outer step of 1e175 sends every diagonal of L to about 1e175, so the
+    # trace of Sigma^-1 underflows to zero and the rescale clamps every
+    # diagonal at the floor, where L is no longer root L
+    (WeightingMode.DIAG_ONLY, 4, 4, QdfConfig(k_splits=1, outer_rounds=3, inner_lr=0.5,
+                                              eta=1e175, tol=0.0)),
+], ids=["full", "diag", "offdiag", "floor"])
+def test_learn_weighting_carries_the_factor_of_its_raw_block(monkeypatch, mode, H, T, cfg):
+    # each update's rescale forms L and Sigma^-1 once and hands them on, to the
+    # next hypergradient and into the result: they stay those of the raw
+    # block they came with
+    carried = []
+
+    def spy(raw, mode):
+        out = normalized_raw(raw, mode)
+        carried.append(out)
+        return out
+
+    monkeypatch.setattr(workflow, "normalized_raw", spy)
+    ws = ar_windows(seed=11, H=H, T=T)
+    w, _ = learn_weighting(ws, init_forecaster(H, T, np.random.default_rng(11)), cfg, mode)
+    for raw, (L, A) in carried:
+        assert_factor_of(raw, mode, L, A)
+    raw, (L, A) = carried[-1]
+    assert np.array_equal(w.raw, raw) and w.factor is L and w.inverse is A
+    floored = [bool((np.diagonal(L) == SOFTPLUS_FLOOR).all()) for _, (L, _) in carried]
+    assert any(floored) == (cfg.eta == 1e175)
 
 
 def test_learn_weighting_halts_within_budget():
@@ -265,6 +312,26 @@ def test_train_final_fits_noiseless_linear_process(rng, monkeypatch):
     X, Y = train.as_samples()
     final = quadratic_loss(Y - forecast_batch(model, X), w)
     assert final < 1e-6
+
+
+def test_train_final_holds_no_validation_samples():
+    # the validation split enters through its moments: at most its block is
+    # held while they are taken, and never a forecast or residual of it
+    frame = gen_ar(ArSpec((0.6,), 1.0, 20_400, seed=41))
+    ws = make_windows(frame, 4, 16)
+    train, valid = ws.slice(0, 200), ws.slice(300, 20_300)
+    cfg = QdfConfig(epochs=3, batch_size=32, final_lr=0.01, seed=41)
+    model0 = init_forecaster(4, 16, np.random.default_rng(41))
+    tracemalloc.start()
+    try:
+        train_final(train, identity_params(16), model0, cfg, valid=valid,
+                    rng=np.random.default_rng(41))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_bytes = (len(train) + len(valid)) * (4 + 1 + 16) * 8
+    # the parent form held Xv, Yv and n x T forecasts and residuals: 10.9 MB here
+    assert peak < block_bytes + 64 * 1024
 
 
 def test_train_final_adam_option_runs():
