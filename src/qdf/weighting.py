@@ -234,9 +234,10 @@ def normalized_raw(raw: np.ndarray, mode: WeightingMode):
     raw.flat[:: T + 1] = softplus_inv(diag)
     if not np.isfinite(raw).all():
         raise ConditioningError("rescaled weighting is not finite")
-    if clamped:
-        return raw, (L, inverse_from_factor(L))
-    A /= root * root
+    if clamped:  # L is no longer root L
+        A = inverse_from_factor(L)
+    else:
+        A /= root * root
     return raw, (L, A)
 
 

@@ -133,18 +133,18 @@ def assert_factor_of(raw, mode, L, A):
     assert np.linalg.norm(A - inverse) <= 1e-14 * np.linalg.norm(inverse)
 
 
-@pytest.mark.parametrize("mode, H, T, cfg", [
-    (mode, 8, 4, QdfConfig(k_splits=3, outer_rounds=5, inner_steps=2, inner_lr=0.05,
-                           eta=0.1, tol=0.0))
+@pytest.mark.parametrize("mode, H, cfg, floors", [
+    (mode, 8, QdfConfig(k_splits=3, outer_rounds=5, inner_steps=2, inner_lr=0.05, eta=0.1,
+                        tol=0.0), False)
     for mode in WeightingMode
 ] + [
     # an outer step of 1e175 sends every diagonal of L to about 1e175, so the
     # trace of Sigma^-1 underflows to zero and the rescale clamps every
     # diagonal at the floor, where L is no longer root L
-    (WeightingMode.DIAG_ONLY, 4, 4, QdfConfig(k_splits=1, outer_rounds=3, inner_lr=0.5,
-                                              eta=1e175, tol=0.0)),
+    (WeightingMode.DIAG_ONLY, 4, QdfConfig(k_splits=1, outer_rounds=3, inner_lr=0.5,
+                                           eta=1e175, tol=0.0), True),
 ], ids=["full", "diag", "offdiag", "floor"])
-def test_learn_weighting_carries_the_factor_of_its_raw_block(monkeypatch, mode, H, T, cfg):
+def test_learn_weighting_carries_the_factor_of_its_raw_block(monkeypatch, mode, H, cfg, floors):
     # each update's rescale forms L and Sigma^-1 once and hands them on, to the
     # next hypergradient and into the result: they stay those of the raw
     # block they came with
@@ -156,14 +156,14 @@ def test_learn_weighting_carries_the_factor_of_its_raw_block(monkeypatch, mode, 
         return out
 
     monkeypatch.setattr(workflow, "normalized_raw", spy)
-    ws = ar_windows(seed=11, H=H, T=T)
-    w, _ = learn_weighting(ws, init_forecaster(H, T, np.random.default_rng(11)), cfg, mode)
+    ws = ar_windows(seed=11, H=H, T=4)
+    w, _ = learn_weighting(ws, init_forecaster(H, 4, np.random.default_rng(11)), cfg, mode)
     for raw, (L, A) in carried:
         assert_factor_of(raw, mode, L, A)
     raw, (L, A) = carried[-1]
     assert np.array_equal(w.raw, raw) and w.factor is L and w.inverse is A
     floored = [bool((np.diagonal(L) == SOFTPLUS_FLOOR).all()) for _, (L, _) in carried]
-    assert any(floored) == (cfg.eta == 1e175)
+    assert any(floored) == floors
 
 
 def test_learn_weighting_halts_within_budget():
@@ -330,7 +330,8 @@ def test_train_final_holds_no_validation_samples():
     finally:
         tracemalloc.stop()
     block_bytes = (len(train) + len(valid)) * (4 + 1 + 16) * 8
-    # the parent form held Xv, Yv and n x T forecasts and residuals: 10.9 MB here
+    # scoring from the samples, with Xv, Yv and n x T forecasts and residuals,
+    # traces 8.4 MB here
     assert peak < block_bytes + 64 * 1024
 
 
