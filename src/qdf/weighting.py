@@ -110,12 +110,11 @@ class WeightingParams:
     def horizon(self) -> int:
         return self.raw.shape[0]
 
-    def with_raw(self, raw: np.ndarray, factor=None) -> "WeightingParams":
+    def with_raw(self, raw: np.ndarray, factor) -> "WeightingParams":
         """Parameters of ``raw`` in this mode.  ``factor``, the (L, Sigma^-1)
         already formed for ``raw``, is kept as ``factor`` and ``inverse``."""
         w = WeightingParams(raw, self.mode)
-        if factor is not None:
-            w.__dict__.update(factor=_frozen(factor[0]), inverse=_frozen(factor[1]))
+        w.__dict__.update(factor=_frozen(factor[0]), inverse=_frozen(factor[1]))
         return w
 
     @cached_property

@@ -178,6 +178,8 @@ def train_final(
     """
     if train.horizon != w.horizon:
         raise InvalidSplitError("weighting horizon does not match windows")
+    if (valid.history, valid.horizon) != (train.history, train.horizon):
+        raise InvalidSplitError("validation windows do not match training windows")
     A = w.inverse
     # The validation split enters only through its moments, read before the
     # training block is built, so the two blocks are never held at once.

@@ -14,7 +14,7 @@ from qdf.data import (
     make_windows,
     ramp_noise_schedule,
 )
-from qdf import workflow
+from qdf import bilevel, workflow
 from qdf.errors import InvalidConfigError, InvalidSplitError, NumericError
 from qdf.model import AdamState, forecast_batch, init_forecaster, sgd_update
 from qdf.objective import grad_wrt_residual, quadratic_loss
@@ -335,6 +335,16 @@ def test_train_final_holds_no_validation_samples():
     assert peak < block_bytes + 64 * 1024
 
 
+@pytest.mark.parametrize("H, T", [(7, 4), (8, 3), (8, 1)])
+def test_train_final_rejects_validation_of_other_shape(H, T):
+    train = ar_windows(seed=16, length=400)
+    valid = ar_windows(seed=17, length=200, H=H, T=T)
+    model0 = init_forecaster(train.history, train.horizon, np.random.default_rng(16))
+    with pytest.raises(InvalidSplitError, match="validation windows"):
+        train_final(train, identity_params(train.horizon), model0, QdfConfig(epochs=1),
+                    valid=valid, rng=np.random.default_rng(16))
+
+
 def test_train_final_adam_option_runs():
     ws = ar_windows(seed=13, length=400)
     train, valid = ws.slice(0, 250), ws.slice(260, 330)
@@ -556,14 +566,15 @@ def test_train_final_divergence_raises_mid_epoch(optimizer, lr, monkeypatch):
 
     def counted_loss(*args):
         validations.append(args)
-        return quadratic_loss(*args)
+        return moments_loss(*args)
 
     def recording_adam(*args, **kwargs):
         adams.append(RecordingAdam(*args, **kwargs))
         return adams[-1]
 
     monkeypatch.setattr(workflow, "sgd_update", counted_sgd)
-    monkeypatch.setattr(workflow, "quadratic_loss", counted_loss)
+    moments_loss = bilevel.Moments.loss
+    monkeypatch.setattr(bilevel.Moments, "loss", counted_loss)
     monkeypatch.setattr(workflow, "AdamState", recording_adam)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericError, match="model parameters must be finite") as err:
