@@ -54,4 +54,4 @@ print("trace(Sigma^-1) =", np.trace(np.linalg.inv(sigma1)))
 
 # --- convergence of the learning loop is tracked in Frobenius distance
 print("\nFrobenius distance to identity:",
-      frobenius_distance(normalized, identity_params(2)))
+      frobenius_distance(normalized.sigma, identity_params(2).sigma))

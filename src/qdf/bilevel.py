@@ -9,34 +9,37 @@ form is held constant.  Everything here is exact reverse-mode differentiation
 of the unrolled updates, with no autodiff.
 
 The model is linear and the loss quadratic, so with Z = [X, 1] and
-Theta = [W, b] the data of a split enter only through its moments G = Z^T Z,
-C = Y^T Z, S = Y^T Y and the row count B (``Moments``).  ``split_moments``
-reads a split once into one sample block [X | 1 | Y] (``sample_block``) and
-takes all three from views of it; each side of a split pair caches them.
-With A = Sigma^-1, an inner step is Theta <- Theta + (2 lr / B) A (C - Theta G),
-the reverse pass needs only the residual moments M_k = C - Theta_k G of each
-step, and the outer adjoint is seeded from the outer moments as
--(2 / Bo) A (Co - Theta_N Go).  So an update costs O(T^2 H + T H^2) whatever
-the number of windows, and reads no sample row.  The seed is the outer residuals' R^T Z in normal-equation
-form: a perfect outer fit gives a hypergradient that is zero up to the
-rounding of Co - Theta_N Go.  The same moments give a split's mean
-quadratic loss under a frozen A, which final training scores its
-validation split by (``Moments.loss``).
+Theta = [W, b] every gradient depends on a split's rows only through its
+moments G = Z^T Z and C = Y^T Z and its row count B (``Moments``).
+``split_moments`` reads a split once into one sample block [X | 1 | Y]
+(``sample_block``) and takes both from views of it; each side of a split
+pair caches them.  With A = Sigma^-1, an inner step is
+Theta <- Theta + (2 lr / B) A (C - Theta G), the reverse pass needs only the
+residual moments M_k = C - Theta_k G of each step, and the outer adjoint is
+seeded from the outer moments as (2 / Bo) A (Theta_N Go - Co), through the
+gradient kernel final training steps by (``model.moment_grad``).  So an
+update costs O(T^2 H + T H^2) whatever the number of windows, and reads no
+sample row.  The seed is the outer residuals' R^T Z in normal-equation form:
+a perfect outer fit gives a hypergradient that is zero up to the rounding of
+Theta_N Go - Co.  The same moments give a split's mean quadratic loss under
+a frozen A less its Theta-free part <A, Y^T Y> / B, which final training
+ranks its epochs by (``Moments.loss_less_offset``); final training's
+minibatches take theirs from one stacked product per chunk of gathered rows
+(``minibatch_moments``).
 
 At desk scale every array here is small, so the cost is per numpy call, not
 per flop.  ``hypergradient`` therefore runs on plain arrays: it takes the
-T x (H+1) parameter block and the weighting's ``raw`` block, with the L and
-Sigma^-1 of ``raw`` when the caller has already formed them (the rescale
-of ``learn_weighting``'s previous update has), or forms them once itself
-through the array-level kernel of ``weighting.py``.  It returns theta_N and
-the ``raw`` gradient, building no model or weighting object.  It is the one
-function that runs the unroll and the reverse pass; the outer step and the
-rescale are ``workflow.learn_weighting``'s.  Each inner step is checked
-finite, and so is the outer adjoint seed.  The adjoint is carried back
-N - 1 times, since the last carry would never be read.  A ``PhaseTimer``
-laps the inner phases back to back, and then the two outer ones.  A split
-pair's disjointness is checked on the sorted window starts, with no row
-masks.
+T x (H+1) parameter block and the weighting's factor L with its Sigma^-1,
+which ``learn_weighting`` carries from the rescale of its previous update,
+and returns theta_N and the gradient of the weighting's ``raw`` block,
+building no model or weighting object.  It reads each side's moments and
+the step scale once.  It is the one function that runs the unroll and the
+reverse pass; the outer step and the rescale are
+``workflow.learn_weighting``'s.  Each inner step is checked finite, and so
+is the outer adjoint seed.  The adjoint is carried back N - 1 times, since
+the last carry would never be read.  A ``PhaseTimer`` laps the inner phases
+back to back, and then the two outer ones.  A split pair's disjointness is
+checked on the sorted window starts, with no row masks.
 """
 
 from __future__ import annotations
@@ -47,10 +50,11 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .data import WindowSet
+from .data import CHUNK_FLOATS, WindowSet
 from .errors import EmptyInputError, InvalidDimensionError, InvalidSplitError, NumericError
+from .model import moment_grad
 from .timing import UNTIMED, PhaseTimer
-from .weighting import WeightingMode, factor_from_raw, inverse_from_factor, raw_grad
+from .weighting import WeightingMode, raw_grad
 
 if TYPE_CHECKING:  # workflow imports this module
     from .workflow import QdfConfig
@@ -90,17 +94,17 @@ class Moments(NamedTuple):
 
     G: np.ndarray  # Z^T Z, (H+1) x (H+1)
     C: np.ndarray  # Y^T Z, T x (H+1)
-    S: np.ndarray  # Y^T Y, T x T
     B: int  # sample rows
 
-    def loss(self, theta: np.ndarray, A: np.ndarray) -> float:
+    def loss_less_offset(self, theta: np.ndarray, A: np.ndarray) -> float:
         """Mean of e^T A e over the rows, e = y - Theta z, for the parameter
-        block ``theta`` and a symmetric A: tr(A (S - C Theta^T - Theta C^T +
-        Theta G Theta^T)) / B, summed as <A, S> + <A Theta, Theta G - 2 C>."""
+        block ``theta`` and a symmetric A, less its Theta-free part
+        <A, Y^T Y> / B: <A Theta, Theta G - 2 C> / B.  Under a fixed A the
+        offset is a constant, so this ranks parameter blocks as the loss does."""
         P = theta @ self.G
         P -= self.C
         P -= self.C
-        return float(np.vdot(A @ theta, P) + np.vdot(A, self.S)) / self.B
+        return float(np.vdot(A @ theta, P)) / self.B
 
 
 def sample_block(windows: WindowSet) -> np.ndarray:
@@ -126,13 +130,36 @@ def split_moments(windows: WindowSet) -> Moments:
     k, T = windows.history + 1, windows.horizon
     # The moments' buffers are taken before the block's, so that the freed
     # block leaves the top of the heap for the next one to reuse.
-    G, C, S = np.empty((k, k)), np.empty((T, k)), np.empty((T, T))
+    G, C = np.empty((k, k)), np.empty((T, k))
     block = sample_block(windows)
     Z, Y = block[:, :k], block[:, k:]
     np.matmul(Z.T, Z, out=G)
     np.matmul(Y.T, Z, out=C)
-    np.matmul(Y.T, Y, out=S)
-    return Moments(G, C, S, block.shape[0])
+    return Moments(G, C, block.shape[0])
+
+
+def minibatch_moments(rows: np.ndarray, k: int, order: np.ndarray, size: int):
+    """The scaled moments (2/B_b) (G_b, C_b) of each minibatch of a sample
+    block ``rows`` = [Z | Y], Z its first ``k`` columns: the rows ``order``
+    lists, ``size`` at a time, the last minibatch shorter if ``size`` does not
+    divide them.
+
+    The rows are gathered a chunk at a time, whole minibatches of at most
+    ``CHUNK_FLOATS`` floats and at least one, and one stacked product
+    E_b^T Z_b of each chunk's minibatches E_b gives every [G_b; C_b]; a
+    short last minibatch takes a product of its own.
+    """
+    width = rows.shape[1]
+    span = size * max(1, CHUNK_FLOATS // (size * width))
+    for lo in range(0, len(order), span):
+        chunk = rows.take(order[lo:lo + span], 0)
+        whole = len(chunk) - len(chunk) % size
+        for E in chunk[:whole].reshape(-1, size, width), chunk[whole:][None]:
+            if E.size:
+                M = np.matmul(E.transpose(0, 2, 1), E[:, :, :k])
+                M *= 2.0 / E.shape[1]
+                for GC in M:
+                    yield GC[:k], GC[k:]
 
 
 def _coverage_overlaps(a: WindowSet, b: WindowSet) -> bool:
@@ -174,20 +201,16 @@ def make_split_pair(windows: WindowSet) -> SplitPair:
     return SplitPair(inner.slice(0, last), outer)
 
 
-def _unroll(theta, A, split: SplitPair, cfg: QdfConfig, timer: PhaseTimer):
-    """Shared forward pass: N full-batch GD steps from the inner statistics,
-    under Sigma^-1 = A.
+def _unroll(theta, A, G, C, scale, steps: int, timer: PhaseTimer):
+    """Shared forward pass: N full-batch GD steps from the inner moments G, C
+    under Sigma^-1 = A, each Theta <- Theta + scale A (C - Theta G).
 
     Returns the parameter block after the last step and the residual moments
     M_k = C - Theta_k G of every step, which the reverse pass consumes.
     """
-    if theta.shape[0] != A.shape[0] or split.inner.horizon != A.shape[0]:
-        raise InvalidDimensionError("model/weighting/split horizons disagree")
-    G, C, _, B = split.inner_moments
-    scale = 2.0 * cfg.inner_lr / B
     moments = []
     timer.start()
-    for _ in range(cfg.inner_steps):
+    for _ in range(steps):
         M = C - theta @ G
         timer.lap("inner_fwd")
         theta = theta + scale * (A @ M)
@@ -200,15 +223,16 @@ def _unroll(theta, A, split: SplitPair, cfg: QdfConfig, timer: PhaseTimer):
 
 
 def _outer_seed(theta_n, A, outer_moments) -> np.ndarray:
-    """Gradient of the outer loss at theta_N, -(2 / Bo) A (Co - Theta_N Go):
+    """Gradient of the outer loss at theta_N, (2 / Bo) A (Theta_N Go - Co):
     the row form -(2 / Bo) A R^T Z, from the outer moments alone."""
-    Go, Co, _, Bo = outer_moments
-    return -(2.0 / Bo) * (A @ (Co - theta_n @ Go))
+    Go, Co, Bo = outer_moments
+    return (2.0 / Bo) * moment_grad(theta_n, A, Go, Co)
 
 
-def _outer_reverse(theta_n, moments, raw, L, A, mode, split, cfg, timer) -> np.ndarray:
-    """Outer loss adjoint at theta_N, carried back through the unrolled steps,
-    as a gradient of the raw block whose factor is L and Sigma^-1 is A.
+def _outer_reverse(theta_n, moments, L, A, G, scale, mode, outer, timer) -> np.ndarray:
+    """Outer loss adjoint at theta_N, carried back through the unrolled steps
+    on the inner Gram G with step scale ``scale``, as a gradient of the raw
+    block whose factor is L and Sigma^-1 is A.
 
     The seed is ``_outer_seed``, read off the outer moments.  Each step's
     Jacobian is I - (2 lr / B) A (.) G, constant in theta for a quadratic
@@ -217,37 +241,36 @@ def _outer_reverse(theta_n, moments, raw, L, A, mode, split, cfg, timer) -> np.n
     The adjoint is carried back N - 1 times: past the first step it is never
     read.
     """
-    outer = split.outer_moments
     timer.start()  # a pair's first update builds its outer moments untimed
     lam = _outer_seed(theta_n, A, outer)
     timer.lap("outer_fwd")
     if not np.isfinite(lam).all():
         raise NumericError("outer adjoint diverged; reduce inner_lr")
-    G, _, _, B = split.inner_moments
-    scale = 2.0 * cfg.inner_lr / B
     steps = reversed(moments)
     P = next(steps) @ lam.T
     for M in steps:
         lam = lam - scale * (A @ lam @ G)
         P += M @ lam.T
-    grad = raw_grad(raw, L, -scale * (A @ P @ A), mode)
+    grad = raw_grad(L, -scale * (A @ P @ A), mode)
     timer.lap("outer_bwd")
     return grad
 
 
-def hypergradient(theta, raw, mode: WeightingMode, split: SplitPair, cfg: QdfConfig,
-                  timer: PhaseTimer = UNTIMED, factor=None):
-    """N inner GD steps from the parameter block ``theta`` under the Sigma of
-    the weighting's ``raw`` block, and the gradient of the outer loss with
-    respect to ``raw`` through that inner trajectory only (the direct outer
-    occurrence of Sigma held fixed).  ``factor`` is the (L, Sigma^-1) of
-    ``raw`` if the caller has formed them; without it they are formed here.
+def hypergradient(theta, factor, mode: WeightingMode, split: SplitPair, cfg: QdfConfig,
+                  timer: PhaseTimer = UNTIMED):
+    """N inner GD steps from the parameter block ``theta`` under the
+    weighting whose factor and Sigma^-1 are ``factor`` = (L, Sigma^-1), and
+    the gradient of the outer loss with respect to the weighting's ``raw``
+    block through that inner trajectory only (the direct outer occurrence of
+    Sigma held fixed).
 
     Returns (theta_N, grad); the caller takes the outer step.
     """
-    if factor is None:
-        L = factor_from_raw(raw, mode)
-        factor = L, inverse_from_factor(L)
     L, A = factor
-    theta_n, moments = _unroll(theta, A, split, cfg, timer)
-    return theta_n, _outer_reverse(theta_n, moments, raw, L, A, mode, split, cfg, timer)
+    if theta.shape[0] != A.shape[0] or split.inner.horizon != A.shape[0]:
+        raise InvalidDimensionError("model/weighting/split horizons disagree")
+    G, C, B = split.inner_moments
+    scale = 2.0 * cfg.inner_lr / B
+    theta_n, moments = _unroll(theta, A, G, C, scale, cfg.inner_steps, timer)
+    outer = split.outer_moments
+    return theta_n, _outer_reverse(theta_n, moments, L, A, G, scale, mode, outer, timer)

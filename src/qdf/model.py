@@ -6,10 +6,12 @@ Its parameters are one T x (H+1) block Theta = [W | b]; gradients, SGD and
 Adam all work on that block, and ``weights`` and ``bias`` are views of it.
 
 The formulas live once, in an array-level kernel on plain blocks: the
-forecast, the weighted-loss gradient of a block of sample rows [X | 1 | Y]
-written into a caller's scratch block, and the SGD and Adam updates, each
-checked finite.  The training loops call the kernel directly; final
-training binds the gradient to its live block once per run (``bound_grad``).
+forecast, the weighted-loss gradient of a set of sample rows from their
+moments (``moment_grad``), and the SGD and Adam updates, each checked
+finite.  The model is linear, so the gradient depends on the rows only
+through G = Z^T Z and C = Y^T Z with Z = [X | 1]: final training steps on
+each minibatch's moments, and Sigma learning seeds its outer adjoint from
+the outer split's.  The training loops call the kernel directly.
 ``forecast_batch`` is the one model-level function, the validated forecast.
 """
 
@@ -82,25 +84,16 @@ def forecast(theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return xs @ theta[:, :-1].T + theta[:, -1]
 
 
-def bound_grad(theta, A, out):
-    """The weighted-loss gradient bound to one parameter block and one
-    scratch block ``out``: the returned function of a sample block ``rows``,
-    B rows of [X | 1 | Y], reads ``theta`` as it stands at each call.
+def moment_grad(theta, A, G, C) -> np.ndarray:
+    """A (Theta G - C), the weighted-loss gradient from moments.
 
-    The gradient is -(2/B) A (Y - Z Theta^T)^T Z with Z = [X | 1], the
-    parameter gradient of the mean of e^T A e over the B rows: the bias
-    column is folded into both products."""
-    k = theta.shape[1]
-    theta_t = theta.T
-
-    def grad(rows):
-        Z = rows[:, :k]
-        resid = Z @ theta_t
-        np.subtract(rows[:, k:], resid, out=resid)
-        np.matmul(resid.T, Z, out=out)
-        return -(2.0 / rows.shape[0]) * (A @ out)
-
-    return grad
+    With G = (2/B) Z^T Z and C = (2/B) Y^T Z, the moments of B rows [Z | Y]
+    scaled by 2/B, this is the parameter gradient of the mean of e^T A e
+    over the rows, e = y - Theta z; with unscaled moments it is that
+    gradient times B/2."""
+    P = theta @ G
+    P -= C
+    return A @ P
 
 
 def _finite(theta: np.ndarray) -> np.ndarray:

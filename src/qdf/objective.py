@@ -64,4 +64,4 @@ def grad_wrt_weighting(residuals, w: WeightingParams) -> np.ndarray:
     r = _residuals(residuals, w.horizon)
     u = _inv_sigma_apply(w, r)  # rows are Sigma^-1 e_i
     grad_sigma = -(u.T @ u) / r.shape[0]
-    return raw_grad(w.raw, w.factor, grad_sigma, w.mode)
+    return raw_grad(w.factor, grad_sigma, w.mode)

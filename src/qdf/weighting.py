@@ -16,11 +16,12 @@ L from ``raw`` (``factor_from_raw``), Sigma^-1 from L by one triangular
 solve (``inverse_from_factor``), the ``raw`` that rescales to
 trace(Sigma^-1) = T (``normalized_raw``, the one place that leaves
 OFFDIAG_ONLY mode unscaled), and the ``raw`` gradient of a Sigma gradient
-(``raw_grad``).  ``WeightingParams.factor`` and ``.inverse`` are thin
-wrappers over it.  Sigma learning carries ``raw`` with the L and Sigma^-1
-that the rescale formed for it: ``bilevel.hypergradient`` and
-``learn_weighting``'s outer step call the kernel directly, so an atomic
-update forms one factor and builds no ``WeightingParams``.
+(``raw_grad``, which reads the softplus derivative off L).
+``WeightingParams.factor`` and ``.inverse`` are thin wrappers over it.
+Sigma learning carries ``raw`` with the L and Sigma^-1 that the rescale
+formed for it: ``bilevel.hypergradient`` and ``learn_weighting``'s outer
+step call the kernel directly, so an atomic update forms one factor and
+builds no ``WeightingParams``.
 """
 
 from __future__ import annotations
@@ -52,12 +53,6 @@ def softplus_inv(y):
     """Inverse of softplus for y > 0: log(exp(y) - 1)."""
     y = np.asarray(y, dtype=float)
     return y + np.log1p(-np.exp(-y))
-
-
-def _sigmoid(x):
-    # exp of -|x| never overflows; each branch is the textbook stable form
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class WeightingMode(enum.Enum):
@@ -224,8 +219,9 @@ def normalized_raw(raw: np.ndarray, mode: WeightingMode):
         raise ConditioningError("trace of inverse weighting is not finite")
     root = math.sqrt(trace / T)
     L *= root
-    # zero above the diagonal, so a whole-block check covers the lower triangle
-    raw = np.where(_masks(T, mode)[1], L, 0.0)
+    # L is zero above the diagonal and wherever the mode masks it, so is the
+    # copy, and a whole-block check covers the lower triangle
+    raw = L.copy()
     diag = L.diagonal()  # a view: it reads the clamp below
     clamped = diag.min() < SOFTPLUS_FLOOR
     if clamped:
@@ -240,22 +236,20 @@ def normalized_raw(raw: np.ndarray, mode: WeightingMode):
     return raw, (L, A)
 
 
-def raw_grad(raw: np.ndarray, L: np.ndarray, grad_sigma: np.ndarray,
-             mode: WeightingMode) -> np.ndarray:
-    """Pull a gradient w.r.t. Sigma = L L^T back to the raw block, L being
-    the factor of ``raw``.
+def raw_grad(L: np.ndarray, grad_sigma: np.ndarray, mode: WeightingMode) -> np.ndarray:
+    """Pull a gradient w.r.t. Sigma = L L^T back to the raw block whose
+    factor is L.
 
-    Chains through Sigma = L L^T, then through the softplus on the diagonal;
-    entries frozen by the mode mask (and by the floor clamp, where the
-    diagonal of L sits at the floor) get zero.
+    Chains through Sigma = L L^T, then through the softplus on the diagonal,
+    whose derivative at raw_ii is 1 - exp(-softplus(raw_ii)), read off L as
+    -expm1(-L_ii); entries frozen by the mode mask (and by the floor clamp,
+    where the diagonal of L sits at the floor) get zero.
     """
-    T = raw.shape[0]
-    lower, _, free = _masks(T, mode)
-    grad_L = (grad_sigma + grad_sigma.T) @ L
-    grad_raw = np.where(lower, grad_L, 0.0)
-    active = L.diagonal() > SOFTPLUS_FLOOR
-    grad_raw.flat[:: T + 1] = grad_L.diagonal() * _sigmoid(raw.diagonal()) * active
-    grad_raw *= free
+    T = L.shape[0]
+    grad_raw = (grad_sigma + grad_sigma.T) @ L
+    grad_raw *= _masks(T, mode)[2]
+    d = L.diagonal()
+    grad_raw.reshape(-1)[:: T + 1] *= -np.expm1(-d) * (d > SOFTPLUS_FLOOR)
     return grad_raw
 
 
@@ -284,13 +278,12 @@ def params_from_matrix(
     return WeightingParams(raw, mode)
 
 
-def frobenius_distance(a: WeightingParams, b: WeightingParams) -> float:
-    """Frobenius norm of the difference of the materialized matrices."""
-    if a.horizon != b.horizon:
-        raise InvalidDimensionError(
-            f"horizon mismatch: {a.horizon} vs {b.horizon}"
-        )
-    return float(np.linalg.norm(a.sigma - b.sigma, "fro"))
+def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius norm of the difference of two materialized matrices, such
+    as the ``sigma`` of two weightings."""
+    if a.shape != b.shape:
+        raise InvalidDimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return float(np.linalg.norm(a - b, "fro"))
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:

@@ -11,14 +11,18 @@ The refinement carries plain arrays from one atomic update to the next: the
 parameter block, the weighting's raw block, and the L and Sigma^-1 that the
 rescale formed for it.  An update is ``bilevel.hypergradient``, a step of
 -eta times its gradient, a finite check and the ``normalized_raw`` rescale,
-all in ``learn_weighting``'s loop, so it forms one factor.  One
-``WeightingParams`` per outer round, holding the carried factor, serves the
-stopping rule, the conditioning guard and the result.
+all in ``learn_weighting``'s loop, so it forms one factor.  Each outer round
+forms Sigma = L L^T of the carried factor once, for the stopping rule and
+the conditioning guard; the one ``WeightingParams``, holding the carried
+factor, is built for the result.
 
 Final training reads the training split once into one sample block
-[X | 1 | Y] and gathers each minibatch from it with one ``take``.  It scores
-each epoch from the validation split's moments under the frozen Sigma^-1,
-so it holds no validation sample.
+[X | 1 | Y].  Each epoch gathers its permuted rows a chunk of minibatches at
+a time and takes every minibatch's moments from one stacked product per
+chunk (``bilevel.minibatch_moments``); each step is the moments gradient
+A (Theta G_b - C_b), under SGD or Adam alike.  It ranks epochs by the
+validation loss from the validation split's moments under the frozen
+Sigma^-1, less a constant, so it holds no validation sample.
 
 Only the training split is ever read during the first two phases; validation
 drives early stopping and the test split is touched exclusively by metric
@@ -34,15 +38,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .bilevel import hypergradient, make_split_pair, sample_block, split_moments
+from .bilevel import hypergradient, make_split_pair, minibatch_moments, sample_block, split_moments
 from .data import WindowSet, chrono_split
 from .errors import InvalidConfigError, InvalidSplitError, NumericError, integer
 from .model import (
     AdamState,
     LinearForecaster,
-    bound_grad,
     forecast_batch,
     init_forecaster,
+    moment_grad,
     sgd_update,
 )
 from .objective import quadratic_loss
@@ -131,24 +135,26 @@ def learn_weighting(
         )
     subsets = chrono_split(train, [1.0 / cfg.k_splits] * cfg.k_splits)
     pairs = [make_split_pair(s) for s in subsets]
-    w = identity_params(train.horizon, mode)
-    theta, raw, factor = model_init.theta, w.raw, (w.factor, w.inverse)
+    start = identity_params(train.horizon, mode)
+    theta, raw, factor = model_init.theta, start.raw, (start.factor, start.inverse)
+    sigma = start.sigma
     trace: list[float] = []
     for _ in range(cfg.outer_rounds):
-        w_prev = w
+        sigma_prev = sigma
         for pair in pairs:
-            theta, grad = hypergradient(theta, raw, mode, pair, cfg, timer, factor)
+            theta, grad = hypergradient(theta, factor, mode, pair, cfg, timer)
             raw = raw - cfg.eta * grad
             if not np.isfinite(raw).all():
                 raise NumericError("outer step diverged; reduce eta or inner_lr")
             raw, factor = normalized_raw(raw, mode)
-        w = w_prev.with_raw(raw, factor)
-        delta = frobenius_distance(w, w_prev)
+        L = factor[0]
+        sigma = L @ L.T  # WeightingParams.sigma's formula
+        delta = frobenius_distance(sigma, sigma_prev)
         if not np.isfinite(delta):
             raise NumericError(
                 "weighting diverged (Frobenius delta not finite); reduce eta or inner_lr"
             )
-        sv = np.linalg.svd(w.sigma, compute_uv=False)
+        sv = np.linalg.svd(sigma, compute_uv=False)
         cond = sv[0] / sv[-1] if sv[-1] else np.inf  # np.linalg.cond, with no warning
         if not cond <= MAX_SIGMA_COND:
             raise NumericError(
@@ -158,7 +164,7 @@ def learn_weighting(
         trace.append(delta)
         if delta < cfg.tol:
             break
-    return w, trace
+    return start.with_raw(raw, factor), trace
 
 
 def train_final(
@@ -174,7 +180,9 @@ def train_final(
 
     Early-stops when the validation loss (under the same weighting) has not
     improved for ``PATIENCE`` consecutive epochs; returns the best snapshot.
-    A non-finite parameter update raises NumericError at once.
+    The loss is taken less its constant part <Sigma^-1, Y^T Y> / B, which
+    ranks the epochs alike.  A non-finite parameter update raises
+    NumericError at once.
     """
     if train.horizon != w.horizon:
         raise InvalidSplitError("weighting horizon does not match windows")
@@ -185,26 +193,24 @@ def train_final(
     # training block is built, so the two blocks are never held at once.
     held_out = split_moments(valid)
     rows = sample_block(train)
-    # The minibatch loop runs on one writable parameter block, whose gradient
-    # kernel is bound once; every update is checked finite.  Minibatches are
-    # gathered one at a time, one take each: a gathered epoch would be a
-    # second copy of the training samples.
+    # The minibatch loop runs on one writable parameter block; every update
+    # is checked finite.  Minibatch moments are taken a chunk of minibatches
+    # at a time: a gathered epoch would be a second copy of the training
+    # samples.
     theta = np.array(model_init.theta)
-    grad = bound_grad(theta, A, np.empty_like(theta))
     if cfg.final_optimizer == "adam":
         update = AdamState(model_init, lr=cfg.final_lr).update
     else:
         update = partial(sgd_update, lr=cfg.final_lr)
-    n, size = rows.shape[0], cfg.batch_size
     best = model_init.theta
     best_val = np.inf
     stale = 0
     timer.start()
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, size):
-            update(theta, grad(rows.take(order[lo : lo + size], 0)), out=theta)
-        val = held_out.loss(theta, A)
+        order = rng.permutation(rows.shape[0])
+        for G, C in minibatch_moments(rows, theta.shape[1], order, cfg.batch_size):
+            update(theta, moment_grad(theta, A, G, C), out=theta)
+        val = held_out.loss_less_offset(theta, A)
         if not np.isfinite(val):
             raise NumericError("validation loss diverged; reduce final_lr")
         if val < best_val:

@@ -44,6 +44,16 @@ def complex_factor(raw, mode, floor=0.0):
     return L + np.diag(np.where(diag.real < floor, floor, diag))
 
 
+def row_grad(theta, A, rows):
+    """The weighted-loss gradient in row form, an oracle independent of the
+    moments kernel: -(2/B) A (Y - Z Theta^T)^T Z for the B rows of a sample
+    block [Z | Y], Z = [X | 1] its first H + 1 columns, the parameter
+    gradient of the mean of e^T A e over the rows."""
+    k = theta.shape[1]
+    Z, Y = rows[:, :k], rows[:, k:]
+    return -(2.0 / len(rows)) * (A @ (Y - Z @ theta.T).T @ Z)
+
+
 def rel_err(analytic, numeric, floor=1e-6):
     """Worst-case entrywise relative error with a small-denominator floor."""
     analytic = np.asarray(analytic, dtype=float)

@@ -19,7 +19,7 @@ import qdf
 
 from conftest import central_diff, rel_err
 from qdf.bench import HISTORY, HORIZON, bench_config, benchmark_data
-from qdf.bilevel import make_split_pair
+from qdf.bilevel import make_split_pair, minibatch_moments
 from qdf.data import (
     ArSpec,
     SeriesFrame,
@@ -29,7 +29,7 @@ from qdf.data import (
     write_csv,
 )
 from qdf.diagnostics import fraction_above, partial_corr_matrix, partial_correlation
-from qdf.model import LinearForecaster, bound_grad, forecast_batch, init_forecaster
+from qdf.model import LinearForecaster, forecast_batch, init_forecaster, moment_grad
 from qdf.objective import (
     grad_wrt_residual,
     grad_wrt_weighting,
@@ -80,10 +80,12 @@ def test_criterion_1_gradient_correctness():
         def loss_of_theta(theta):
             return quadratic_loss(y.T - forecast_batch(LinearForecaster(theta), x.T), w)
 
-        # the whole [W | b] block, from the kernel final training runs
+        # the whole [W | b] block, from the minibatch moments and the kernel
+        # final training runs
         fd_p = central_diff(loss_of_theta, m.theta)
-        analytic_p = bound_grad(m.theta, w.inverse, np.empty_like(m.theta))(
-            np.column_stack([x.T, np.ones(1), y.T]))
+        rows = np.column_stack([x.T, np.ones(1), y.T])
+        ((G, C),) = minibatch_moments(rows, H + 1, np.arange(1), 1)
+        analytic_p = moment_grad(m.theta, w.inverse, G, C)
         worst["params"] = max(worst["params"], rel_err(analytic_p, fd_p))
 
     elapsed = time.time() - t0
@@ -111,7 +113,7 @@ def test_criterion_2_hypergradient_correctness():
             cfg = QdfConfig(inner_steps=n_steps, inner_lr=0.02, eta=0.1)
             from qdf.bilevel import hypergradient
 
-            analytic = hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[1]
+            analytic = hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, pair, cfg)[1]
             fd = fd_hypergradient(theta0, w, pair, cfg)
             assert_close_hypergrad(analytic, fd, tol=1e-3)
             checked += 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complex_factor
+from conftest import complex_factor, row_grad
 from qdf.bench import benchmark_data
 from qdf.bilevel import (
     SplitPair,
@@ -14,13 +14,14 @@ from qdf.bilevel import (
     _outer_seed,
     hypergradient,
     make_split_pair,
+    minibatch_moments,
     sample_block,
     split_moments,
 )
 from qdf.data import ArSpec, SeriesFrame, WindowSet, ar_conditional_cov, gen_ar, make_windows
-from qdf import timing, weighting, workflow
+from qdf import bilevel, timing, weighting, workflow
 from qdf.errors import ConditioningError, InvalidSplitError, NumericError, QdfError
-from qdf.model import LinearForecaster, bound_grad, forecast, forecast_batch, init_forecaster
+from qdf.model import LinearForecaster, forecast, forecast_batch, init_forecaster, moment_grad
 from qdf.objective import grad_wrt_residual, quadratic_loss
 from qdf.timing import PhaseTimer
 from qdf.weighting import (
@@ -159,7 +160,7 @@ def test_hypergradient_matches_finite_differences(rng, inner_steps):
         raw = rng.uniform(-0.6, 0.6, size=(T, T))
         w = WeightingParams(raw)
         cfg = QdfConfig(inner_steps=inner_steps, inner_lr=0.02, eta=0.1)
-        analytic = hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[1]
+        analytic = hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, pair, cfg)[1]
         fd = fd_hypergradient(theta0, w, pair, cfg)
         assert_close_hypergrad(analytic, fd)
 
@@ -177,7 +178,8 @@ def test_hypergradient_matches_complex_step(rng, mode, T):
         raw = rng.uniform(-0.6, 0.6, (T, T)) / np.sqrt(T)  # Sigma stays well conditioned
         np.fill_diagonal(raw, rng.uniform(-0.6, 0.6, T))
         cfg = QdfConfig(inner_steps=inner_steps, inner_lr=0.02)
-        g = hypergradient(theta0, raw, mode, pair, cfg)[1]
+        w = WeightingParams(raw, mode)
+        g = hypergradient(theta0, (w.factor, w.inverse), mode, pair, cfg)[1]
         oracle = cs_hypergradient(theta0, raw, mode, pair, cfg)
         assert np.linalg.norm(g - oracle) <= 1e-12 * np.linalg.norm(oracle)
         free = {WeightingMode.FULL: np.tri(T), WeightingMode.DIAG_ONLY: np.eye(T),
@@ -190,7 +192,7 @@ def test_hypergradient_spec_example_n1_t2(rng):
     theta0 = init_forecaster(2, 2, rng)
     w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)))
     cfg = QdfConfig(inner_steps=1, inner_lr=0.05, eta=0.1)
-    analytic = hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[1]
+    analytic = hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, pair, cfg)[1]
     fd = fd_hypergradient(theta0, w, pair, cfg)
     assert_close_hypergrad(analytic, fd)
 
@@ -199,9 +201,9 @@ def test_hypergradient_vanishes_with_inner_lr(rng):
     pair = build_pair(rng, 3, 3, 70)
     theta0 = init_forecaster(3, 3, rng)
     w = identity_params(3)
-    big = hypergradient(theta0.theta, w.raw, w.mode, pair,
+    big = hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, pair,
                         QdfConfig(inner_steps=1, inner_lr=1e-2, eta=0.1))[1]
-    small = hypergradient(theta0.theta, w.raw, w.mode, pair,
+    small = hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, pair,
                           QdfConfig(inner_steps=1, inner_lr=1e-8, eta=0.1))[1]
     assert np.max(np.abs(small)) < 1e-5 * max(np.max(np.abs(big)), 1e-12) + 1e-12
 
@@ -210,13 +212,11 @@ def test_hypergradient_mode_masks(rng):
     pair = build_pair(rng, 3, 4, 80)
     theta0 = init_forecaster(3, 4, rng)
     cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
-    g_diag = hypergradient(
-        theta0.theta, rng.uniform(-0.5, 0.5, (4, 4)), WeightingMode.DIAG_ONLY, pair, cfg
-    )[1]
+    diag = WeightingParams(rng.uniform(-0.5, 0.5, (4, 4)), WeightingMode.DIAG_ONLY)
+    g_diag = hypergradient(theta0.theta, (diag.factor, diag.inverse), diag.mode, pair, cfg)[1]
     assert np.all(np.tril(g_diag, k=-1) == 0.0)
-    g_off = hypergradient(
-        theta0.theta, rng.uniform(-0.5, 0.5, (4, 4)), WeightingMode.OFFDIAG_ONLY, pair, cfg
-    )[1]
+    off = WeightingParams(rng.uniform(-0.5, 0.5, (4, 4)), WeightingMode.OFFDIAG_ONLY)
+    g_off = hypergradient(theta0.theta, (off.factor, off.inverse), off.mode, pair, cfg)[1]
     assert np.all(np.diagonal(g_off) == 0.0)
 
 
@@ -224,20 +224,21 @@ def seed_rounding_bound(theta0, w, pair, cfg):
     """First-order bound on the hypergradient that the rounding of the outer
     seed alone can give, in Frobenius norms.
 
-    The seed -(2 / Bo) A (Co - Theta_N Go) cancels to zero on a perfect outer
-    fit, leaving a rounding error of about (H + 2) eps ||Co|| in Co - Theta_N Go.
+    The seed (2 / Bo) A (Theta_N Go - Co) cancels to zero on a perfect outer
+    fit, leaving a rounding error of about (H + 2) eps ||Co|| in Theta_N Go - Co.
     The reverse pass maps a seed error d linearly to a hypergradient of norm
     at most 2 ||L|| s ||A||^2 ||d|| sum_k ||M_k|| (1 + s ||A|| ||G||)^(N-1-k),
     over the inner steps k = 0 .. N-1, with s = 2 lr / B and
     M_k = C - Theta_k G the inner residual moments.
     """
     norm = np.linalg.norm
-    G, C, _, B = pair.inner_moments
-    Go, Co, _, Bo = pair.outer_moments
+    G, C, B = pair.inner_moments
+    Go, Co, Bo = pair.outer_moments
     A, s = w.inverse, 2.0 * cfg.inner_lr / B
     seed_error = (2.0 / Bo) * norm(A) * (theta0.history + 2) * np.finfo(float).eps * norm(Co)
     thetas = [theta0.theta] + [
-        hypergradient(theta0.theta, w.raw, w.mode, pair, replace(cfg, inner_steps=k))[0]
+        hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, pair,
+                      replace(cfg, inner_steps=k))[0]
         for k in range(1, cfg.inner_steps)]
     carry = sum(norm(C - th @ G) * (1 + s * norm(A) * norm(G)) ** (cfg.inner_steps - 1 - k)
                 for k, th in enumerate(thetas))
@@ -257,7 +258,8 @@ def test_stop_gradient_zero_outer_residuals(rng):
     cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
 
     # theta after the inner loop, computed by the module's own path
-    theta_n = LinearForecaster(hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[0])
+    theta_n = LinearForecaster(
+        hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, pair, cfg)[0])
     Xo, _ = pair.outer.as_samples()
     perfect_Y = forecast_batch(theta_n, Xo)[:, :, None]
     Xo3, _ = pair.outer.arrays()
@@ -265,14 +267,14 @@ def test_stop_gradient_zero_outer_residuals(rng):
 
     bound = seed_rounding_bound(theta0, w, perfect_pair, cfg)
     assert 0 < bound < 1e-12
-    g = hypergradient(theta0.theta, w.raw, w.mode, perfect_pair, cfg)[1]
+    g = hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, perfect_pair, cfg)[1]
     assert np.linalg.norm(g) <= bound
     # contrast: outer labels off the forecasts by a thousandth of their scale
     # give a hypergradient far above the bound, so a seed that ignored the
     # outer residuals would fail one of the two checks
     noise = 1e-3 * np.std(perfect_Y) * rng.standard_normal(perfect_Y.shape)
     off_pair = SplitPair(pair.inner, WindowSet(Xo3, perfect_Y + noise, pair.outer.starts))
-    g_off = hypergradient(theta0.theta, w.raw, w.mode, off_pair, cfg)[1]
+    g_off = hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, off_pair, cfg)[1]
     assert np.linalg.norm(g_off) > 1e6 * seed_rounding_bound(theta0, w, off_pair, cfg)
     # sanity: inner residuals themselves are not zero
     X, Y = pair.inner.as_samples()
@@ -283,7 +285,7 @@ def test_stop_gradient_zero_outer_residuals(rng):
 @pytest.mark.parametrize("T", [1, 2, 8])
 def test_outer_moment_seed_matches_row_seed(rng, mode, T):
     # the seed read off the cached outer moments is the row-form gradient
-    # kernel on the outer samples, up to the rounding of Co - Theta Go
+    # oracle on the outer samples, up to the rounding of Theta Go - Co
     for _ in range(5):
         H = int(rng.integers(1, 9))
         pair = build_pair(rng, H, T, n_rows=int(rng.integers(40, 120)))
@@ -291,9 +293,9 @@ def test_outer_moment_seed_matches_row_seed(rng, mode, T):
         A = WeightingParams(rng.uniform(-0.6, 0.6, (T, T)), mode).inverse
         Xo, Yo = pair.outer.as_samples()
         block = np.column_stack([Xo, np.ones(len(Xo)), Yo])
-        rows = bound_grad(theta, A, np.empty_like(theta))(block)
+        rows = row_grad(theta, A, block)
         moments = _outer_seed(theta, A, pair.outer_moments)
-        Go, Co, _, Bo = pair.outer_moments
+        Go, Co, Bo = pair.outer_moments
         norm = np.linalg.norm
         tol = (2.0 / Bo) * norm(A) * (H + 2) * np.finfo(float).eps * (
             norm(Co) + norm(theta) * norm(Go))
@@ -304,11 +306,12 @@ def test_outer_moment_seed_matches_row_seed(rng, mode, T):
 def test_outer_split_is_read_once_per_pair(rng):
     pair = build_pair(rng, 3, 2, 60)
     theta = init_forecaster(3, 2, rng).theta
-    raw, mode = identity_params(2).raw, WeightingMode.FULL
+    w, mode = identity_params(2), WeightingMode.FULL
+    raw, factor = w.raw, (w.factor, w.inverse)
     cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
     for _ in range(5):
-        theta, grad = hypergradient(theta, raw, mode, pair, cfg)
-        raw, _ = normalized_raw(raw - cfg.eta * grad, mode)
+        theta, grad = hypergradient(theta, factor, mode, pair, cfg)
+        raw, factor = normalized_raw(raw - cfg.eta * grad, mode)
     assert pair.outer.reads == 1
     assert pair.inner.reads == 1
 
@@ -321,7 +324,7 @@ def test_overflowing_outer_split_raises_numeric_error(rng):
     Xo, Yo = pair.outer.arrays()
     huge = SplitPair(pair.inner, WindowSet(Xo * 1e300, Yo, pair.outer.starts))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="diverged"):
-        hypergradient(theta0.theta, w.raw, w.mode, huge, cfg)
+        hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, huge, cfg)
 
 
 def test_hypergradient_deterministic(rng):
@@ -329,8 +332,8 @@ def test_hypergradient_deterministic(rng):
     theta0 = init_forecaster(4, 3, rng)
     w = WeightingParams(rng.uniform(-0.5, 0.5, (3, 3)))
     cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
-    g1 = hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[1]
-    g2 = hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[1]
+    g1 = hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, pair, cfg)[1]
+    g2 = hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, pair, cfg)[1]
     assert np.array_equal(g1, g2)
 
 
@@ -348,7 +351,8 @@ def test_atomic_update_eta_zero_returns_w_unchanged(rng):
     for mode in WeightingMode:
         w = identity_params(2, mode)
         assert np.array_equal(one_update(ws, theta0, cfg, mode).raw, w.raw)
-        theta_n = LinearForecaster(hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)[0])
+        theta_n = LinearForecaster(
+            hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, pair, cfg)[0])
         W, b = reference_inner_run(theta0, w, X, Y, 3, 0.02)
         assert np.allclose(theta_n.weights, W, atol=1e-12)
         assert np.allclose(theta_n.bias, b, atol=1e-12)
@@ -360,7 +364,7 @@ def test_atomic_update_applies_hypergradient_step(rng):
     cfg = QdfConfig(inner_steps=1, inner_lr=0.02, eta=0.3)
     for mode in WeightingMode:
         w = identity_params(2, mode)
-        g = hypergradient(theta0.theta, w.raw, w.mode, make_split_pair(ws), cfg)[1]
+        g = hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, make_split_pair(ws), cfg)[1]
         assert np.any(g != 0.0)
         raw = one_update(ws, theta0, cfg, mode).raw
         assert np.array_equal(raw, normalized_raw(w.raw - 0.3 * g, w.mode)[0])
@@ -398,7 +402,7 @@ def test_unrolled_loop_guards_fire(rng, monkeypatch, where, message):
     pair, theta0, cfg = guard_case(rng, where)
     monkeypatch.setattr(workflow, "make_split_pair", lambda windows: pair)
     w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)))
-    for run in (lambda: hypergradient(theta0.theta, w.raw, w.mode, pair, cfg),
+    for run in (lambda: hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, pair, cfg),
                 lambda: workflow.learn_weighting(pair.inner, theta0, cfg)):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericError, match=message) as err:
@@ -447,11 +451,11 @@ def test_update_reads_the_clock_only_with_a_timer(rng, monkeypatch):
     monkeypatch.setattr(timing, "time", clock)
     monkeypatch.setattr(workflow, "make_split_pair", lambda windows: pair)
     w = identity_params(2)
-    hypergradient(theta0.theta, w.raw, w.mode, pair, cfg)
+    hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, pair, cfg)
     workflow.learn_weighting(pair.inner, theta0, replace(cfg, k_splits=1, outer_rounds=1))
     assert clock.reads == 0
     timer = PhaseTimer()
-    hypergradient(theta0.theta, w.raw, w.mode, pair, cfg, timer)
+    hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, pair, cfg, timer)
     assert timer.steps == {"inner_fwd": 2, "inner_bwd": 2, "outer_fwd": 1, "outer_bwd": 1}
     # two clocks, read at the start of the inner and of the outer phases and
     # at each phase's end
@@ -492,14 +496,14 @@ def test_sample_block_is_the_samples_with_a_ones_column_in_one_read(rng):
 
 def test_split_moments_are_the_block_products(rng):
     ws = build_windows(rng, 4, 3, 80)
-    G, C, S, B = split_moments(ws)
+    G, C, B = split_moments(ws)
     assert ws.reads == 1
     X, Y = ws.as_samples()
     Z = np.column_stack([X, np.ones(len(X))])
     assert B == len(X)
-    for got, want in ((G, Z.T @ Z), (C, Y.T @ Z), (S, Y.T @ Y)):
+    for got, want in ((G, Z.T @ Z), (C, Y.T @ Z)):
         assert np.allclose(got, want, rtol=1e-14, atol=0)
-    assert np.array_equal(G, G.T) and np.array_equal(S, S.T)
+    assert np.array_equal(G, G.T)
 
 
 def test_split_moments_of_an_empty_split_raise():
@@ -521,18 +525,69 @@ def moments_shape_split(shape):
 
 @pytest.mark.parametrize("shape", ["bench", "criterion-9"])
 def test_moments_loss_matches_quadratic_loss_on_the_samples(shape):
-    # tr(A (S - C Theta^T - Theta C^T + Theta G Theta^T)) / B against the mean
-    # e^T A e of the residual rows, from a small random start to the least
-    # squares fit Theta* = C G^-1, where the formula cancels most
+    # the loss less its offset, <A Theta, Theta G - 2 C> / B, differs from the
+    # mean e^T A e of the residual rows by a constant: the difference between
+    # two parameter blocks matches, relative to the loss, between a small
+    # random start and the least squares fit Theta* = C G^-1, where the loss
+    # cancels most
     valid, oracle = moments_shape_split(shape)
     moments = split_moments(valid)
     X, Y = valid.as_samples()
     T, k = moments.C.shape
     fit = np.linalg.solve(moments.G, moments.C.T).T
     start = 0.1 * np.random.default_rng(0).standard_normal((T, k))
+    thetas = start, (start + fit) / 2, (start + 3 * fit) / 4, fit
     worst = 0.0
     for w in (identity_params(T), params_from_matrix(oracle)):
-        for theta in (start, (start + fit) / 2, fit):
-            want = quadratic_loss(Y - forecast(theta, X), w)
-            worst = max(worst, abs(moments.loss(theta, w.inverse) - want) / want)
+        want = [quadratic_loss(Y - forecast(theta, X), w) for theta in thetas]
+        got = [moments.loss_less_offset(theta, w.inverse) for theta in thetas]
+        for i in range(len(thetas)):
+            for j in range(i):
+                err = abs((got[i] - got[j]) - (want[i] - want[j]))
+                worst = max(worst, err / max(want[i], want[j]))
     assert worst <= 1e-12
+    # the offset is the loss at Theta = 0, <A, Y^T Y> / B
+    w = params_from_matrix(oracle)
+    offset = np.vdot(w.inverse, Y.T @ Y) / len(Y)
+    assert moments.loss_less_offset(fit, w.inverse) + offset == pytest.approx(
+        quadratic_loss(Y - forecast(fit, X), w), rel=1e-12)
+
+
+def minibatch_case(case, monkeypatch):
+    """A training sample block at a named shape, with the batch size and the
+    CHUNK_FLOATS the case runs at."""
+    H, T, n, size = {
+        "bench": (16, 8, 210, 64),  # 600 windows, 35 % of them, one chunk per epoch
+        "criterion-9": (16, 96, 1000, 64),  # one minibatch per chunk
+        "tail-batch": (16, 8, 210, 48),  # 4 whole minibatches and one of 18
+        "several-chunks": (16, 8, 210, 16),
+        "below-one-minibatch": (16, 8, 210, 64),
+    }[case]
+    if case == "several-chunks":
+        monkeypatch.setattr(bilevel, "CHUNK_FLOATS", 3 * 16 * 25 + 7)  # 3 minibatches
+    if case == "below-one-minibatch":
+        monkeypatch.setattr(bilevel, "CHUNK_FLOATS", 100)
+    spec = ArSpec((0.6,), 1.0, n + H + T - 1, seed=71)
+    return sample_block(make_windows(gen_ar(spec), H, T)), H + 1, size
+
+
+@pytest.mark.parametrize("case", ["bench", "criterion-9", "tail-batch", "several-chunks",
+                                  "below-one-minibatch"])
+def test_minibatch_moment_gradients_match_the_row_form(case, monkeypatch):
+    # every minibatch of an epoch, in order, through the stacked chunk
+    # products and the moments kernel, against the row-form oracle on the
+    # same rows
+    rows, k, size = minibatch_case(case, monkeypatch)
+    rng = np.random.default_rng(5)
+    T = rows.shape[1] - k
+    theta = 0.3 * rng.standard_normal((T, k))
+    A = params_from_matrix(np.eye(T) + 0.5 * np.tri(T, k=-1) @ np.tri(T, k=-1).T / T).inverse
+    order = rng.permutation(len(rows))
+    batches = list(minibatch_moments(rows, k, order, size))
+    assert len(batches) == -(-len(rows) // size)
+    worst = 0.0
+    for b, (G, C) in enumerate(batches):
+        want = row_grad(theta, A, rows[order[b * size:(b + 1) * size]])
+        got = moment_grad(theta, A, G, C)
+        worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
+    assert worst <= 1e-13

@@ -4,15 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import central_diff, complex_step, rel_err
+from conftest import central_diff, complex_step, rel_err, row_grad
+from qdf.bilevel import minibatch_moments
 from qdf.errors import InvalidConfigError, InvalidDimensionError, NumericError
 from qdf.model import (
     AdamState,
     LinearForecaster,
-    bound_grad,
     forecast_batch,
     init_forecaster,
     load_checkpoint,
+    moment_grad,
     save_checkpoint,
     sgd_update,
 )
@@ -63,8 +64,15 @@ def test_channel_independence(rng):
 
 
 def grad_of(theta, xs, ys, A):
-    """The bound gradient kernel with a fresh scratch block, for one call."""
-    return bound_grad(theta, A, np.empty_like(theta))(block(xs, ys))
+    """The row-form oracle's gradient of B input and label rows."""
+    return row_grad(theta, A, block(xs, ys))
+
+
+def moments_grad_of(theta, xs, ys, A):
+    """Final training's gradient of B rows taken as one minibatch: their
+    scaled moments, then the moments kernel."""
+    ((G, C),) = minibatch_moments(block(xs, ys), theta.shape[1], np.arange(len(xs)), len(xs))
+    return moment_grad(theta, A, G, C)
 
 
 def block(xs, ys):
@@ -115,9 +123,10 @@ def test_grad_params_matches_finite_differences_of_quadratic(rng):
 
 
 @pytest.mark.parametrize("T", [1, 2, 8, 33])
-def test_bound_grad_matches_complex_step(rng, T):
+def test_row_grad_matches_complex_step(rng, T):
     # normwise, against an oracle exact to rounding, under a symmetric positive
-    # definite A as Sigma^-1 is: the worst case measured 3.3e-16 of the norm
+    # definite A as Sigma^-1 is: the row form and the moments kernel on one
+    # minibatch both
     for H, B in [(1, 1), (3, 2), (8, 40)]:
         theta = rng.standard_normal((T, H + 1))
         xs, ys = rng.standard_normal((B, H)), rng.standard_normal((B, T))
@@ -129,7 +138,9 @@ def test_bound_grad_matches_complex_step(rng, T):
             return ((R @ A) * R).sum() / B
 
         oracle = complex_step(loss_at, theta)
-        assert np.linalg.norm(grad_of(theta, xs, ys, A) - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        for grad in grad_of, moments_grad_of:
+            got = grad(theta, xs, ys, A)
+            assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 def test_grad_params_batch_agrees_with_per_window(rng):
@@ -170,11 +181,10 @@ def test_gd_fits_noiseless_linear_process(rng):
     xs = rng.standard_normal((64, H))
     ys = xs @ A.T
     theta = np.array(init_forecaster(H, T, rng).theta)
-    grad, rows = bound_grad(theta, np.eye(T), np.empty_like(theta)), block(xs, ys)
     for _ in range(5000):
         if mse_loss(ys - forecast_batch(LinearForecaster(theta), xs)) < 1e-6:
             break
-        sgd_update(theta, grad(rows), 0.1, out=theta)
+        sgd_update(theta, moments_grad_of(theta, xs, ys, np.eye(T)), 0.1, out=theta)
     assert mse_loss(ys - forecast_batch(LinearForecaster(theta), xs)) < 1e-6
 
 
@@ -187,9 +197,8 @@ def test_adam_descends(rng):
     opt = AdamState(m, lr=0.05)
     first = mse_loss(ys - forecast_batch(m, xs))
     theta = np.array(m.theta)
-    grad, rows = bound_grad(theta, np.eye(T), np.empty_like(theta)), block(xs, ys)
     for _ in range(200):
-        opt.update(theta, grad(rows), out=theta)
+        opt.update(theta, moments_grad_of(theta, xs, ys, np.eye(T)), out=theta)
     assert mse_loss(ys - forecast_batch(LinearForecaster(theta), xs)) < first * 0.05
 
 

@@ -161,7 +161,7 @@ def test_normalize_scale_is_idempotent(rng):
         p = WeightingParams(rng.uniform(-2, 2, size=(T, T)))
         once = p.with_raw(*normalized_raw(p.raw, p.mode))
         twice = once.with_raw(*normalized_raw(once.raw, once.mode))
-        assert frobenius_distance(once, twice) <= 1e-10
+        assert frobenius_distance(once.sigma, twice.sigma) <= 1e-10
 
 
 @pytest.mark.parametrize("raw, error, message", [
@@ -192,17 +192,17 @@ def test_normalize_scale_keeps_offdiag_mode_untouched(rng):
 
 
 def test_frobenius_distance_examples():
-    a = identity_params(2)
+    a = identity_params(2).sigma
     assert frobenius_distance(a, a) == 0.0
-    b = params_from_matrix(2.0 * np.eye(2))
+    b = params_from_matrix(2.0 * np.eye(2)).sigma
     assert frobenius_distance(a, b) == pytest.approx(np.sqrt(2.0), abs=1e-12)
-    c = params_from_matrix(np.array([[4.0, 2.0], [2.0, 5.0]]))
+    c = params_from_matrix(np.array([[4.0, 2.0], [2.0, 5.0]])).sigma
     assert frobenius_distance(c, a) == pytest.approx(np.sqrt(33.0), abs=1e-12)
 
 
 def test_frobenius_distance_dimension_mismatch():
     with pytest.raises(InvalidDimensionError):
-        frobenius_distance(identity_params(2), identity_params(3))
+        frobenius_distance(identity_params(2).sigma, identity_params(3).sigma)
 
 
 def test_params_from_matrix_round_trip(rng):
@@ -232,16 +232,7 @@ def test_matrix_csv_round_trip(tmp_path):
 
 
 # Reference formulas: the weighting layer as first written, with np.tril,
-# diag_indices, a boolean-indexed sigmoid and the solve_triangular wrapper.
-def ref_sigmoid(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
+# diag_indices and the solve_triangular wrapper.
 def ref_factor(raw, mode):
     T = raw.shape[0]
     L = np.tril(raw, k=-1)
@@ -272,20 +263,19 @@ def ref_normalized_raw(raw, mode):
 
 
 def ref_chain(raw, mode, grad_sigma):
+    # the softplus derivative, the sigmoid of raw_ii, is 1 - exp(-L_ii)
     T = raw.shape[0]
-    grad_L = (grad_sigma + grad_sigma.T) @ ref_factor(raw, mode)
-    grad_raw = np.tril(grad_L, k=-1)
-    diag_raw = np.diagonal(raw)
-    active = softplus(diag_raw) > SOFTPLUS_FLOOR
-    grad_raw[np.diag_indices_from(grad_raw)] = (
-        np.diagonal(grad_L) * ref_sigmoid(diag_raw) * active
-    )
+    L = ref_factor(raw, mode)
     mask = np.tril(np.ones((T, T)))
     if mode is WeightingMode.DIAG_ONLY:
         mask = np.eye(T)
     elif mode is WeightingMode.OFFDIAG_ONLY:
         mask = np.tril(np.ones((T, T)), k=-1)
-    return grad_raw * mask
+    grad_raw = ((grad_sigma + grad_sigma.T) @ L) * mask
+    diag = np.diagonal(L)
+    active = diag > SOFTPLUS_FLOOR
+    grad_raw[np.diag_indices_from(grad_raw)] *= -np.expm1(-diag) * active
+    return grad_raw
 
 
 def assert_bitwise(a, b):
@@ -314,10 +304,10 @@ def test_weighting_layer_matches_reference_formulas_bitwise(mode, rng):
             assert_bitwise(w.with_raw(*normalized_raw(w.raw, mode)).raw,
                            ref_normalized_raw(raw, mode))
             assert_bitwise(normalized_raw(raw, mode)[0], ref_normalized_raw(raw, mode))
-            assert_bitwise(raw_grad(w.raw, w.factor, grad_sigma, mode),
+            assert_bitwise(raw_grad(w.factor, grad_sigma, mode),
                            ref_chain(raw, mode, grad_sigma))
     diagonals = np.concatenate(diagonals)
-    # both sigmoid branches, and diagonals on both sides of the floor clamp
+    # raw diagonals of both signs, and on both sides of the floor clamp
     assert np.any(diagonals >= 0) and np.any(diagonals < 0)
     assert np.any(softplus(diagonals) < SOFTPLUS_FLOOR)
     assert np.any((diagonals < 0) & (softplus(diagonals) > SOFTPLUS_FLOOR))
@@ -346,7 +336,7 @@ def test_raw_grad_matches_complex_step(rng, mode, T):
         np.fill_diagonal(raw, rng.uniform(-3, 3, T))
         G = rng.standard_normal((T, T))  # not symmetric: raw_grad symmetrizes it
         oracle = sigma_form_grad(raw, mode, G)
-        got = raw_grad(raw, factor_from_raw(raw, mode), G, mode)
+        got = raw_grad(factor_from_raw(raw, mode), G, mode)
         assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
         assert np.all(got[~free] == 0.0) and np.all(oracle[~free] == 0.0)
         assert np.all(oracle[free] != 0.0)
@@ -370,7 +360,7 @@ def test_raw_grad_is_zero_where_the_floor_clamps(rng, mode):
         moved[i, i] += 1.0
         assert np.array_equal(factor_from_raw(moved, mode), L)
     G = rng.standard_normal((T, T))
-    got = raw_grad(raw, L, G, mode)
+    got = raw_grad(L, G, mode)
     assert np.all(got.diagonal()[clamped] == 0.0)
     oracle = sigma_form_grad(raw, mode, G, floor=SOFTPLUS_FLOOR)
     assert np.all(oracle.diagonal()[clamped] == 0.0)
@@ -386,9 +376,9 @@ def test_masks_are_cached_read_only_and_gradients_are_fresh(mode, rng):
             mask[0, 0] = mask[0, 0]
     w = WeightingParams(rng.uniform(-2, 2, size=(5, 5)), mode)
     grad_sigma = rng.standard_normal((5, 5))
-    first = raw_grad(w.raw, w.factor, grad_sigma, mode)
+    first = raw_grad(w.factor, grad_sigma, mode)
     first[:] = 123.0
-    assert_bitwise(raw_grad(w.raw, w.factor, grad_sigma, mode), ref_chain(w.raw, mode, grad_sigma))
+    assert_bitwise(raw_grad(w.factor, grad_sigma, mode), ref_chain(w.raw, mode, grad_sigma))
 
 
 def lapack_outputs(module):

@@ -79,7 +79,7 @@ def test_learn_weighting_eta_zero_returns_identity(rng, mode):
     model = init_forecaster(ws.history, ws.horizon, rng)
     w, trace = learn_weighting(ws, model, cfg, mode)
     assert np.array_equal(w.raw, identity_params(ws.horizon, mode).raw)
-    assert frobenius_distance(w, identity_params(ws.horizon)) == 0.0
+    assert frobenius_distance(w.sigma, identity_params(ws.horizon).sigma) == 0.0
     assert trace == [0.0]
 
 
@@ -92,7 +92,7 @@ def test_learn_weighting_k1_single_atomic_update(rng):
     pair = make_split_pair(ws)
     start = identity_params(ws.horizon)
     _, grad = hypergradient(
-        model.theta, start.raw, start.mode, pair,
+        model.theta, (start.factor, start.inverse), start.mode, pair,
         QdfConfig(inner_steps=1, inner_lr=0.02, eta=0.1),
     )
     assert np.array_equal(w.raw, normalized_raw(start.raw - 0.1 * grad, start.mode)[0])
@@ -117,9 +117,9 @@ def test_learn_weighting_equals_chained_atomic_updates(rng, mode, inner_steps):
         prev = expect
         for pair in pairs:
             factor = expect.factor, expect.inverse
-            theta, grad = hypergradient(theta, expect.raw, mode, pair, cfg, factor=factor)
+            theta, grad = hypergradient(theta, factor, mode, pair, cfg)
             expect = expect.with_raw(*normalized_raw(expect.raw - cfg.eta * grad, mode))
-        deltas.append(frobenius_distance(expect, prev))
+        deltas.append(frobenius_distance(expect.sigma, prev.sigma))
     assert w.mode is mode and deltas[-1] > 0.0
     assert list(map(float.hex, trace)) == list(map(float.hex, deltas))
     assert list(map(float.hex, w.raw.ravel())) == list(map(float.hex, expect.raw.ravel()))
@@ -216,18 +216,29 @@ def test_learn_weighting_reads_do_not_grow_with_rounds(rng):
 
 # ------------------------------------------------------------ train_final
 
+def batch_moments(X, Y, idx):
+    """The moments of minibatch ``idx`` scaled by 2/B, from one 2-D product
+    [Z | Y]^T Z of its rows, Z = [X | 1]: (2/B) Z^T Z and (2/B) Y^T Z."""
+    E = np.column_stack([X[idx], np.ones(idx.size), Y[idx]])
+    k = X.shape[1] + 1
+    M = E.T @ E[:, :k]
+    M *= 2.0 / idx.size
+    return M[:k], M[k:]
+
+
 def reference_mse_training(train, valid, W, b, cfg, rng):
-    """Plain MSE minibatch training on separate raw W and b."""
+    """Plain MSE minibatch training on separate raw W and b, each step's
+    gradient Theta G - C from the minibatch's moments."""
     X, Y = train.as_samples()
     Xv, Yv = valid.as_samples()
     best, best_val, stale = (W, b), np.inf, 0
     for _ in range(cfg.epochs):
         order = rng.permutation(X.shape[0])
         for lo in range(0, X.shape[0], cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            upstream = -(2.0 / idx.size) * (Y[idx] - (X[idx] @ W.T + b))
-            W = W - cfg.final_lr * (upstream.T @ X[idx])
-            b = b - cfg.final_lr * upstream.sum(axis=0)
+            G, C = batch_moments(X, Y, order[lo : lo + cfg.batch_size])
+            grad = np.column_stack([W, b]) @ G - C
+            W = W - cfg.final_lr * grad[:, :-1]
+            b = b - cfg.final_lr * grad[:, -1]
         val = float(np.sum((Yv - (Xv @ W.T + b)) ** 2) / Xv.shape[0])
         if val < best_val:
             best, best_val, stale = (W, b), val, 0
@@ -357,7 +368,8 @@ def test_train_final_adam_option_runs():
 
 def reference_adam_training(train, valid, w, W, b, cfg, rng):
     """Adam minibatch training on separate raw W and b, each with its own
-    first and second moments."""
+    first and second moments, each step's gradient A (Theta G - C) from the
+    minibatch's moments."""
     X, Y = train.as_samples()
     Xv, Yv = valid.as_samples()
     A = w.inverse
@@ -368,9 +380,8 @@ def reference_adam_training(train, valid, w, W, b, cfg, rng):
     for _ in range(cfg.epochs):
         order = rng.permutation(X.shape[0])
         for lo in range(0, X.shape[0], cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            resid = Y[idx] - (X[idx] @ W.T + b)
-            grad = -(2.0 / idx.size) * (A @ np.column_stack([resid.T @ X[idx], resid.sum(axis=0)]))
+            G, C = batch_moments(X, Y, order[lo : lo + cfg.batch_size])
+            grad = A @ (np.column_stack([W, b]) @ G - C)
             dw, db = grad[:, :-1], grad[:, -1]
             t += 1
             m_w = b1 * m_w + (1 - b1) * dw
@@ -499,7 +510,7 @@ def test_qdf_stays_near_identity_on_white_noise():
                     eta=0.05, seed=37)
     model = init_forecaster(8, 4, np.random.default_rng(37))
     w, _ = learn_weighting(ws, model, cfg)
-    assert frobenius_distance(w, identity_params(4)) < 0.1
+    assert frobenius_distance(w.sigma, identity_params(4).sigma) < 0.1
 
 
 def test_oracle_weighting_beats_mse_on_oracle_nll_smoke():
@@ -573,8 +584,8 @@ def test_train_final_divergence_raises_mid_epoch(optimizer, lr, monkeypatch):
         return adams[-1]
 
     monkeypatch.setattr(workflow, "sgd_update", counted_sgd)
-    moments_loss = bilevel.Moments.loss
-    monkeypatch.setattr(bilevel.Moments, "loss", counted_loss)
+    moments_loss = bilevel.Moments.loss_less_offset
+    monkeypatch.setattr(bilevel.Moments, "loss_less_offset", counted_loss)
     monkeypatch.setattr(workflow, "AdamState", recording_adam)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericError, match="model parameters must be finite") as err:
