@@ -29,8 +29,9 @@ print("implied partial correlation of steps 1 and 2:",
 # --- the oracle matches what OLS residuals measure empirically
 frame = gen_ar(spec)
 windows = make_windows(frame, history=6, horizon=3)
-X, Y = windows.as_samples()
-design = np.column_stack([np.ones(len(X)), X])
+# one sample block [X | 1 | Y]: its first history + 1 columns are the design
+block = windows.sample_block()
+design, Y = block[:, :7], block[:, 7:]
 coef, *_ = np.linalg.lstsq(design, Y, rcond=None)
 emp = np.cov((Y - design @ coef).T)
 print("\nempirical residual covariance from", len(windows), "windows:")

@@ -12,8 +12,8 @@ The model is linear and the loss quadratic, so with Z = [X, 1] and
 Theta = [W, b] every gradient depends on a split's rows only through its
 moments G = Z^T Z and C = Y^T Z and its row count B (``Moments``).
 ``split_moments`` reads a split once into one sample block [X | 1 | Y]
-(``sample_block``) and takes both from views of it; each side of a split
-pair caches them.  With A = Sigma^-1, an inner step is
+(``WindowSet.sample_block``) and takes both from views of it; each side of
+a split pair caches them.  With A = Sigma^-1, an inner step is
 Theta <- Theta + (2 lr / B) A (C - Theta G), the reverse pass needs only the
 residual moments M_k = C - Theta_k G of each step, and the outer adjoint is
 seeded from the outer moments as (2 / Bo) A (Theta_N Go - Co), through the
@@ -33,13 +33,13 @@ T x (H+1) parameter block and the weighting's factor L with its Sigma^-1,
 which ``learn_weighting`` carries from the rescale of its previous update,
 and returns theta_N and the gradient of the weighting's ``raw`` block,
 building no model or weighting object.  It reads each side's moments and
-the step scale once.  It is the one function that runs the unroll and the
-reverse pass; the outer step and the rescale are
-``workflow.learn_weighting``'s.  Each inner step is checked finite, and so
-is the outer adjoint seed.  The adjoint is carried back N - 1 times, since
-the last carry would never be read.  A ``PhaseTimer`` laps the inner phases
-back to back, and then the two outer ones.  A split pair's disjointness is
-checked on the sorted window starts, with no row masks.
+the step scale once, and runs the unroll and the reverse pass; the outer
+step and the rescale are ``workflow.learn_weighting``'s.  Each inner step is
+checked finite, and so is the outer adjoint seed.  The adjoint is carried
+back N - 1 times, since the last carry would never be read.  A
+``PhaseTimer`` laps the inner phases back to back, and then the two outer
+ones.  A split pair's disjointness is checked on the sorted window starts,
+with no row masks.
 """
 
 from __future__ import annotations
@@ -107,21 +107,6 @@ class Moments(NamedTuple):
         return float(np.vdot(A @ theta, P)) / self.B
 
 
-def sample_block(windows: WindowSet) -> np.ndarray:
-    """A split's samples as one n*D x (H+1+T) block [X | 1 | Y], rows
-    window-major and variable-minor as in ``as_samples``.  The window views
-    are copied straight into the block, with no second copy; counts as one
-    read."""
-    X, Y = windows.arrays()
-    n, H, D = X.shape
-    T = Y.shape[1]
-    block = np.empty((n * D, H + 1 + T))
-    np.copyto(block[:, :H].reshape(n, D, H), X.transpose(0, 2, 1))
-    block[:, H] = 1.0
-    np.copyto(block[:, H + 1:].reshape(n, D, T), Y.transpose(0, 2, 1))
-    return block
-
-
 def split_moments(windows: WindowSet) -> Moments:
     """The moments of a nonempty split, from its sample block; the block is
     not kept."""
@@ -131,7 +116,7 @@ def split_moments(windows: WindowSet) -> Moments:
     # The moments' buffers are taken before the block's, so that the freed
     # block leaves the top of the heap for the next one to reuse.
     G, C = np.empty((k, k)), np.empty((T, k))
-    block = sample_block(windows)
+    block = windows.sample_block()
     Z, Y = block[:, :k], block[:, k:]
     np.matmul(Z.T, Z, out=G)
     np.matmul(Y.T, Z, out=C)
@@ -201,16 +186,29 @@ def make_split_pair(windows: WindowSet) -> SplitPair:
     return SplitPair(inner.slice(0, last), outer)
 
 
-def _unroll(theta, A, G, C, scale, steps: int, timer: PhaseTimer):
-    """Shared forward pass: N full-batch GD steps from the inner moments G, C
-    under Sigma^-1 = A, each Theta <- Theta + scale A (C - Theta G).
+def hypergradient(theta, factor, mode: WeightingMode, split: SplitPair, cfg: QdfConfig,
+                  timer: PhaseTimer = UNTIMED):
+    """N inner GD steps from the parameter block ``theta`` under the
+    weighting whose factor and Sigma^-1 are ``factor`` = (L, Sigma^-1), and
+    the gradient of the outer loss with respect to the weighting's ``raw``
+    block through that inner trajectory only (the direct outer occurrence of
+    Sigma held fixed).
 
-    Returns the parameter block after the last step and the residual moments
-    M_k = C - Theta_k G of every step, which the reverse pass consumes.
+    Each step's Jacobian is I - (2 lr / B) A (.) G, constant in theta for a
+    quadratic loss; the mixed derivative of step k with respect to Sigma is
+    -(2 lr / B) A M_k lambda^T A, accumulated before the two A factors apply.
+
+    Returns (theta_N, grad); the caller takes the outer step.
     """
+    L, A = factor
+    T = A.shape[0]
+    if theta.shape != (T, split.inner.history + 1) or split.inner.horizon != T:
+        raise InvalidDimensionError("model/weighting/split shapes disagree")
+    G, C, B = split.inner_moments
+    scale = 2.0 * cfg.inner_lr / B
     moments = []
     timer.start()
-    for _ in range(steps):
+    for _ in range(cfg.inner_steps):
         M = C - theta @ G
         timer.lap("inner_fwd")
         theta = theta + scale * (A @ M)
@@ -219,30 +217,9 @@ def _unroll(theta, A, G, C, scale, steps: int, timer: PhaseTimer):
         if not finite:
             raise NumericError("inner loop diverged; reduce inner_lr")
         moments.append(M)
-    return theta, moments
-
-
-def _outer_seed(theta_n, A, outer_moments) -> np.ndarray:
-    """Gradient of the outer loss at theta_N, (2 / Bo) A (Theta_N Go - Co):
-    the row form -(2 / Bo) A R^T Z, from the outer moments alone."""
-    Go, Co, Bo = outer_moments
-    return (2.0 / Bo) * moment_grad(theta_n, A, Go, Co)
-
-
-def _outer_reverse(theta_n, moments, L, A, G, scale, mode, outer, timer) -> np.ndarray:
-    """Outer loss adjoint at theta_N, carried back through the unrolled steps
-    on the inner Gram G with step scale ``scale``, as a gradient of the raw
-    block whose factor is L and Sigma^-1 is A.
-
-    The seed is ``_outer_seed``, read off the outer moments.  Each step's
-    Jacobian is I - (2 lr / B) A (.) G, constant in theta for a quadratic
-    loss; the mixed derivative of step k with respect to Sigma is
-    -(2 lr / B) A M_k lambda^T A, accumulated before the two A factors apply.
-    The adjoint is carried back N - 1 times: past the first step it is never
-    read.
-    """
+    Go, Co, Bo = split.outer_moments
     timer.start()  # a pair's first update builds its outer moments untimed
-    lam = _outer_seed(theta_n, A, outer)
+    lam = (2.0 / Bo) * moment_grad(theta, A, Go, Co)
     timer.lap("outer_fwd")
     if not np.isfinite(lam).all():
         raise NumericError("outer adjoint diverged; reduce inner_lr")
@@ -253,24 +230,4 @@ def _outer_reverse(theta_n, moments, L, A, G, scale, mode, outer, timer) -> np.n
         P += M @ lam.T
     grad = raw_grad(L, -scale * (A @ P @ A), mode)
     timer.lap("outer_bwd")
-    return grad
-
-
-def hypergradient(theta, factor, mode: WeightingMode, split: SplitPair, cfg: QdfConfig,
-                  timer: PhaseTimer = UNTIMED):
-    """N inner GD steps from the parameter block ``theta`` under the
-    weighting whose factor and Sigma^-1 are ``factor`` = (L, Sigma^-1), and
-    the gradient of the outer loss with respect to the weighting's ``raw``
-    block through that inner trajectory only (the direct outer occurrence of
-    Sigma held fixed).
-
-    Returns (theta_N, grad); the caller takes the outer step.
-    """
-    L, A = factor
-    if theta.shape[0] != A.shape[0] or split.inner.horizon != A.shape[0]:
-        raise InvalidDimensionError("model/weighting/split horizons disagree")
-    G, C, B = split.inner_moments
-    scale = 2.0 * cfg.inner_lr / B
-    theta_n, moments = _unroll(theta, A, G, C, scale, cfg.inner_steps, timer)
-    outer = split.outer_moments
-    return theta_n, _outer_reverse(theta_n, moments, L, A, G, scale, mode, outer, timer)
+    return theta, grad

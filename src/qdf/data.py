@@ -1,9 +1,10 @@
 """Dataset ingestion, windowing, chronological splitting, and synthetic data.
 
-Windows are read-only views of the series.  ``WindowSet.sample_blocks`` is
-the blockwise reader: it writes the sample rows of chosen windows into the
-caller's buffers, a block at a time, with no temporary larger than
-``CHUNK_FLOATS`` floats.
+Windows are read-only views of the series.  ``WindowSet.sample_block``
+copies a whole split into one sample block [X | 1 | Y].
+``WindowSet.sample_blocks`` is the blockwise reader: it writes the sample
+rows of chosen windows into the caller's buffers, a block at a time, with no
+temporary larger than ``CHUNK_FLOATS`` floats.
 
 The synthetic side generates autoregressive series with an optional periodic
 innovation-scale schedule, solving the recursion through a band buffer of
@@ -82,7 +83,7 @@ class WindowSet:
     """Paired (X, Y) sliding windows with their source start indices.
 
     X stacks to (n, H, D), Y to (n, T, D); a window starting at s covers
-    source rows [s, s + H + T).  Reads through ``arrays``, ``as_samples``
+    source rows [s, s + H + T).  Reads through ``arrays``, ``sample_block``
     and ``sample_blocks`` are counted so leakage tests can assert a split
     was never touched.
     """
@@ -117,16 +118,18 @@ class WindowSet:
             node = node._parent
         return self._X, self._Y
 
-    def as_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flatten variables into rows: (n*D, H) inputs, (n*D, T) labels."""
+    def sample_block(self) -> np.ndarray:
+        """The split's samples as one n*D x (H+1+T) block [X | 1 | Y], rows
+        window-major and variable-minor.  The window views are copied
+        straight into the block; counts as one read."""
         X, Y = self.arrays()
         n, H, D = X.shape
         T = Y.shape[1]
-        # Contiguous copies: window views overlap in memory, and matmul over
-        # overlapping rows can round differently from the same rows copied.
-        Xs = np.ascontiguousarray(X.transpose(0, 2, 1).reshape(n * D, H))
-        Ys = np.ascontiguousarray(Y.transpose(0, 2, 1).reshape(n * D, T))
-        return Xs, Ys
+        block = np.empty((n * D, H + 1 + T))
+        np.copyto(block[:, :H].reshape(n, D, H), X.transpose(0, 2, 1))
+        block[:, H] = 1.0
+        np.copyto(block[:, H + 1:].reshape(n, D, T), Y.transpose(0, 2, 1))
+        return block
 
     def sample_blocks(
         self, rows: np.ndarray, x_out: np.ndarray, y_out: np.ndarray
@@ -136,7 +139,7 @@ class WindowSet:
         A block takes as many windows k as ``x_out`` holds, len(x_out) // D.
         Their k*D history rows are written into the leading rows of ``x_out``
         (width H) and their labels into ``y_out`` (width T), window-major and
-        variable-minor as in ``as_samples``, and those two views are yielded;
+        variable-minor as in ``sample_block``, and those two views are yielded;
         the next block overwrites them.  Windows are gathered a few at a
         time, so no temporary holds more than ``CHUNK_FLOATS`` floats.  The
         pass counts as one read.

@@ -17,9 +17,10 @@ the conditioning guard; the one ``WeightingParams``, holding the carried
 factor, is built for the result.
 
 Final training reads the training split once into one sample block
-[X | 1 | Y].  Each epoch gathers its permuted rows a chunk of minibatches at
-a time and takes every minibatch's moments from one stacked product per
-chunk (``bilevel.minibatch_moments``); each step is the moments gradient
+[X | 1 | Y] (``WindowSet.sample_block``), as evaluation reads the test split.
+Each epoch gathers its permuted rows a chunk of minibatches at a time and
+takes every minibatch's moments from one stacked product per chunk
+(``bilevel.minibatch_moments``); each step is the moments gradient
 A (Theta G_b - C_b), under SGD or Adam alike.  It ranks epochs by the
 validation loss from the validation split's moments under the frozen
 Sigma^-1, less a constant, so it holds no validation sample.
@@ -38,9 +39,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bilevel import hypergradient, make_split_pair, minibatch_moments, sample_block, split_moments
+from .bilevel import hypergradient, make_split_pair, minibatch_moments, split_moments
 from .data import WindowSet, chrono_split
-from .errors import InvalidConfigError, InvalidSplitError, NumericError, integer
+from .errors import (
+    InvalidConfigError, InvalidDimensionError, InvalidSplitError, NumericError, integer,
+)
 from .model import (
     AdamState,
     LinearForecaster,
@@ -188,11 +191,13 @@ def train_final(
         raise InvalidSplitError("weighting horizon does not match windows")
     if (valid.history, valid.horizon) != (train.history, train.horizon):
         raise InvalidSplitError("validation windows do not match training windows")
+    if model_init.theta.shape != (train.horizon, train.history + 1):
+        raise InvalidDimensionError("model shape does not match windows")
     A = w.inverse
     # The validation split enters only through its moments, read before the
     # training block is built, so the two blocks are never held at once.
     held_out = split_moments(valid)
-    rows = sample_block(train)
+    rows = train.sample_block()
     # The minibatch loop runs on one writable parameter block; every update
     # is checked finite.  Minibatch moments are taken a chunk of minibatches
     # at a time: a gathered epoch would be a second copy of the training
@@ -227,14 +232,15 @@ def train_final(
 
 def evaluate(model: LinearForecaster, windows: WindowSet, w: WeightingParams) -> dict:
     """Test metrics: per-element MSE/MAE plus the quadratic loss under w.
-    NumericError if any of them is not finite (an overflowing residual)."""
-    X, Y = windows.as_samples()
-    resid = Y - forecast_batch(model, X)
-    metrics = {
-        "mse": float(np.mean(resid**2)),
-        "mae": float(np.mean(np.abs(resid))),
-        "nll": quadratic_loss(resid, w),
-    }
+    EmptyInputError on an empty window set, raised by the quadratic loss
+    before any mean is taken; NumericError if any metric is not finite (an
+    overflowing residual)."""
+    block = windows.sample_block()
+    H = windows.history
+    resid = block[:, H + 1:] - forecast_batch(model, block[:, :H])
+    nll = quadratic_loss(resid, w)
+    metrics = {"mse": float(np.mean(resid**2)), "mae": float(np.mean(np.abs(resid))),
+               "nll": nll}
     bad = [name for name, v in metrics.items() if not np.isfinite(v)]
     if bad:
         raise NumericError(f"test metrics {bad} are not finite; the test residuals overflow")

@@ -54,6 +54,20 @@ def row_grad(theta, A, rows):
     return -(2.0 / len(rows)) * (A @ (Y - Z @ theta.T).T @ Z)
 
 
+def window_samples(windows):
+    """The (n*D, H) history rows and (n*D, T) label rows of a window set,
+    window-major and variable-minor, by a plain loop over windows and
+    variables: a layout oracle independent of the library's readers.
+    Counts as one read."""
+    X, Y = windows.arrays()
+    xs, ys = [], []
+    for i in range(len(windows)):
+        for d in range(windows.n_vars):
+            xs.append(X[i, :, d])
+            ys.append(Y[i, :, d])
+    return np.array(xs).reshape(-1, windows.history), np.array(ys).reshape(-1, windows.horizon)
+
+
 def rel_err(analytic, numeric, floor=1e-6):
     """Worst-case entrywise relative error with a small-denominator floor."""
     analytic = np.asarray(analytic, dtype=float)

@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complex_factor, row_grad
+from conftest import complex_factor, row_grad, window_samples
 from qdf.bench import benchmark_data
 from qdf.bilevel import (
     SplitPair,
     _coverage_overlaps,
-    _outer_seed,
     hypergradient,
     make_split_pair,
     minibatch_moments,
-    sample_block,
     split_moments,
 )
 from qdf.data import ArSpec, SeriesFrame, WindowSet, ar_conditional_cov, gen_ar, make_windows
@@ -61,8 +59,8 @@ def reference_inner_run(theta0, params, X, Y, steps, lr):
 def fd_hypergradient(theta0, w, split, cfg, step=1e-4):
     """Finite-difference oracle: re-run the inner loop at perturbed weighting,
     holding the outer loss's direct weighting slot at the unperturbed value."""
-    X, Y = split.inner.as_samples()
-    Xo, Yo = split.outer.as_samples()
+    X, Y = window_samples(split.inner)
+    Xo, Yo = window_samples(split.outer)
 
     def outer_loss_at(raw):
         perturbed = WeightingParams(raw, w.mode)
@@ -86,8 +84,8 @@ def cs_hypergradient(theta0, raw, mode, split, cfg, h=1e-30):
     f being the outer loss after the inner GD steps re-run on the samples in
     complex arithmetic, with the outer form's Sigma^-1 held at its real value.
     Entries the mode does not read come out zero."""
-    X, Y = split.inner.as_samples()
-    Xo, Yo = split.outer.as_samples()
+    X, Y = window_samples(split.inner)
+    Xo, Yo = window_samples(split.outer)
     Z, Zo = (np.column_stack([a, np.ones(len(a))]) for a in (X, Xo))
     L0 = complex_factor(raw, mode)
     A0 = np.linalg.inv(L0 @ L0.T)
@@ -260,7 +258,7 @@ def test_stop_gradient_zero_outer_residuals(rng):
     # theta after the inner loop, computed by the module's own path
     theta_n = LinearForecaster(
         hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, pair, cfg)[0])
-    Xo, _ = pair.outer.as_samples()
+    Xo, _ = window_samples(pair.outer)
     perfect_Y = forecast_batch(theta_n, Xo)[:, :, None]
     Xo3, _ = pair.outer.arrays()
     perfect_pair = SplitPair(pair.inner, WindowSet(Xo3, perfect_Y, pair.outer.starts))
@@ -277,25 +275,26 @@ def test_stop_gradient_zero_outer_residuals(rng):
     g_off = hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, off_pair, cfg)[1]
     assert np.linalg.norm(g_off) > 1e6 * seed_rounding_bound(theta0, w, off_pair, cfg)
     # sanity: inner residuals themselves are not zero
-    X, Y = pair.inner.as_samples()
+    X, Y = window_samples(pair.inner)
     assert np.max(np.abs(Y - forecast_batch(theta_n, X))) > 1e-3
 
 
 @pytest.mark.parametrize("mode", list(WeightingMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("T", [1, 2, 8])
 def test_outer_moment_seed_matches_row_seed(rng, mode, T):
-    # the seed read off the cached outer moments is the row-form gradient
-    # oracle on the outer samples, up to the rounding of Theta Go - Co
+    # the seed hypergradient reads off the cached outer moments,
+    # (2 / Bo) A (Theta Go - Co), is the row-form gradient oracle on the
+    # outer samples, up to the rounding of Theta Go - Co
     for _ in range(5):
         H = int(rng.integers(1, 9))
         pair = build_pair(rng, H, T, n_rows=int(rng.integers(40, 120)))
         theta = rng.standard_normal((T, H + 1))
         A = WeightingParams(rng.uniform(-0.6, 0.6, (T, T)), mode).inverse
-        Xo, Yo = pair.outer.as_samples()
+        Xo, Yo = window_samples(pair.outer)
         block = np.column_stack([Xo, np.ones(len(Xo)), Yo])
         rows = row_grad(theta, A, block)
-        moments = _outer_seed(theta, A, pair.outer_moments)
         Go, Co, Bo = pair.outer_moments
+        moments = (2.0 / Bo) * moment_grad(theta, A, Go, Co)
         norm = np.linalg.norm
         tol = (2.0 / Bo) * norm(A) * (H + 2) * np.finfo(float).eps * (
             norm(Co) + norm(theta) * norm(Go))
@@ -347,7 +346,7 @@ def test_atomic_update_eta_zero_returns_w_unchanged(rng):
     pair = make_split_pair(ws)
     theta0 = init_forecaster(3, 2, rng)
     cfg = QdfConfig(inner_steps=3, inner_lr=0.02, eta=0.0)
-    X, Y = pair.inner.as_samples()
+    X, Y = window_samples(pair.inner)
     for mode in WeightingMode:
         w = identity_params(2, mode)
         assert np.array_equal(one_update(ws, theta0, cfg, mode).raw, w.raw)
@@ -485,25 +484,28 @@ def test_coverage_overlap_check_matches_brute_force(H, T, a, b):
 
 # ------------------------------------------------------------ split moments
 
-def test_sample_block_is_the_samples_with_a_ones_column_in_one_read(rng):
-    ws = build_windows(rng, 3, 2, 60)
-    block = sample_block(ws)
-    assert ws.reads == 1
-    X, Y = ws.as_samples()
-    assert np.array_equal(block, np.column_stack([X, np.ones(len(X)), Y]))
-    assert block.flags.c_contiguous
-
-
 def test_split_moments_are_the_block_products(rng):
     ws = build_windows(rng, 4, 3, 80)
     G, C, B = split_moments(ws)
     assert ws.reads == 1
-    X, Y = ws.as_samples()
+    X, Y = window_samples(ws)
     Z = np.column_stack([X, np.ones(len(X))])
     assert B == len(X)
     for got, want in ((G, Z.T @ Z), (C, Y.T @ Z)):
         assert np.allclose(got, want, rtol=1e-14, atol=0)
     assert np.array_equal(G, G.T)
+
+
+def test_split_moments_of_several_variables_sum_over_the_variables(rng):
+    # the rows of a D-variable split are the rows of its D one-column splits,
+    # so its moments are theirs summed, up to the order of the sums
+    values = rng.standard_normal((90, 3))
+    G, C, B = split_moments(make_windows(SeriesFrame(values, ["a", "b", "c"]), 4, 3))
+    parts = [split_moments(make_windows(SeriesFrame(values[:, [d]], ["y"]), 4, 3))
+             for d in range(3)]
+    assert B == sum(part.B for part in parts) == 3 * 84
+    for got, want in ((G, sum(part.G for part in parts)), (C, sum(part.C for part in parts))):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_split_moments_of_an_empty_split_raise():
@@ -532,7 +534,7 @@ def test_moments_loss_matches_quadratic_loss_on_the_samples(shape):
     # cancels most
     valid, oracle = moments_shape_split(shape)
     moments = split_moments(valid)
-    X, Y = valid.as_samples()
+    X, Y = window_samples(valid)
     T, k = moments.C.shape
     fit = np.linalg.solve(moments.G, moments.C.T).T
     start = 0.1 * np.random.default_rng(0).standard_normal((T, k))
@@ -568,7 +570,7 @@ def minibatch_case(case, monkeypatch):
     if case == "below-one-minibatch":
         monkeypatch.setattr(bilevel, "CHUNK_FLOATS", 100)
     spec = ArSpec((0.6,), 1.0, n + H + T - 1, seed=71)
-    return sample_block(make_windows(gen_ar(spec), H, T)), H + 1, size
+    return make_windows(gen_ar(spec), H, T).sample_block(), H + 1, size
 
 
 @pytest.mark.parametrize("case", ["bench", "criterion-9", "tail-batch", "several-chunks",

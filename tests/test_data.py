@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import window_samples
 from qdf import data
 from qdf.data import (
     ArSpec,
@@ -458,9 +459,10 @@ def test_windows_are_read_only_views_of_the_frame(rng):
     for a in (X, Y):
         assert np.shares_memory(a, frame.values)
         assert not a.flags.writeable
-    # sample rows are copies, also where a reshape alone would give overlapping rows
+    # sample blocks are copies, also where a reshape alone would give overlapping rows
     uni = make_windows(frame_of(rng.standard_normal(40)), 4, 2)
-    assert all(a.flags.c_contiguous for a in (*ws.as_samples(), *uni.as_samples()))
+    for block in ws.sample_block(), uni.sample_block():
+        assert block.flags.c_contiguous and block.flags.owndata
 
 
 @pytest.mark.parametrize("args", [(2.5, 2), (2, 2.0), (2, 2, 1.5)],
@@ -480,8 +482,18 @@ def test_window_reads_counter(rng):
     ws = make_windows(frame_of(rng.standard_normal(12)), 2, 2)
     assert ws.reads == 0
     ws.arrays()
-    ws.as_samples()
+    ws.sample_block()
     assert ws.reads == 2
+
+
+def test_sample_block_is_the_samples_with_a_ones_column_in_one_read(rng):
+    for D in (1, 3):
+        ws = make_windows(frame_of(rng.standard_normal((60, D))), 3, 2)
+        block = ws.sample_block()
+        assert ws.reads == 1
+        X, Y = window_samples(ws)
+        assert np.array_equal(block, np.column_stack([X, np.ones(len(X)), Y]))
+        assert block.flags.c_contiguous
 
 
 READER_ROWS = {
@@ -505,7 +517,7 @@ def test_sample_blocks_write_the_rows_of_as_samples(monkeypatch, rng, D, few, ro
     if few is not None:
         monkeypatch.setattr(data, "CHUNK_FLOATS", few * D * T)
     ws = make_windows(frame_of(rng.standard_normal((40 + H + T - 1, D))), H, T)
-    Xs, Ys = ws.as_samples()
+    Xs, Ys = window_samples(ws)
     want_x = Xs.reshape(len(ws), D, H)[rows].reshape(-1, H)
     want_y = Ys.reshape(len(ws), D, T)[rows].reshape(-1, T)
     for block in (1, 4, 7, 40):
@@ -873,7 +885,7 @@ def test_oracle_matches_ols_residual_covariance():
     frame = gen_ar(spec)
     T, H = 3, 4
     ws = make_windows(frame, H, T)
-    X, Y = ws.as_samples()
+    X, Y = window_samples(ws)
     design = np.column_stack([np.ones(len(X)), X])
     coef, *_ = np.linalg.lstsq(design, Y, rcond=None)
     resid = Y - design @ coef

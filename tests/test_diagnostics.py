@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import window_samples
 from qdf import data, diagnostics
 from qdf.data import (
     ArSpec,
@@ -347,7 +348,7 @@ def full_buffer_partial_corr(frame, history, horizon, subsample, variable=None, 
         keep = np.sort(np.random.default_rng(seed).choice(n, size=subsample, replace=False))
         X, Y = X[keep], Y[keep]
     if variable is None:
-        hist, labels = WindowSet(X, Y, np.arange(len(X))).as_samples()
+        hist, labels = window_samples(WindowSet(X, Y, np.arange(len(X))))
     else:
         hist, labels = X[:, :, variable], Y[:, :, variable]
     samples = len(labels)
@@ -486,7 +487,7 @@ def exact_pooled_fit(frame, history, horizon):
     """Matrix and variances of the pooled fit from the residual Gram
     S = Y^T Y - (D^T Y)^T (D^T D)^-1 D^T Y in exact rationals, for values on
     the 2^-20 grid: scaled by 2^20, D and Y hold integers."""
-    hist, labels = make_windows(frame, history, horizon).as_samples()
+    hist, labels = window_samples(make_windows(frame, history, horizon))
     scale = 2**20
     D = (np.column_stack([np.ones(len(hist)), hist]) * scale).astype(np.int64).astype(object)
     Y = (labels * scale).astype(np.int64).astype(object)

@@ -1,21 +1,33 @@
 import inspect
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import window_samples
+from qdf.bench import bench_config, benchmark_data
 from qdf.bilevel import hypergradient, make_split_pair
 from qdf.data import (
     ArSpec,
+    SeriesFrame,
+    WindowSet,
     ar_conditional_cov,
     chrono_split,
     gen_ar,
+    gen_ar_frame,
     make_windows,
     ramp_noise_schedule,
 )
 from qdf import bilevel, workflow
-from qdf.errors import InvalidConfigError, InvalidSplitError, NumericError
+from qdf.errors import (
+    EmptyInputError,
+    InvalidConfigError,
+    InvalidDimensionError,
+    InvalidSplitError,
+    NumericError,
+)
 from qdf.model import AdamState, forecast_batch, init_forecaster, sgd_update
 from qdf.objective import grad_wrt_residual, quadratic_loss
 from qdf.weighting import (
@@ -229,8 +241,8 @@ def batch_moments(X, Y, idx):
 def reference_mse_training(train, valid, W, b, cfg, rng):
     """Plain MSE minibatch training on separate raw W and b, each step's
     gradient Theta G - C from the minibatch's moments."""
-    X, Y = train.as_samples()
-    Xv, Yv = valid.as_samples()
+    X, Y = window_samples(train)
+    Xv, Yv = window_samples(valid)
     best, best_val, stale = (W, b), np.inf, 0
     for _ in range(cfg.epochs):
         order = rng.permutation(X.shape[0])
@@ -266,8 +278,8 @@ def test_train_final_identity_matches_mse_training_bitwise():
 def reference_weighted_training(train, valid, w, W, b, cfg, rng):
     """Minibatch training under w on separate raw W and b, with the
     grad_wrt_residual oracle's gradient."""
-    X, Y = train.as_samples()
-    Xv, Yv = valid.as_samples()
+    X, Y = window_samples(train)
+    Xv, Yv = window_samples(valid)
     best, best_val, stale = (W, b), np.inf, 0
     for _ in range(cfg.epochs):
         order = rng.permutation(X.shape[0])
@@ -320,7 +332,7 @@ def test_train_final_fits_noiseless_linear_process(rng, monkeypatch):
     cfg = QdfConfig(epochs=400, batch_size=64, final_lr=0.1, seed=0)
     model0 = init_forecaster(H, T, rng)
     model = train_final(train, w, model0, cfg, valid=valid, rng=rng)
-    X, Y = train.as_samples()
+    X, Y = window_samples(train)
     final = quadratic_loss(Y - forecast_batch(model, X), w)
     assert final < 1e-6
 
@@ -356,6 +368,47 @@ def test_train_final_rejects_validation_of_other_shape(H, T):
                     valid=valid, rng=np.random.default_rng(16))
 
 
+@pytest.mark.parametrize("entry", ["hypergradient", "learn_weighting", "train_final"])
+def test_a_model_of_another_history_is_refused(entry):
+    # a history-15 model on the history-16 white bench windows: numpy's
+    # matmul and broadcast ValueErrors escaped all three entry points
+    data = benchmark_data("white", 0)
+    cfg = bench_config(0, "white")
+    model0 = init_forecaster(data.train.history - 1, data.train.horizon,
+                             np.random.default_rng(0))
+    w = identity_params(data.train.horizon)
+    run = {
+        "hypergradient": lambda: hypergradient(model0.theta, (w.factor, w.inverse), w.mode,
+                                               make_split_pair(data.train), cfg),
+        "learn_weighting": lambda: learn_weighting(data.train, model0, cfg),
+        "train_final": lambda: train_final(data.train, w, model0, cfg, valid=data.valid,
+                                           rng=np.random.default_rng(0)),
+    }[entry]
+    with pytest.raises(InvalidDimensionError, match="shape"):
+        run()
+
+
+def test_evaluate_refuses_an_empty_window_set():
+    # refused before any mean is taken: numpy warned "Mean of empty slice"
+    ws = WindowSet(np.zeros((0, 8, 1)), np.zeros((0, 4, 1)), np.zeros(0, dtype=int))
+    model = init_forecaster(8, 4, np.random.default_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyInputError):
+            evaluate(model, ws, identity_params(4))
+
+
+def test_evaluate_mse_of_several_variables_is_the_mean_over_the_variables():
+    # one model serves every variable, and every variable has as many rows
+    frame = gen_ar_frame(ArSpec((0.6,), 1.0, 400, seed=31), 3)
+    model = init_forecaster(8, 4, np.random.default_rng(31))
+    w = identity_params(4)
+    per_column = [evaluate(model, make_windows(SeriesFrame(frame.values[:, [d]], ["y"]), 8, 4),
+                           w)["mse"] for d in range(3)]
+    assert evaluate(model, make_windows(frame, 8, 4), w)["mse"] == pytest.approx(
+        np.mean(per_column), rel=1e-13)
+
+
 def test_train_final_adam_option_runs():
     ws = ar_windows(seed=13, length=400)
     train, valid = ws.slice(0, 250), ws.slice(260, 330)
@@ -370,8 +423,8 @@ def reference_adam_training(train, valid, w, W, b, cfg, rng):
     """Adam minibatch training on separate raw W and b, each with its own
     first and second moments, each step's gradient A (Theta G - C) from the
     minibatch's moments."""
-    X, Y = train.as_samples()
-    Xv, Yv = valid.as_samples()
+    X, Y = window_samples(train)
+    Xv, Yv = window_samples(valid)
     A = w.inverse
     b1, b2 = 0.9, 0.999
     m_w, v_w, m_b, v_b = (np.zeros_like(W), np.zeros_like(W),
@@ -568,7 +621,7 @@ def test_train_final_divergence_raises_mid_epoch(optimizer, lr, monkeypatch):
     train, valid = ws.slice(0, 400), ws.slice(420, 500)
     cfg = QdfConfig(epochs=4, batch_size=8, final_lr=lr, final_optimizer=optimizer, seed=15)
     model0 = init_forecaster(ws.history, ws.horizon, np.random.default_rng(15))
-    steps_per_epoch = -(-train.as_samples()[0].shape[0] // cfg.batch_size)
+    steps_per_epoch = -(-window_samples(train)[0].shape[0] // cfg.batch_size)
     sgd_calls, validations, adams = [], [], []
 
     def counted_sgd(*args, **kwargs):
