@@ -9,18 +9,18 @@ form is held constant.  Everything here is exact reverse-mode differentiation
 of the unrolled updates, with no autodiff.
 
 The model is linear and the loss quadratic, so with Z = [X, 1] and
-Theta = [W, b] every gradient depends on a split's rows only through its
-moments G = Z^T Z and C = Y^T Z and its row count B (``Moments``).
-``split_moments`` reads a split once into one sample block [X | 1 | Y]
-(``WindowSet.sample_block``) and takes both from views of it; each side of
-a split pair caches them.  With A = Sigma^-1, an inner step is
-Theta <- Theta + (2 lr / B) A (C - Theta G), the reverse pass needs only the
+Theta = [W, b] every gradient depends on a split's B rows only through its
+moments G = (2/B) Z^T Z and C = (2/B) Y^T Z (``Moments``), scaled as
+``model.moment_grad`` takes every set of rows.  ``split_moments`` reads a
+split once into one sample block [X | 1 | Y] (``WindowSet.sample_block``)
+and takes both from views of it; a split pair holds both sides' from when
+it is built.  With A = Sigma^-1, an inner step is
+Theta <- Theta + lr A (C - Theta G), the reverse pass needs only the
 residual moments M_k = C - Theta_k G of each step, and the outer adjoint is
-seeded from the outer moments as (2 / Bo) A (Theta_N Go - Co), through the
-gradient kernel final training steps by (``model.moment_grad``).  So an
-update costs O(T^2 H + T H^2) whatever the number of windows, and reads no
-sample row.  The seed is the outer residuals' R^T Z in normal-equation form:
-a perfect outer fit gives a hypergradient that is zero up to the rounding of
+seeded from the outer moments as A (Theta_N Go - Co).  So an update costs
+O(T^2 H + T H^2) whatever the number of windows, and reads no sample row.
+The seed is the outer residuals' R^T Z in normal-equation form: a perfect
+outer fit gives a hypergradient that is zero up to the rounding of
 Theta_N Go - Co.  The same moments give a split's mean quadratic loss under
 a frozen A less its Theta-free part <A, Y^T Y> / B, which final training
 ranks its epochs by (``Moments.loss_less_offset``); final training's
@@ -32,20 +32,19 @@ per flop.  ``hypergradient`` therefore runs on plain arrays: it takes the
 T x (H+1) parameter block and the weighting's factor L with its Sigma^-1,
 which ``learn_weighting`` carries from the rescale of its previous update,
 and returns theta_N and the gradient of the weighting's ``raw`` block,
-building no model or weighting object.  It reads each side's moments and
-the step scale once, and runs the unroll and the reverse pass; the outer
-step and the rescale are ``workflow.learn_weighting``'s.  Each inner step is
-checked finite, and so is the outer adjoint seed.  The adjoint is carried
-back N - 1 times, since the last carry would never be read.  A
-``PhaseTimer`` laps the inner phases back to back, and then the two outer
-ones.  A split pair's disjointness is checked on the sorted window starts,
-with no row masks.
+building no model or weighting object.  It reads each side's moments off
+the pair, and runs the unroll and the reverse pass; the outer step and the
+rescale are ``workflow.learn_weighting``'s.  Each inner step is checked
+finite, and so is the outer adjoint seed.  The adjoint is carried back
+N - 1 times, since the last carry would never be read.  A ``PhaseTimer``
+laps the inner and the outer phases back to back, from one start.  A split
+pair's disjointness is checked on the sorted window starts, with no row
+masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -62,10 +61,12 @@ if TYPE_CHECKING:  # workflow imports this module
 
 @dataclass(frozen=True)
 class SplitPair:
-    """Inner/outer window sets, disjoint in source-row coverage."""
+    """Inner/outer window sets, disjoint in source-row coverage, and their moments."""
 
     inner: WindowSet
     outer: WindowSet
+    inner_moments: Moments = field(init=False, repr=False, compare=False)
+    outer_moments: Moments = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.inner) == 0 or len(self.outer) == 0:
@@ -77,39 +78,30 @@ class SplitPair:
             raise InvalidDimensionError("inner/outer window shapes disagree")
         if _coverage_overlaps(self.inner, self.outer):
             raise InvalidSplitError("inner and outer windows share source rows")
-
-    @cached_property
-    def inner_moments(self) -> Moments:
-        """Moments of the inner samples."""
-        return split_moments(self.inner)
-
-    @cached_property
-    def outer_moments(self) -> Moments:
-        """Moments of the outer samples, read once per pair."""
-        return split_moments(self.outer)
+        object.__setattr__(self, "inner_moments", split_moments(self.inner))
+        object.__setattr__(self, "outer_moments", split_moments(self.outer))
 
 
 class Moments(NamedTuple):
-    """Second moments of a split's sample block [Z | Y], with Z = [X | 1]."""
+    """A split's second moments, scaled by 2/B as ``model.moment_grad`` takes them."""
 
-    G: np.ndarray  # Z^T Z, (H+1) x (H+1)
-    C: np.ndarray  # Y^T Z, T x (H+1)
-    B: int  # sample rows
+    G: np.ndarray  # (2/B) Z^T Z over the B rows [Z | Y], Z = [X | 1]; (H+1) x (H+1)
+    C: np.ndarray  # (2/B) Y^T Z, T x (H+1)
 
     def loss_less_offset(self, theta: np.ndarray, A: np.ndarray) -> float:
         """Mean of e^T A e over the rows, e = y - Theta z, for the parameter
         block ``theta`` and a symmetric A, less its Theta-free part
-        <A, Y^T Y> / B: <A Theta, Theta G - 2 C> / B.  Under a fixed A the
+        <A, Y^T Y> / B: 1/2 <A Theta, Theta G - 2 C>.  Under a fixed A the
         offset is a constant, so this ranks parameter blocks as the loss does."""
         P = theta @ self.G
         P -= self.C
         P -= self.C
-        return float(np.vdot(A @ theta, P)) / self.B
+        return 0.5 * float(np.vdot(A @ theta, P))
 
 
 def split_moments(windows: WindowSet) -> Moments:
-    """The moments of a nonempty split, from its sample block; the block is
-    not kept."""
+    """The scaled moments of a nonempty split, from its sample block; the
+    block is not kept."""
     if len(windows) == 0:
         raise EmptyInputError("moments of an empty split")
     k, T = windows.history + 1, windows.horizon
@@ -120,7 +112,9 @@ def split_moments(windows: WindowSet) -> Moments:
     Z, Y = block[:, :k], block[:, k:]
     np.matmul(Z.T, Z, out=G)
     np.matmul(Y.T, Z, out=C)
-    return Moments(G, C, block.shape[0])
+    G *= 2.0 / len(block)
+    C *= 2.0 / len(block)
+    return Moments(G, C)
 
 
 def minibatch_moments(rows: np.ndarray, k: int, order: np.ndarray, size: int):
@@ -194,9 +188,9 @@ def hypergradient(theta, factor, mode: WeightingMode, split: SplitPair, cfg: Qdf
     block through that inner trajectory only (the direct outer occurrence of
     Sigma held fixed).
 
-    Each step's Jacobian is I - (2 lr / B) A (.) G, constant in theta for a
+    Each step's Jacobian is I - lr A (.) G, constant in theta for a
     quadratic loss; the mixed derivative of step k with respect to Sigma is
-    -(2 lr / B) A M_k lambda^T A, accumulated before the two A factors apply.
+    -lr A M_k lambda^T A, accumulated before the two A factors apply.
 
     Returns (theta_N, grad); the caller takes the outer step.
     """
@@ -204,30 +198,27 @@ def hypergradient(theta, factor, mode: WeightingMode, split: SplitPair, cfg: Qdf
     T = A.shape[0]
     if theta.shape != (T, split.inner.history + 1) or split.inner.horizon != T:
         raise InvalidDimensionError("model/weighting/split shapes disagree")
-    G, C, B = split.inner_moments
-    scale = 2.0 * cfg.inner_lr / B
+    (G, C), (Go, Co) = split.inner_moments, split.outer_moments
     moments = []
     timer.start()
     for _ in range(cfg.inner_steps):
         M = C - theta @ G
         timer.lap("inner_fwd")
-        theta = theta + scale * (A @ M)
+        theta = theta + cfg.inner_lr * (A @ M)
         finite = np.isfinite(theta).all()
         timer.lap("inner_bwd")
         if not finite:
             raise NumericError("inner loop diverged; reduce inner_lr")
         moments.append(M)
-    Go, Co, Bo = split.outer_moments
-    timer.start()  # a pair's first update builds its outer moments untimed
-    lam = (2.0 / Bo) * moment_grad(theta, A, Go, Co)
+    lam = moment_grad(theta, A, Go, Co)
     timer.lap("outer_fwd")
     if not np.isfinite(lam).all():
         raise NumericError("outer adjoint diverged; reduce inner_lr")
     steps = reversed(moments)
     P = next(steps) @ lam.T
     for M in steps:
-        lam = lam - scale * (A @ lam @ G)
+        lam = lam - cfg.inner_lr * (A @ lam @ G)
         P += M @ lam.T
-    grad = raw_grad(L, -scale * (A @ P @ A), mode)
+    grad = raw_grad(L, -cfg.inner_lr * (A @ P @ A), mode)
     timer.lap("outer_bwd")
     return theta, grad

@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_synth(args) -> int:
     coeffs = tuple(args.phi) if args.phi else ()
     if (args.ramp_from is None) != (args.ramp_to is None):
-        raise InvalidSplitError("--ramp-from and --ramp-to must be given together")
+        raise InvalidConfigError("--ramp-from and --ramp-to must be given together")
     noise = args.noise
     if args.ramp_from is not None:
         noise = noise * ramp_noise_schedule(args.history, args.horizon,
@@ -217,7 +217,7 @@ def cmd_bench(args) -> int:
                                ("variant", variants, VARIANTS)):
         for name in names:
             if name not in known:
-                raise InvalidSplitError(f"unknown {kind} {name!r}")
+                raise InvalidConfigError(f"unknown {kind} {name!r}")
     for flag, values in (("--presets", presets), ("--variants", variants),
                          ("--seeds", seeds)):
         if not values:

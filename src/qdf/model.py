@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidDimensionError, NumericError, integer
+from .errors import InvalidConfigError, InvalidDimensionError, NumericError, integer
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,7 @@ def moment_grad(theta, A, G, C) -> np.ndarray:
 
     With G = (2/B) Z^T Z and C = (2/B) Y^T Z, the moments of B rows [Z | Y]
     scaled by 2/B, this is the parameter gradient of the mean of e^T A e
-    over the rows, e = y - Theta z; with unscaled moments it is that
-    gradient times B/2."""
+    over the rows, e = y - Theta z."""
     P = theta @ G
     P -= C
     return A @ P
@@ -143,11 +142,18 @@ def save_checkpoint(m: LinearForecaster, prefix, meta: dict | None = None) -> No
 
 
 def load_checkpoint(prefix) -> tuple[LinearForecaster, dict]:
-    with open(f"{prefix}_header.json", encoding="utf-8") as fh:
-        header = json.load(fh)
+    """The model and header ``save_checkpoint`` wrote; InvalidConfigError for a bad header."""
+    path = f"{prefix}_header.json"
+    with open(path, encoding="utf-8") as fh:
+        try:
+            header = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InvalidConfigError(f"checkpoint header {path} is not JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise InvalidConfigError(f"checkpoint header {path} is not a JSON object")
+    H, T = (integer(name, header.get(name)) for name in ("history", "horizon"))
     w = np.loadtxt(f"{prefix}_weights.csv", delimiter=",", ndmin=2)
     b = np.loadtxt(f"{prefix}_bias.csv", delimiter=",", ndmin=1)
-    H, T = header["history"], header["horizon"]
     if w.shape != (T, H) or b.shape != (T,):
         raise InvalidDimensionError(
             f"checkpoint weights {w.shape} and bias {b.shape} do not match "

@@ -19,11 +19,11 @@ factor, is built for the result.
 Final training reads the training split once into one sample block
 [X | 1 | Y] (``WindowSet.sample_block``), as evaluation reads the test split.
 Each epoch gathers its permuted rows a chunk of minibatches at a time and
-takes every minibatch's moments from one stacked product per chunk
-(``bilevel.minibatch_moments``); each step is the moments gradient
-A (Theta G_b - C_b), under SGD or Adam alike.  It ranks epochs by the
-validation loss from the validation split's moments under the frozen
-Sigma^-1, less a constant, so it holds no validation sample.
+takes every minibatch's moments, scaled by 2/B_b, from one stacked product
+per chunk (``bilevel.minibatch_moments``); each step is A (Theta G_b - C_b),
+under SGD or Adam alike.  It ranks epochs by the loss from the validation
+split's moments, scaled alike, under the frozen Sigma^-1 less a constant, so
+it holds no validation sample.
 
 Only the training split is ever read during the first two phases; validation
 drives early stopping and the test split is touched exclusively by metric

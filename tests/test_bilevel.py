@@ -222,18 +222,18 @@ def seed_rounding_bound(theta0, w, pair, cfg):
     """First-order bound on the hypergradient that the rounding of the outer
     seed alone can give, in Frobenius norms.
 
-    The seed (2 / Bo) A (Theta_N Go - Co) cancels to zero on a perfect outer
-    fit, leaving a rounding error of about (H + 2) eps ||Co|| in Theta_N Go - Co.
+    The seed A (Theta_N Go - Co) cancels to zero on a perfect outer fit,
+    leaving a rounding error of about (H + 2) eps ||Co|| in Theta_N Go - Co.
     The reverse pass maps a seed error d linearly to a hypergradient of norm
     at most 2 ||L|| s ||A||^2 ||d|| sum_k ||M_k|| (1 + s ||A|| ||G||)^(N-1-k),
-    over the inner steps k = 0 .. N-1, with s = 2 lr / B and
-    M_k = C - Theta_k G the inner residual moments.
+    over the inner steps k = 0 .. N-1, with s = lr and M_k = C - Theta_k G
+    the inner residual moments.
     """
     norm = np.linalg.norm
-    G, C, B = pair.inner_moments
-    Go, Co, Bo = pair.outer_moments
-    A, s = w.inverse, 2.0 * cfg.inner_lr / B
-    seed_error = (2.0 / Bo) * norm(A) * (theta0.history + 2) * np.finfo(float).eps * norm(Co)
+    G, C = pair.inner_moments
+    Go, Co = pair.outer_moments
+    A, s = w.inverse, cfg.inner_lr
+    seed_error = norm(A) * (theta0.history + 2) * np.finfo(float).eps * norm(Co)
     thetas = [theta0.theta] + [
         hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, pair,
                       replace(cfg, inner_steps=k))[0]
@@ -282,8 +282,8 @@ def test_stop_gradient_zero_outer_residuals(rng):
 @pytest.mark.parametrize("mode", list(WeightingMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("T", [1, 2, 8])
 def test_outer_moment_seed_matches_row_seed(rng, mode, T):
-    # the seed hypergradient reads off the cached outer moments,
-    # (2 / Bo) A (Theta Go - Co), is the row-form gradient oracle on the
+    # the seed hypergradient reads off the pair's outer moments,
+    # A (Theta Go - Co), is the row-form gradient oracle on the
     # outer samples, up to the rounding of Theta Go - Co
     for _ in range(5):
         H = int(rng.integers(1, 9))
@@ -293,17 +293,19 @@ def test_outer_moment_seed_matches_row_seed(rng, mode, T):
         Xo, Yo = window_samples(pair.outer)
         block = np.column_stack([Xo, np.ones(len(Xo)), Yo])
         rows = row_grad(theta, A, block)
-        Go, Co, Bo = pair.outer_moments
-        moments = (2.0 / Bo) * moment_grad(theta, A, Go, Co)
+        Go, Co = pair.outer_moments
+        moments = moment_grad(theta, A, Go, Co)
         norm = np.linalg.norm
-        tol = (2.0 / Bo) * norm(A) * (H + 2) * np.finfo(float).eps * (
+        tol = norm(A) * (H + 2) * np.finfo(float).eps * (
             norm(Co) + norm(theta) * norm(Go))
         assert np.linalg.norm(moments - rows) <= tol
         assert np.linalg.norm(rows) > 1e6 * tol
 
 
 def test_outer_split_is_read_once_per_pair(rng):
+    # a pair reads each side once, when it is built, and never again
     pair = build_pair(rng, 3, 2, 60)
+    assert (pair.inner.reads, pair.outer.reads) == (1, 1)
     theta = init_forecaster(3, 2, rng).theta
     w, mode = identity_params(2), WeightingMode.FULL
     raw, factor = w.raw, (w.factor, w.inverse)
@@ -321,7 +323,8 @@ def test_overflowing_outer_split_raises_numeric_error(rng):
     w = WeightingParams(rng.uniform(-0.5, 0.5, (2, 2)))
     cfg = QdfConfig(inner_steps=2, inner_lr=0.02, eta=0.1)
     Xo, Yo = pair.outer.arrays()
-    huge = SplitPair(pair.inner, WindowSet(Xo * 1e300, Yo, pair.outer.starts))
+    with np.errstate(over="ignore"):  # the pair's outer moments overflow
+        huge = SplitPair(pair.inner, WindowSet(Xo * 1e300, Yo, pair.outer.starts))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="diverged"):
         hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, huge, cfg)
 
@@ -386,7 +389,8 @@ def guard_case(rng, where):
         where, (0.02, 0.1))
     if where == "outer":
         Xo, Yo = pair.outer.arrays()
-        pair = SplitPair(pair.inner, WindowSet(Xo * 1e300, Yo, pair.outer.starts))
+        with np.errstate(over="ignore"):  # the pair's outer moments overflow
+            pair = SplitPair(pair.inner, WindowSet(Xo * 1e300, Yo, pair.outer.starts))
     return pair, theta0, QdfConfig(k_splits=1, outer_rounds=1, inner_steps=2, inner_lr=lr,
                                    eta=eta)
 
@@ -456,9 +460,8 @@ def test_update_reads_the_clock_only_with_a_timer(rng, monkeypatch):
     timer = PhaseTimer()
     hypergradient(theta0.theta, (w.factor, w.inverse), w.mode, pair, cfg, timer)
     assert timer.steps == {"inner_fwd": 2, "inner_bwd": 2, "outer_fwd": 1, "outer_bwd": 1}
-    # two clocks, read at the start of the inner and of the outer phases and
-    # at each phase's end
-    assert clock.reads == 2 * (2 + 6)
+    # two clocks, read once at the start and at each phase's end
+    assert clock.reads == 2 * (1 + 6)
 
 
 def _windows_at(starts, H, T):
@@ -486,25 +489,25 @@ def test_coverage_overlap_check_matches_brute_force(H, T, a, b):
 
 def test_split_moments_are_the_block_products(rng):
     ws = build_windows(rng, 4, 3, 80)
-    G, C, B = split_moments(ws)
+    G, C = split_moments(ws)
     assert ws.reads == 1
     X, Y = window_samples(ws)
     Z = np.column_stack([X, np.ones(len(X))])
-    assert B == len(X)
-    for got, want in ((G, Z.T @ Z), (C, Y.T @ Z)):
+    for got, want in ((G, (2 / len(X)) * (Z.T @ Z)), (C, (2 / len(X)) * (Y.T @ Z))):
         assert np.allclose(got, want, rtol=1e-14, atol=0)
     assert np.array_equal(G, G.T)
 
 
 def test_split_moments_of_several_variables_sum_over_the_variables(rng):
-    # the rows of a D-variable split are the rows of its D one-column splits,
-    # so its moments are theirs summed, up to the order of the sums
+    # the rows of a D-variable split are the rows of its D one-column splits
+    # of 84 rows each, so its scaled moments are theirs averaged, up to the
+    # order of the sums
     values = rng.standard_normal((90, 3))
-    G, C, B = split_moments(make_windows(SeriesFrame(values, ["a", "b", "c"]), 4, 3))
+    G, C = split_moments(make_windows(SeriesFrame(values, ["a", "b", "c"]), 4, 3))
     parts = [split_moments(make_windows(SeriesFrame(values[:, [d]], ["y"]), 4, 3))
              for d in range(3)]
-    assert B == sum(part.B for part in parts) == 3 * 84
-    for got, want in ((G, sum(part.G for part in parts)), (C, sum(part.C for part in parts))):
+    for got, want in ((G, sum(part.G for part in parts) / 3),
+                      (C, sum(part.C for part in parts) / 3)):
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -527,7 +530,7 @@ def moments_shape_split(shape):
 
 @pytest.mark.parametrize("shape", ["bench", "criterion-9"])
 def test_moments_loss_matches_quadratic_loss_on_the_samples(shape):
-    # the loss less its offset, <A Theta, Theta G - 2 C> / B, differs from the
+    # the loss less its offset, 1/2 <A Theta, Theta G - 2 C>, differs from the
     # mean e^T A e of the residual rows by a constant: the difference between
     # two parameter blocks matches, relative to the loss, between a small
     # random start and the least squares fit Theta* = C G^-1, where the loss
@@ -593,3 +596,19 @@ def test_minibatch_moment_gradients_match_the_row_form(case, monkeypatch):
         got = moment_grad(theta, A, G, C)
         worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
     assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("shape", ["bench", "criterion-9"])
+def test_split_moments_are_one_whole_split_minibatch(shape):
+    # the scaled moments of a split are those minibatch_moments gives for one
+    # minibatch of the whole split in window order, up to the rounding of
+    # the two products (the minibatch's is one stacked gemm, the split's G a
+    # product of its own)
+    valid, _ = moments_shape_split(shape)
+    G, C = split_moments(valid)
+    rows = valid.sample_block()
+    k = valid.history + 1
+    (Gb, Cb), = minibatch_moments(rows, k, np.arange(len(rows)), len(rows))
+    worst = max(np.linalg.norm(got - want) / np.linalg.norm(want)
+                for got, want in ((G, Gb), (C, Cb)))
+    assert worst <= 2e-16  # 1.1e-16 at criterion 9, one BLAS thread

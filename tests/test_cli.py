@@ -13,7 +13,7 @@ import pytest
 import qdf
 from qdf import cli, errors
 from qdf.cli import main
-from qdf.data import ArSpec, SeriesFrame, gen_ar, write_csv
+from qdf.data import ArSpec, SeriesFrame, gen_ar, gen_ar_frame, write_csv
 from qdf.workflow import QdfConfig
 
 
@@ -66,6 +66,16 @@ def test_synth_rejected_shape_writes_no_file(argv, tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "InvalidDimensionError"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--ramp-from", "--ramp-to"])
+def test_synth_ramp_flag_alone_exits_3(flag, tmp_path, capsys):
+    code = main(["synth", "--n", "100", "--horizon", "2", "--out", str(tmp_path / "a.csv"),
+                 flag, "2.0"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "InvalidConfigError"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -235,10 +245,14 @@ def test_bench_deterministic(tmp_path):
 
 
 def test_bench_unknown_variant_exits_3(tmp_path, capsys):
-    code = main(["bench", "--variants", "mystery", "--seeds", "0",
+    # a bad name late in the list stops the command before any cell runs
+    code = main(["bench", "--variants", "df,mystery", "--seeds", "0",
                  "--out-dir", str(tmp_path / "b")])
     assert code == 3
-    capsys.readouterr()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "InvalidConfigError"
+    assert "mystery" in err["error"]["message"]
+    assert not (tmp_path / "b").exists()
 
 
 def test_bench_unknown_preset_exits_3(tmp_path, capsys):
@@ -246,7 +260,7 @@ def test_bench_unknown_preset_exits_3(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "b")])
     assert code == 3
     err = json.loads(capsys.readouterr().err)
-    assert err["error"]["type"] == "InvalidSplitError"
+    assert err["error"]["type"] == "InvalidConfigError"
     assert "nope" in err["error"]["message"]
     assert not (tmp_path / "b").exists()
 
@@ -339,11 +353,12 @@ def test_out_of_range_input_exits_3(argv, synth_csv, tmp_path, capsys):
     assert err["error"]["type"] == "InvalidConfigError"
 
 
-def run_module(*args):
-    """``python <args>`` with this checkout's qdf importable."""
+def run_module(*args, **env):
+    """``python <args>`` with this checkout's qdf importable, and ``env`` set."""
     src = str(Path(qdf.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=pythonpath),
+    return subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=pythonpath, **env),
                           capture_output=True, text=True)
 
 
@@ -641,6 +656,26 @@ def test_diagnose_emits_matrix_and_summary(synth_csv, tmp_path):
     assert "fraction_above_0.1" in summary
     assert len(summary["cond_var"]) == 5
     assert summary["meta"]["samples"] <= 800
+
+
+def test_diagnose_outputs_are_byte_equal_at_one_and_two_blas_threads(tmp_path):
+    # every window of 3000 x 4 rows at T = 96: 11588 sample rows, where one
+    # gemm over the whole sample axis, such as Y^T [X | 1], rounds differently
+    # at 1 and at 2 threads of OpenBLAS 0.3.31; diagnose reduces in fixed blocks of
+    # windows, so its outputs do not depend on the thread count
+    data = tmp_path / "s.csv"
+    write_csv(gen_ar_frame(ArSpec((0.5,), 1.0, 3000, 0), 4), data)
+    outputs = []
+    for threads in ("1", "2"):
+        prefix = tmp_path / f"t{threads}"
+        proc = run_module("-m", "qdf.cli", "diagnose", "--data", str(data), "--reg-history", "8",
+                          "--horizon", "96", "--subsample", "100000", "--out-prefix", str(prefix),
+                          OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([Path(f"{prefix}_{name}").read_bytes()
+                        for name in ("matrix.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["meta"]["samples"] == 11588
 
 
 def test_diagnose_summary_records_the_threshold(synth_csv, tmp_path):

@@ -267,6 +267,22 @@ def test_load_checkpoint_rejects_header_that_disagrees_with_csv(tmp_path, rng, k
         load_checkpoint(prefix)
 
 
+@pytest.mark.parametrize("text", [
+    '{"horizon": 3}', '{"history": 5}', '{"history": 5.0, "horizon": 3}',
+    '{"history": 5, "horizon": "3"}', '{"history": 5, "horizon": 3', '[5, 3]',
+], ids=["no-history", "no-horizon", "float-history", "string-horizon", "not-json",
+        "not-an-object"])
+def test_load_checkpoint_rejects_a_malformed_header(tmp_path, rng, text):
+    # each header is refused as bad configuration, exit code 3, whatever the
+    # weights beside it
+    prefix = tmp_path / "model"
+    save_checkpoint(init_forecaster(5, 3, rng), prefix)
+    (tmp_path / "model_header.json").write_text(text)
+    with pytest.raises(InvalidConfigError) as err:
+        load_checkpoint(prefix)
+    assert err.value.exit_code == 3
+
+
 def test_package_exports_resolve_once():
     import qdf
 
