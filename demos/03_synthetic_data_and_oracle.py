@@ -10,7 +10,6 @@ import numpy as np
 from qdf import (
     ArSpec,
     ar_conditional_cov,
-    cov_to_corr,
     gen_ar,
     make_windows,
     ramp_noise_schedule,
@@ -45,4 +44,5 @@ rcov = ar_conditional_cov(ramped, T)
 print("\nramped AR(1): conditional variances grow with the step,")
 print("diag:", np.diagonal(rcov))
 print("and the steps stay correlated, corr row 0:")
-print(cov_to_corr(rcov)[0])
+d = np.sqrt(np.diagonal(rcov))
+print((rcov / np.outer(d, d))[0])

@@ -10,11 +10,18 @@ Phase 3 trains the final model under the frozen learned objective.
 
 import numpy as np
 
-from qdf import cov_to_corr, init_forecaster
+from qdf import init_forecaster
 from qdf.bench import PRESET_CONFIG, bench_config, benchmark_data, HISTORY, HORIZON
 from qdf.workflow import learn_weighting, run_variant
 
 np.set_printoptions(precision=3, suppress=True)
+
+
+def corr(cov):
+    """The correlation matrix of a covariance matrix."""
+    d = np.sqrt(np.diagonal(cov))
+    return cov / np.outer(d, d)
+
 
 seed = 0
 data = benchmark_data("hetero-corr", seed)
@@ -29,8 +36,8 @@ w, trace = learn_weighting(data.train, model0, cfg)
 sigma = w.sigma
 print("\nper-round Frobenius deltas:", np.round(trace, 4))
 print("learned Sigma diagonal:", np.diagonal(sigma))
-print("learned correlation, first row:", cov_to_corr(sigma)[0])
-print("oracle correlation, first row: ", cov_to_corr(data.oracle_cov)[0])
+print("learned correlation, first row:", corr(sigma)[0])
+print("oracle correlation, first row: ", corr(data.oracle_cov)[0])
 
 # --- full variants: the learned objective vs the plain-MSE baseline
 print("\nfull runs (same seed, same data, same batches):")

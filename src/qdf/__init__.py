@@ -5,7 +5,11 @@ e^T Sigma^-1 e, with Sigma parameterized through a positive-diagonal
 triangular factor and learned by a bilevel procedure: inner gradient steps
 train the forecaster, an outer hypergradient step (differentiating through
 the unrolled inner updates) moves the weighting toward better holdout
-performance.
+performance.  Both training loops step on moments (``model.moment_grad``);
+the mean of e^T Sigma^-1 e over a residual block is ``evaluate``'s test
+score.  The oracles the tests check these against (the loss and its analytic
+gradients on a plain residual array, the partial correlation of two label
+steps, a covariance's correlation matrix) live in ``tests/conftest.py``.
 """
 
 from .bilevel import SplitPair, hypergradient, make_split_pair
@@ -15,7 +19,6 @@ from .data import (
     WindowSet,
     ar_conditional_cov,
     chrono_split,
-    cov_to_corr,
     gen_ar,
     gen_ar_frame,
     load_csv,
@@ -28,7 +31,6 @@ from .diagnostics import (
     PartialCorrReport,
     fraction_above,
     partial_corr_matrix,
-    partial_correlation,
 )
 from .model import (
     AdamState,
@@ -37,12 +39,6 @@ from .model import (
     init_forecaster,
     load_checkpoint,
     save_checkpoint,
-)
-from .objective import (
-    grad_wrt_residual,
-    grad_wrt_weighting,
-    mse_loss,
-    quadratic_loss,
 )
 from .weighting import (
     WeightingMode,
@@ -77,15 +73,12 @@ __all__ = [
     "WindowSet",
     "ar_conditional_cov",
     "chrono_split",
-    "cov_to_corr",
     "evaluate",
     "forecast_batch",
     "fraction_above",
     "frobenius_distance",
     "gen_ar",
     "gen_ar_frame",
-    "grad_wrt_residual",
-    "grad_wrt_weighting",
     "hypergradient",
     "identity_params",
     "init_forecaster",
@@ -94,12 +87,9 @@ __all__ = [
     "load_csv",
     "make_split_pair",
     "make_windows",
-    "mse_loss",
     "normalized_raw",
     "params_from_matrix",
     "partial_corr_matrix",
-    "partial_correlation",
-    "quadratic_loss",
     "ramp_noise_schedule",
     "run_variant",
     "save_checkpoint",

@@ -572,15 +572,3 @@ def ar_conditional_cov(spec: ArSpec, horizon: int) -> np.ndarray:
     if not _all_finite(cov):
         raise NumericError("conditional covariance is not finite; the noise scale is too large")
     return cov
-
-
-def cov_to_corr(cov: np.ndarray) -> np.ndarray:
-    """Correlation matrix of a square covariance matrix whose variances are positive."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise InvalidDimensionError(f"covariance must be a square 2-D array, got {cov.shape}")
-    var = np.diagonal(cov)
-    if not (var > 0).all():  # also rejects NaN
-        raise NumericError("covariance has a variance that is not positive")
-    d = np.sqrt(var)
-    return cov / np.outer(d, d)

@@ -2,8 +2,8 @@
 
 Partial correlation between two label steps, controlling for the shared
 history: regress each step on the history by OLS, then take the Pearson
-correlation of the two residual series.  The matrix form streams the
-windows in blocks through one pass of ``WindowSet.sample_blocks``, which
+correlation of the two residual series.  The matrix of every pair streams
+the windows in blocks through one pass of ``WindowSet.sample_blocks``, which
 writes each block's history and labels below the R factor and Q^T labels of
 the blocks before: a QR of that stack, with its column of ones, carries both
 on, and what the labels keep outside Q's span, taken off a chunk of rows at
@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CHUNK_FLOATS, SeriesFrame, WindowSet, make_windows
+from .data import CHUNK_FLOATS, SeriesFrame, make_windows
 from .errors import (
     InsufficientDataError,
     InvalidConfigError,
     InvalidDimensionError,
     NumericError,
-    UndefinedCorrelationError,
     integer,
 )
 
@@ -52,65 +51,6 @@ def _check_variable(variable: int, n_vars: int) -> int:
     if not 0 <= variable < n_vars:
         raise InvalidDimensionError(f"variable {variable} out of range (D={n_vars})")
     return variable
-
-
-def _design_and_labels(windows: WindowSet, variable: int):
-    """Intercept-plus-history design and label matrix of one variable."""
-    variable = _check_variable(variable, windows.n_vars)
-    X, Y = windows.arrays()
-    hist = X[:, :, variable]
-    labels = Y[:, :, variable]
-    design = np.column_stack([np.ones(hist.shape[0]), hist])
-    return design, labels
-
-
-def _fit_residuals(design: np.ndarray, labels: np.ndarray, flags: list[str]) -> np.ndarray:
-    """Least-squares residuals of every label column on the design.
-
-    Full rank: the residual is the label minus its projection onto the
-    design's column space, U (U^T labels) from one thin SVD.  The rank rule
-    is np.linalg.lstsq's with rcond=None: singular values above
-    eps * max(M, N) * s_max count.
-    """
-    try:
-        U, s, _ = np.linalg.svd(design, full_matrices=False)
-        rank = np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0])
-        if rank < design.shape[1]:
-            flags.append("ridge_fallback")
-            log.warning("rank-deficient design (rank %d < %d); ridge fallback",
-                        rank, design.shape[1])
-            gram = design.T @ design + RIDGE_LAMBDA * np.eye(design.shape[1])
-            pred = design @ np.linalg.solve(gram, design.T @ labels)
-        else:
-            pred = U @ (U.T @ labels)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"least-squares fit failed: {exc}") from None
-    return np.subtract(labels, pred, out=pred)
-
-
-def partial_correlation(
-    windows: WindowSet, t: int, t2: int, variable: int = 0
-) -> float:
-    """Partial correlation of label steps t and t2 (0-based) given history."""
-    T = windows.horizon
-    if t == t2:
-        raise InvalidDimensionError("step indices must differ")
-    if not (0 <= t < T and 0 <= t2 < T):
-        raise InvalidDimensionError(f"step indices out of range (T={T})")
-    design, labels = _design_and_labels(windows, variable)
-    if design.shape[0] < windows.history + 3:
-        raise InsufficientDataError(
-            f"need at least H+3={windows.history + 3} samples, have {design.shape[0]}"
-        )
-    flags: list[str] = []
-    resid = _fit_residuals(design, labels[:, [t, t2]], flags)
-    v = resid.var(axis=0)
-    if np.any(v < VAR_EPS):
-        raise UndefinedCorrelationError(
-            "residual variance below 1e-12; correlation undefined"
-        )
-    r = resid - resid.mean(axis=0)
-    return float((r[:, 0] @ r[:, 1]) / np.sqrt((r[:, 0] @ r[:, 0]) * (r[:, 1] @ r[:, 1])))
 
 
 def partial_corr_matrix(
@@ -194,9 +134,10 @@ def partial_corr_matrix(
         # The block buffers go first: the SVD's first call faults in LAPACK code
         # pages, and with the buffers still held those pages raise the peak RSS.
         del stack, label_rows, fitted, hist, labels, resid, Q
-        # R has the centred design's singular values, so the rank rule of
-        # _fit_residuals applies to it unchanged.  At full rank the intercept
-        # keeps the residuals' mean at 0, and the Gram is already centred.
+        # R has the centred design's singular values, so np.linalg.lstsq's rank
+        # rule with rcond=None applies to it unchanged: singular values above
+        # eps * max(M, N) * s_max count.  At full rank the intercept keeps the
+        # residuals' mean at 0, and the Gram is already centred.
         s = np.linalg.svd(R, compute_uv=False)
         rank = np.count_nonzero(s > np.finfo(float).eps * max(samples, width) * s[0])
         if rank < width:

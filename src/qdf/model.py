@@ -18,6 +18,7 @@ the outer split's.  The training loops call the kernel directly.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -141,8 +142,20 @@ def save_checkpoint(m: LinearForecaster, prefix, meta: dict | None = None) -> No
         json.dump(header, fh, indent=2, allow_nan=False)
 
 
+def _load_numbers(path: str, ndmin: int) -> np.ndarray:
+    """The numbers of a checkpoint CSV; InvalidConfigError if it holds a
+    non-number or none (np.loadtxt only warns on an empty file)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        try:
+            return np.loadtxt(path, delimiter=",", ndmin=ndmin)
+        except (ValueError, UserWarning) as exc:
+            raise InvalidConfigError(f"checkpoint file {path} is not a CSV of numbers: {exc}") from None
+
+
 def load_checkpoint(prefix) -> tuple[LinearForecaster, dict]:
-    """The model and header ``save_checkpoint`` wrote; InvalidConfigError for a bad header."""
+    """The model and header ``save_checkpoint`` wrote; InvalidConfigError for a
+    bad header, or a weights or bias file that is not a CSV of numbers."""
     path = f"{prefix}_header.json"
     with open(path, encoding="utf-8") as fh:
         try:
@@ -152,8 +165,8 @@ def load_checkpoint(prefix) -> tuple[LinearForecaster, dict]:
     if not isinstance(header, dict):
         raise InvalidConfigError(f"checkpoint header {path} is not a JSON object")
     H, T = (integer(name, header.get(name)) for name in ("history", "horizon"))
-    w = np.loadtxt(f"{prefix}_weights.csv", delimiter=",", ndmin=2)
-    b = np.loadtxt(f"{prefix}_bias.csv", delimiter=",", ndmin=1)
+    w = _load_numbers(f"{prefix}_weights.csv", ndmin=2)
+    b = _load_numbers(f"{prefix}_bias.csv", ndmin=1)
     if w.shape != (T, H) or b.shape != (T,):
         raise InvalidDimensionError(
             f"checkpoint weights {w.shape} and bias {b.shape} do not match "

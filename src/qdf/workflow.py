@@ -27,7 +27,10 @@ it holds no validation sample.
 
 Only the training split is ever read during the first two phases; validation
 drives early stopping and the test split is touched exclusively by metric
-evaluation.
+evaluation.  ``evaluate`` reads it once into one sample block and scores the
+residual rows under w itself: mse, mae and ``nll``, the mean of e^T Sigma^-1 e
+with Sigma^-1 = ``w.inverse``.  The loss and its analytic gradients on a plain
+residual array are the tests' oracles, in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ import numpy as np
 from .bilevel import hypergradient, make_split_pair, minibatch_moments, split_moments
 from .data import WindowSet, chrono_split
 from .errors import (
-    InvalidConfigError, InvalidDimensionError, InvalidSplitError, NumericError, integer,
+    EmptyInputError, InvalidConfigError, InvalidDimensionError, InvalidSplitError,
+    NumericError, integer,
 )
 from .model import (
     AdamState,
@@ -52,7 +56,6 @@ from .model import (
     moment_grad,
     sgd_update,
 )
-from .objective import quadratic_loss
 from .timing import UNTIMED, PhaseTimer
 from .weighting import (
     WeightingMode,
@@ -231,16 +234,24 @@ def train_final(
 
 
 def evaluate(model: LinearForecaster, windows: WindowSet, w: WeightingParams) -> dict:
-    """Test metrics: per-element MSE/MAE plus the quadratic loss under w.
-    EmptyInputError on an empty window set, raised by the quadratic loss
-    before any mean is taken; NumericError if any metric is not finite (an
-    overflowing residual)."""
+    """Test metrics: per-element MSE/MAE plus ``nll``, the mean over residual
+    rows of e^T Sigma^-1 e under w.  InvalidDimensionError for a model or a
+    weighting of another shape than the windows; EmptyInputError on an empty
+    window set, before any mean is taken; NumericError if a residual or a
+    metric is not finite (an overflowing residual)."""
+    if model.theta.shape != (windows.horizon, windows.history + 1):
+        raise InvalidDimensionError("model shape does not match windows")
+    if w.horizon != windows.horizon:
+        raise InvalidDimensionError("weighting shape does not match windows")
     block = windows.sample_block()
+    if not len(block):
+        raise EmptyInputError("no test windows to evaluate")
     H = windows.history
     resid = block[:, H + 1:] - forecast_batch(model, block[:, :H])
-    nll = quadratic_loss(resid, w)
+    if not np.isfinite(resid).all():
+        raise NumericError("test residuals contain non-finite entries")
     metrics = {"mse": float(np.mean(resid**2)), "mae": float(np.mean(np.abs(resid))),
-               "nll": nll}
+               "nll": float(((resid @ w.inverse) * resid).sum() / len(resid))}
     bad = [name for name, v in metrics.items() if not np.isfinite(v)]
     if bad:
         raise NumericError(f"test metrics {bad} are not finite; the test residuals overflow")

@@ -1,9 +1,22 @@
-"""Shared numerical test helpers."""
+"""Shared numerical test helpers, and the oracles that the tests check the
+library against: the quadratic loss and its analytic gradients on a plain
+residual array, the pairwise partial correlation from one whole design, and
+the correlation matrix of a covariance.  No command runs these; they stay
+independent of the library code they check."""
 
 import numpy as np
 import pytest
 
-from qdf.weighting import WeightingMode
+from qdf.data import WindowSet
+from qdf.diagnostics import RIDGE_LAMBDA, VAR_EPS, _check_variable, log
+from qdf.errors import (
+    EmptyInputError,
+    InsufficientDataError,
+    InvalidDimensionError,
+    NumericError,
+    UndefinedCorrelationError,
+)
+from qdf.weighting import WeightingMode, WeightingParams, raw_grad
 
 
 def central_diff(f, x0, step=1e-5):
@@ -74,6 +87,138 @@ def rel_err(analytic, numeric, floor=1e-6):
     numeric = np.asarray(numeric, dtype=float)
     denom = np.maximum(np.abs(numeric), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+# The quadratic loss of a plain B x T residual array and its analytic gradients.
+# The loss is evaluated with ``w.inverse``; the gradients solve against Sigma itself,
+# so they share no Sigma^-1 arithmetic with the code they check.
+
+
+def _residuals(residuals, horizon: int | None = None) -> np.ndarray:
+    """Finite, non-empty 2-D float residuals, ``horizon`` wide if given."""
+    r = np.atleast_2d(np.asarray(residuals, dtype=float))
+    if r.ndim != 2:
+        raise InvalidDimensionError(f"residuals must be 2-D, got ndim={r.ndim}")
+    if not np.isfinite(r).all():
+        raise NumericError("residuals contain non-finite entries")
+    if r.shape[0] == 0:
+        raise EmptyInputError("empty residual batch")
+    if horizon is not None and r.shape[1] != horizon:
+        raise InvalidDimensionError(
+            f"batch horizon {r.shape[1]} != weighting horizon {horizon}"
+        )
+    return r
+
+
+def quadratic_loss(residuals, w: WeightingParams) -> float:
+    """Mean over rows of e^T Sigma^-1 e."""
+    r = _residuals(residuals, w.horizon)
+    return float(((r @ w.inverse) * r).sum() / r.shape[0])
+
+
+def mse_loss(residuals) -> float:
+    """Mean over rows of ||e||^2; the quadratic loss at Sigma = identity."""
+    r = _residuals(residuals)
+    return float(np.sum(r * r) / r.shape[0])
+
+
+def _inv_sigma_apply(w: WeightingParams, rows: np.ndarray) -> np.ndarray:
+    """Sigma^-1 applied to each row of ``rows`` (returns same layout)."""
+    return np.linalg.solve(w.sigma, rows.T).T
+
+
+def grad_wrt_residual(residuals, w: WeightingParams) -> np.ndarray:
+    """d(mean quadratic loss)/d(residuals): row i is (2/B) Sigma^-1 e_i."""
+    r = _residuals(residuals, w.horizon)
+    return (2.0 / r.shape[0]) * _inv_sigma_apply(w, r)
+
+
+def grad_wrt_weighting(residuals, w: WeightingParams) -> np.ndarray:
+    """d(mean quadratic loss)/d(raw weighting entries).
+
+    Uses d(e^T Sigma^-1 e)/dSigma = -Sigma^-1 e e^T Sigma^-1, then chains
+    through the factorization and the softplus diagonal.  Mode-masked entries
+    are exactly zero.
+    """
+    r = _residuals(residuals, w.horizon)
+    u = _inv_sigma_apply(w, r)  # rows are Sigma^-1 e_i
+    grad_sigma = -(u.T @ u) / r.shape[0]
+    return raw_grad(w.factor, grad_sigma, w.mode)
+
+
+# The partial correlation of two label steps from one whole design and one thin
+# SVD: the oracle of partial_corr_matrix's blockwise pass.
+
+
+def _design_and_labels(windows: WindowSet, variable: int):
+    """Intercept-plus-history design and label matrix of one variable."""
+    variable = _check_variable(variable, windows.n_vars)
+    X, Y = windows.arrays()
+    hist = X[:, :, variable]
+    labels = Y[:, :, variable]
+    design = np.column_stack([np.ones(hist.shape[0]), hist])
+    return design, labels
+
+
+def _fit_residuals(design: np.ndarray, labels: np.ndarray, flags: list[str]) -> np.ndarray:
+    """Least-squares residuals of every label column on the design.
+
+    Full rank: the residual is the label minus its projection onto the
+    design's column space, U (U^T labels) from one thin SVD.  The rank rule
+    is np.linalg.lstsq's with rcond=None: singular values above
+    eps * max(M, N) * s_max count.
+    """
+    try:
+        U, s, _ = np.linalg.svd(design, full_matrices=False)
+        rank = np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0])
+        if rank < design.shape[1]:
+            flags.append("ridge_fallback")
+            log.warning("rank-deficient design (rank %d < %d); ridge fallback",
+                        rank, design.shape[1])
+            gram = design.T @ design + RIDGE_LAMBDA * np.eye(design.shape[1])
+            pred = design @ np.linalg.solve(gram, design.T @ labels)
+        else:
+            pred = U @ (U.T @ labels)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"least-squares fit failed: {exc}") from None
+    return np.subtract(labels, pred, out=pred)
+
+
+def partial_correlation(
+    windows: WindowSet, t: int, t2: int, variable: int = 0
+) -> float:
+    """Partial correlation of label steps t and t2 (0-based) given history."""
+    T = windows.horizon
+    if t == t2:
+        raise InvalidDimensionError("step indices must differ")
+    if not (0 <= t < T and 0 <= t2 < T):
+        raise InvalidDimensionError(f"step indices out of range (T={T})")
+    design, labels = _design_and_labels(windows, variable)
+    if design.shape[0] < windows.history + 3:
+        raise InsufficientDataError(
+            f"need at least H+3={windows.history + 3} samples, have {design.shape[0]}"
+        )
+    flags: list[str] = []
+    resid = _fit_residuals(design, labels[:, [t, t2]], flags)
+    v = resid.var(axis=0)
+    if np.any(v < VAR_EPS):
+        raise UndefinedCorrelationError(
+            "residual variance below 1e-12; correlation undefined"
+        )
+    r = resid - resid.mean(axis=0)
+    return float((r[:, 0] @ r[:, 1]) / np.sqrt((r[:, 0] @ r[:, 0]) * (r[:, 1] @ r[:, 1])))
+
+
+def cov_to_corr(cov: np.ndarray) -> np.ndarray:
+    """Correlation matrix of a square covariance matrix whose variances are positive."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise InvalidDimensionError(f"covariance must be a square 2-D array, got {cov.shape}")
+    var = np.diagonal(cov)
+    if not (var > 0).all():  # also rejects NaN
+        raise NumericError("covariance has a variance that is not positive")
+    d = np.sqrt(var)
+    return cov / np.outer(d, d)
 
 
 @pytest.fixture

@@ -17,7 +17,15 @@ import pytest
 
 import qdf
 
-from conftest import central_diff, rel_err
+from conftest import (
+    central_diff,
+    grad_wrt_residual,
+    grad_wrt_weighting,
+    mse_loss,
+    partial_correlation,
+    quadratic_loss,
+    rel_err,
+)
 from qdf.bench import HISTORY, HORIZON, bench_config, benchmark_data
 from qdf.bilevel import make_split_pair, minibatch_moments
 from qdf.data import (
@@ -28,14 +36,8 @@ from qdf.data import (
     make_windows,
     write_csv,
 )
-from qdf.diagnostics import fraction_above, partial_corr_matrix, partial_correlation
+from qdf.diagnostics import fraction_above, partial_corr_matrix
 from qdf.model import LinearForecaster, forecast_batch, init_forecaster, moment_grad
-from qdf.objective import (
-    grad_wrt_residual,
-    grad_wrt_weighting,
-    mse_loss,
-    quadratic_loss,
-)
 from qdf.weighting import (
     WeightingParams,
     identity_params,

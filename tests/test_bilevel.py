@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complex_factor, row_grad, window_samples
+from conftest import complex_factor, grad_wrt_residual, quadratic_loss, row_grad, window_samples
 from qdf.bench import benchmark_data
 from qdf.bilevel import (
     SplitPair,
@@ -20,7 +20,6 @@ from qdf.data import ArSpec, SeriesFrame, WindowSet, ar_conditional_cov, gen_ar,
 from qdf import bilevel, timing, weighting, workflow
 from qdf.errors import ConditioningError, InvalidSplitError, NumericError, QdfError
 from qdf.model import LinearForecaster, forecast, forecast_batch, init_forecaster, moment_grad
-from qdf.objective import grad_wrt_residual, quadratic_loss
 from qdf.timing import PhaseTimer
 from qdf.weighting import (
     WeightingMode,

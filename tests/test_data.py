@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import window_samples
+from conftest import cov_to_corr, window_samples
 from qdf import data
 from qdf.data import (
     ArSpec,
     SeriesFrame,
     ar_conditional_cov,
     chrono_split,
-    cov_to_corr,
     gen_ar,
     gen_ar_frame,
     load_csv,

@@ -6,14 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import window_samples
+from conftest import _fit_residuals, cov_to_corr, partial_correlation, window_samples
 from qdf import data, diagnostics
 from qdf.data import (
     ArSpec,
     SeriesFrame,
     WindowSet,
     ar_conditional_cov,
-    cov_to_corr,
     gen_ar,
     gen_ar_frame,
     load_csv,
@@ -23,10 +22,8 @@ from qdf.data import (
 from qdf.diagnostics import (
     VAR_EPS,
     PartialCorrReport,
-    _fit_residuals,
     fraction_above,
     partial_corr_matrix,
-    partial_correlation,
 )
 from qdf.cli import main
 from qdf.errors import (

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import central_diff, complex_step, rel_err, row_grad
+from conftest import central_diff, complex_step, mse_loss, quadratic_loss, rel_err, row_grad
 from qdf.bilevel import minibatch_moments
 from qdf.errors import InvalidConfigError, InvalidDimensionError, NumericError
 from qdf.model import (
@@ -17,7 +17,6 @@ from qdf.model import (
     save_checkpoint,
     sgd_update,
 )
-from qdf.objective import mse_loss, quadratic_loss
 from qdf.weighting import WeightingParams
 
 
@@ -283,6 +282,20 @@ def test_load_checkpoint_rejects_a_malformed_header(tmp_path, rng, text):
     assert err.value.exit_code == 3
 
 
+@pytest.mark.parametrize("text", ["1,2,x\n", ""], ids=["non-numeric", "empty"])
+@pytest.mark.parametrize("part", ["weights", "bias"])
+def test_load_checkpoint_rejects_a_csv_that_is_not_numbers(tmp_path, rng, part, text):
+    # a non-number escaped as numpy's plain ValueError, and an empty weights
+    # file warned "loadtxt: input contained no data" before its shape error
+    prefix = tmp_path / "model"
+    save_checkpoint(init_forecaster(5, 3, rng), prefix)
+    (tmp_path / f"model_{part}.csv").write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidConfigError, match=part):
+            load_checkpoint(prefix)
+
+
 def test_package_exports_resolve_once():
     import qdf
 
@@ -294,5 +307,10 @@ def test_package_exports_resolve_once():
     # its one bilevel computation, hypergradient, holds no model or weighting object
     assert not hasattr(qdf, "atomic_update") and not hasattr(qdf.bilevel, "atomic_update")
     assert not hasattr(qdf.bilevel, "atomic_step")
+    # the loss and gradient oracles on residual arrays, the pairwise partial
+    # correlation and cov_to_corr are test oracles, beside the tests
+    for name in ("quadratic_loss", "mse_loss", "grad_wrt_residual", "grad_wrt_weighting",
+                 "partial_correlation", "cov_to_corr"):
+        assert not hasattr(qdf, name), name
     assert not {"LinearForecaster", "WeightingParams", "model"} & set(vars(qdf.bilevel))
     assert not hasattr(qdf.weighting, "chain_sigma_grad_to_raw")

@@ -1,14 +1,19 @@
+"""The quadratic loss and its analytic gradients on a plain residual array,
+the oracles in conftest that the library's moments kernel and hypergradient
+are checked against: closed forms, finite differences and their refusals."""
+
 import numpy as np
 import pytest
 
-from conftest import central_diff, rel_err
-from qdf.errors import EmptyInputError, InvalidDimensionError, NumericError
-from qdf.objective import (
+from conftest import (
+    central_diff,
     grad_wrt_residual,
     grad_wrt_weighting,
     mse_loss,
     quadratic_loss,
+    rel_err,
 )
+from qdf.errors import EmptyInputError, InvalidDimensionError, NumericError
 from qdf.weighting import (
     WeightingMode,
     WeightingParams,

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import window_samples
+from conftest import grad_wrt_residual, quadratic_loss, window_samples
 from qdf.bench import bench_config, benchmark_data
 from qdf.bilevel import hypergradient, make_split_pair
 from qdf.data import (
@@ -29,7 +29,6 @@ from qdf.errors import (
     NumericError,
 )
 from qdf.model import AdamState, forecast_batch, init_forecaster, sgd_update
-from qdf.objective import grad_wrt_residual, quadratic_loss
 from qdf.weighting import (
     SOFTPLUS_FLOOR,
     WeightingMode,
@@ -368,24 +367,34 @@ def test_train_final_rejects_validation_of_other_shape(H, T):
                     valid=valid, rng=np.random.default_rng(16))
 
 
-@pytest.mark.parametrize("entry", ["hypergradient", "learn_weighting", "train_final"])
+@pytest.mark.parametrize("entry", ["hypergradient", "learn_weighting", "train_final",
+                                   "evaluate-history", "evaluate-horizon", "evaluate-weighting"])
 def test_a_model_of_another_history_is_refused(entry):
     # a history-15 model on the history-16 white bench windows: numpy's
-    # matmul and broadcast ValueErrors escaped all three entry points
+    # matmul and broadcast ValueErrors escaped all three training entry
+    # points.  evaluate let a model of another horizon reach numpy's
+    # broadcast error, and refused the other two only by their samples' or
+    # residuals' width; each is now refused before the test split is read
     data = benchmark_data("white", 0)
     cfg = bench_config(0, "white")
-    model0 = init_forecaster(data.train.history - 1, data.train.horizon,
-                             np.random.default_rng(0))
-    w = identity_params(data.train.horizon)
+    H, T = data.train.history, data.train.horizon
+    model0 = init_forecaster(H - 1, T, np.random.default_rng(0))
+    w = identity_params(T)
     run = {
         "hypergradient": lambda: hypergradient(model0.theta, (w.factor, w.inverse), w.mode,
                                                make_split_pair(data.train), cfg),
         "learn_weighting": lambda: learn_weighting(data.train, model0, cfg),
         "train_final": lambda: train_final(data.train, w, model0, cfg, valid=data.valid,
                                            rng=np.random.default_rng(0)),
+        "evaluate-history": lambda: evaluate(model0, data.test, w),
+        "evaluate-horizon": lambda: evaluate(
+            init_forecaster(H, T - 1, np.random.default_rng(0)), data.test, w),
+        "evaluate-weighting": lambda: evaluate(
+            init_forecaster(H, T, np.random.default_rng(0)), data.test, identity_params(T - 1)),
     }[entry]
     with pytest.raises(InvalidDimensionError, match="shape"):
         run()
+    assert data.test.reads == 0
 
 
 def test_evaluate_refuses_an_empty_window_set():
