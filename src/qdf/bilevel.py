@@ -208,12 +208,12 @@ def hypergradient(theta, factor, mode: WeightingMode, split: SplitPair, cfg: Qdf
         finite = np.isfinite(theta).all()
         timer.lap("inner_bwd")
         if not finite:
-            raise NumericError("inner loop diverged; reduce inner_lr")
+            raise NumericError("inner loop diverged; reduce inner_lr or eta")
         moments.append(M)
     lam = moment_grad(theta, A, Go, Co)
     timer.lap("outer_fwd")
     if not np.isfinite(lam).all():
-        raise NumericError("outer adjoint diverged; reduce inner_lr")
+        raise NumericError("outer adjoint diverged; reduce inner_lr or eta")
     steps = reversed(moments)
     P = next(steps) @ lam.T
     for M in steps:

@@ -7,19 +7,21 @@ rows of chosen windows into the caller's buffers, a block at a time, with no
 temporary larger than ``CHUNK_FLOATS`` floats.
 
 The synthetic side generates autoregressive series with an optional periodic
-innovation-scale schedule, solving the recursion through a band buffer of
-about the same ``CHUNK_FLOATS`` floats, and provides the exact conditional
-covariance of the label steps given the past, which serves as the oracle for
-benchmark and diagnostic tests.
+innovation-scale schedule, solving the recursion in moving-average form a
+block of about the same ``CHUNK_FLOATS`` floats at a time, and provides the
+exact conditional covariance of the label steps given the past, which serves
+as the oracle for benchmark and diagnostic tests.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,6 @@ from .errors import (
     UnstableSpecError,
     integer,
 )
-from .weighting import lapack
 
 log = logging.getLogger(__name__)
 
@@ -163,7 +164,7 @@ class WindowSet:
 
 
 # Floats in one chunk of a blockwise pass: the gather of WindowSet.sample_blocks,
-# the residual rows of partial_corr_matrix, and gen_ar's band buffer.
+# the residual rows of partial_corr_matrix, and gen_ar's innovation block.
 CHUNK_FLOATS = 2**13
 
 
@@ -362,8 +363,9 @@ def make_windows(
 
 def _part_bounds(n: int, fractions) -> list[tuple[int, int]]:
     fractions = np.asarray(fractions, dtype=float)
-    if np.any(fractions <= 0) or abs(fractions.sum() - 1.0) > 1e-9:
-        raise InvalidSplitError("fractions must be positive and sum to 1")
+    # both tests fail on a NaN, so no NaN reaches the integer cast below
+    if not (np.all(fractions > 0) and abs(fractions.sum() - 1.0) <= 1e-9):
+        raise InvalidSplitError("fractions must be finite, positive and sum to 1")
     edges = np.floor(np.cumsum(fractions) * n).astype(int)
     edges[-1] = n
     bounds = []
@@ -494,21 +496,38 @@ def gen_ar(spec: ArSpec) -> SeriesFrame:
 
     The innovation schedule is anchored so position 0 falls on the first
     retained sample (burn-in uses negative positions, wrapped periodically).
-    The recursion y[n] = eps[n] + sum_k phi_k y[n-k] is the banded solve
-    A y = eps, with A unit lower triangular and A[n, n-k] = -phi_k.
-
-    It is solved block by block through one (p+1) x (p + block) band buffer
-    of about ``CHUNK_FLOATS`` floats, so memory is O(n + p * block), not O(p * n).
-    Each block's solve starts with p rows holding the previous block's last
-    p outputs (zeros before the first block), and the band entries that
-    would land on those rows are zero, so they pass through unchanged.  Every
-    kept row thus gets the same multiply-adds, in the same order, as in one
-    solve over all rows, from the same innovation stream drawn in pieces:
-    the series is float-hex equal to the one-solve result.
+    The recursion y[n] = eps[n] + sum_k phi_k y[n-k] is solved in
+    moving-average form, a block of about ``CHUNK_FLOATS`` rows at a time.
+    A block is cut into sub-blocks of b = max(p, isqrt(CHUNK_FLOATS)) rows,
+    so memory is O(n + b^2), not O(p * n).  Each sub-block's output is its
+    innovations through the b x b lower-triangular Toeplitz matrix of the
+    first b MA weights, plus its response to the p outputs before it; one
+    pass carries those p outputs from sub-block to sub-block.  Every block is
+    zero-padded to the same shape, so a row's value does not depend on the
+    series length: a series is a float-hex prefix of any longer one with the
+    same seed.  White noise is the scaled draws themselves.
     """
     values = np.empty((spec.length, 1))
     _fill_ar(spec, values[:, 0])
     return SeriesFrame(values, ["y"])
+
+
+@lru_cache(maxsize=None)
+def _ar_operators(coeffs: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only operators of one AR polynomial: the b x b moving-average
+    matrix (psi_(i-j) on and below the diagonal) and the b x p response of a
+    sub-block's rows to the p outputs before it, oldest first."""
+    p = len(coeffs)
+    b = max(p, math.isqrt(CHUNK_FLOATS))
+    lags = np.subtract.outer(np.arange(b), np.arange(b))  # i - j
+    # negative lags wrap to valid indices, and tril / triu drop them
+    ma = np.tril(ma_weights(coeffs, b)[lags])
+    # the previous outputs force the first p rows: row i gets phi_(p+i-k) of output k
+    force = np.triu(np.array(coeffs[::-1])[-lags[:p, :p]])
+    resp = ma[:, :p] @ force
+    ma.setflags(write=False)
+    resp.setflags(write=False)
+    return ma, resp
 
 
 def _fill_ar(spec: ArSpec, out: np.ndarray) -> None:
@@ -518,24 +537,29 @@ def _fill_ar(spec: ArSpec, out: np.ndarray) -> None:
     burn = 10 * p
     total = spec.length + burn
     period = spec.noise_std.shape[0]
-    block = max(p, CHUNK_FLOATS // (p + 1))
-    # LAPACK lower band storage: row k holds the k-th subdiagonal; row 0, the
-    # unit diagonal, is not read.  Fortran order, or the wrapper copies it.
-    band = np.zeros((p + 1, p + block), order="F")
-    for k, phi in enumerate(spec.coeffs, start=1):
-        band[k, p - k:] = -phi
-    rhs = np.zeros((p + block, 1), order="F")
-    dtbtrs = lapack().dtbtrs
-    for start in range(0, total, block):
-        m = min(block, total - start)
-        eps = rhs[p:p + m, 0]
-        rng.standard_normal(out=eps)
-        eps *= spec.noise_std[(np.arange(start, start + m) - burn) % period]
-        y, _ = dtbtrs(band[:, :p + m], rhs[:p + m], uplo="L", diag="U", overwrite_b=1)
+    ma, resp = _ar_operators(spec.coeffs)
+    b = len(ma)
+    eps = np.zeros((max(1, CHUNK_FLOATS // b), b))  # a block of whole sub-blocks
+    flat = eps.reshape(-1)
+    y = np.empty_like(eps)
+    carried = np.zeros((len(eps), p))  # the p outputs before each sub-block
+    tail = resp[b - p:]  # the response of a sub-block's last p rows
+    for start in range(0, total, flat.size):
+        m = min(flat.size, total - start)
+        rng.standard_normal(out=flat[:m])
+        flat[:m] *= spec.noise_std[(np.arange(start, start + m) - burn) % period]
+        flat[m:] = 0.0
+        rows = flat
+        if p:
+            np.matmul(eps, ma.T, out=y)
+            for j in range(1, -(-m // b)):  # the sub-blocks that hold rows of the series
+                np.add(y[j - 1, b - p:], np.dot(tail, carried[j - 1]), out=carried[j])
+            y += carried @ resp.T
+            carried[0] = y[-1, b - p:]  # read only when this block was full
+            rows = y.reshape(-1)
         first = max(start, burn)  # burn-in rows are not kept
         if first < start + m:
-            out[first - burn:start + m - burn] = y[p + first - start:, 0]
-        rhs[:p] = y[m:m + p]
+            out[first - burn:start + m - burn] = rows[first - start:m]
 
 
 def gen_ar_frame(spec: ArSpec, n_vars: int) -> SeriesFrame:

@@ -12,8 +12,8 @@ factor: DIAG_ONLY zeroes the strictly-lower part of L, OFFDIAG_ONLY pins the
 diagonal of L to one.  Masked entries also receive zero gradient.
 
 Each formula lives once, in an array-level kernel on plain T x T arrays:
-L from ``raw`` (``factor_from_raw``), Sigma^-1 from L by one triangular
-solve (``inverse_from_factor``), the ``raw`` that rescales to
+L from ``raw`` (``factor_from_raw``), Sigma^-1 from the inverse of L^T
+(``inverse_from_factor``), the ``raw`` that rescales to
 trace(Sigma^-1) = T (``normalized_raw``, the one place that leaves
 OFFDIAG_ONLY mode unscaled), and the ``raw`` gradient of a Sigma gradient
 (``raw_grad``, which reads the softplus derivative off L).
@@ -27,12 +27,9 @@ builds no ``WeightingParams``.
 from __future__ import annotations
 
 import enum
-import importlib.util
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
@@ -128,37 +125,6 @@ class WeightingParams:
         return _frozen(inverse_from_factor(self.factor))
 
 
-@lru_cache(maxsize=None)
-def lapack():
-    """scipy's compiled LAPACK wrappers, the module scipy.linalg.lapack re-exports.
-
-    Loaded on first use, straight from its file: the scipy.linalg package init
-    takes longer than importing numpy itself, and qdf needs only two routines
-    (``dtrtrs`` here, ``dtbtrs`` in ``gen_ar``).  If the file cannot be found
-    or loaded, ``scipy.linalg.lapack`` gives the same compiled routines.
-    """
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:  # scipy.linalg has loaded it
-        return sys.modules[name]
-    scipy = importlib.util.find_spec("scipy")
-    folders = scipy.submodule_search_locations if scipy else None
-    paths = [Path(f, "linalg", "_flapack" + s) for f in folders or () for s in EXTENSION_SUFFIXES]
-    for path in filter(Path.is_file, paths):
-        spec = importlib.util.spec_from_file_location(name, path)
-        try:
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-        except ImportError:
-            break
-        # a later scipy.linalg import reuses it (a multi-phase extension
-        # would not register itself)
-        sys.modules[name] = module
-        return module
-    from scipy.linalg import lapack as module
-
-    return module
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -179,21 +145,18 @@ def factor_from_raw(raw: np.ndarray, mode: WeightingMode) -> np.ndarray:
     return L
 
 
-@lru_cache(maxsize=None)
-def _identity(T: int) -> np.ndarray:
-    # Left writable: dtrtrs copies its right-hand side (overwrite_b=0), and a
-    # read-only one sends it down a path ten times slower.
-    return np.eye(T)
-
-
 def inverse_from_factor(L: np.ndarray) -> np.ndarray:
-    """Sigma^-1 = L^-T L^-1, with L^-1 from one triangular solve."""
-    # The LAPACK call solve_triangular makes for a C-ordered L, without the
-    # wrapper's checks, which at small T cost more than the solve.
-    Linv, info = lapack().dtrtrs(L.T, _identity(L.shape[0]), lower=0, trans=1)
-    if info != 0:
-        raise ConditioningError(f"triangular factor is singular (LAPACK info {info})")
-    return Linv.T @ Linv
+    """Sigma^-1 = U U^T with U = L^-T, the inverse of the upper-triangular L^T.
+
+    Partial pivoting never swaps rows of an upper-triangular matrix, so the LU
+    inverse of L^T is a plain back substitution and its zeros below the
+    diagonal stay exact zeros.
+    """
+    try:
+        U = np.linalg.inv(L.T)
+    except np.linalg.LinAlgError:
+        raise ConditioningError("triangular factor is singular") from None
+    return U @ U.T
 
 
 def normalized_raw(raw: np.ndarray, mode: WeightingMode):

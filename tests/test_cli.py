@@ -14,7 +14,7 @@ import qdf
 from qdf import cli, errors
 from qdf.cli import main
 from qdf.data import ArSpec, SeriesFrame, gen_ar, gen_ar_frame, write_csv
-from qdf.workflow import QdfConfig
+from qdf.workflow import VARIANTS, QdfConfig
 
 
 @pytest.fixture
@@ -312,6 +312,22 @@ def test_train_diverged_inner_step_names_inner_lr(synth_csv, tmp_path, capsys):
     assert not (tmp_path / "report_qdf.json").exists()
 
 
+def test_train_diverged_inner_loop_names_eta(tmp_path, capsys):
+    # the inner step is stable only while inner_lr * lmax(Sigma^-1) * lmax(G)
+    # stays below 2, and eta moves Sigma^-1: here the default inner_lr
+    # diverges after an outer step of eta = 1e6, and the message named inner_lr alone
+    data = tmp_path / "s.csv"
+    assert main(["synth", "--n", "2000", "--phi", "0.6", "--out", str(data)]) == 0
+    capsys.readouterr()
+    code = main(["train", "--data", str(data), "--history", "8", "--horizon", "4",
+                 "--variant", "qdf-offdiag", "--eta", "1e6", "--report", str(tmp_path / "r.json")])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["type"], err["message"]) == (
+        "NumericError", "inner loop diverged; reduce inner_lr or eta")
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("eta", "1e6"), ("inner-lr", "5")])
 def test_train_ill_conditioned_weighting_exits_4(synth_csv, tmp_path, capsys, flag, value):
     # Sigma stays finite here; its condition number is what diverges
@@ -362,46 +378,29 @@ def run_module(*args, **env):
                           capture_output=True, text=True)
 
 
-def scipy_modules(code):
-    """The scipy modules loaded after running ``code`` in a fresh process."""
-    proc = run_module("-c", f"import json, sys\n{code}\n"
-                      "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+def test_commands_run_without_scipy(tmp_path):
+    # qdf runs on numpy alone: with scipy unimportable every command exits as
+    # it does with scipy installed, and no scipy module is loaded
+    data = tmp_path / "s.csv"
+    runs = [["synth", "--n", "2000", "--phi", "0.6", "--horizon", "4", "--out", str(data)]]
+    runs += [["train", "--data", str(data), "--history", "8", "--horizon", "4", "--variant", v,
+              "--report", str(tmp_path / f"{v}.json")] for v in VARIANTS]
+    runs += [["bench", "--presets", "white", "--seeds", "0", "--out-dir", str(tmp_path / "b")],
+             ["diagnose", "--data", str(data), "--reg-history", "4", "--horizon", "6",
+              "--out-prefix", str(tmp_path / "d")]]
+    proc = run_module("-c", "\n".join([
+        "import json, sys",
+        "sys.modules['scipy'] = None  # import scipy raises ImportError",
+        "from qdf.cli import main",
+        f"codes = [main(argv) for argv in {runs!r}]",
+        "loaded = [m for m, module in sys.modules.items() if m.startswith('scipy') and module]",
+        "print(json.dumps([codes, loaded]))",
+    ]))
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def test_cli_import_does_not_load_scipy_signal():
-    # scipy is loaded where it is used: LAPACK by gen_ar and by
-    # WeightingParams.inverse
-    for module in ("qdf.cli", "qdf.bench"):
-        assert scipy_modules(f"import {module}") == [], module
-
-
-def test_synthetic_data_does_not_load_scipy_signal(tmp_path):
-    # gen_ar's banded solve and the weighting's triangular solve load scipy's
-    # compiled LAPACK wrappers alone: not the scipy.linalg package, nor scipy.signal
-    out = str(tmp_path / "s.csv")
-    for code in ("import qdf.bench; qdf.bench.benchmark_data('hetero-corr', 0)",
-                 "from qdf.cli import main; "
-                 f"main(['synth', '--n', '500', '--phi', '0.6', '--horizon', '4', '--out', {out!r}])",
-                 "from qdf.weighting import identity_params; identity_params(4).inverse"):
-        loaded = scipy_modules(code)
-        assert "scipy.linalg._flapack" in loaded, code
-        assert "scipy.linalg" not in loaded, code
-        assert not [m for m in loaded if m.startswith("scipy.signal")], code
-
-
-def test_diagnose_does_not_load_scipy(tmp_path):
-    # the fit uses numpy.linalg alone: a qdf.weighting.lapack() call would load
-    # scipy's compiled LAPACK wrappers, and their 2.7 MB of resident memory
-    path = tmp_path / "s.csv"
-    write_csv(SeriesFrame(np.random.default_rng(5).standard_normal((400, 2)), ["a", "b"]), path)
-    out = str(tmp_path / "d")
-    for extra in ([], ["--variable", "1"]):
-        argv = ["diagnose", "--data", str(path), "--reg-history", "4", "--horizon", "6",
-                "--out-prefix", out, *extra]
-        assert scipy_modules(f"from qdf.cli import main; assert main({argv!r}) == 0") == [], extra
-    assert (tmp_path / "d_matrix.csv").exists()
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs), proc.stderr
+    assert loaded == []
+    assert all((tmp_path / f"{v}.json").exists() for v in VARIANTS)
 
 
 def test_failing_run_stderr_is_one_json_object(synth_csv):

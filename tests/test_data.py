@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dtbtrs
 
 from conftest import cov_to_corr, window_samples
 from qdf import data
@@ -35,7 +36,6 @@ from qdf.errors import (
     NumericError,
     UnstableSpecError,
 )
-from qdf.weighting import lapack
 
 
 def frame_of(values):
@@ -589,6 +589,22 @@ def test_chrono_split_bad_fractions(rng):
         chrono_split(frame, [0.5, 0.6])
 
 
+@pytest.mark.parametrize("fractions", [
+    [0.5, math.nan], [math.nan, 0.5], [math.nan, math.nan], [0.5, math.inf], [math.inf, -math.inf],
+], ids=["nan-last", "nan-first", "all-nan", "inf", "inf-minus-inf"])
+@pytest.mark.parametrize("kind", ["frame", "windows"])
+def test_chrono_split_refuses_a_non_finite_fraction(kind, fractions):
+    # [0.5, nan] passed both checks and split 47 windows 23 / 24, after a
+    # RuntimeWarning from casting the NaN edge to an integer
+    data = gen_ar(ArSpec((0.5,), 1.0, 50, 0))
+    if kind == "windows":
+        data = make_windows(data, 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSplitError, match="finite"):
+            chrono_split(data, fractions)
+
+
 # ------------------------------------------------------------- AR process
 
 def test_gen_ar_deterministic():
@@ -649,7 +665,8 @@ def test_gen_ar_matches_ar_recursion(coeffs, noise_std):
 
 
 def one_band_solve(spec):
-    """gen_ar's series as one banded solve over every row, burn-in included."""
+    """gen_ar's series as one banded triangular solve (LAPACK dtbtrs) over
+    every row, burn-in included."""
     rng = np.random.default_rng(spec.seed)
     p = spec.order
     burn = 10 * p
@@ -659,7 +676,8 @@ def one_band_solve(spec):
     eps = rng.standard_normal(total) * stds
     band = np.zeros((p + 1, total), order="F")
     band[1:] = -np.asarray(spec.coeffs)[:, None]
-    y, _ = lapack().dtbtrs(band, eps[:, None], uplo="L", diag="U")
+    y, info = dtbtrs(band, eps[:, None], uplo="L", diag="U")
+    assert info == 0
     return y[burn:, 0]
 
 
@@ -669,31 +687,61 @@ def random_stable_coeffs(p, seed):
     return tuple(0.9 * c / np.abs(c).sum())
 
 
-@pytest.mark.parametrize("coeffs", [
+def block_ends(p):
+    """Series lengths at and around the ends of gen_ar's sub-blocks and blocks."""
+    b = max(p, math.isqrt(data.CHUNK_FLOATS))
+    block = data.CHUNK_FLOATS // b * b
+    ends = [b, block - 10 * p, 2 * block - 10 * p]
+    return sorted({n + d for n in ends for d in (-1, 0, 1) if n + d >= 1} | {1}), 3 * block + 5
+
+
+AR_COEFFS = pytest.mark.parametrize("coeffs", [
     (), (0.6,), (0.7, -0.2), (0.0,) * 15 + (0.6,), (0.0,) * 95 + (0.6,),
     random_stable_coeffs(29, 3),
 ], ids=["white", "ar1", "ar2", "seasonal16", "seasonal96", "random29"])
-@pytest.mark.parametrize("ramp", [False, True], ids=["constant", "ramp"])
-def test_gen_ar_is_float_hex_equal_to_one_band_solve(coeffs, ramp):
-    # the blocked solve gives every kept row the same multiply-adds in the
-    # same order as one solve over all rows, at and around block ends
+AR_RAMP = pytest.mark.parametrize("ramp", [False, True], ids=["constant", "ramp"])
+
+
+@AR_COEFFS
+@AR_RAMP
+def test_gen_ar_matches_one_band_solve(coeffs, ramp):
+    # the same series as one LAPACK solve over all rows, at and around block
+    # ends; white noise is the scaled draws themselves, bit for bit
     noise = ramp_noise_schedule(16, 8, 1.0, 3.0) if ramp else 0.7
-    p = len(coeffs)
-    block = max(p, data.CHUNK_FLOATS // (p + 1))
-    for length in sorted({1, max(block - 1, 1), block, block + 1, 3 * block + 5}):
+    lengths, longest = block_ends(len(coeffs))
+    for length in lengths + [longest]:
         spec = ArSpec(coeffs, noise, length, seed=length)
-        assert gen_ar(spec).values[:, 0].tobytes() == one_band_solve(spec).tobytes(), length
+        y, expected = gen_ar(spec).values[:, 0], one_band_solve(spec)
+        if not coeffs:
+            assert y.tobytes() == expected.tobytes(), length
+        # relative to the series scale as well, as in test_gen_ar_matches_ar_recursion
+        np.testing.assert_allclose(y, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max(), err_msg=str(length))
 
 
-def test_gen_ar_frame_is_float_hex_equal_to_one_band_solves():
+@AR_COEFFS
+@AR_RAMP
+def test_gen_ar_is_a_float_hex_prefix_of_a_longer_series(coeffs, ramp):
+    # every block is zero-padded to one shape, so a row's value does not
+    # depend on where the series ends
+    noise = ramp_noise_schedule(16, 8, 1.0, 3.0) if ramp else 0.7
+    lengths, longest = block_ends(len(coeffs))
+    whole = gen_ar(ArSpec(coeffs, noise, longest, seed=4)).values[:, 0]
+    for length in lengths:
+        head = gen_ar(ArSpec(coeffs, noise, length, seed=4)).values[:, 0]
+        assert head.tobytes() == whole[:length].tobytes(), length
+
+
+def test_gen_ar_frame_matches_one_band_solves():
+    # each column is gen_ar's series of its child seed, bit for bit
     spec = ArSpec((0.5,), 1.0, 20000, seed=0)
     seeds = np.random.SeedSequence(spec.seed).spawn(8)
-    expected = np.column_stack([
-        one_band_solve(ArSpec(spec.coeffs, spec.noise_std, spec.length,
-                              int(child.generate_state(1)[0])))
-        for child in seeds
-    ])
-    assert gen_ar_frame(spec, 8).values.tobytes() == expected.tobytes()
+    columns = [ArSpec(spec.coeffs, spec.noise_std, spec.length, int(child.generate_state(1)[0]))
+               for child in seeds]
+    frame = gen_ar_frame(spec, 8).values
+    assert frame.tobytes() == np.column_stack([gen_ar(c).values[:, 0] for c in columns]).tobytes()
+    expected = np.column_stack([one_band_solve(c) for c in columns])
+    np.testing.assert_allclose(frame, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
 def gen_ar_peak(coeffs, length):
@@ -710,11 +758,12 @@ def gen_ar_peak(coeffs, length):
 
 def test_gen_ar_memory_follows_the_output():
     # one band of all rows was (p+1) x (n + 10p) floats: about 78 MB at lag 96
-    # and 100 000 rows.  Blocked, the order adds at most its band buffer, and
-    # a row costs its 8 output bytes.
+    # and 100 000 rows.  Blocked, the order adds at most what a band buffer
+    # of one block took, and a row costs its 8 output bytes.
     n, p = 100_000, 96
     seasonal = (0.0,) * (p - 1) + (0.6,)
-    gen_ar_peak(seasonal, 10)  # LAPACK loaded outside the traced calls
+    gen_ar_peak(seasonal, 10)  # its operators are built outside the traced calls
+    # the size of the earlier (p+1) x (p + block) band buffer
     band_bytes = 8 * (p + 1) * (p + max(p, data.CHUNK_FLOATS // (p + 1)))
     slack = 64 * 1024
     assert gen_ar_peak(seasonal, n) - gen_ar_peak((0.6,), n) < band_bytes + slack
