@@ -378,6 +378,42 @@ def run_module(*args, **env):
                           capture_output=True, text=True)
 
 
+def scipy_modules(code):
+    """The scipy modules loaded after running ``code`` in a fresh process."""
+    proc = run_module("-c", f"import json, sys\n{code}\n"
+                      "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    for module in ("qdf.cli", "qdf.bench"):
+        assert scipy_modules(f"import {module}") == [], module
+
+
+def test_synthetic_data_does_not_load_scipy_signal(tmp_path):
+    # gen_ar's AR recursion and the weighting's Sigma^-1 use numpy alone: no
+    # scipy module is loaded, neither scipy.signal nor scipy's LAPACK wrappers
+    out = str(tmp_path / "s.csv")
+    for code in ("import qdf.bench; qdf.bench.benchmark_data('hetero-corr', 0)",
+                 "from qdf.cli import main; "
+                 f"main(['synth', '--n', '500', '--phi', '0.6', '--horizon', '4', '--out', {out!r}])",
+                 "from qdf.weighting import identity_params; identity_params(4).inverse"):
+        assert scipy_modules(code) == [], code
+
+
+def test_diagnose_does_not_load_scipy(tmp_path):
+    # the fit uses numpy.linalg alone
+    path = tmp_path / "s.csv"
+    write_csv(SeriesFrame(np.random.default_rng(5).standard_normal((400, 2)), ["a", "b"]), path)
+    out = str(tmp_path / "d")
+    for extra in ([], ["--variable", "1"]):
+        argv = ["diagnose", "--data", str(path), "--reg-history", "4", "--horizon", "6",
+                "--out-prefix", out, *extra]
+        assert scipy_modules(f"from qdf.cli import main; assert main({argv!r}) == 0") == [], extra
+    assert (tmp_path / "d_matrix.csv").exists()
+
+
 def test_commands_run_without_scipy(tmp_path):
     # qdf runs on numpy alone: with scipy unimportable every command exits as
     # it does with scipy installed, and no scipy module is loaded
